@@ -33,20 +33,15 @@ from .lattice import (
     SquareIntMatrix,
     char_poly,
     is_unipotent,
-    pairing_eval,
     spectral_radius,
 )
 from .twists import (
     BoundSeries,
     HKModel,
-    SurfaceModel,
-    TwistState,
-    advance,
     entropy_lower_bound,
     ext_growth_series,
     first_iterate_profile,
     gy_verdict,
-    initial_twist_state,
     spherical_twist_series,
 )
 from .words import (
@@ -56,8 +51,9 @@ from .words import (
     Shift,
     SphericalTwist,
     TensorClass,
+    certify_log_rho,
+    derive_verdict,
     induced_matrix,
-    word_log_rho,
 )
 
 __all__ = [
@@ -72,7 +68,6 @@ __all__ = [
     "LatticeVector",
     "SquareIntMatrix",
     "IntPolynomial",
-    "pairing_eval",
     "char_poly",
     "spectral_radius",
     "is_unipotent",
@@ -91,13 +86,10 @@ __all__ = [
     "SphericalTwist",
     "ExplicitMatrix",
     "induced_matrix",
-    "word_log_rho",
+    "certify_log_rho",
+    "derive_verdict",
     "HKModel",
-    "SurfaceModel",
-    "TwistState",
     "BoundSeries",
-    "initial_twist_state",
-    "advance",
     "first_iterate_profile",
     "ext_growth_series",
     "entropy_lower_bound",

@@ -2,9 +2,9 @@
 
 Configs are JSON documents with a versioned schema (one ``kind`` per
 scenario family); reports are versioned JSON with a stable field order, so
-identical config and seed produce byte-identical output.  The ``timing``
-field records deterministic work units (cone evaluations from a cold cache)
-rather than wall-clock time, for the same reason.
+identical configs produce byte-identical output.  The ``timing`` field
+records deterministic work units (cone evaluations from a cold cache) rather
+than wall-clock time, for the same reason.
 
 Subcommands: ``validate``, ``run``, ``catalog``, ``series`` (CSV dump).
 Exit codes: 0 success, 1 input error, 2 numeric error, 3 contract violation.
@@ -25,10 +25,9 @@ from .descent import CoverScenario, quotient_verdict
 from .errors import EngineError, InputError
 from .graded import cone_evaluations
 from .hilbert import HilbScenario, hilbert_lift_verdict
-from .lattice import BilinearLattice, LatticeVector, SquareIntMatrix
+from .lattice import DEFAULT_TOL, BilinearLattice, LatticeVector, SquareIntMatrix
 from .twists import (
     HKModel,
-    SurfaceModel,
     clear_caches,
     default_action_word,
     gy_verdict,
@@ -41,16 +40,15 @@ from .words import (
     Shift,
     SphericalTwist,
     TensorClass,
+    certify_log_rho,
+    derive_verdict,
     induced_matrix,
-    log_rho_is_exact_zero,
     tensor_matrix_from_nilpotent,
-    word_log_rho,
 )
 
 SCHEMA_VERSION = 1
 REPORT_VERSION = 1
 KINDS = ("hk", "hilb", "enriques", "lattice_word", "surface_twist")
-DEFAULT_TOL = 1e-9
 MAX_RANK = 30
 MAX_M = 64
 
@@ -143,8 +141,8 @@ def _check_d_table(out, data, path):
     return list(table)
 
 
-def _validate_rr(out, data, path, require_m_max=True):
-    """Shared fields of model-driven kinds: n, q or d_table, m_max, t."""
+def _validate_rr(out, data, path):
+    """Shared fields of model-driven kinds: n, q or d_table, m_max."""
     norm = {}
     norm["n"] = _check_int(out, data, "n", path, lo=1, hi=8)
     has_q, has_table = "q" in data, "d_table" in data
@@ -154,11 +152,9 @@ def _validate_rr(out, data, path, require_m_max=True):
         norm["q"] = _check_int(out, data, "q", path, lo=1)
     else:
         norm["d_table"] = _check_d_table(out, data, path)
-    if require_m_max:
-        norm["m_max"] = _check_int(out, data, "m_max", path, lo=3, hi=MAX_M)
-    norm["t"] = _check_number(out, data, "t", path, required=False, default=0.0)
-    if norm["t"] is not None and norm["t"] < 0:
-        out.append(f"{path}t: must be >= 0, got {norm['t']}")
+    norm["m_max"] = _check_int(out, data, "m_max", path, lo=3, hi=MAX_M)
+    if "t" in data:
+        out.append(f"{path}t: only surface_twist reads t")
     return norm
 
 
@@ -244,9 +240,13 @@ def validate_config(data) -> tuple[dict | None, list[str]]:
     if kind == "hk":
         norm.update(_validate_rr(out, data, ""))
     elif kind == "surface_twist":
-        sub = _validate_rr(out, {**data, "n": 1}, "")
+        rr = {key: value for key, value in data.items() if key != "t"}
+        sub = _validate_rr(out, {**rr, "n": 1}, "")
         sub.pop("n")
         norm.update(sub)
+        norm["t"] = _check_number(out, data, "t", "", required=False, default=0.0)
+        if norm["t"] is not None and norm["t"] < 0:
+            out.append(f"t: must be >= 0, got {norm['t']}")
         norm["k"] = _check_int(out, data, "k", "", lo=1, hi=20)
         norm["l"] = _check_int(out, data, "l", "", lo=1, hi=20)
         if norm.get("m_max") is not None and norm["m_max"] > 12:
@@ -285,7 +285,6 @@ def validate_config(data) -> tuple[dict | None, list[str]]:
 
     norm["tol"] = _check_number(out, data, "tol", "", lo=0.0, required=False,
                                 default=DEFAULT_TOL)
-    norm["seed"] = _check_int(out, data, "seed", "", lo=0, required=False, default=0)
 
     if out:
         return None, out
@@ -302,10 +301,6 @@ class ScenarioConfig:
     @property
     def tol(self) -> float:
         return self.data["tol"]
-
-    @property
-    def seed(self) -> int:
-        return self.data["seed"]
 
     def to_dict(self) -> dict:
         return copy.deepcopy(self.data)
@@ -469,21 +464,6 @@ class ReportRecord:
         )
 
 
-def derive_verdict(
-    bound: float | None,
-    log_rho: float | None,
-    exact_zero: bool,
-    tol: float,
-) -> str:
-    """The one verdict gate: a violation needs a positive certified bound and
-    either an exactly-zero log rho or a margin of ten tolerances."""
-    if bound is None or log_rho is None or bound <= 0:
-        return "no violation certified"
-    if exact_zero or bound > log_rho + 10 * tol:
-        return "GY violated"
-    return "no violation certified"
-
-
 def _series_rows(series) -> list:
     return [{"m": m, "lower": lo, "upper": hi} for m, lo, hi in series.rows()]
 
@@ -552,7 +532,6 @@ def _run_hilb(record: ReportRecord, cfg: ScenarioConfig):
         base_matrix=induced_matrix(default_action_word(base_model)),
         base_series=base.series,
         base_entropy_lower=base.entropy_lower,
-        t=cfg.data["base"]["t"],
     )
     lifted = hilbert_lift_verdict(sc, tol=cfg.tol)
     record.entropy_lower_certified = lifted.entropy_lower
@@ -606,19 +585,23 @@ def _run_enriques(record: ReportRecord, cfg: ScenarioConfig):
 def _run_lattice_word(record: ReportRecord, cfg: ScenarioConfig):
     lattice = _build_lattice(cfg.data["lattice"])
     word = _build_word(lattice, cfg.data["word"])
-    matrix = induced_matrix(word)
-    exact_zero = log_rho_is_exact_zero(matrix)
-    record.log_rho = 0.0 if exact_zero else word_log_rho(word, cfg.tol)
-    record.log_rho_exact_zero = exact_zero
+    record.log_rho, record.log_rho_exact_zero = certify_log_rho(
+        induced_matrix(word), cfg.tol
+    )
     record.details = {
         "rank": lattice.rank,
-        "spectral_radius": 1.0 if exact_zero else math.exp(record.log_rho),
+        "spectral_radius": math.exp(record.log_rho),
     }
-    record.verdict = "no violation certified"
+    record.verdict = derive_verdict(
+        record.entropy_lower_certified,
+        record.log_rho,
+        record.log_rho_exact_zero,
+        cfg.tol,
+    )
 
 
 def _run_surface_twist(record: ReportRecord, cfg: ScenarioConfig):
-    surface = SurfaceModel(cfg.data.get("q"), cfg.data.get("d_table"))
+    surface = HKModel(1, cfg.data.get("q"), cfg.data.get("d_table"))
     series = spherical_twist_series(
         surface, cfg.data["k"], cfg.data["l"], cfg.data["m_max"], cfg.data["t"]
     )
@@ -729,8 +712,6 @@ def _load_from_args(args) -> ScenarioConfig:
     data = cfg.to_dict()
     if getattr(args, "tol", None) is not None:
         data["tol"] = args.tol
-    if getattr(args, "seed", None) is not None:
-        data["seed"] = args.seed
     if getattr(args, "m_max", None) is not None:
         for holder in ("base", "cover"):
             if holder in data:
@@ -754,7 +735,6 @@ def _add_common(parser, with_format=True):
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--tol", type=float, help="override tolerance")
     parser.add_argument("--m-max", dest="m_max", type=int, help="override m_max")
-    parser.add_argument("--seed", type=int, help="override seed")
     if with_format:
         parser.add_argument(
             "--format", choices=("json", "table"), default="json",

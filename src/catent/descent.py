@@ -7,7 +7,7 @@ the word restricts to it, and
 
   * the quotient inherits the cover's certified entropy lower bound, and
   * the quotient log spectral radius is squeezed to exactly zero whenever
-    the cover action is unipotent (restriction of unipotent is unipotent).
+    the cover action is unipotent up to sign (restriction preserves it).
 
 All sublattice computation is exact: the fixed sublattice is the integer
 kernel of (deck - I), computed by unimodular row reduction, and the
@@ -16,19 +16,18 @@ restricted action is solved over exact rationals and cleared to integers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractError, InputError
-from .lattice import (
-    DEFAULT_TOL,
-    BilinearLattice,
-    SquareIntMatrix,
-    is_unipotent,
-    spectral_radius,
+from .lattice import DEFAULT_TOL, BilinearLattice, SquareIntMatrix
+from .words import (
+    ActionWord,
+    TensorClass,
+    certify_log_rho,
+    derive_verdict,
+    induced_matrix,
 )
-from .words import ActionWord, TensorClass, induced_matrix
 
 
 def integer_kernel_basis(m: SquareIntMatrix) -> tuple[tuple[int, ...], ...]:
@@ -189,41 +188,28 @@ class QuotientVerdict:
 def quotient_verdict(sc: CoverScenario, tol: float = DEFAULT_TOL) -> QuotientVerdict:
     """Descend the entropy bound and squeeze the quotient spectral radius.
 
-    The entropy bound transfers as an identity through the covering.  When
-    the cover action is unipotent the quotient log spectral radius is exactly
-    zero; otherwise it is computed on the restriction and only the inequality
-    against the cover value is asserted.
+    The entropy bound transfers as an identity through the covering.  The
+    cover action and its restriction are certified separately: an exactly
+    zero cover certificate must restrict to an exactly zero one, and
+    otherwise only the inequality against the cover value is asserted.
     """
     basis, restricted = invariant_sublattice(sc)
-    cover_action = induced_matrix(sc.word)
-    cover_unipotent = is_unipotent(cover_action)
-    if cover_unipotent:
-        if not is_unipotent(restricted):
-            raise ContractError(
-                "restriction of a unipotent action failed the exact "
-                "unipotence test"
-            )
-        cover_log_rho = 0.0
-        quotient_log_rho = 0.0
-        exact_zero = True
-    else:
-        cover_log_rho = math.log(spectral_radius(cover_action, tol))
-        quotient_log_rho = math.log(spectral_radius(restricted, tol))
-        exact_zero = is_unipotent(restricted)
-        if exact_zero:
-            quotient_log_rho = 0.0
-        if quotient_log_rho > cover_log_rho + 10 * tol:
-            raise ContractError(
-                "restricted spectral radius exceeds the ambient one"
-            )
-    violated = sc.cover_entropy_bound > 0 and (
-        exact_zero or sc.cover_entropy_bound > quotient_log_rho + 10 * tol
-    )
+    cover_log_rho, cover_exact_zero = certify_log_rho(induced_matrix(sc.word), tol)
+    quotient_log_rho, exact_zero = certify_log_rho(restricted, tol)
+    if cover_exact_zero and not exact_zero:
+        raise ContractError(
+            "restriction of an action that is unipotent up to sign failed "
+            "the exact-zero certificate"
+        )
+    if quotient_log_rho > cover_log_rho + 10 * tol:
+        raise ContractError("restricted spectral radius exceeds the ambient one")
     return QuotientVerdict(
         entropy_lower=sc.cover_entropy_bound,
         cover_log_rho=cover_log_rho,
         quotient_log_rho=quotient_log_rho,
         quotient_log_rho_exact_zero=exact_zero,
         quotient_rank=len(basis),
-        verdict="GY violated" if violated else "no violation certified",
+        verdict=derive_verdict(
+            sc.cover_entropy_bound, quotient_log_rho, exact_zero, tol
+        ),
     )

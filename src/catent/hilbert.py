@@ -10,13 +10,13 @@ the surface forces one on every Hilbert scheme over it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
 
 from .errors import InputError, ResourceError
-from .lattice import DEFAULT_TOL, SquareIntMatrix, is_unipotent, spectral_radius
+from .lattice import DEFAULT_TOL, SquareIntMatrix
 from .twists import BoundSeries
+from .words import certify_log_rho, derive_verdict
 
 #: Hard cap on the dimension of an expanded Kronecker power.
 TENSOR_DIM_CAP = 10_000
@@ -105,7 +105,6 @@ class HilbScenario:
     base_matrix: SquareIntMatrix
     base_series: BoundSeries
     base_entropy_lower: float
-    t: float = 0.0
 
     def __post_init__(self):
         if self.n < 1:
@@ -130,21 +129,15 @@ class HilbVerdict:
 
 def hilbert_lift_verdict(sc: HilbScenario, tol: float = DEFAULT_TOL) -> HilbVerdict:
     """Transfer the base gap: both sides scale by exactly n."""
-    exact_zero = is_unipotent(sc.base_matrix) or is_unipotent(
-        sc.base_matrix @ sc.base_matrix
-    )
-    base_log_rho = (
-        0.0 if exact_zero else math.log(spectral_radius(sc.base_matrix, tol))
-    )
-    entropy_lower = sc.n * sc.base_entropy_lower
-    log_rho = sc.n * base_log_rho
-    strict_gap = sc.base_entropy_lower > 0 and (
-        exact_zero or sc.base_entropy_lower > base_log_rho + 10 * tol
+    base_log_rho, exact_zero = certify_log_rho(sc.base_matrix, tol)
+    strict_gap = (
+        derive_verdict(sc.base_entropy_lower, base_log_rho, exact_zero, tol)
+        == "GY violated"
     )
     return HilbVerdict(
         n=sc.n,
-        entropy_lower=entropy_lower,
-        log_rho=log_rho,
+        entropy_lower=sc.n * sc.base_entropy_lower,
+        log_rho=sc.n * base_log_rho,
         log_rho_exact_zero=exact_zero,
         strict_gap=strict_gap,
         series=kunneth_power_series(sc.base_series, sc.n),

@@ -185,11 +185,6 @@ class BilinearLattice:
         )
 
 
-def pairing_eval(lattice: BilinearLattice, v, w) -> int:
-    """Pairing of two lattice vectors (module-level alias)."""
-    return lattice.pairing(v, w)
-
-
 # ---------------------------------------------------------------------------
 # Integer polynomials
 # ---------------------------------------------------------------------------

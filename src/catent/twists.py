@@ -19,7 +19,7 @@ Tracked families, for a generator index k and twist levels l >= 1:
 Their recursions only ever combine profiles whose supports are disjoint at
 the top, which is why the top degree of every iterate collapses to an exact
 value (the product d_{k+1} d_l d_1^{m-1}) and everything above it vanishes
-exactly; ``advance`` enforces this as a hard contract.
+exactly; the ``verify_*`` functions enforce this as a hard contract.
 
 Entropy: the per-m lower bounds of the summed profiles grow like d_1^m, so
 log d_1 is a certified entropy lower bound; the action on any lattice model
@@ -51,10 +51,10 @@ from .words import (
     ActionWord,
     PTwist,
     TensorClass,
+    certify_log_rho,
+    derive_verdict,
     induced_matrix,
-    log_rho_is_exact_zero,
     tensor_matrix_from_nilpotent,
-    word_log_rho,
 )
 
 _CACHED_FUNCS = []
@@ -350,57 +350,6 @@ def first_iterate_profile(model: HKModel, k: int, l: int) -> GradedDim:
 
 
 # ---------------------------------------------------------------------------
-# Stateful iteration facade
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TwistState:
-    """Verified snapshot of the iteration at step m for one generator index.
-
-    ``profiles`` maps each tracked twist level l to the iterate profile;
-    ``correction`` is the level-1 correction profile the next evaluation
-    complex consumes; ``correction_by_twist`` tracks the other levels.
-    """
-
-    m: int
-    k: int
-    profiles: dict[int, GradedDimInterval]
-    correction: GradedDimInterval
-    correction_by_twist: dict[int, GradedDimInterval]
-
-
-def _build_state(model: HKModel, m: int, k: int, ls: tuple[int, ...]) -> TwistState:
-    profiles = {l: verify_iterate_contract(model, m, k, l) for l in ls}
-    corr_by_twist = {l: verify_correction_contract(model, m, k, l) for l in ls}
-    if m >= 2:
-        for l in ls:
-            verify_eval_cone_boundary(model, m, k, l)
-    correction = corr_by_twist.get(1) or verify_correction_contract(model, m, k, 1)
-    return TwistState(m, k, profiles, correction, corr_by_twist)
-
-
-def initial_twist_state(model: HKModel, k: int, ls=None) -> TwistState:
-    """State after one application, all generator twist levels tracked."""
-    if k < 1:
-        raise InputError("generator summand index k must be >= 1")
-    ls = tuple(ls) if ls is not None else tuple(range(1, model.generator_width + 1))
-    if any(l < 1 for l in ls):
-        raise InputError("twist levels must be >= 1")
-    for l in ls:
-        first_iterate_profile(model, k, l)  # includes the closed-form cross-check
-    return _build_state(model, 1, k, ls)
-
-
-def advance(state: TwistState, model: HKModel, l_next: int) -> TwistState:
-    """Advance one step, enforcing every collapse contract at the new level."""
-    if l_next < 1:
-        raise InputError("twist level must be >= 1")
-    ls = tuple(sorted(set(state.profiles) | {l_next}))
-    return _build_state(model, state.m + 1, state.k, ls)
-
-
-# ---------------------------------------------------------------------------
 # Growth series and entropy bounds
 # ---------------------------------------------------------------------------
 
@@ -515,29 +464,20 @@ class HKVerdict:
     series: BoundSeries
 
 
-def gy_verdict(
-    model: HKModel,
-    m_max: int,
-    word: ActionWord | None = None,
-    tol: float = DEFAULT_TOL,
-) -> HKVerdict:
-    """Certified entropy bound vs. exact log spectral radius of the word."""
-    word = word if word is not None else default_action_word(model)
-    matrix = induced_matrix(word)
-    exact_zero = log_rho_is_exact_zero(matrix)
-    log_rho = 0.0 if exact_zero else word_log_rho(word, tol)
-    bound = entropy_lower_bound(model, m_max)
-    violated = bound.certified > 0 and (
-        exact_zero or bound.certified > log_rho + 10 * tol
+def gy_verdict(model: HKModel, m_max: int, tol: float = DEFAULT_TOL) -> HKVerdict:
+    """Certified entropy bound vs. exact log spectral radius of the default
+    twist-and-tensor word."""
+    log_rho, exact_zero = certify_log_rho(
+        induced_matrix(default_action_word(model)), tol
     )
-    verdict = "GY violated" if violated else "no violation certified"
+    bound = entropy_lower_bound(model, m_max)
     return HKVerdict(
         log_rho=log_rho,
         log_rho_exact_zero=exact_zero,
         entropy_lower=bound.certified,
         empirical_slope=bound.empirical_slope,
         gap=bound.certified - log_rho,
-        verdict=verdict,
+        verdict=derive_verdict(bound.certified, log_rho, exact_zero, tol),
         series=bound.series,
     )
 
@@ -547,56 +487,31 @@ def gy_verdict(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
-    """Degree-two model for the spherical twist along the structure sheaf.
-
-    Supplies the negative line-bundle profiles {2: d_j} and the two-degree
-    structure-sheaf profile {0: 1, 2: 1}.
-    """
-
-    q: int | None = None
-    table: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        inner = HKModel(1, self.q, self.table)  # reuse the rank validation
-        if self.table is not None:
-            object.__setattr__(self, "table", inner.table)
-
-    @classmethod
-    def k3(cls, q: int) -> "SurfaceModel":
-        return cls(q=q)
-
-    def dim(self, i: int) -> int:
-        return HKModel(1, self.q, self.table).dim(i)
-
-    def line_profile(self, j: int) -> GradedDim:
-        if j < 1:
-            raise InputError("twist level must be >= 1")
-        return GradedDim(((2, self.dim(j)),))
-
-    def trivial_profile(self) -> GradedDim:
-        return GradedDim(((0, 1), (2, 1)))
+def _require_surface(model: HKModel) -> None:
+    if model.n != 1:
+        raise InputError(
+            f"spherical twists need a surface model (n = 1), got n = {model.n}"
+        )
 
 
 def spherical_twist_step(
-    surface: SurfaceModel,
+    model: HKModel,
     mult: GradedDimInterval,
     target: GradedDimInterval,
     l: int,
 ) -> GradedDimInterval:
-    """One spherical-twist cone at twist level l.
+    """One spherical-twist cone at twist level l on a surface model (n = 1).
 
     ``mult`` carries the evaluation multiplicities (the profile of the object
     being twisted, already tensored down by one); ``target`` is that object
     tensored down by l more.  The zero object twists to the zero profile.
     """
-    kernel = surface.trivial_profile() if l == 0 else surface.line_profile(l)
-    return cone_bounds(convolve_interval(mult, kernel), target)
+    _require_surface(model)
+    return cone_bounds(convolve_interval(mult, _twist_kernel(model, l)), target)
 
 
 def spherical_twist_series(
-    surface: SurfaceModel, k: int, l: int, m_max: int, t: float = 0.0
+    model: HKModel, k: int, l: int, m_max: int, t: float = 0.0
 ) -> BoundSeries:
     """Interval bounds for the iterated spherical-twist-and-tensor word.
 
@@ -605,6 +520,7 @@ def spherical_twist_series(
     asserted; supports overlap from step three on, so these are honest
     bounds, not exact values.
     """
+    _require_surface(model)
     if k < 1 or l < 1:
         raise InputError("k and l must be >= 1")
     if m_max < 1:
@@ -612,12 +528,12 @@ def spherical_twist_series(
     profiles: dict[tuple[int, int], GradedDimInterval] = {}
     for lv in range(1, l + m_max + 1):
         profiles[(0, lv)] = GradedDimInterval.exact(
-            GradedDim(((2, surface.dim(k + lv)),))
+            negative_line_bundle_profile(model, k + lv)
         )
     for m in range(1, m_max + 1):
         for lv in range(1, l + m_max - m + 1):
             profiles[(m, lv)] = spherical_twist_step(
-                surface, profiles[(m - 1, 1)], profiles[(m - 1, lv + 1)], lv
+                model, profiles[(m - 1, 1)], profiles[(m - 1, lv + 1)], lv
             )
     lowers, uppers = [], []
     for m in range(1, m_max + 1):

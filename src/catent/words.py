@@ -177,13 +177,32 @@ def log_rho_is_exact_zero(m: SquareIntMatrix) -> bool:
     return is_unipotent(m) or is_unipotent(m @ m)
 
 
-def word_log_rho(word: ActionWord, tol: float = DEFAULT_TOL) -> float:
-    """log of the spectral radius of the induced action; exact 0.0 when the
-    action is unipotent up to sign."""
-    m = induced_matrix(word)
+def certify_log_rho(
+    m: SquareIntMatrix, tol: float = DEFAULT_TOL
+) -> tuple[float, bool]:
+    """The one certificate for log of the spectral radius of an action.
+
+    Returns ``(log_rho, exact_zero)``: ``(0.0, True)`` when the action is
+    unipotent up to sign, otherwise the refined float value and False.
+    """
     if log_rho_is_exact_zero(m):
-        return 0.0
-    return math.log(spectral_radius(m, tol))
+        return 0.0, True
+    return math.log(spectral_radius(m, tol)), False
+
+
+def derive_verdict(
+    bound: float | None,
+    log_rho: float | None,
+    exact_zero: bool,
+    tol: float,
+) -> str:
+    """The one verdict gate: a violation needs a positive certified bound and
+    either an exactly-zero log rho or a margin of ten tolerances."""
+    if bound is None or log_rho is None or bound <= 0:
+        return "no violation certified"
+    if exact_zero or bound > log_rho + 10 * tol:
+        return "GY violated"
+    return "no violation certified"
 
 
 def tensor_matrix_from_nilpotent(n: SquareIntMatrix) -> SquareIntMatrix:

@@ -33,11 +33,11 @@ from catent.lattice import (
 from catent.twists import (
     BoundSeries,
     HKModel,
-    advance,
     ext_growth_series,
     first_iterate_profile,
-    initial_twist_state,
+    verify_correction_contract,
     verify_eval_cone_boundary,
+    verify_iterate_contract,
 )
 from catent.words import ActionWord, PTwist, TensorClass
 
@@ -96,11 +96,13 @@ def test_criterion_2_iteration_tables_through_m6():
         n = model.n
         d = model.dim
         for k in ks:
-            state = initial_twist_state(model, k, ls=ls)
+            for l in ls:
+                first_iterate_profile(model, k, l)
+                verify_correction_contract(model, 1, k, l)
             for m in range(2, 7):
-                l_next = 1 + (m % 2)
-                state = advance(state, model, l_next)
-                for l, prof in state.profiles.items():
+                for l in ls:
+                    prof = verify_iterate_contract(model, m, k, l)
+                    verify_correction_contract(model, m, k, l)
                     top = 2 * n * (m + 1)
                     expected = d(k + 1) * d(l) * d(1) ** (m - 1)
                     assert (prof.lo(top), prof.hi(top)) == (expected, expected)
@@ -284,5 +286,5 @@ def test_criterion_9_batch_determinism():
         again = emit_report(run_scenario(cfg), "json").encode()
         assert again == first[name], f"preset {name} not byte-identical"
         json.loads(again.decode())  # stays parseable
-    _passed(9, "running every preset twice with the same seed emits "
+    _passed(9, "running every preset twice with the same config emits "
                "byte-identical JSON reports")

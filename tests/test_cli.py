@@ -6,7 +6,6 @@ import pytest
 from catent.cli import (
     ReportRecord,
     ScenarioConfig,
-    derive_verdict,
     emit_report,
     emit_series_csv,
     list_builtin_models,
@@ -16,6 +15,7 @@ from catent.cli import (
     validate_config,
 )
 from catent.errors import InputError
+from catent.words import derive_verdict
 
 
 def run_preset(name):
@@ -28,7 +28,30 @@ def run_preset(name):
 def test_minimal_hk_config_valid():
     cfg = load_config({"kind": "hk", "n": 1, "q": 10, "m_max": 8})
     assert cfg.kind == "hk"
-    assert cfg.data["t"] == 0.0 and cfg.tol == 1e-9 and cfg.seed == 0
+    assert cfg.tol == 1e-9
+    assert "t" not in cfg.data and "seed" not in cfg.data
+
+
+@pytest.mark.parametrize(
+    "config, path",
+    [
+        ({"kind": "hk", "n": 1, "q": 10, "m_max": 8, "t": 0.5}, "t"),
+        ({"kind": "hilb", "points": 2,
+          "base": {"n": 1, "q": 10, "m_max": 8, "t": 0.5}}, "base.t"),
+        ({**list_builtin_models()["enriques-over-hk"],
+          "cover": {"n": 2, "q": 2, "m_max": 8, "t": 0.5}}, "cover.t"),
+    ],
+)
+def test_t_rejected_where_ignored(config, path):
+    _, violations = validate_config(config)
+    assert f"{path}: only surface_twist reads t" in violations
+
+
+def test_surface_twist_keeps_t():
+    cfg = load_config(
+        {"kind": "surface_twist", "q": 10, "k": 1, "l": 1, "m_max": 5, "t": 0.5}
+    )
+    assert cfg.data["t"] == 0.5
 
 
 def test_missing_field_named_in_violations():
@@ -134,6 +157,24 @@ def test_lattice_word_run():
     assert record.log_rho is not None and record.log_rho > 0
     assert not record.log_rho_exact_zero
     assert record.verdict == "no violation certified"
+
+
+def test_word_gets_one_certificate_under_both_kinds():
+    # shift.tensor is minus a unipotent action: not unipotent, but its square
+    # is, so every kind that reaches it must certify log rho = 0 exactly.
+    preset = list_builtin_models()["enriques-over-hk"]
+    word = [{"kind": "shift"}, preset["word"][1]]
+    enriques = run_scenario(load_config(
+        {**preset, "cover": {"n": 2, "q": 2, "m_max": 3}, "word": word}
+    ))
+    lattice_word = run_scenario(load_config(
+        {"kind": "lattice_word", "lattice": preset["lattice"], "word": word}
+    ))
+    for record in (enriques, lattice_word):
+        assert record.error is None
+        assert record.log_rho_exact_zero is True
+        assert record.log_rho == 0.0
+    assert enriques.details["cover_log_rho"] == 0.0
 
 
 def test_surface_twist_run():

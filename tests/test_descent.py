@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from catent import descent
 from catent.descent import (
     CoverScenario,
     commutes_with_deck,
@@ -226,3 +227,14 @@ def test_unipotent_cover_forces_unipotent_restriction():
     sc = rank4_cover()
     _, restricted = invariant_sublattice(sc)
     assert is_unipotent(restricted)
+
+
+def test_exact_zero_cover_with_growing_restriction_is_a_contract_error(
+    monkeypatch,
+):
+    growing = SquareIntMatrix(((2, 1), (1, 1)))
+    monkeypatch.setattr(
+        descent, "invariant_sublattice", lambda sc: (((1, 0), (0, 1)), growing)
+    )
+    with pytest.raises(ContractError):
+        quotient_verdict(rank4_cover())

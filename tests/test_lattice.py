@@ -11,7 +11,6 @@ from catent.lattice import (
     char_poly,
     companion_matrix,
     is_unipotent,
-    pairing_eval,
     poly_divmod_exact,
     poly_eval_matrix,
     poly_gcd,
@@ -34,25 +33,25 @@ def random_matrix(rng, n, lo=-5, hi=5):
 
 def test_pairing_orthogonal_basis():
     lat = BilinearLattice(((1, 0), (0, 1)), "symmetric")
-    assert pairing_eval(lat, (1, 0), (0, 1)) == 0
+    assert lat.pairing((1, 0), (0, 1)) == 0
 
 
 def test_pairing_hyperbolic():
     lat = BilinearLattice(((0, 1), (1, 0)), "symmetric")
-    assert pairing_eval(lat, (1, 0), (0, 1)) == 1
+    assert lat.pairing((1, 0), (0, 1)) == 1
 
 
 def test_pairing_mukai_rank3():
     # <v(O), v(O)> = -chi(O, O) on a K3 with H^2 = 10;
     # expanding v^T G w by hand gives -2.
     lat = BilinearLattice(((0, 0, -1), (0, 10, 0), (-1, 0, 0)), "symmetric")
-    assert pairing_eval(lat, (1, 0, 1), (1, 0, 1)) == -2
+    assert lat.pairing((1, 0, 1), (1, 0, 1)) == -2
 
 
 def test_pairing_dimension_mismatch():
     lat = BilinearLattice(((1, 0), (0, 1)), "symmetric")
     with pytest.raises(InputError):
-        pairing_eval(lat, (1, 0, 0), (0, 1))
+        lat.pairing((1, 0, 0), (0, 1))
 
 
 def test_symmetric_gram_validated():

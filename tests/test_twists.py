@@ -7,20 +7,18 @@ from catent.graded import GradedDim, GradedDimInterval
 from catent.twists import (
     BoundSeries,
     HKModel,
-    SurfaceModel,
-    advance,
     default_action_word,
     entropy_lower_bound,
     ext_growth_series,
     first_iterate_profile,
     gy_verdict,
-    initial_twist_state,
     negative_line_bundle_profile,
     spherical_twist_series,
     spherical_twist_step,
     trivial_bundle_profile,
     verify_correction_contract,
     verify_eval_cone_boundary,
+    verify_iterate_contract,
 )
 from catent.words import induced_matrix
 from catent.lattice import is_unipotent
@@ -128,11 +126,8 @@ def test_machinery_matches_closed_form_sweep():
 # -- iteration contracts -----------------------------------------------------------
 
 
-def test_advance_step_values():
-    state = initial_twist_state(K3, 1)
-    assert state.m == 1
-    state = advance(state, K3, 1)
-    prof = state.profiles[1]
+def test_second_iterate_step_values():
+    prof = verify_iterate_contract(K3, 2, 1, 1)
     # top degree 2n(m+1) = 6 with d_2 d_1 d_1 = 22 * 49 = 1078, nothing above
     assert (prof.lo(6), prof.hi(6)) == (1078, 1078)
     assert max(prof.support) == 6
@@ -141,10 +136,14 @@ def test_advance_step_values():
 def test_vanishing_window_and_top_through_m6():
     for model in (K3, HK2):
         for k in (1, 2):
-            state = initial_twist_state(model, k, ls=(1, 2))
+            for l in (1, 2):
+                first_iterate_profile(model, k, l)
+                verify_correction_contract(model, 1, k, l)
             for m in range(2, 7):
-                state = advance(state, model, 1 + (m % 2))
-                for l, prof in state.profiles.items():
+                for l in (1, 2):
+                    verify_correction_contract(model, m, k, l)
+                    verify_eval_cone_boundary(model, m, k, l)
+                    prof = verify_iterate_contract(model, m, k, l)
                     top = model.dim_x * (m + 1)
                     expected = model.dim(k + 1) * model.dim(l) * model.dim(1) ** (m - 1)
                     assert (prof.lo(top), prof.hi(top)) == (expected, expected)
@@ -171,16 +170,18 @@ def test_eval_cone_boundary_rows():
         assert all(deg <= top for deg in prof.support)
 
 
-def test_initial_state_tracks_generator_levels():
-    state = initial_twist_state(HK2, 1)
-    assert sorted(state.profiles) == [1, 2, 3, 4, 5]
-    assert state.correction == state.correction_by_twist[1]
+def test_first_step_contracts_hold_at_every_generator_level():
+    assert HK2.generator_width == 5
+    for l in range(1, HK2.generator_width + 1):
+        first_iterate_profile(HK2, 1, l)
+        verify_correction_contract(HK2, 1, 1, l)
 
 
-def test_advance_rejects_bad_level():
-    state = initial_twist_state(K3, 1)
+def test_contracts_reject_bad_level():
     with pytest.raises(InputError):
-        advance(state, K3, 0)
+        verify_iterate_contract(K3, 2, 1, 0)
+    with pytest.raises(InputError):
+        verify_correction_contract(K3, 2, 1, 0)
 
 
 def test_collapse_error_names_degree():
@@ -283,24 +284,28 @@ def test_default_word_is_unipotent():
 def test_surface_series_frozen_values():
     # m = 1 value 201 = d_3 + d_2 d_1 cross-checked by a hand long-exact-
     # sequence expansion; later values are exact regression anchors.
-    series = spherical_twist_series(SurfaceModel.k3(10), 1, 1, 5)
+    series = spherical_twist_series(K3, 1, 1, 5)
     assert series.lowers[:3] == (201, 1973, 18246)
     assert series.uppers[:3] == (201, 1973, 19394)
 
 
 def test_surface_series_nondecreasing():
-    series = spherical_twist_series(SurfaceModel.k3(10), 1, 1, 5)
+    series = spherical_twist_series(K3, 1, 1, 5)
     assert all(a <= b for a, b in zip(series.lowers, series.lowers[1:]))
 
 
 def test_surface_trivial_twist_of_zero_object():
     zero = GradedDimInterval()
-    out = spherical_twist_step(SurfaceModel.k3(10), zero, zero, 1)
+    out = spherical_twist_step(K3, zero, zero, 1)
     assert out == GradedDimInterval()
 
 
 def test_surface_model_validation():
     with pytest.raises(InputError):
-        SurfaceModel(q=9)
+        HKModel(1, q=9)
     with pytest.raises(InputError):
-        spherical_twist_series(SurfaceModel.k3(10), 0, 1, 3)
+        spherical_twist_series(K3, 0, 1, 3)
+    with pytest.raises(InputError):
+        spherical_twist_series(HK2, 1, 1, 3)
+    with pytest.raises(InputError):
+        spherical_twist_step(HK2, GradedDimInterval(), GradedDimInterval(), 1)

@@ -20,12 +20,12 @@ from catent.words import (
     Shift,
     SphericalTwist,
     TensorClass,
+    certify_log_rho,
     induced_matrix,
     p_twist_class_action,
     shift_class_action,
     tensor_matrix_from_nilpotent,
     twist_class_action,
-    word_log_rho,
 )
 
 TOL = 1e-9
@@ -153,7 +153,7 @@ def test_word_concatenation_is_matrix_product():
 
 def test_word_log_rho_p_twist_tensor_exact_zero():
     w = ActionWord(MUKAI10, (PTwist(), TensorClass(TENSOR10)))
-    assert word_log_rho(w, TOL) == 0.0
+    assert certify_log_rho(induced_matrix(w), TOL) == (0.0, True)
     assert is_unipotent(induced_matrix(w))
 
 
@@ -161,13 +161,13 @@ def test_word_log_rho_companion():
     m = companion_matrix(IntPolynomial((1, -3, 1)))
     lat = BilinearLattice(((1, 0), (0, 1)), "symmetric")
     w = ActionWord(lat, (ExplicitMatrix(m),))
-    assert word_log_rho(w, TOL) == pytest.approx(
-        math.log((3 + math.sqrt(5)) / 2), abs=TOL
-    )
+    log_rho, exact_zero = certify_log_rho(induced_matrix(w), TOL)
+    assert log_rho == pytest.approx(math.log((3 + math.sqrt(5)) / 2), abs=TOL)
+    assert not exact_zero
 
 
 def test_word_log_rho_empty():
-    assert word_log_rho(ActionWord(MUKAI10), TOL) == 0.0
+    assert certify_log_rho(induced_matrix(ActionWord(MUKAI10)), TOL) == (0.0, True)
 
 
 def test_unipotent_words_have_exact_zero_log_rho():
@@ -193,9 +193,8 @@ def test_unipotent_words_have_exact_zero_log_rho():
                     for j in range(i + 1, 4):
                         rows[i][j] = rng.randint(-3, 3)
                 gens.append(TensorClass(SquareIntMatrix(tuple(map(tuple, rows)))))
-        w = ActionWord(lat, tuple(gens))
-        assert word_log_rho(w, TOL) == 0.0
-        m = induced_matrix(w)
+        m = induced_matrix(ActionWord(lat, tuple(gens)))
+        assert certify_log_rho(m, TOL) == (0.0, True)
         assert is_unipotent(m) or is_unipotent(m @ m)
 
 
