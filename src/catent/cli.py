@@ -93,10 +93,17 @@ def _check_number(out, data, key, path, lo=None, required=True, default=None):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         out.append(f"{path}{key}: must be a number, got {v!r}")
         return default
-    if lo is not None and not v > lo:
+    try:
+        f = float(v)
+    except OverflowError:  # an integer beyond the float range
+        f = math.inf
+    if not math.isfinite(f):
+        out.append(f"{path}{key}: must be finite, got {f}")
+        return default
+    if lo is not None and not f > lo:
         out.append(f"{path}{key}: must be > {lo}, got {v}")
         return default
-    return float(v)
+    return f
 
 
 def _check_matrix(out, value, path, rank=None):
@@ -326,6 +333,8 @@ def load_config(source) -> ScenarioConfig:
                 f"config parse error at line {exc.lineno}, column {exc.colno}: "
                 f"{exc.msg}"
             ) from exc
+        except ValueError as exc:  # e.g. an integer literal past the digit limit
+            raise InputError(f"config parse error: {exc}") from exc
     norm, violations = validate_config(raw)
     if violations:
         raise InputError(

@@ -11,10 +11,27 @@ never be a rounding artifact:
   * the spectral radius is bracketed by the Cauchy bound of the exact
     characteristic polynomial and refined with validated multiprecision
     root finding on its squarefree part.
+
+Cheap exact tests run in front of the expensive exact ones, and they only
+ever decide a case they can prove:
+
+  * necessary-condition gates answer "no" early: a unipotent M has
+    trace(M) = n, so ``is_unipotent`` returns False on any other trace
+    without a matrix product (``words.log_rho_is_exact_zero`` gates M^2 the
+    same way, reading trace(M^2) as sum m_ij m_ji),
+  * sufficient-condition shortcuts answer "yes" early: if p mod P and p'
+    mod P are coprime in F_P[x] for a prime P not dividing the leading
+    coefficient, p is squarefree over Q (Gauss's lemma), so
+    ``squarefree_part`` returns p without the rational Euclid.
+
+Every case a gate or shortcut cannot decide (trace n; a common factor mod P
+or P dividing the leading coefficient) still reaches the full exact test, so
+the results are the same as without them.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -54,6 +71,14 @@ class SquareIntMatrix:
     def n(self) -> int:
         return len(self.entries)
 
+    @classmethod
+    def _unchecked(cls, rows: tuple[tuple[int, ...], ...]) -> "SquareIntMatrix":
+        # Results of integer arithmetic on valid matrices: square tuples of
+        # ints by construction, so the constructor's checks are skipped.
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", rows)
+        return m
+
     @staticmethod
     def identity(n: int) -> "SquareIntMatrix":
         return SquareIntMatrix(
@@ -64,7 +89,7 @@ class SquareIntMatrix:
         if self.n != other.n:
             raise InputError(f"dimension mismatch: {self.n} vs {other.n}")
         cols = tuple(zip(*other.entries))
-        return SquareIntMatrix(
+        return SquareIntMatrix._unchecked(
             tuple(
                 tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
                 for row in self.entries
@@ -74,7 +99,7 @@ class SquareIntMatrix:
     def __add__(self, other: "SquareIntMatrix") -> "SquareIntMatrix":
         if self.n != other.n:
             raise InputError(f"dimension mismatch: {self.n} vs {other.n}")
-        return SquareIntMatrix(
+        return SquareIntMatrix._unchecked(
             tuple(
                 tuple(a + b for a, b in zip(r1, r2))
                 for r1, r2 in zip(self.entries, other.entries)
@@ -85,7 +110,10 @@ class SquareIntMatrix:
         return self + other.scaled(-1)
 
     def scaled(self, c: int) -> "SquareIntMatrix":
-        return SquareIntMatrix(tuple(tuple(c * a for a in row) for row in self.entries))
+        c = operator.index(c)
+        return SquareIntMatrix._unchecked(
+            tuple(tuple(c * a for a in row) for row in self.entries)
+        )
 
     def power(self, k: int) -> "SquareIntMatrix":
         if k < 0:
@@ -295,11 +323,40 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(tuple(ints))
 
 
+#: Prime modulus of the squarefree pre-test: the Mersenne prime 2^61 - 1.
+_SQUAREFREE_PRIME = (1 << 61) - 1
+
+
+def _coprime_mod(a: list[int], b: list[int], prime: int) -> bool:
+    """True iff gcd(a, b) = 1 in F_prime[x]; coefficients ascending."""
+    a = [c % prime for c in a]
+    b = [c % prime for c in b]
+    for r in (a, b):
+        while r and r[-1] == 0:
+            r.pop()
+    while b:
+        inv = pow(b[-1], -1, prime)
+        while len(a) >= len(b):
+            c = a[-1] * inv % prime
+            d = len(a) - len(b)
+            for i, bc in enumerate(b):
+                a[i + d] = (a[i + d] - c * bc) % prime
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     """p divided by gcd(p, p'); same roots, all simple."""
     if p.degree < 1:
         return p
-    g = poly_gcd(p, p.derivative())
+    dp = p.derivative()
+    if p.coeffs[-1] % _SQUAREFREE_PRIME and _coprime_mod(
+        list(p.coeffs), list(dp.coeffs), _SQUAREFREE_PRIME
+    ):
+        return p  # squarefree mod P with the degree kept, hence over Q
+    g = poly_gcd(p, dp)
     if g.degree < 1:
         return p
     return poly_divmod_exact(p, g)
@@ -353,19 +410,27 @@ def char_poly(m: SquareIntMatrix) -> IntPolynomial:
 
 
 def is_unipotent(m: SquareIntMatrix) -> bool:
-    """Exact test: (M - I)^n = 0 with n the dimension."""
-    nil = m - SquareIntMatrix.identity(m.n)
-    acc = nil
-    for _ in range(m.n):
-        if acc.is_zero():
-            return True
-        acc = acc @ nil
-    return acc.is_zero()
+    """Exact test: (M - I)^k = 0 for a power k >= n, n the dimension.
+
+    A unipotent M has trace n, so any other trace is a "no" without a
+    matrix product.  Trace n goes through the nilpotence test, which squares
+    N = M - I: N is nilpotent iff N^n = 0 iff N^(2^j) = 0 once 2^j >= n.
+    """
+    if m.trace() != m.n:
+        return False
+    power, k = m - SquareIntMatrix.identity(m.n), 1  # power = (M - I)^k
+    while not power.is_zero():
+        if k >= m.n:
+            return False
+        power, k = power @ power, 2 * k
+    return True
 
 
-def _cauchy_bound(p: IntPolynomial) -> float:
-    lead = abs(p.coeffs[-1])
-    return 1.0 + max(abs(c) for c in p.coeffs[:-1]) / lead if p.degree >= 1 else 0.0
+def _cauchy_bound(p: IntPolynomial) -> mpmath.mpf:
+    # An mpf, not a float: a quotient of huge coefficients overflows a float.
+    if p.degree < 1:
+        return mpmath.mpf(0)
+    return 1 + mpmath.mpf(max(abs(c) for c in p.coeffs[:-1])) / abs(p.coeffs[-1])
 
 
 def spectral_radius(m: SquareIntMatrix, tol: float = DEFAULT_TOL) -> float:

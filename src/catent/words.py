@@ -172,9 +172,16 @@ def log_rho_is_exact_zero(m: SquareIntMatrix) -> bool:
     """True when log of the spectral radius is certifiably zero.
 
     Covers unipotent actions and their compositions with shifts: if M or M^2
-    is unipotent, every eigenvalue has modulus one.
+    is unipotent, every eigenvalue has modulus one.  trace(M^2) is read as
+    sum m_ij m_ji first, so M^2 is only formed when its trace is n.
     """
-    return is_unipotent(m) or is_unipotent(m @ m)
+    if is_unipotent(m):
+        return True
+    rows = m.entries
+    trace_sq = sum(a * b for r, c in zip(rows, zip(*rows)) for a, b in zip(r, c))
+    if trace_sq != m.n:
+        return False
+    return is_unipotent(m @ m)
 
 
 def certify_log_rho(

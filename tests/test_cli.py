@@ -272,6 +272,33 @@ def test_main_invalid_config_exit_code(capsys):
     assert "error [InputError]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, config", [
+    ([], {"kind": "surface_twist", "q": 10, "k": 1, "l": 1, "m_max": 5,
+          "t": math.nan}),
+    ([], {"kind": "hk", "n": 1, "q": 10, "m_max": 5, "tol": math.inf}),
+    (["--tol", "inf"], {"kind": "hk", "n": 1, "q": 10, "m_max": 5}),
+])
+def test_main_rejects_non_finite_numbers(capsys, argv, config):
+    code = main(["run", "--config", json.dumps(config)] + argv)
+    assert code == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_main_huge_entry_is_a_numeric_error(capsys):
+    # The Cauchy bound of this char poly is past the float range.
+    big = int("9" * 400)
+    config = {"kind": "lattice_word", "lattice": {"gram": [[1, 0], [0, 1]]},
+              "word": [{"kind": "explicit", "matrix": [[big, 1], [1, 0]]}]}
+    assert main(["run", "--config", json.dumps(config)]) == 2
+    assert "error [NumericError]" in capsys.readouterr().err
+
+
+def test_main_integer_past_digit_limit_is_an_input_error(capsys):
+    text = '{"kind": "hk", "n": 1, "q": 10, "m_max": 5, "tol": ' + "1" * 5000 + "}"
+    assert main(["run", "--config", text]) == 1
+    assert "error [InputError]" in capsys.readouterr().err
+
+
 def test_main_engine_error_exit_code(capsys):
     cfg = '{"kind": "hk", "n": 1, "d_table": [7, 22, 47], "m_max": 8}'
     code = main(["run", "--config", cfg])

@@ -1,8 +1,12 @@
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from catent import lattice
 from catent.errors import InputError
 from catent.lattice import (
     BilinearLattice,
@@ -96,6 +100,72 @@ def test_is_unipotent_basic():
     assert not is_unipotent(SquareIntMatrix(((2, 0), (0, 1))))
 
 
+def test_trace_n_matrix_still_gets_the_nilpotence_test():
+    products = []
+    matmul = SquareIntMatrix.__matmul__
+
+    def counting(a, b):
+        products.append(1)
+        return matmul(a, b)
+
+    with mock.patch.object(SquareIntMatrix, "__matmul__", counting):
+        # trace 2 = n, but eigenvalues 2 and 0: only the full test can say no
+        assert not is_unipotent(SquareIntMatrix(((2, 0), (0, 0))))
+        assert products
+        products.clear()
+        # trace 3 != n: the gate says no without a matrix product
+        assert not is_unipotent(SquareIntMatrix(((2, 0), (0, 1))))
+        assert not products
+
+
+def _plain_matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _unipotent_reference(rows):
+    """(M - I)^n == 0 by n - 1 plain products."""
+    n = len(rows)
+    nil = [[rows[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    acc = nil
+    for _ in range(n - 1):
+        acc = _plain_matmul(acc, nil)
+    return all(x == 0 for row in acc for x in row)
+
+
+@st.composite
+def unipotence_candidates(draw):
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    kind = draw(st.sampled_from(("random", "trace_n", "conjugated")))
+    if kind == "random":
+        return [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if kind == "trace_n":
+        rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+        rows[-1][-1] += n - sum(rows[i][i] for i in range(n))
+        return rows
+    # P U P^-1 with U unit upper triangular (or minus that) and P unimodular
+    sign = draw(st.sampled_from((1, -1)))
+    u = [[sign * (1 if i == j else (draw(entry) if j > i else 0)) for j in range(n)]
+         for i in range(n)]
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    p_inv = [row[:] for row in p]
+    if n > 1:
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(entry)
+            for k in range(n):  # row_i += c row_j on P, col_j -= c col_i on P^-1
+                p[i][k] += c * p[j][k]
+                p_inv[k][j] -= c * p_inv[k][i]
+    return _plain_matmul(_plain_matmul(p, u), p_inv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unipotence_candidates())
+def test_is_unipotent_matches_plain_reference(rows):
+    m = SquareIntMatrix(tuple(map(tuple, rows)))
+    assert is_unipotent(m) == _unipotent_reference(rows)
+
+
 def test_unipotent_spectral_radius_is_one():
     rng = random.Random(7)
     for _ in range(10):
@@ -171,6 +241,36 @@ def test_poly_gcd_and_squarefree():
     sf = squarefree_part(sq)
     assert sf == poly_mul(IntPolynomial((-1, 1)), IntPolynomial((2, 1)))
     assert poly_gcd(sq, sq.derivative()) == IntPolynomial((-1, 1))
+
+
+def _euclid_squarefree_part(p):
+    """squarefree_part without the mod-P pre-test."""
+    if p.degree < 1:
+        return p
+    g = poly_gcd(p, p.derivative())
+    return p if g.degree < 1 else poly_divmod_exact(p, g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    factors=st.lists(
+        st.tuples(st.lists(st.integers(-6, 6), min_size=2, max_size=4),
+                  st.integers(1, 3)),
+        min_size=1, max_size=4,
+    ),
+    scale=st.integers(1, 4),
+    prime=st.sampled_from((3, 5, 7, lattice._SQUAREFREE_PRIME)),
+    lead_divisible=st.booleans(),
+)
+def test_squarefree_part_matches_euclid(factors, scale, prime, lead_divisible):
+    # Small primes reach every branch: the leading coefficient divisible by
+    # P, and a common factor mod P of a polynomial squarefree over Q.
+    p = IntPolynomial((scale * prime if lead_divisible else scale,))
+    for coeffs, multiplicity in factors:
+        for _ in range(multiplicity):
+            p = poly_mul(p, IntPolynomial(tuple(coeffs)))
+    with mock.patch.object(lattice, "_SQUAREFREE_PRIME", prime):
+        assert squarefree_part(p) == _euclid_squarefree_part(p)
 
 
 def test_matrix_power_and_apply():
