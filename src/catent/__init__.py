@@ -24,7 +24,6 @@ from .graded import (
     convolve,
     delta_value,
     direct_sum,
-    shift,
 )
 from .lattice import (
     BilinearLattice,
@@ -73,7 +72,6 @@ __all__ = [
     "is_unipotent",
     "GradedDim",
     "GradedDimInterval",
-    "shift",
     "direct_sum",
     "convolve",
     "cone_bounds",

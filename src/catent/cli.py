@@ -24,12 +24,12 @@ from . import __version__
 from .descent import CoverScenario, quotient_verdict
 from .errors import EngineError, InputError
 from .graded import cone_evaluations
-from .hilbert import HilbScenario, hilbert_lift_verdict
+from .hilbert import hilbert_lift_verdict
 from .lattice import DEFAULT_TOL, BilinearLattice, LatticeVector, SquareIntMatrix
 from .twists import (
     HKModel,
     clear_caches,
-    default_action_word,
+    entropy_lower_bound,
     gy_verdict,
     spherical_twist_series,
 )
@@ -66,13 +66,18 @@ _EXIT_CODES = {
 # ---------------------------------------------------------------------------
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_int(out, data, key, path, lo=None, hi=None, required=True, default=None):
     if key not in data:
         if required:
             out.append(f"{path}{key}: required field is missing")
         return default
     v = data[key]
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not _is_int(v):
         out.append(f"{path}{key}: must be an integer, got {v!r}")
         return default
     if lo is not None and v < lo:
@@ -119,7 +124,7 @@ def _check_matrix(out, value, path, rank=None):
         if (
             not isinstance(row, (list, tuple))
             or len(row) != n
-            or any(isinstance(x, bool) or not isinstance(x, int) for x in row)
+            or not all(_is_int(x) for x in row)
         ):
             out.append(f"{path}[{i}]: must be a row of {n} integers")
             return None
@@ -136,7 +141,7 @@ def _check_d_table(out, data, path):
         out.append(f"{path}d_table: must be a nonempty list of integers")
         return None
     for i, v in enumerate(table, start=1):
-        if isinstance(v, bool) or not isinstance(v, int):
+        if not _is_int(v):
             out.append(f"{path}d_table[{i}]: must be an integer, got {v!r}")
             return None
         if v <= 1:
@@ -177,8 +182,8 @@ def _validate_lattice(out, data, path):
         kind = None
     norm["symmetry_kind"] = kind
     sign = data.get("euler_sign", -1)
-    if sign not in (1, -1):
-        out.append(f"{path}.euler_sign: must be +1 or -1")
+    if not _is_int(sign) or sign not in (1, -1):
+        out.append(f"{path}.euler_sign: must be the integer +1 or -1, got {sign!r}")
         sign = None
     norm["euler_sign"] = sign
     if norm["gram"] is not None and kind == "symmetric":
@@ -215,12 +220,16 @@ def _validate_word(out, data, path, rank):
             if (
                 not isinstance(cls, (list, tuple))
                 or (rank is not None and len(cls) != rank)
-                or any(isinstance(x, bool) or not isinstance(x, int) for x in cls)
+                or not all(_is_int(x) for x in cls)
             ):
                 out.append(f"{gpath}.class: must be a list of {rank} integers")
                 return None
             g["class"] = list(cls)
-            if gen.get("whitelisted"):
+            whitelisted = gen.get("whitelisted", False)
+            if not isinstance(whitelisted, bool):
+                out.append(f"{gpath}.whitelisted: must be true or false")
+                return None
+            if whitelisted:
                 g["whitelisted"] = True
         norm.append(g)
     return norm
@@ -235,7 +244,7 @@ def validate_config(data) -> tuple[dict | None, list[str]]:
     if not isinstance(data, dict):
         return None, ["config: must be a JSON object"]
     version = data.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if not _is_int(version) or version != SCHEMA_VERSION:
         out.append(f"schema_version: engine supports version {SCHEMA_VERSION}, got {version}")
     kind = data.get("kind")
     if kind not in KINDS:
@@ -510,7 +519,7 @@ def _build_word(lattice: BilinearLattice, entries: list) -> ActionWord:
             gens.append(
                 SphericalTwist(
                     LatticeVector(tuple(entry["class"])),
-                    whitelisted=bool(entry.get("whitelisted")),
+                    whitelisted=entry.get("whitelisted", False),
                 )
             )
         elif kind == "explicit":
@@ -520,128 +529,120 @@ def _build_word(lattice: BilinearLattice, entries: list) -> ActionWord:
     return ActionWord(lattice, tuple(gens))
 
 
-def _run_hk(record: ReportRecord, params: dict, tol: float):
-    model = _model_from(params)
-    verdict = gy_verdict(model, params["m_max"], tol=tol)
-    record.entropy_lower_certified = verdict.entropy_lower
-    record.empirical_slope = verdict.empirical_slope
-    record.log_rho = verdict.log_rho
-    record.log_rho_exact_zero = verdict.log_rho_exact_zero
-    record.gap = verdict.gap
-    record.series = _series_rows(verdict.series)
-    record.details = {"d1": model.dim(1), "n": model.n}
-    record.verdict = verdict.verdict
-    return model, verdict
+def _verdict_fields(verdict, details: dict) -> dict:
+    """Report fields of an ``HKVerdict`` or a ``HilbVerdict``."""
+    return dict(
+        verdict=verdict.verdict,
+        entropy_lower_certified=verdict.entropy_lower,
+        empirical_slope=verdict.empirical_slope,
+        log_rho=verdict.log_rho,
+        log_rho_exact_zero=verdict.log_rho_exact_zero,
+        gap=verdict.gap,
+        series=_series_rows(verdict.series),
+        details=details,
+    )
 
 
-def _run_hilb(record: ReportRecord, cfg: ScenarioConfig):
-    base_model, base = _run_hk(record, cfg.data["base"], cfg.tol)
-    sc = HilbScenario(
-        n=cfg.data["points"],
-        base_matrix=induced_matrix(default_action_word(base_model)),
-        base_series=base.series,
-        base_entropy_lower=base.entropy_lower,
-    )
-    lifted = hilbert_lift_verdict(sc, tol=cfg.tol)
-    record.entropy_lower_certified = lifted.entropy_lower
-    record.empirical_slope = (
-        None if record.empirical_slope is None
-        else sc.n * record.empirical_slope
-    )
-    record.log_rho = lifted.log_rho
-    record.log_rho_exact_zero = lifted.log_rho_exact_zero
-    record.gap = lifted.entropy_lower - lifted.log_rho
-    record.series = _series_rows(lifted.series)
-    record.details = {
-        "points": sc.n,
+def _run_hk(cfg: ScenarioConfig) -> dict:
+    model = _model_from(cfg.data)
+    verdict = gy_verdict(model, cfg.data["m_max"], tol=cfg.tol)
+    return _verdict_fields(verdict, {"d1": model.dim(1), "n": model.n})
+
+
+def _run_hilb(cfg: ScenarioConfig) -> dict:
+    params = cfg.data["base"]
+    base = gy_verdict(_model_from(params), params["m_max"], tol=cfg.tol)
+    lifted = hilbert_lift_verdict(cfg.data["points"], base, tol=cfg.tol)
+    return _verdict_fields(lifted, {
+        "points": lifted.n,
         "base_entropy_lower": base.entropy_lower,
         "base_log_rho": base.log_rho,
         "strict_gap": lifted.strict_gap,
-    }
-    record.verdict = derive_verdict(
-        record.entropy_lower_certified,
-        record.log_rho,
-        record.log_rho_exact_zero,
-        cfg.tol,
-    )
+    })
 
 
-def _run_enriques(record: ReportRecord, cfg: ScenarioConfig):
-    cover_model, cover = _run_hk(record, cfg.data["cover"], cfg.tol)
+def _run_enriques(cfg: ScenarioConfig) -> dict:
+    params = cfg.data["cover"]
+    cover_model = _model_from(params)
+    cover = entropy_lower_bound(cover_model, params["m_max"])
     lattice = _build_lattice(cfg.data["lattice"])
-    word = _build_word(lattice, cfg.data["word"])
     sc = CoverScenario(
         cover_lattice=lattice,
         deck_matrix=SquareIntMatrix(tuple(map(tuple, cfg.data["deck"]["matrix"]))),
         order=cfg.data["deck"]["order"],
-        word=word,
-        cover_entropy_bound=cover.entropy_lower,
+        word=_build_word(lattice, cfg.data["word"]),
+        cover_entropy_bound=cover.certified,
     )
     verdict = quotient_verdict(sc, tol=cfg.tol)
-    record.entropy_lower_certified = verdict.entropy_lower
-    record.log_rho = verdict.quotient_log_rho
-    record.log_rho_exact_zero = verdict.quotient_log_rho_exact_zero
-    record.gap = verdict.entropy_lower - verdict.quotient_log_rho
-    record.details = {
-        "cover_log_rho": verdict.cover_log_rho,
-        "quotient_rank": verdict.quotient_rank,
-        "deck_order": sc.order,
-        "cover_d1": cover_model.dim(1),
-    }
-    record.verdict = verdict.verdict
+    return dict(
+        verdict=verdict.verdict,
+        entropy_lower_certified=verdict.entropy_lower,
+        empirical_slope=cover.empirical_slope,
+        log_rho=verdict.quotient_log_rho,
+        log_rho_exact_zero=verdict.quotient_log_rho_exact_zero,
+        gap=verdict.gap,
+        series=_series_rows(cover.series),
+        details={
+            "cover_log_rho": verdict.cover_log_rho,
+            "quotient_rank": verdict.quotient_rank,
+            "deck_order": sc.order,
+            "cover_d1": cover_model.dim(1),
+        },
+    )
 
 
-def _run_lattice_word(record: ReportRecord, cfg: ScenarioConfig):
+def _run_lattice_word(cfg: ScenarioConfig) -> dict:
     lattice = _build_lattice(cfg.data["lattice"])
     word = _build_word(lattice, cfg.data["word"])
-    record.log_rho, record.log_rho_exact_zero = certify_log_rho(
-        induced_matrix(word), cfg.tol
-    )
-    record.details = {
-        "rank": lattice.rank,
-        "spectral_radius": math.exp(record.log_rho),
-    }
-    record.verdict = derive_verdict(
-        record.entropy_lower_certified,
-        record.log_rho,
-        record.log_rho_exact_zero,
-        cfg.tol,
+    log_rho, exact_zero = certify_log_rho(induced_matrix(word), cfg.tol)
+    return dict(
+        verdict=derive_verdict(None, log_rho, exact_zero, cfg.tol),
+        log_rho=log_rho,
+        log_rho_exact_zero=exact_zero,
+        details={"rank": lattice.rank, "spectral_radius": math.exp(log_rho)},
     )
 
 
-def _run_surface_twist(record: ReportRecord, cfg: ScenarioConfig):
+def _run_surface_twist(cfg: ScenarioConfig) -> dict:
     surface = HKModel(1, cfg.data.get("q"), cfg.data.get("d_table"))
     series = spherical_twist_series(
         surface, cfg.data["k"], cfg.data["l"], cfg.data["m_max"], cfg.data["t"]
     )
-    record.series = _series_rows(series)
-    record.details = {"k": cfg.data["k"], "l": cfg.data["l"]}
-    record.verdict = "no violation certified"
+    return dict(
+        verdict="no violation certified",
+        series=_series_rows(series),
+        details={"k": cfg.data["k"], "l": cfg.data["l"]},
+    )
+
+
+_RUNNERS = {
+    "hk": _run_hk,
+    "hilb": _run_hilb,
+    "enriques": _run_enriques,
+    "lattice_word": _run_lattice_word,
+    "surface_twist": _run_surface_twist,
+}
 
 
 def run_scenario(cfg: ScenarioConfig) -> ReportRecord:
-    """Execute one scenario; engine errors land in the report's error field."""
+    """Execute one scenario; an engine error gives a report that carries only
+    the scenario, the error and the work done before it."""
     clear_caches()
     start_work = cone_evaluations()
-    record = ReportRecord(scenario=cfg.to_dict())
     try:
-        if cfg.kind == "hk":
-            _run_hk(record, cfg.data, cfg.tol)
-        elif cfg.kind == "hilb":
-            _run_hilb(record, cfg)
-        elif cfg.kind == "enriques":
-            _run_enriques(record, cfg)
-        elif cfg.kind == "lattice_word":
-            _run_lattice_word(record, cfg)
-        elif cfg.kind == "surface_twist":
-            _run_surface_twist(record, cfg)
-        else:
+        if cfg.kind not in _RUNNERS:
             raise InputError(f"unknown scenario kind {cfg.kind!r}")
+        fields = _RUNNERS[cfg.kind](cfg)
     except EngineError as exc:
-        record.error = {"type": type(exc).__name__, "message": str(exc)}
-        record.verdict = "error"
-    record.work_units = cone_evaluations() - start_work
-    return record
+        fields = {
+            "verdict": "error",
+            "error": {"type": type(exc).__name__, "message": str(exc)},
+        }
+    return ReportRecord(
+        scenario=cfg.to_dict(),
+        work_units=cone_evaluations() - start_work,
+        **fields,
+    )
 
 
 # ---------------------------------------------------------------------------

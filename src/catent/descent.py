@@ -182,6 +182,7 @@ class QuotientVerdict:
     quotient_log_rho: float
     quotient_log_rho_exact_zero: bool
     quotient_rank: int
+    gap: float
     verdict: str
 
 
@@ -209,6 +210,7 @@ def quotient_verdict(sc: CoverScenario, tol: float = DEFAULT_TOL) -> QuotientVer
         quotient_log_rho=quotient_log_rho,
         quotient_log_rho_exact_zero=exact_zero,
         quotient_rank=len(basis),
+        gap=sc.cover_entropy_bound - quotient_log_rho,
         verdict=derive_verdict(
             sc.cover_entropy_bound, quotient_log_rho, exact_zero, tol
         ),

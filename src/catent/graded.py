@@ -181,16 +181,6 @@ class GradedDimInterval:
             tuple((deg - s, lo, hi) for deg, lo, hi in self.entries)
         )
 
-    def scaled(self, c: int) -> "GradedDimInterval":
-        if c < 0:
-            raise InputError("scale factor must be nonnegative")
-        if c == 0:
-            return GradedDimInterval()
-        return GradedDimInterval(
-            tuple((deg, lo * c, None if hi is None else hi * c)
-                  for deg, lo, hi in self.entries)
-        )
-
     def lo_total(self) -> int:
         return sum(lo for _, lo, _ in self.entries)
 
@@ -199,11 +189,6 @@ class GradedDimInterval:
         for _, _, hi in self.entries:
             total = _add_hi(total, hi)
         return total
-
-
-def shift(g, s: int):
-    """Shift for profiles or interval profiles (support translated by -s)."""
-    return g.shifted(s)
 
 
 def direct_sum(g1: GradedDimInterval, g2: GradedDimInterval) -> GradedDimInterval:

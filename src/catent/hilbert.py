@@ -15,8 +15,8 @@ from itertools import combinations_with_replacement, permutations
 
 from .errors import InputError, ResourceError
 from .lattice import DEFAULT_TOL, SquareIntMatrix
-from .twists import BoundSeries
-from .words import certify_log_rho, derive_verdict
+from .twists import BoundSeries, HKVerdict
+from .words import derive_verdict
 
 #: Hard cap on the dimension of an expanded Kronecker power.
 TENSOR_DIM_CAP = 10_000
@@ -93,52 +93,41 @@ def symmetric_power_matrix(m: SquareIntMatrix, n: int) -> SquareIntMatrix:
 
 
 @dataclass(frozen=True)
-class HilbScenario:
-    """Inputs for the n-point transfer: the surface action and its series.
-
-    ``base_entropy_lower`` is the certified entropy lower bound of the base
-    autoequivalence (e.g. log d_1 from the twist iteration); the series
-    carries the observed growth it came from.
-    """
-
-    n: int
-    base_matrix: SquareIntMatrix
-    base_series: BoundSeries
-    base_entropy_lower: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InputError("number of points n must be >= 1")
-        if any(lo <= 0 for lo in self.base_series.lowers):
-            raise InputError("base series must have positive lower bounds")
-        if self.base_entropy_lower < 0:
-            raise InputError("base entropy bound must be nonnegative")
-
-
-@dataclass(frozen=True)
 class HilbVerdict:
-    """Scaled bound and spectral radius, and whether the strict gap survives."""
+    """Scaled bound, slope and spectral radius, their gap and verdict, and
+    whether the base gap was strict."""
 
     n: int
     entropy_lower: float
+    empirical_slope: float
     log_rho: float
     log_rho_exact_zero: bool
+    gap: float
     strict_gap: bool
+    verdict: str
     series: BoundSeries
 
 
-def hilbert_lift_verdict(sc: HilbScenario, tol: float = DEFAULT_TOL) -> HilbVerdict:
-    """Transfer the base gap: both sides scale by exactly n."""
-    base_log_rho, exact_zero = certify_log_rho(sc.base_matrix, tol)
-    strict_gap = (
-        derive_verdict(sc.base_entropy_lower, base_log_rho, exact_zero, tol)
-        == "GY violated"
-    )
+def hilbert_lift_verdict(
+    n: int, base: HKVerdict, tol: float = DEFAULT_TOL
+) -> HilbVerdict:
+    """Transfer the base verdict to n points: every quantity scales by exactly
+    n, and the lifted values pass through the one verdict gate."""
+    if n < 1:
+        raise InputError("number of points n must be >= 1")
+    if any(lo <= 0 for lo in base.series.lowers):
+        raise InputError("base series must have positive lower bounds")
+    if base.entropy_lower < 0:
+        raise InputError("base entropy bound must be nonnegative")
+    entropy_lower, log_rho = n * base.entropy_lower, n * base.log_rho
     return HilbVerdict(
-        n=sc.n,
-        entropy_lower=sc.n * sc.base_entropy_lower,
-        log_rho=sc.n * base_log_rho,
-        log_rho_exact_zero=exact_zero,
-        strict_gap=strict_gap,
-        series=kunneth_power_series(sc.base_series, sc.n),
+        n=n,
+        entropy_lower=entropy_lower,
+        empirical_slope=n * base.empirical_slope,
+        log_rho=log_rho,
+        log_rho_exact_zero=base.log_rho_exact_zero,
+        gap=entropy_lower - log_rho,
+        strict_gap=base.verdict == "GY violated",
+        verdict=derive_verdict(entropy_lower, log_rho, base.log_rho_exact_zero, tol),
+        series=kunneth_power_series(base.series, n),
     )

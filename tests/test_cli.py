@@ -76,6 +76,29 @@ def test_unknown_kind_rejected():
     assert any(v.startswith("kind:") for v in violations)
 
 
+@pytest.mark.parametrize("sign", [True, -1.0, 1.0])
+def test_euler_sign_must_be_an_integer(sign):
+    config = {"kind": "lattice_word", "word": [],
+              "lattice": {"gram": [[1]], "euler_sign": sign}}
+    _, violations = validate_config(config)
+    assert any(v.startswith("lattice.euler_sign:") for v in violations)
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_schema_version_must_be_an_integer(version):
+    config = {"schema_version": version, "kind": "hk", "n": 1, "q": 10, "m_max": 8}
+    _, violations = validate_config(config)
+    assert any(v.startswith("schema_version:") for v in violations)
+
+
+def test_whitelisted_must_be_a_boolean():
+    word = [{"kind": "spherical", "class": [3], "whitelisted": "no"}]
+    _, violations = validate_config(
+        {"kind": "lattice_word", "lattice": {"gram": [[1]]}, "word": word}
+    )
+    assert violations == ["word[0].whitelisted: must be true or false"]
+
+
 def test_load_config_inline_json_and_parse_diagnostics():
     cfg = load_config('{"kind": "hk", "n": 1, "q": 10, "m_max": 8}')
     assert cfg.kind == "hk"

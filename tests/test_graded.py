@@ -16,7 +16,6 @@ from catent.graded import (
     delta_value,
     delta_value_interval,
     direct_sum,
-    shift,
 )
 
 
@@ -43,14 +42,14 @@ graded_dims = st.dictionaries(
 
 
 def test_shift_examples():
-    assert shift(gi({0: (1, 1)}), 1) == gi({-1: (1, 1)})
+    assert gi({0: (1, 1)}).shifted(1) == gi({-1: (1, 1)})
     g = gi({0: (1, 2), 3: (0, None)})
-    assert shift(g, 0) == g
+    assert g.shifted(0) == g
 
 
 @given(graded_dims, st.integers(-4, 4), st.integers(-4, 4))
 def test_shift_group_action(g, a, b):
-    assert shift(shift(g, a), b) == shift(g, a + b)
+    assert g.shifted(a).shifted(b) == g.shifted(a + b)
 
 
 def test_direct_sum_examples():

@@ -1,11 +1,11 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from catent.errors import InputError, ResourceError
 from catent.hilbert import (
-    HilbScenario,
     hilbert_lift_verdict,
     kunneth_power_series,
     symmetric_power_matrix,
@@ -17,8 +17,8 @@ from catent.lattice import (
     poly_divides,
     spectral_radius,
 )
-from catent.twists import BoundSeries, HKModel, default_action_word, ext_growth_series
-from catent.words import induced_matrix
+from catent.twists import BoundSeries, HKModel, HKVerdict, gy_verdict
+from catent.words import derive_verdict
 
 TOL = 1e-9
 
@@ -136,46 +136,54 @@ def test_symmetric_power_unipotent_preserved():
 # -- scenario and verdict --------------------------------------------------------------
 
 
-def make_scenario(n=3, m_max=5):
-    model = HKModel(1, q=10)
-    series = ext_growth_series(model, m_max)
-    matrix = induced_matrix(default_action_word(model))
-    return HilbScenario(n, matrix, series, math.log(7))
+def make_base(m_max=5):
+    return gy_verdict(HKModel(1, q=10), m_max)
 
 
 def test_scenario_validation():
-    model = HKModel(1, q=10)
-    series = ext_growth_series(model, 3)
-    matrix = induced_matrix(default_action_word(model))
+    base = make_base(3)
     with pytest.raises(InputError):
-        HilbScenario(0, matrix, series, 1.0)
+        hilbert_lift_verdict(0, base)
     with pytest.raises(InputError):
-        HilbScenario(2, matrix, BoundSeries(0.0, (0,), (None,)), 1.0)
+        hilbert_lift_verdict(2, replace(base, series=BoundSeries(0.0, (0,), (None,))))
     with pytest.raises(InputError):
-        HilbScenario(2, matrix, series, -1.0)
+        hilbert_lift_verdict(2, replace(base, entropy_lower=-1.0))
 
 
 def test_lift_verdict_scales_gap():
-    verdict = hilbert_lift_verdict(make_scenario(n=3))
+    base = make_base()
+    verdict = hilbert_lift_verdict(3, base)
     assert verdict.entropy_lower == pytest.approx(3 * math.log(7))
     assert verdict.log_rho == 0.0 and verdict.log_rho_exact_zero
     assert verdict.strict_gap
     assert verdict.series.lowers[0] == 24155**3
+    assert verdict.empirical_slope == 3 * base.empirical_slope
+    assert verdict.gap == verdict.entropy_lower
+    assert verdict.verdict == "GY violated"
 
 
 def test_lift_verdict_identity_at_one_point():
-    sc = make_scenario(n=1)
-    verdict = hilbert_lift_verdict(sc)
+    base = make_base()
+    verdict = hilbert_lift_verdict(1, base)
     assert verdict.entropy_lower == pytest.approx(math.log(7))
-    assert verdict.series == sc.base_series
+    assert verdict.series == base.series
 
 
 def test_lift_verdict_equality_case_claims_no_gap():
     # Base with entropy bound equal to log rho: no strict gap is claimed.
-    m = SquareIntMatrix(((2, 0), (0, 1)))
     series = BoundSeries(0.0, (2, 4, 8), (2, 4, 8))
-    sc = HilbScenario(2, m, series, math.log(2))
-    verdict = hilbert_lift_verdict(sc)
+    log2 = math.log(2)
+    base = HKVerdict(
+        log_rho=log2,
+        log_rho_exact_zero=False,
+        entropy_lower=log2,
+        empirical_slope=series.log_slope(1, 3),
+        gap=0.0,
+        verdict=derive_verdict(log2, log2, False, TOL),
+        series=series,
+    )
+    verdict = hilbert_lift_verdict(2, base)
     assert not verdict.strict_gap
     assert verdict.log_rho == pytest.approx(2 * math.log(2))
     assert not verdict.log_rho_exact_zero
+    assert verdict.verdict == "no violation certified"
