@@ -14,15 +14,11 @@ from .errors import (
     EngineError,
     InputError,
     NumericError,
-    ResourceError,
 )
 from .graded import (
-    GradedDim,
     GradedDimInterval,
     cone_bounds,
     cone_exact_from_map_rank,
-    convolve,
-    delta_value,
     direct_sum,
 )
 from .lattice import (
@@ -60,7 +56,6 @@ __all__ = [
     "EngineError",
     "InputError",
     "NumericError",
-    "ResourceError",
     "ContractError",
     "CollapseError",
     "BilinearLattice",
@@ -70,13 +65,10 @@ __all__ = [
     "char_poly",
     "spectral_radius",
     "is_unipotent",
-    "GradedDim",
     "GradedDimInterval",
     "direct_sum",
-    "convolve",
     "cone_bounds",
     "cone_exact_from_map_rank",
-    "delta_value",
     "ActionWord",
     "Shift",
     "PTwist",

@@ -54,7 +54,6 @@ MAX_M = 64
 
 _EXIT_CODES = {
     "InputError": 1,
-    "ResourceError": 1,
     "NumericError": 2,
     "ContractError": 3,
     "CollapseError": 3,
@@ -671,7 +670,7 @@ def emit_report(record: ReportRecord, fmt: str = "json") -> str:
         lines.append(f"empirical log-slope: {record.empirical_slope:.12g}")
     if record.log_rho is not None:
         rho_text = (
-            "0 (exact, unipotent)"
+            "0 (exact, unipotent up to sign)"
             if record.log_rho_exact_zero
             else f"{record.log_rho:.12g}"
         )

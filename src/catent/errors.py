@@ -24,10 +24,6 @@ class NumericError(EngineError):
     """A numeric refinement failed to converge within its budget."""
 
 
-class ResourceError(EngineError):
-    """A requested computation exceeds a hard size guard."""
-
-
 class ContractError(EngineError):
     """An internal guarantee failed (bug or invalid model)."""
 

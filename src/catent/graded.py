@@ -1,8 +1,10 @@
-"""Graded dimension vectors and intervals, with exact-triangle propagation.
+"""Graded dimension intervals, with exact-triangle propagation.
 
-A ``GradedDim`` is the dimension profile of a complex: a finitely supported
-map degree -> dimension.  A ``GradedDimInterval`` carries partial knowledge,
-degree -> [lo, hi], where an ``hi`` of ``None`` means "unknown above".
+A ``GradedDimInterval`` is what is known of the dimension profile of a
+complex: a finitely supported map degree -> [lo, hi], where an ``hi`` of
+``None`` means "unknown above".  A profile is exact when lo == hi in every
+degree (``is_exact``); ``GradedDimInterval.exact`` builds one from a map
+degree -> dimension.
 
 ``cone_bounds`` propagates bounds through an exact triangle A -> B -> C ->
 A[1] using only the long exact sequence of cohomology.  For each degree j the
@@ -44,76 +46,6 @@ def cone_evaluations() -> int:
     return _CONE_EVALS
 
 
-@dataclass(frozen=True)
-class GradedDim:
-    """Finitely supported map degree -> dimension, no zero values stored."""
-
-    entries: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        seen = {}
-        for deg, val in self.entries:
-            deg, val = int(deg), int(val)
-            if val < 0:
-                raise InputError(f"negative dimension {val} at degree {deg}")
-            if deg in seen:
-                raise InputError(f"duplicate degree {deg}")
-            if val:
-                seen[deg] = val
-        object.__setattr__(self, "entries", tuple(sorted(seen.items())))
-
-    @classmethod
-    def from_dict(cls, d: Mapping[int, int]) -> "GradedDim":
-        return cls(tuple(d.items()))
-
-    def dim(self, j: int) -> int:
-        for deg, val in self.entries:
-            if deg == j:
-                return val
-        return 0
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(deg for deg, _ in self.entries)
-
-    def total(self) -> int:
-        return sum(val for _, val in self.entries)
-
-    def shifted(self, s: int) -> "GradedDim":
-        """Profile of the shifted complex E[s]: support translated by -s."""
-        return GradedDim(tuple((deg - s, val) for deg, val in self.entries))
-
-    def __add__(self, other: "GradedDim") -> "GradedDim":
-        out = dict(self.entries)
-        for deg, val in other.entries:
-            out[deg] = out.get(deg, 0) + val
-        return GradedDim(tuple(out.items()))
-
-    def euler_characteristic(self) -> int:
-        return sum(val if deg % 2 == 0 else -val for deg, val in self.entries)
-
-
-def convolve(g1: GradedDim, g2: GradedDim) -> GradedDim:
-    """Kuenneth product: (g1*g2)(k) = sum over i+j=k of g1(i) g2(j)."""
-    out: dict[int, int] = {}
-    for d1, v1 in g1.entries:
-        for d2, v2 in g2.entries:
-            out[d1 + d2] = out.get(d1 + d2, 0) + v1 * v2
-    return GradedDim(tuple(out.items()))
-
-
-def delta_value(g: GradedDim, t: float = 0.0):
-    """Sum of g(k) e^{-kt}; an exact integer at t = 0."""
-    if t == 0:
-        return g.total()
-    return sum(val * math.exp(-deg * t) for deg, val in g.entries)
-
-
-# ---------------------------------------------------------------------------
-# Intervals
-# ---------------------------------------------------------------------------
-
-
 def _add_hi(x, y):
     return None if x is None or y is None else x + y
 
@@ -145,8 +77,9 @@ class GradedDimInterval:
         )
 
     @classmethod
-    def exact(cls, g: GradedDim) -> "GradedDimInterval":
-        return cls(tuple((deg, val, val) for deg, val in g.entries))
+    def exact(cls, d: Mapping[int, int]) -> "GradedDimInterval":
+        """Exact profile from a map degree -> dimension."""
+        return cls(tuple((deg, val, val) for deg, val in d.items()))
 
     @classmethod
     def from_dict(cls, d: Mapping[int, tuple[int, int | None]]) -> "GradedDimInterval":
@@ -170,11 +103,6 @@ class GradedDimInterval:
 
     def is_exact(self) -> bool:
         return all(hi == lo for _, lo, hi in self.entries)
-
-    def to_exact(self) -> GradedDim:
-        if not self.is_exact():
-            raise InputError("interval profile is not exact")
-        return GradedDim(tuple((deg, lo) for deg, lo, _ in self.entries))
 
     def shifted(self, s: int) -> "GradedDimInterval":
         return GradedDimInterval(
@@ -202,15 +130,22 @@ def direct_sum(g1: GradedDimInterval, g2: GradedDimInterval) -> GradedDimInterva
     return GradedDimInterval.from_dict(out)
 
 
-def convolve_interval(gi: GradedDimInterval, g: GradedDim) -> GradedDimInterval:
-    """Convolve an interval profile with an exact kernel."""
+def convolve_interval(
+    g1: GradedDimInterval, g2: GradedDimInterval
+) -> GradedDimInterval:
+    """Kuenneth product: [lo, hi](k) sums [lo1(i) lo2(j), hi1(i) hi2(j)] over
+    i + j = k.
+
+    An unknown upper bound absorbs: every stored entry has hi > 0 or hi None,
+    so a product with an unknown factor is unknown.
+    """
     out: dict[int, tuple[int, int | None]] = {}
-    for deg, lo, hi in gi.entries:
-        for kdeg, kval in g.entries:
-            d = deg + kdeg
+    for d1, lo1, hi1 in g1.entries:
+        for d2, lo2, hi2 in g2.entries:
+            d = d1 + d2
             plo, phi = out.get(d, (0, 0))
-            out[d] = (plo + lo * kval,
-                      _add_hi(phi, None if hi is None else hi * kval))
+            out[d] = (plo + lo1 * lo2,
+                      _add_hi(phi, None if hi1 is None or hi2 is None else hi1 * hi2))
     return GradedDimInterval.from_dict(out)
 
 
@@ -256,26 +191,29 @@ def cone_bounds(a: GradedDimInterval, b: GradedDimInterval) -> GradedDimInterval
 
 
 def cone_exact_from_map_rank(
-    a: GradedDim, b: GradedDim, ranks: Mapping[int, int]
-) -> GradedDim:
-    """Exact cone profile when the ranks of H^j(A) -> H^j(B) are known.
+    a: GradedDimInterval, b: GradedDimInterval, ranks: Mapping[int, int]
+) -> GradedDimInterval:
+    """Exact cone profile of exact A and B when the ranks of H^j(A) -> H^j(B)
+    are known.
 
     C(j) = (b(j) - r_j) + (a(j+1) - r_{j+1}).  This is the oracle for
     cone_bounds: any feasible rank assignment is realizable.
     """
+    if not (a.is_exact() and b.is_exact()):
+        raise InputError("the cone oracle needs exact source and target profiles")
     for j, r in ranks.items():
-        if r < 0 or r > min(a.dim(j), b.dim(j)):
+        if r < 0 or r > min(a.lo(j), b.lo(j)):
             raise InputError(
                 f"infeasible rank {r} at degree {j}: "
-                f"must satisfy 0 <= r <= min({a.dim(j)}, {b.dim(j)})"
+                f"must satisfy 0 <= r <= min({a.lo(j)}, {b.lo(j)})"
             )
     out: dict[int, int] = {}
     degrees = set(b.support) | {deg - 1 for deg in a.support}
     for j in degrees:
         rj = ranks.get(j, 0)
         rj1 = ranks.get(j + 1, 0)
-        out[j] = (b.dim(j) - rj) + (a.dim(j + 1) - rj1)
-    return GradedDim(tuple(out.items()))
+        out[j] = (b.lo(j) - rj) + (a.lo(j + 1) - rj1)
+    return GradedDimInterval.exact(out)
 
 
 def delta_value_interval(

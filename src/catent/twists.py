@@ -40,7 +40,6 @@ from functools import lru_cache
 
 from .errors import CollapseError, ContractError, InputError
 from .graded import (
-    GradedDim,
     GradedDimInterval,
     cone_bounds,
     convolve_interval,
@@ -152,7 +151,7 @@ class HKModel:
         return d
 
 
-def negative_line_bundle_profile(model: HKModel, j: int) -> GradedDim:
+def negative_line_bundle_profile(model: HKModel, j: int) -> GradedDimInterval:
     """Cohomology profile of the inverse j-th polarization power: {2n: d_j}.
 
     Kodaira vanishing plus Serre duality with trivial canonical bundle
@@ -162,13 +161,13 @@ def negative_line_bundle_profile(model: HKModel, j: int) -> GradedDim:
         raise InputError(
             "twist level must be >= 1; use trivial_bundle_profile for level 0"
         )
-    return GradedDim(((model.dim_x, model.dim(j)),))
+    return GradedDimInterval.exact({model.dim_x: model.dim(j)})
 
 
-def trivial_bundle_profile(model: HKModel) -> GradedDim:
+def trivial_bundle_profile(model: HKModel) -> GradedDimInterval:
     """Cohomology profile of the structure sheaf: one dimension in each even
     degree 0, 2, ..., 2n."""
-    return GradedDim(tuple((2 * i, 1) for i in range(model.n + 1)))
+    return GradedDimInterval.exact({2 * i: 1 for i in range(model.n + 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +175,7 @@ def trivial_bundle_profile(model: HKModel) -> GradedDim:
 # ---------------------------------------------------------------------------
 
 
-def _twist_kernel(model: HKModel, l: int) -> GradedDim:
+def _twist_kernel(model: HKModel, l: int) -> GradedDimInterval:
     return trivial_bundle_profile(model) if l == 0 else negative_line_bundle_profile(model, l)
 
 
@@ -199,8 +198,7 @@ def correction_profile(model: HKModel, m: int, k: int, l: int) -> GradedDimInter
     if m < 1 or k < 1 or l < 1:
         raise InputError("correction profiles need m, k, l >= 1")
     if m == 1:
-        mult = GradedDimInterval.exact(negative_line_bundle_profile(model, k + 1))
-        return eval_cone_profile(model, mult, l)
+        return eval_cone_profile(model, negative_line_bundle_profile(model, k + 1), l)
     inner = eval_twist_cone_profile(model, m, k, l)
     return cone_bounds(inner, correction_profile(model, m - 1, k, l + 1))
 
@@ -222,9 +220,7 @@ def iterate_profile(model: HKModel, m: int, k: int, l: int) -> GradedDimInterval
     if m < 0 or k < 1 or l < 1:
         raise InputError("iterate profiles need m >= 0 and k, l >= 1")
     if m == 0:
-        return GradedDimInterval.exact(
-            GradedDim(((model.dim_x, model.dim(k + l)),))
-        )
+        return negative_line_bundle_profile(model, k + l)
     return cone_bounds(
         correction_profile(model, m, k, l), iterate_profile(model, m - 1, k + 1, l)
     )
@@ -319,7 +315,7 @@ def verify_eval_cone_boundary(
     return profile
 
 
-def first_iterate_profile(model: HKModel, k: int, l: int) -> GradedDim:
+def first_iterate_profile(model: HKModel, k: int, l: int) -> GradedDimInterval:
     """Exact profile of the first iterate, produced by the triangle machinery.
 
     The closed form {2n: d_{k+l+1}, 4n-1: d_{k+1} d_l, 4n: d_{k+1} d_l} is
@@ -332,21 +328,20 @@ def first_iterate_profile(model: HKModel, k: int, l: int) -> GradedDim:
             f"first iterate (k={k}, l={l}) did not collapse to exact values",
             degree=deg,
         )
-    got = profile.to_exact()
     dd = model.dim(k + 1) * model.dim(l)
-    closed = GradedDim(
-        (
-            (model.dim_x, model.dim(k + l + 1)),
-            (2 * model.dim_x - 1, dd),
-            (2 * model.dim_x, dd),
-        )
+    closed = GradedDimInterval.exact(
+        {
+            model.dim_x: model.dim(k + l + 1),
+            2 * model.dim_x - 1: dd,
+            2 * model.dim_x: dd,
+        }
     )
-    if got != closed:
+    if profile != closed:
         raise ContractError(
-            f"first iterate (k={k}, l={l}): machinery produced {got.entries}, "
+            f"first iterate (k={k}, l={l}): machinery produced {profile.entries}, "
             f"closed form gives {closed.entries}"
         )
-    return got
+    return profile
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +384,7 @@ class BoundSeries:
         return statistics.linear_regression(ms, logs).slope
 
 
-def ext_growth_series(model: HKModel, m_max: int, t: float = 0.0) -> BoundSeries:
+def ext_growth_series(model: HKModel, m_max: int) -> BoundSeries:
     """Bounds on the Ext total between the positive and twisted negative
     generators, summed over all summand pairs, for m = 1 .. m_max."""
     if m_max < 1:
@@ -398,17 +393,15 @@ def ext_growth_series(model: HKModel, m_max: int, t: float = 0.0) -> BoundSeries
     lowers, uppers = [], []
     for m in range(1, m_max + 1):
         lo_sum = 0
-        hi_sum: float | None = 0
+        hi_sum: int | None = 0
         for k in range(1, width + 1):
             for l in range(1, width + 1):
-                lo, hi = delta_value_interval(
-                    verify_iterate_contract(model, m, k, l), t
-                )
+                lo, hi = delta_value_interval(verify_iterate_contract(model, m, k, l))
                 lo_sum += lo
                 hi_sum = None if hi_sum is None or hi is None else hi_sum + hi
         lowers.append(lo_sum)
         uppers.append(hi_sum)
-    return BoundSeries(t, tuple(lowers), tuple(uppers))
+    return BoundSeries(0.0, tuple(lowers), tuple(uppers))
 
 
 @dataclass(frozen=True)
@@ -428,7 +421,7 @@ def entropy_lower_bound(model: HKModel, m_max: int) -> EntropyBound:
     """
     if m_max < 3:
         raise InputError("m_max must be >= 3 for a meaningful slope window")
-    series = ext_growth_series(model, m_max, 0.0)
+    series = ext_growth_series(model, m_max)
     slope = series.log_slope(max(1, m_max // 2), m_max)
     return EntropyBound(math.log(model.dim(1)), slope, series)
 
@@ -527,9 +520,7 @@ def spherical_twist_series(
         raise InputError("m_max must be >= 1")
     profiles: dict[tuple[int, int], GradedDimInterval] = {}
     for lv in range(1, l + m_max + 1):
-        profiles[(0, lv)] = GradedDimInterval.exact(
-            negative_line_bundle_profile(model, k + lv)
-        )
+        profiles[(0, lv)] = negative_line_bundle_profile(model, k + lv)
     for m in range(1, m_max + 1):
         for lv in range(1, l + m_max - m + 1):
             profiles[(m, lv)] = spherical_twist_step(

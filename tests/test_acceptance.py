@@ -16,13 +16,8 @@ from catent.descent import (
     invariant_sublattice,
     quotient_verdict,
 )
-from catent.graded import (
-    GradedDim,
-    GradedDimInterval,
-    cone_bounds,
-    cone_exact_from_map_rank,
-)
-from catent.hilbert import kunneth_power_series, symmetric_power_matrix
+from catent.graded import GradedDimInterval, cone_bounds, cone_exact_from_map_rank
+from catent.hilbert import kunneth_power_series
 from catent.lattice import (
     BilinearLattice,
     SquareIntMatrix,
@@ -40,6 +35,7 @@ from catent.twists import (
     verify_iterate_contract,
 )
 from catent.words import ActionWord, PTwist, TensorClass
+from lattice_powers import symmetric_power_matrix
 
 TOL = 1e-9
 
@@ -71,12 +67,12 @@ def test_criterion_1_first_iterate_closed_form():
             for k in range(1, 6):
                 for l in range(1, 6):
                     dd = model.dim(k + 1) * model.dim(l)
-                    expected = GradedDim(
-                        (
-                            (2 * n, model.dim(k + l + 1)),
-                            (4 * n - 1, dd),
-                            (4 * n, dd),
-                        )
+                    expected = GradedDimInterval.exact(
+                        {
+                            2 * n: model.dim(k + l + 1),
+                            4 * n - 1: dd,
+                            4 * n: dd,
+                        }
                     )
                     assert first_iterate_profile(model, k, l) == expected
                     checked += 1
@@ -170,33 +166,30 @@ def test_criterion_6_cone_soundness_bulk():
     start = time.perf_counter()
     rng = random.Random(424242)
     for _ in range(10_000):
-        a = GradedDim(
-            tuple((j, rng.randint(0, 5)) for j in range(-6, 7))
-        )
-        b = GradedDim(
-            tuple((j, rng.randint(0, 5)) for j in range(-6, 7))
-        )
+        a = GradedDimInterval.exact({j: rng.randint(0, 5) for j in range(-6, 7)})
+        b = GradedDimInterval.exact({j: rng.randint(0, 5) for j in range(-6, 7)})
         ranks = {
-            j: rng.randint(0, min(a.dim(j), b.dim(j)))
+            j: rng.randint(0, min(a.lo(j), b.lo(j)))
             for j in set(a.support) | set(b.support)
         }
         exact = cone_exact_from_map_rank(a, b, ranks)
-        bounds = cone_bounds(GradedDimInterval.exact(a), GradedDimInterval.exact(b))
+        assert exact.is_exact()
+        bounds = cone_bounds(a, b)
         for j in set(exact.support) | set(bounds.support):
-            assert bounds.lo(j) <= exact.dim(j) <= bounds.hi(j)
+            assert bounds.lo(j) <= exact.lo(j) <= bounds.hi(j)
     # Disjoint supports: both sides of the window must collapse exactly.
     for _ in range(500):
         cut = rng.randint(-3, 3)
-        a = GradedDim(
-            tuple((j, rng.randint(0, 5)) for j in range(cut + 2, cut + 6))
+        a = GradedDimInterval.exact(
+            {j: rng.randint(0, 5) for j in range(cut + 2, cut + 6)}
         )
-        b = GradedDim(
-            tuple((j, rng.randint(0, 5)) for j in range(cut - 4, cut + 1))
+        b = GradedDimInterval.exact(
+            {j: rng.randint(0, 5) for j in range(cut - 4, cut + 1)}
         )
-        c = cone_bounds(GradedDimInterval.exact(a), GradedDimInterval.exact(b))
+        c = cone_bounds(a, b)
         assert c.is_exact()
         for j in range(cut - 6, cut + 7):
-            expected = b.dim(j) if j <= cut else a.dim(j + 1)
+            expected = b.lo(j) if j <= cut else a.lo(j + 1)
             assert c.lo(j) == expected
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.2f} s, budget 10 s"

@@ -251,9 +251,23 @@ def test_report_verdict_self_auditing():
 def test_table_format_contents():
     record = run_preset("k3-q10")
     text = emit_report(record, "table")
-    assert "0 (exact, unipotent)" in text
+    assert "log spectral radius: 0 (exact, unipotent up to sign)\n" in text
     assert "lower" in text and "upper" in text and " m" in text
     assert "24155" in text
+
+
+def test_table_names_sign_for_minus_unipotent_word():
+    # shift.tensor on the enriques-over-hk lattice is minus a unipotent
+    # action; the table must not call it unipotent outright.
+    preset = list_builtin_models()["enriques-over-hk"]
+    record = run_scenario(load_config({
+        "kind": "lattice_word",
+        "lattice": preset["lattice"],
+        "word": [{"kind": "shift"}, preset["word"][1]],
+    }))
+    assert record.log_rho_exact_zero
+    text = emit_report(record, "table")
+    assert "log spectral radius: 0 (exact, unipotent up to sign)\n" in text
 
 
 def test_series_csv():

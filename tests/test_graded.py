@@ -7,20 +7,18 @@ from hypothesis import strategies as st
 
 from catent.errors import InputError
 from catent.graded import (
-    GradedDim,
     GradedDimInterval,
+    _chi_interval,
     cone_bounds,
     cone_exact_from_map_rank,
-    convolve,
     convolve_interval,
-    delta_value,
     delta_value_interval,
     direct_sum,
 )
 
 
 def gd(d):
-    return GradedDim.from_dict(d)
+    return GradedDimInterval.exact(d)
 
 
 def gi(d):
@@ -36,6 +34,31 @@ def random_graded(rng, max_dim=5, lo_deg=-6, hi_deg=6):
 graded_dims = st.dictionaries(
     st.integers(-6, 6), st.integers(0, 5), max_size=8
 ).map(gd)
+
+# Interval entries [lo, hi], with hi None (unknown) allowed.
+interval_dicts = st.dictionaries(
+    st.integers(-6, 6),
+    st.tuples(st.integers(0, 4), st.one_of(st.none(), st.integers(0, 4))).map(
+        lambda p: (p[0], None if p[1] is None else p[0] + p[1])
+    ),
+    max_size=6,
+)
+
+
+def chi(g):
+    """Alternating sum of an exact profile."""
+    lo, hi = _chi_interval(g)
+    assert lo == hi
+    return lo
+
+
+def reference_convolve(g1, g2):
+    """Plain Kuenneth product of two exact profiles, as a dict."""
+    out = {}
+    for d1, v1, _ in g1.entries:
+        for d2, v2, _ in g2.entries:
+            out[d1 + d2] = out.get(d1 + d2, 0) + v1 * v2
+    return out
 
 
 # -- shift / direct sum --------------------------------------------------------
@@ -61,8 +84,8 @@ def test_direct_sum_examples():
 def test_direct_sum_commutative():
     rng = random.Random(5)
     for _ in range(20):
-        a = GradedDimInterval.exact(random_graded(rng))
-        b = GradedDimInterval.exact(random_graded(rng))
+        a = random_graded(rng)
+        b = random_graded(rng)
         assert direct_sum(a, b) == direct_sum(b, a)
 
 
@@ -76,23 +99,46 @@ def test_direct_sum_unknown_absorbs():
 
 def test_convolve_unit():
     g = gd({0: 1, 1: 1, 5: 2})
-    assert convolve(g, gd({0: 1})) == g
+    assert convolve_interval(g, gd({0: 1})) == g
 
 
 def test_convolve_binomial():
     g = gd({0: 1, 1: 1})
-    assert convolve(g, g) == gd({0: 1, 1: 2, 2: 1})
+    assert convolve_interval(g, g) == gd({0: 1, 1: 2, 2: 1})
 
 
 @given(graded_dims, graded_dims)
 def test_convolve_commutative(g1, g2):
-    assert convolve(g1, g2) == convolve(g2, g1)
+    assert convolve_interval(g1, g2) == convolve_interval(g2, g1)
 
 
 @given(graded_dims, graded_dims, graded_dims)
 @settings(max_examples=40)
 def test_convolve_associative(g1, g2, g3):
-    assert convolve(convolve(g1, g2), g3) == convolve(g1, convolve(g2, g3))
+    assert convolve_interval(convolve_interval(g1, g2), g3) == convolve_interval(
+        g1, convolve_interval(g2, g3)
+    )
+
+
+def _draw_inside(data, g):
+    """An exact profile inside the interval profile g; an unknown upper bound
+    admits values up to lo + 6."""
+    return gd({
+        deg: data.draw(st.integers(lo, lo + 6 if hi is None else hi))
+        for deg, lo, hi in g.entries
+    })
+
+
+@given(interval_dicts, interval_dicts, st.data())
+def test_convolve_interval_contains_every_exact_convolution(d1, d2, data):
+    g1, g2 = gi(d1), gi(d2)
+    e1, e2 = _draw_inside(data, g1), _draw_inside(data, g2)
+    out = convolve_interval(g1, g2)
+    exact = reference_convolve(e1, e2)
+    for j in set(out.support) | set(exact):
+        val = exact.get(j, 0)
+        assert out.lo(j) <= val
+        assert out.hi(j) is None or val <= out.hi(j)
 
 
 def test_self_convolution_matches_series_power():
@@ -101,12 +147,12 @@ def test_self_convolution_matches_series_power():
     for _ in range(10):
         g = random_graded(rng, max_dim=4, lo_deg=-3, hi_deg=3)
         for t in (0.0, 0.3, 1.1):
-            base = sum(v * math.exp(-k * t) for k, v in g.entries)
+            base = sum(v * math.exp(-k * t) for k, v, _ in g.entries)
             power = g
             for n in (2, 3):
-                power = convolve(power, g)
-                got = delta_value(power, t)
-                assert math.isclose(got, base**n, rel_tol=1e-9, abs_tol=1e-9)
+                power = convolve_interval(power, g)
+                for got in delta_value_interval(power, t):
+                    assert math.isclose(got, base**n, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_delta_multiplicative_under_convolve():
@@ -114,16 +160,18 @@ def test_delta_multiplicative_under_convolve():
     for _ in range(20):
         g1, g2 = random_graded(rng), random_graded(rng)
         for t in (0.0, 0.7):
-            lhs = delta_value(convolve(g1, g2), t)
-            rhs = delta_value(g1, t) * delta_value(g2, t)
-            assert math.isclose(lhs, rhs, rel_tol=1e-12, abs_tol=1e-12)
+            lhs = delta_value_interval(convolve_interval(g1, g2), t)
+            lo1, hi1 = delta_value_interval(g1, t)
+            lo2, hi2 = delta_value_interval(g2, t)
+            assert math.isclose(lhs[0], lo1 * lo2, rel_tol=1e-12, abs_tol=1e-12)
+            assert math.isclose(lhs[1], hi1 * hi2, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_delta_value_examples():
-    assert delta_value(gd({0: 1}), 1.7) == pytest.approx(1.0)
-    assert delta_value(gd({0: 1, 2: 1}), 0.0) == 2
-    assert delta_value(gd({4: 7}), 0.0) == 7
-    assert isinstance(delta_value(gd({2: 3}), 0.0), int)
+    assert delta_value_interval(gd({0: 1}), 1.7) == pytest.approx((1.0, 1.0))
+    assert delta_value_interval(gd({0: 1, 2: 1}), 0.0) == (2, 2)
+    assert delta_value_interval(gd({4: 7}), 0.0) == (7, 7)
+    assert all(isinstance(v, int) for v in delta_value_interval(gd({2: 3}), 0.0))
 
 
 # -- cone bounds ---------------------------------------------------------------
@@ -138,7 +186,7 @@ def test_cone_one_dim_hom_both_outcomes():
     # A = B = one dimension in degree 0; identity map kills the cone, the
     # zero map keeps both pieces.  Bounds must cover both.
     a = b = gd({0: 1})
-    c = cone_bounds(GradedDimInterval.exact(a), GradedDimInterval.exact(b))
+    c = cone_bounds(a, b)
     assert (c.lo(0), c.hi(0)) == (0, 1)
     assert (c.lo(-1), c.hi(-1)) == (0, 1)
     iso = cone_exact_from_map_rank(a, b, {0: 1})
@@ -185,19 +233,29 @@ def test_cone_exact_rejects_infeasible_rank():
         cone_exact_from_map_rank(a, b, {0: -1})
 
 
+def test_cone_exact_rejects_inexact_profile():
+    exact = gd({0: 1})
+    for inexact in (gi({0: (1, 2)}), gi({0: (1, None)})):
+        with pytest.raises(InputError):
+            cone_exact_from_map_rank(inexact, exact, {})
+        with pytest.raises(InputError):
+            cone_exact_from_map_rank(exact, inexact, {})
+
+
 def test_cone_soundness_randomized():
     rng = random.Random(99)
     for _ in range(500):
         a = random_graded(rng)
         b = random_graded(rng)
         ranks = {
-            j: rng.randint(0, min(a.dim(j), b.dim(j)))
+            j: rng.randint(0, min(a.lo(j), b.lo(j)))
             for j in set(a.support) | set(b.support)
         }
         exact = cone_exact_from_map_rank(a, b, ranks)
-        bounds = cone_bounds(GradedDimInterval.exact(a), GradedDimInterval.exact(b))
+        assert exact.is_exact()
+        bounds = cone_bounds(a, b)
         for j in set(exact.support) | set(bounds.support):
-            assert bounds.lo(j) <= exact.dim(j) <= bounds.hi(j)
+            assert bounds.lo(j) <= exact.lo(j) <= bounds.hi(j)
 
 
 def test_cone_euler_additivity_when_exact():
@@ -207,11 +265,10 @@ def test_cone_euler_additivity_when_exact():
     for _ in range(300):
         a = random_graded(rng, max_dim=3, lo_deg=0, hi_deg=2).shifted(-4)
         b = random_graded(rng, max_dim=3, lo_deg=0, hi_deg=2)
-        c = cone_bounds(GradedDimInterval.exact(a), GradedDimInterval.exact(b))
+        c = cone_bounds(a, b)
         if c.is_exact():
             found += 1
-            chi_c = c.to_exact().euler_characteristic()
-            assert chi_c == b.euler_characteristic() - a.euler_characteristic()
+            assert chi(c) == chi(b) - chi(a)
     assert found > 0
 
 
@@ -239,18 +296,24 @@ def test_interval_validation():
 
 
 def test_interval_exact_roundtrip():
-    g = gd({0: 1, 3: 4})
-    assert GradedDimInterval.exact(g).to_exact() == g
+    d = {0: 1, 3: 4}
+    g = GradedDimInterval.exact(d)
+    assert g.is_exact() and g.entries == ((0, 1, 1), (3, 4, 4))
+    assert {deg: lo for deg, lo, _ in g.entries} == d
+    assert GradedDimInterval.exact({0: 0, 2: 5}) == gi({2: (5, 5)})
+    assert not gi({0: (1, 2)}).is_exact()
+    assert not gi({0: (1, None)}).is_exact()
     with pytest.raises(InputError):
-        gi({0: (1, 2)}).to_exact()
+        GradedDimInterval.exact({0: -1})
 
 
 def test_convolve_interval_matches_exact_case():
     rng = random.Random(17)
     for _ in range(20):
         g1, g2 = random_graded(rng), random_graded(rng)
-        got = convolve_interval(GradedDimInterval.exact(g1), g2)
-        assert got == GradedDimInterval.exact(convolve(g1, g2))
+        got = convolve_interval(g1, g2)
+        assert got.is_exact()
+        assert got == gd(reference_convolve(g1, g2))
 
 
 def test_delta_value_interval():

@@ -4,13 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from catent.errors import InputError, ResourceError
-from catent.hilbert import (
-    hilbert_lift_verdict,
-    kunneth_power_series,
-    symmetric_power_matrix,
-    tensor_power_matrix,
-)
+from catent.errors import InputError
+from catent.hilbert import hilbert_lift_verdict, kunneth_power_series
 from catent.lattice import (
     SquareIntMatrix,
     char_poly,
@@ -19,6 +14,7 @@ from catent.lattice import (
 )
 from catent.twists import BoundSeries, HKModel, HKVerdict, gy_verdict
 from catent.words import derive_verdict
+from lattice_powers import symmetric_power_matrix, tensor_power_matrix
 
 TOL = 1e-9
 
@@ -83,12 +79,6 @@ def test_tensor_power_spectral_radius_scales():
         for n in (2, 3):
             got = spectral_radius(tensor_power_matrix(m, n), TOL)
             assert abs(got - rho**n) <= 1e-6 * max(1.0, rho**n)
-
-
-def test_tensor_power_size_guard():
-    m = SquareIntMatrix.identity(30)
-    with pytest.raises(ResourceError):
-        tensor_power_matrix(m, 3)
 
 
 # -- symmetric powers ---------------------------------------------------------------

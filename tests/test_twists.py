@@ -3,7 +3,7 @@ import math
 import pytest
 
 from catent.errors import CollapseError, InputError
-from catent.graded import GradedDim, GradedDimInterval
+from catent.graded import GradedDimInterval, _chi_interval
 from catent.twists import (
     BoundSeries,
     HKModel,
@@ -22,6 +22,8 @@ from catent.twists import (
 )
 from catent.words import induced_matrix
 from catent.lattice import is_unipotent
+
+exact = GradedDimInterval.exact
 
 K3 = HKModel(1, q=10)  # d_i = 5 i^2 + 2: the degree-10 polarized K3 model
 HK2 = HKModel(2, q=2)  # d_i = binom(i^2 + 3, 2)
@@ -63,33 +65,29 @@ def test_dim_values():
 
 
 def test_negative_line_bundle_profile():
-    assert negative_line_bundle_profile(K3, 1) == GradedDim(((2, 7),))
-    assert negative_line_bundle_profile(HKModel(2, table=(6,)), 1) == GradedDim(
-        ((4, 6),)
-    )
+    assert negative_line_bundle_profile(K3, 1) == exact({2: 7})
+    assert negative_line_bundle_profile(HKModel(2, table=(6,)), 1) == exact({4: 6})
     p = negative_line_bundle_profile(HK2, 3)
-    assert p.support == (4,) and p.dim(4) == HK2.dim(3)
+    assert p.support == (4,) and p.lo(4) == p.hi(4) == HK2.dim(3)
     with pytest.raises(InputError):
         negative_line_bundle_profile(K3, 0)
 
 
 def test_trivial_bundle_profile():
-    assert trivial_bundle_profile(K3) == GradedDim(((0, 1), (2, 1)))
-    assert trivial_bundle_profile(HK2) == GradedDim(((0, 1), (2, 1), (4, 1)))
+    assert trivial_bundle_profile(K3) == exact({0: 1, 2: 1})
+    assert trivial_bundle_profile(HK2) == exact({0: 1, 2: 1, 4: 1})
 
 
 # -- first iterate ----------------------------------------------------------------
 
 
 def test_first_iterate_k3():
-    assert first_iterate_profile(K3, 1, 1) == GradedDim(((2, 47), (3, 154), (4, 154)))
+    assert first_iterate_profile(K3, 1, 1) == exact({2: 47, 3: 154, 4: 154})
 
 
 def test_first_iterate_table_model():
     model = HKModel(2, table=(6, 21, 48, 171))
-    assert first_iterate_profile(model, 1, 2) == GradedDim(
-        ((4, 171), (7, 441), (8, 441))
-    )
+    assert first_iterate_profile(model, 1, 2) == exact({4: 171, 7: 441, 8: 441})
 
 
 def test_first_iterate_euler_characteristic():
@@ -99,7 +97,8 @@ def test_first_iterate_euler_characteristic():
         for k in (1, 2):
             for l in (1, 3):
                 p = first_iterate_profile(model, k, l)
-                assert p.euler_characteristic() == model.dim(k + l + 1)
+                chi = model.dim(k + l + 1)
+                assert _chi_interval(p) == (chi, chi)
 
 
 def test_machinery_matches_closed_form_sweep():
@@ -114,12 +113,12 @@ def test_machinery_matches_closed_form_sweep():
             for l in range(1, 4):
                 dd = model.dim(k + 1) * model.dim(l)
                 got = first_iterate_profile(model, k, l)
-                assert got == GradedDim(
-                    (
-                        (model.dim_x, model.dim(k + l + 1)),
-                        (2 * model.dim_x - 1, dd),
-                        (2 * model.dim_x, dd),
-                    )
+                assert got == exact(
+                    {
+                        model.dim_x: model.dim(k + l + 1),
+                        2 * model.dim_x - 1: dd,
+                        2 * model.dim_x: dd,
+                    }
                 )
 
 
@@ -227,13 +226,9 @@ def test_series_dominates_top_terms_and_geometric_floor():
 
 def test_series_integer_at_t_zero():
     series = ext_growth_series(K3, 3)
+    assert series.t == 0.0
     assert all(isinstance(lo, int) for lo in series.lowers)
     assert all(isinstance(hi, int) for hi in series.uppers)
-
-
-def test_series_positive_t_weights():
-    series = ext_growth_series(K3, 2, t=0.5)
-    assert 0 < series.lowers[0] < 24155
 
 
 def test_log_slope_window_validation():
