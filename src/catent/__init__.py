@@ -46,6 +46,7 @@ from .words import (
     Shift,
     SphericalTwist,
     TensorClass,
+    Verdict,
     certify_log_rho,
     derive_verdict,
     induced_matrix,
@@ -78,6 +79,7 @@ __all__ = [
     "induced_matrix",
     "certify_log_rho",
     "derive_verdict",
+    "Verdict",
     "HKModel",
     "BoundSeries",
     "first_iterate_profile",

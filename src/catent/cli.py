@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .descent import CoverScenario, quotient_verdict
@@ -40,8 +40,8 @@ from .words import (
     Shift,
     SphericalTwist,
     TensorClass,
+    Verdict,
     certify_log_rho,
-    derive_verdict,
     induced_matrix,
     tensor_matrix_from_nilpotent,
 )
@@ -528,39 +528,20 @@ def _build_word(lattice: BilinearLattice, entries: list) -> ActionWord:
     return ActionWord(lattice, tuple(gens))
 
 
-def _verdict_fields(verdict, details: dict) -> dict:
-    """Report fields of an ``HKVerdict`` or a ``HilbVerdict``."""
-    return dict(
-        verdict=verdict.verdict,
-        entropy_lower_certified=verdict.entropy_lower,
-        empirical_slope=verdict.empirical_slope,
-        log_rho=verdict.log_rho,
-        log_rho_exact_zero=verdict.log_rho_exact_zero,
-        gap=verdict.gap,
-        series=_series_rows(verdict.series),
-        details=details,
-    )
-
-
-def _run_hk(cfg: ScenarioConfig) -> dict:
+def _run_hk(cfg: ScenarioConfig) -> Verdict:
     model = _model_from(cfg.data)
     verdict = gy_verdict(model, cfg.data["m_max"], tol=cfg.tol)
-    return _verdict_fields(verdict, {"d1": model.dim(1), "n": model.n})
+    return replace(verdict, details={"d1": model.dim(1), "n": model.n})
 
 
-def _run_hilb(cfg: ScenarioConfig) -> dict:
-    params = cfg.data["base"]
+def _run_hilb(cfg: ScenarioConfig) -> Verdict:
+    params, points = cfg.data["base"], cfg.data["points"]
     base = gy_verdict(_model_from(params), params["m_max"], tol=cfg.tol)
-    lifted = hilbert_lift_verdict(cfg.data["points"], base, tol=cfg.tol)
-    return _verdict_fields(lifted, {
-        "points": lifted.n,
-        "base_entropy_lower": base.entropy_lower,
-        "base_log_rho": base.log_rho,
-        "strict_gap": lifted.strict_gap,
-    })
+    lifted = hilbert_lift_verdict(points, base, tol=cfg.tol)
+    return replace(lifted, details={"points": points, **lifted.details})
 
 
-def _run_enriques(cfg: ScenarioConfig) -> dict:
+def _run_enriques(cfg: ScenarioConfig) -> Verdict:
     params = cfg.data["cover"]
     cover_model = _model_from(params)
     cover = entropy_lower_bound(cover_model, params["m_max"])
@@ -573,45 +554,28 @@ def _run_enriques(cfg: ScenarioConfig) -> dict:
         cover_entropy_bound=cover.certified,
     )
     verdict = quotient_verdict(sc, tol=cfg.tol)
-    return dict(
-        verdict=verdict.verdict,
-        entropy_lower_certified=verdict.entropy_lower,
-        empirical_slope=cover.empirical_slope,
-        log_rho=verdict.quotient_log_rho,
-        log_rho_exact_zero=verdict.quotient_log_rho_exact_zero,
-        gap=verdict.gap,
-        series=_series_rows(cover.series),
-        details={
-            "cover_log_rho": verdict.cover_log_rho,
-            "quotient_rank": verdict.quotient_rank,
-            "deck_order": sc.order,
-            "cover_d1": cover_model.dim(1),
-        },
-    )
+    details = {**verdict.details, "deck_order": sc.order,
+               "cover_d1": cover_model.dim(1)}
+    return replace(verdict, empirical_slope=cover.empirical_slope,
+                   series=cover.series, details=details)
 
 
-def _run_lattice_word(cfg: ScenarioConfig) -> dict:
+def _run_lattice_word(cfg: ScenarioConfig) -> Verdict:
     lattice = _build_lattice(cfg.data["lattice"])
     word = _build_word(lattice, cfg.data["word"])
     log_rho, exact_zero = certify_log_rho(induced_matrix(word), cfg.tol)
-    return dict(
-        verdict=derive_verdict(None, log_rho, exact_zero, cfg.tol),
-        log_rho=log_rho,
-        log_rho_exact_zero=exact_zero,
-        details={"rank": lattice.rank, "spectral_radius": math.exp(log_rho)},
-    )
+    return Verdict.of(None, log_rho, exact_zero, cfg.tol, details={
+        "rank": lattice.rank, "spectral_radius": math.exp(log_rho),
+    })
 
 
-def _run_surface_twist(cfg: ScenarioConfig) -> dict:
+def _run_surface_twist(cfg: ScenarioConfig) -> Verdict:
     surface = HKModel(1, cfg.data.get("q"), cfg.data.get("d_table"))
     series = spherical_twist_series(
         surface, cfg.data["k"], cfg.data["l"], cfg.data["m_max"], cfg.data["t"]
     )
-    return dict(
-        verdict="no violation certified",
-        series=_series_rows(series),
-        details={"k": cfg.data["k"], "l": cfg.data["l"]},
-    )
+    return Verdict.of(None, None, False, cfg.tol, series=series,
+                      details={"k": cfg.data["k"], "l": cfg.data["l"]})
 
 
 _RUNNERS = {
@@ -631,7 +595,14 @@ def run_scenario(cfg: ScenarioConfig) -> ReportRecord:
     try:
         if cfg.kind not in _RUNNERS:
             raise InputError(f"unknown scenario kind {cfg.kind!r}")
-        fields = _RUNNERS[cfg.kind](cfg)
+        v = _RUNNERS[cfg.kind](cfg)
+        fields = dict(
+            verdict=v.verdict, entropy_lower_certified=v.entropy_lower,
+            empirical_slope=v.empirical_slope, log_rho=v.log_rho,
+            log_rho_exact_zero=v.log_rho_exact_zero, gap=v.gap,
+            series=[] if v.series is None else _series_rows(v.series),
+            details=v.details,
+        )
     except EngineError as exc:
         fields = {
             "verdict": "error",

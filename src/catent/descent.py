@@ -9,23 +9,25 @@ the word restricts to it, and
   * the quotient log spectral radius is squeezed to exactly zero whenever
     the cover action is unipotent up to sign (restriction preserves it).
 
-All sublattice computation is exact: the fixed sublattice is the integer
-kernel of (deck - I), computed by unimodular row reduction, and the
-restricted action is solved over exact rationals and cleared to integers.
+``quotient_verdict`` gives both as one ``Verdict``.  All sublattice
+computation is exact: the fixed sublattice is the integer kernel of
+(deck - I), computed by unimodular row reduction, and the restricted action
+is solved over exact rationals and cleared to integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ContractError, InputError
 from .lattice import DEFAULT_TOL, BilinearLattice, SquareIntMatrix
 from .words import (
     ActionWord,
     TensorClass,
+    Verdict,
     certify_log_rho,
-    derive_verdict,
     induced_matrix,
 )
 
@@ -139,11 +141,15 @@ class CoverScenario:
         if self.cover_entropy_bound < 0:
             raise InputError("cover entropy bound must be nonnegative")
 
+    @cached_property
+    def action(self) -> SquareIntMatrix:
+        """The word's induced action on the cover lattice, formed once."""
+        return induced_matrix(self.word)
+
 
 def commutes_with_deck(sc: CoverScenario) -> bool:
     """Exact check that the induced word action commutes with the deck action."""
-    action = induced_matrix(sc.word)
-    return action @ sc.deck_matrix == sc.deck_matrix @ action
+    return sc.action @ sc.deck_matrix == sc.deck_matrix @ sc.action
 
 
 def tensor_generators_commute(sc: CoverScenario) -> bool:
@@ -170,48 +176,29 @@ def invariant_sublattice(
         raise InputError(
             "deck action fixes no lattice vector; not a valid quotient model"
         )
-    return basis, _restrict_to_basis(induced_matrix(sc.word), basis)
+    return basis, _restrict_to_basis(sc.action, basis)
 
 
-@dataclass(frozen=True)
-class QuotientVerdict:
-    """Descended bound and spectral radius for the quotient model."""
-
-    entropy_lower: float
-    cover_log_rho: float
-    quotient_log_rho: float
-    quotient_log_rho_exact_zero: bool
-    quotient_rank: int
-    gap: float
-    verdict: str
-
-
-def quotient_verdict(sc: CoverScenario, tol: float = DEFAULT_TOL) -> QuotientVerdict:
+def quotient_verdict(sc: CoverScenario, tol: float = DEFAULT_TOL) -> Verdict:
     """Descend the entropy bound and squeeze the quotient spectral radius.
 
     The entropy bound transfers as an identity through the covering.  The
     cover action and its restriction are certified separately: an exactly
     zero cover certificate must restrict to an exactly zero one, and
     otherwise only the inequality against the cover value is asserted.
+    ``details`` gives the cover's log rho and the quotient rank.
     """
     basis, restricted = invariant_sublattice(sc)
-    cover_log_rho, cover_exact_zero = certify_log_rho(induced_matrix(sc.word), tol)
-    quotient_log_rho, exact_zero = certify_log_rho(restricted, tol)
+    cover_log_rho, cover_exact_zero = certify_log_rho(sc.action, tol)
+    log_rho, exact_zero = certify_log_rho(restricted, tol)
     if cover_exact_zero and not exact_zero:
         raise ContractError(
             "restriction of an action that is unipotent up to sign failed "
             "the exact-zero certificate"
         )
-    if quotient_log_rho > cover_log_rho + 10 * tol:
+    if log_rho > cover_log_rho + 10 * tol:
         raise ContractError("restricted spectral radius exceeds the ambient one")
-    return QuotientVerdict(
-        entropy_lower=sc.cover_entropy_bound,
-        cover_log_rho=cover_log_rho,
-        quotient_log_rho=quotient_log_rho,
-        quotient_log_rho_exact_zero=exact_zero,
-        quotient_rank=len(basis),
-        gap=sc.cover_entropy_bound - quotient_log_rho,
-        verdict=derive_verdict(
-            sc.cover_entropy_bound, quotient_log_rho, exact_zero, tol
-        ),
+    return Verdict.of(
+        sc.cover_entropy_bound, log_rho, exact_zero, tol,
+        details={"cover_log_rho": cover_log_rho, "quotient_rank": len(basis)},
     )

@@ -6,18 +6,16 @@ totals (Kuenneth), and the induced lattice action is the n-th Kronecker power
 restricted to the symmetric-tensor subspace, whose spectral radius is the
 n-th power of the base one.  Both transfers scale the entropy bound and the
 log spectral radius by exactly n, so a strict gap on the surface forces one
-on every Hilbert scheme over it; the lift scales the base verdict and never
-forms the power matrices.
+on every Hilbert scheme over it; the lift scales the base ``Verdict`` into
+a new one, gap and gate included, and never forms the power matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError
 from .lattice import DEFAULT_TOL
-from .twists import BoundSeries, HKVerdict
-from .words import derive_verdict
+from .twists import BoundSeries
+from .words import Verdict
 
 
 def kunneth_power_series(series: BoundSeries, n: int) -> BoundSeries:
@@ -33,42 +31,21 @@ def kunneth_power_series(series: BoundSeries, n: int) -> BoundSeries:
     )
 
 
-@dataclass(frozen=True)
-class HilbVerdict:
-    """Scaled bound, slope and spectral radius, their gap and verdict, and
-    whether the base gap was strict."""
-
-    n: int
-    entropy_lower: float
-    empirical_slope: float
-    log_rho: float
-    log_rho_exact_zero: bool
-    gap: float
-    strict_gap: bool
-    verdict: str
-    series: BoundSeries
-
-
-def hilbert_lift_verdict(
-    n: int, base: HKVerdict, tol: float = DEFAULT_TOL
-) -> HilbVerdict:
+def hilbert_lift_verdict(n: int, base: Verdict, tol: float = DEFAULT_TOL) -> Verdict:
     """Transfer the base verdict to n points: every quantity scales by exactly
-    n, and the lifted values pass through the one verdict gate."""
+    n, and the lifted values pass through the one verdict gate.  ``details``
+    keeps the base bound and log rho and whether the base gap was strict."""
     if n < 1:
         raise InputError("number of points n must be >= 1")
     if any(lo <= 0 for lo in base.series.lowers):
         raise InputError("base series must have positive lower bounds")
     if base.entropy_lower < 0:
         raise InputError("base entropy bound must be nonnegative")
-    entropy_lower, log_rho = n * base.entropy_lower, n * base.log_rho
-    return HilbVerdict(
-        n=n,
-        entropy_lower=entropy_lower,
-        empirical_slope=n * base.empirical_slope,
-        log_rho=log_rho,
-        log_rho_exact_zero=base.log_rho_exact_zero,
-        gap=entropy_lower - log_rho,
-        strict_gap=base.verdict == "GY violated",
-        verdict=derive_verdict(entropy_lower, log_rho, base.log_rho_exact_zero, tol),
+    return Verdict.of(
+        n * base.entropy_lower, n * base.log_rho, base.log_rho_exact_zero, tol,
+        slope=n * base.empirical_slope,
         series=kunneth_power_series(base.series, n),
+        details={"base_entropy_lower": base.entropy_lower,
+                 "base_log_rho": base.log_rho,
+                 "strict_gap": base.verdict == "GY violated"},
     )

@@ -50,8 +50,8 @@ from .words import (
     ActionWord,
     PTwist,
     TensorClass,
+    Verdict,
     certify_log_rho,
-    derive_verdict,
     induced_matrix,
     tensor_matrix_from_nilpotent,
 )
@@ -444,35 +444,15 @@ def default_action_word(model: HKModel) -> ActionWord:
     return ActionWord(lattice, (PTwist(), TensorClass(tensor)))
 
 
-@dataclass(frozen=True)
-class HKVerdict:
-    """Outcome of the Gromov-Yomdin check on a hyperkaehler-type model."""
-
-    log_rho: float
-    log_rho_exact_zero: bool
-    entropy_lower: float
-    empirical_slope: float
-    gap: float
-    verdict: str
-    series: BoundSeries
-
-
-def gy_verdict(model: HKModel, m_max: int, tol: float = DEFAULT_TOL) -> HKVerdict:
+def gy_verdict(model: HKModel, m_max: int, tol: float = DEFAULT_TOL) -> Verdict:
     """Certified entropy bound vs. exact log spectral radius of the default
     twist-and-tensor word."""
     log_rho, exact_zero = certify_log_rho(
         induced_matrix(default_action_word(model)), tol
     )
     bound = entropy_lower_bound(model, m_max)
-    return HKVerdict(
-        log_rho=log_rho,
-        log_rho_exact_zero=exact_zero,
-        entropy_lower=bound.certified,
-        empirical_slope=bound.empirical_slope,
-        gap=bound.certified - log_rho,
-        verdict=derive_verdict(bound.certified, log_rho, exact_zero, tol),
-        series=bound.series,
-    )
+    return Verdict.of(bound.certified, log_rho, exact_zero, tol,
+                      slope=bound.empirical_slope, series=bound.series)
 
 
 # ---------------------------------------------------------------------------

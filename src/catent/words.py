@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import InputError
 from .lattice import (
@@ -28,6 +29,9 @@ from .lattice import (
     is_unipotent,
     spectral_radius,
 )
+
+if TYPE_CHECKING:
+    from .twists import BoundSeries
 
 
 @dataclass(frozen=True)
@@ -190,11 +194,15 @@ def certify_log_rho(
     """The one certificate for log of the spectral radius of an action.
 
     Returns ``(log_rho, exact_zero)``: ``(0.0, True)`` when the action is
-    unipotent up to sign, otherwise the refined float value and False.
+    unipotent up to sign, otherwise the refined float value and False.  A
+    nilpotent action has no logarithm and is an input error.
     """
     if log_rho_is_exact_zero(m):
         return 0.0, True
-    return math.log(spectral_radius(m, tol)), False
+    rho = spectral_radius(m, tol)
+    if rho == 0.0:
+        raise InputError("nilpotent action: spectral radius 0 has no logarithm")
+    return math.log(rho), False
 
 
 def derive_verdict(
@@ -210,6 +218,34 @@ def derive_verdict(
     if exact_zero or bound > log_rho + 10 * tol:
         return "GY violated"
     return "no violation certified"
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """One certified comparison of an entropy lower bound with log rho.
+
+    ``details`` holds what the certifying function found, in report order.
+    ``Verdict.of`` is the only place the gap and the verdict are computed.
+    """
+
+    entropy_lower: float | None
+    empirical_slope: float | None
+    log_rho: float | None
+    log_rho_exact_zero: bool
+    gap: float | None
+    verdict: str
+    series: BoundSeries | None
+    details: dict
+
+    @classmethod
+    def of(cls, bound: float | None, log_rho: float | None, exact_zero: bool,
+           tol: float, slope: float | None = None,
+           series: BoundSeries | None = None, details: dict | None = None) -> Verdict:
+        """The gap, when both sides exist, and the verdict of the one gate."""
+        gap = None if bound is None or log_rho is None else bound - log_rho
+        return cls(bound, slope, log_rho, exact_zero, gap,
+                   derive_verdict(bound, log_rho, exact_zero, tol), series,
+                   details or {})
 
 
 def tensor_matrix_from_nilpotent(n: SquareIntMatrix) -> SquareIntMatrix:

@@ -252,7 +252,7 @@ def test_criterion_8_descent_preset_and_counterexample():
     )
     assert commutes_with_deck(sc)
     _, restricted = invariant_sublattice(sc)
-    assert quotient_verdict(sc).quotient_log_rho_exact_zero
+    assert quotient_verdict(sc).log_rho_exact_zero
 
     z2 = BilinearLattice(((1, 0), (0, 1)), "symmetric")
     bad = CoverScenario(

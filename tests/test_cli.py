@@ -236,16 +236,53 @@ def test_reports_deterministic_across_runs():
         assert emit_report(run_scenario(cfg)) == emit_report(run_scenario(cfg))
 
 
+NILPOTENT_WORDS = {
+    "off-diagonal": {"gram": [[0, 1], [1, 0]], "matrix": [[0, 1], [0, 0]]},
+    "zero": {"gram": [[0, 0], [0, 0]], "matrix": [[0, 0], [0, 0]]},
+}
+
+
+def nilpotent_config(name):
+    case = NILPOTENT_WORDS[name]
+    return {"kind": "lattice_word", "lattice": {"gram": case["gram"]},
+            "word": [{"kind": "explicit", "matrix": case["matrix"]}]}
+
+
 def test_report_verdict_self_auditing():
-    for name in list_builtin_models():
-        cfg = load_config(list_builtin_models()[name])
+    configs = list(list_builtin_models().values()) + [
+        {"kind": "lattice_word", "lattice": {"gram": [[1, 0], [0, 1]]},
+         "word": [{"kind": "explicit", "matrix": [[2, 1], [1, 1]]}]},
+        {"kind": "surface_twist", "q": 10, "k": 1, "l": 1, "m_max": 5},
+    ]
+    kinds = set()
+    for config in configs:
+        cfg = load_config(config)
         record = run_scenario(cfg)
+        assert record.error is None
+        kinds.add(cfg.kind)
         assert record.verdict == derive_verdict(
             record.entropy_lower_certified,
             record.log_rho,
             record.log_rho_exact_zero,
             cfg.tol,
         )
+        if record.entropy_lower_certified is None or record.log_rho is None:
+            assert record.gap is None
+        else:
+            assert record.gap == record.entropy_lower_certified - record.log_rho
+    assert kinds == {"hk", "hilb", "enriques", "lattice_word", "surface_twist"}
+
+
+@pytest.mark.parametrize("name", sorted(NILPOTENT_WORDS))
+def test_nilpotent_action_is_an_input_error(capsys, name):
+    record = run_scenario(load_config(nilpotent_config(name)))
+    assert record.verdict == "error"
+    assert record.error["type"] == "InputError"
+    assert "nilpotent" in record.error["message"]
+    assert main(["run", "--config", json.dumps(nilpotent_config(name))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [InputError]")
+    assert "Traceback" not in err
 
 
 def test_table_format_contents():

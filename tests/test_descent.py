@@ -201,9 +201,9 @@ def test_quotient_verdict_hyperkahler_cover():
     verdict = quotient_verdict(sc)
     assert verdict.verdict == "GY violated"
     assert verdict.entropy_lower == pytest.approx(math.log(6))
-    assert verdict.quotient_log_rho == 0.0
-    assert verdict.quotient_log_rho_exact_zero
-    assert verdict.quotient_rank == 3
+    assert verdict.log_rho == 0.0
+    assert verdict.log_rho_exact_zero
+    assert verdict.details["quotient_rank"] == 3
 
 
 def test_quotient_verdict_no_bound_no_claim():
@@ -218,9 +218,9 @@ def test_quotient_verdict_non_unipotent_inequality():
     word = ActionWord(Z2, (ExplicitMatrix(big),))
     sc = CoverScenario(Z2, SquareIntMatrix.identity(2), 1, word, 0.1)
     verdict = quotient_verdict(sc)
-    assert not verdict.quotient_log_rho_exact_zero
-    assert verdict.quotient_log_rho <= verdict.cover_log_rho + 1e-8
-    assert verdict.quotient_rank == 2
+    assert not verdict.log_rho_exact_zero
+    assert verdict.log_rho <= verdict.details["cover_log_rho"] + 1e-8
+    assert verdict.details["quotient_rank"] == 2
 
 
 def test_unipotent_cover_forces_unipotent_restriction():

@@ -12,8 +12,8 @@ from catent.lattice import (
     poly_divides,
     spectral_radius,
 )
-from catent.twists import BoundSeries, HKModel, HKVerdict, gy_verdict
-from catent.words import derive_verdict
+from catent.twists import BoundSeries, HKModel, gy_verdict
+from catent.words import Verdict, derive_verdict
 from lattice_powers import symmetric_power_matrix, tensor_power_matrix
 
 TOL = 1e-9
@@ -145,7 +145,7 @@ def test_lift_verdict_scales_gap():
     verdict = hilbert_lift_verdict(3, base)
     assert verdict.entropy_lower == pytest.approx(3 * math.log(7))
     assert verdict.log_rho == 0.0 and verdict.log_rho_exact_zero
-    assert verdict.strict_gap
+    assert verdict.details["strict_gap"]
     assert verdict.series.lowers[0] == 24155**3
     assert verdict.empirical_slope == 3 * base.empirical_slope
     assert verdict.gap == verdict.entropy_lower
@@ -163,7 +163,7 @@ def test_lift_verdict_equality_case_claims_no_gap():
     # Base with entropy bound equal to log rho: no strict gap is claimed.
     series = BoundSeries(0.0, (2, 4, 8), (2, 4, 8))
     log2 = math.log(2)
-    base = HKVerdict(
+    base = Verdict(
         log_rho=log2,
         log_rho_exact_zero=False,
         entropy_lower=log2,
@@ -171,9 +171,10 @@ def test_lift_verdict_equality_case_claims_no_gap():
         gap=0.0,
         verdict=derive_verdict(log2, log2, False, TOL),
         series=series,
+        details={},
     )
     verdict = hilbert_lift_verdict(2, base)
-    assert not verdict.strict_gap
+    assert not verdict.details["strict_gap"]
     assert verdict.log_rho == pytest.approx(2 * math.log(2))
     assert not verdict.log_rho_exact_zero
     assert verdict.verdict == "no violation certified"

@@ -69,7 +69,7 @@ def _count_calls(monkeypatch, names):
         ("k3-q10", (1, 1, 1)),
         ("k3n-hilb", (1, 2, 1)),
         ("hk-2n", (1, 1, 1)),
-        ("enriques-over-hk", (2, 1, 3)),
+        ("enriques-over-hk", (2, 1, 1)),
     ],
 )
 def test_each_preset_certifies_each_word_once(monkeypatch, name, expected):
