@@ -6,6 +6,22 @@ complex: a finitely supported map degree -> [lo, hi], where an ``hi`` of
 degree (``is_exact``); ``GradedDimInterval.exact`` builds one from a map
 degree -> dimension.
 
+Storage is dense and immutable.  ``offset`` is the lowest stored degree and
+the tuples ``lows``/``highs`` hold the bounds of degrees offset, offset + 1,
+...; cells [0, 0] are trimmed from both ends (an empty profile has offset 0),
+and a zero inside the range is the small int ``0``.  An exact profile stores
+one tuple (``highs is lows``), an inexact one shares the int object of every
+cell with lo == hi, and ``shifted`` shares the tuples of its source.  So
+``lo(j)``/``hi(j)`` are index lookups, ``==`` and ``hash`` work on
+(offset, lows, highs), and ``entries`` is a derived view of the nonzero
+(degree, lo, hi) triples.
+
+Only the public constructors validate: ``GradedDimInterval(entries)``, which
+``exact`` and ``from_dict`` call, requires int degrees and bounds (bools are
+not ints here; ``hi`` may be None), 0 <= lo <= hi and no repeated degree, and
+raises ``InputError`` otherwise.  Results computed in this module go through
+``_profile``, which only trims and shares.
+
 ``cone_bounds`` propagates bounds through an exact triangle A -> B -> C ->
 A[1] using only the long exact sequence of cohomology.  For each degree j the
 cone satisfies
@@ -32,7 +48,7 @@ that of B minus that of A (the rank terms cancel in the alternating sum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import count, islice
 from typing import Mapping
 
 from .errors import ContractError, InputError
@@ -50,31 +66,39 @@ def _add_hi(x, y):
     return None if x is None or y is None else x + y
 
 
-@dataclass(frozen=True)
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class GradedDimInterval:
     """Finitely supported map degree -> [lo, hi]; hi None means unknown.
 
-    Degrees outside the support are exactly [0, 0].
+    Degrees outside the stored range are exactly [0, 0].
     """
 
-    entries: tuple[tuple[int, int, int | None], ...] = ()
+    __slots__ = ("offset", "lows", "highs")
 
-    def __post_init__(self):
-        seen = {}
-        for deg, lo, hi in self.entries:
-            deg, lo = int(deg), int(lo)
-            hi = None if hi is None else int(hi)
+    def __new__(cls, entries=()):
+        cells: dict[int, tuple[int, int | None]] = {}
+        for deg, lo, hi in entries:
+            if not (_is_int(deg) and _is_int(lo) and (hi is None or _is_int(hi))):
+                raise InputError(
+                    "degrees and bounds must be integers, got "
+                    f"({deg!r}, {lo!r}, {hi!r})"
+                )
             if lo < 0:
                 raise InputError(f"negative lower bound {lo} at degree {deg}")
             if hi is not None and hi < lo:
                 raise InputError(f"empty interval [{lo}, {hi}] at degree {deg}")
-            if deg in seen:
+            if deg in cells:
                 raise InputError(f"duplicate degree {deg}")
-            if lo != 0 or hi != 0:
-                seen[deg] = (lo, hi)
-        object.__setattr__(
-            self, "entries", tuple((d, lo, hi) for d, (lo, hi) in sorted(seen.items()))
-        )
+            cells[int(deg)] = (int(lo), None if hi is None else int(hi))
+        offset = min(cells, default=0)
+        lows = [0] * (max(cells, default=-1) - offset + 1)
+        highs = lows.copy()
+        for deg, (lo, hi) in cells.items():
+            lows[deg - offset], highs[deg - offset] = lo, hi
+        return _profile(offset, lows, highs)
 
     @classmethod
     def exact(cls, d: Mapping[int, int]) -> "GradedDimInterval":
@@ -85,49 +109,115 @@ class GradedDimInterval:
     def from_dict(cls, d: Mapping[int, tuple[int, int | None]]) -> "GradedDimInterval":
         return cls(tuple((deg, lo, hi) for deg, (lo, hi) in d.items()))
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GradedDimInterval is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GradedDimInterval is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, GradedDimInterval):
+            return NotImplemented
+        return (self.offset, self.lows, self.highs) == (
+            other.offset, other.lows, other.highs)
+
+    def __hash__(self):
+        return hash((self.offset, self.lows, self.highs))
+
+    def __reduce__(self):  # copy and pickle without __setattr__
+        return _new, (self.offset, self.lows, self.highs)
+
+    def __repr__(self):
+        return f"GradedDimInterval(entries={self.entries!r})"
+
+    @property
+    def entries(self) -> tuple[tuple[int, int, int | None], ...]:
+        """The nonzero cells as (degree, lo, hi), by increasing degree."""
+        return tuple(
+            (deg, lo, hi)
+            for deg, lo, hi in zip(count(self.offset), self.lows, self.highs)
+            if lo or hi != 0
+        )
+
     def lo(self, j: int) -> int:
-        for deg, lo, _ in self.entries:
-            if deg == j:
-                return lo
-        return 0
+        i = j - self.offset
+        return self.lows[i] if 0 <= i < len(self.lows) else 0
 
     def hi(self, j: int) -> int | None:
-        for deg, _, hi in self.entries:
-            if deg == j:
-                return hi
-        return 0
+        i = j - self.offset
+        return self.highs[i] if 0 <= i < len(self.highs) else 0
 
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(deg for deg, _, _ in self.entries)
 
     def is_exact(self) -> bool:
-        return all(hi == lo for _, lo, hi in self.entries)
+        return self.highs is self.lows
 
     def shifted(self, s: int) -> "GradedDimInterval":
-        return GradedDimInterval(
-            tuple((deg - s, lo, hi) for deg, lo, hi in self.entries)
-        )
+        return _new(self.offset - s, self.lows, self.highs) if self.lows else self
 
     def lo_total(self) -> int:
-        return sum(lo for _, lo, _ in self.entries)
+        return sum(self.lows)
 
     def hi_total(self) -> int | None:
-        total = 0
-        for _, _, hi in self.entries:
-            total = _add_hi(total, hi)
-        return total
+        return None if None in self.highs else sum(self.highs)
+
+
+def _new(offset: int, lows: tuple, highs: tuple) -> GradedDimInterval:
+    g = object.__new__(GradedDimInterval)
+    object.__setattr__(g, "offset", offset)
+    object.__setattr__(g, "lows", lows)
+    object.__setattr__(g, "highs", highs)
+    return g
+
+
+def _profile(offset: int, lows, highs) -> GradedDimInterval:
+    """Trusted constructor for results computed in this module: no checks.
+
+    Takes two distinct lists of bounds for degrees offset, offset + 1, ...,
+    trims [0, 0] cells from both ends in place and shares every int (or the
+    whole tuple) where lo == hi.
+    """
+    while lows and lows[-1] == 0 and highs[-1] == 0:
+        lows.pop()
+        highs.pop()
+    start = 0
+    while start < len(lows) and lows[start] == 0 and highs[start] == 0:
+        start += 1
+    if start:
+        del lows[:start], highs[:start]
+    if lows == highs:
+        lows = highs = tuple(lows)
+    else:
+        for i, (lo, hi) in enumerate(zip(lows, highs)):
+            if lo == hi:
+                highs[i] = lo
+        lows, highs = tuple(lows), tuple(highs)
+    return _new(offset + start if lows else 0, lows, highs)
+
+
+def _padded(g: GradedDimInterval, start: int, stop: int):
+    """Lists (lows, highs) of g at degrees start .. stop - 1, a range that
+    covers every stored cell of g; one list when g is exact."""
+    i = g.offset - start
+    lows = [0] * (stop - start)
+    lows[i:i + len(g.lows)] = g.lows
+    if g.highs is g.lows:
+        return lows, lows
+    highs = [0] * (stop - start)
+    highs[i:i + len(g.highs)] = g.highs
+    return lows, highs
 
 
 def direct_sum(g1: GradedDimInterval, g2: GradedDimInterval) -> GradedDimInterval:
     """Degreewise interval sum; unknown upper bounds absorb."""
-    out: dict[int, tuple[int, int | None]] = {
-        deg: (lo, hi) for deg, lo, hi in g1.entries
-    }
-    for deg, lo, hi in g2.entries:
-        plo, phi = out.get(deg, (0, 0))
-        out[deg] = (plo + lo, _add_hi(phi, hi))
-    return GradedDimInterval.from_dict(out)
+    start = min(g1.offset, g2.offset)
+    stop = max(g1.offset + len(g1.lows), g2.offset + len(g2.lows))
+    lo1, hi1 = _padded(g1, start, stop)
+    lo2, hi2 = _padded(g2, start, stop)
+    return _profile(start, [a + b for a, b in zip(lo1, lo2)],
+                    [_add_hi(a, b) for a, b in zip(hi1, hi2)])
 
 
 def convolve_interval(
@@ -136,47 +226,65 @@ def convolve_interval(
     """Kuenneth product: [lo, hi](k) sums [lo1(i) lo2(j), hi1(i) hi2(j)] over
     i + j = k.
 
-    An unknown upper bound absorbs: every stored entry has hi > 0 or hi None,
-    so a product with an unknown factor is unknown.
+    Only cells other than [0, 0] take part, and each of those has hi > 0 or
+    hi None, so a product with an unknown factor is unknown and absorbs.
     """
-    out: dict[int, tuple[int, int | None]] = {}
-    for d1, lo1, hi1 in g1.entries:
-        for d2, lo2, hi2 in g2.entries:
-            d = d1 + d2
-            plo, phi = out.get(d, (0, 0))
-            out[d] = (plo + lo1 * lo2,
-                      _add_hi(phi, None if hi1 is None or hi2 is None else hi1 * hi2))
-    return GradedDimInterval.from_dict(out)
+    cells2 = [(j, lo2, hi2) for j, (lo2, hi2) in enumerate(zip(g2.lows, g2.highs))
+              if lo2 or hi2 != 0]
+    size = len(g1.lows) + len(g2.lows) - 1
+    lows, highs = [0] * size, [0] * size
+    for i, (lo1, hi1) in enumerate(zip(g1.lows, g1.highs)):
+        if not lo1 and hi1 == 0:
+            continue
+        for j, lo2, hi2 in cells2:
+            k = i + j
+            lows[k] += lo1 * lo2
+            if highs[k] is not None:
+                highs[k] = None if hi1 is None or hi2 is None else highs[k] + hi1 * hi2
+    return _profile(g1.offset + g2.offset, lows, highs)
 
 
 def _chi_interval(g: GradedDimInterval) -> tuple[int, int] | None:
     """Range of the alternating sum; None when an upper bound is unknown."""
-    lo_sum = hi_sum = 0
-    for deg, lo, hi in g.entries:
-        if hi is None:
-            return None
-        if deg % 2 == 0:
-            lo_sum += lo
-            hi_sum += hi
-        else:
-            lo_sum -= hi
-            hi_sum -= lo
-    return lo_sum, hi_sum
+    if None in g.highs:
+        return None
+    even, odd = g.offset % 2, 1 - g.offset % 2  # first even / odd degree index
+    return (sum(g.lows[even::2]) - sum(g.highs[odd::2]),
+            sum(g.highs[even::2]) - sum(g.lows[odd::2]))
 
 
 def cone_bounds(a: GradedDimInterval, b: GradedDimInterval) -> GradedDimInterval:
     """Degreewise bounds on the cone C of a triangle A -> B -> C -> A[1]."""
     global _CONE_EVALS
     _CONE_EVALS += 1
-    degrees = set(b.support) | {deg - 1 for deg in a.support}
-    out: dict[int, tuple[int, int | None]] = {}
-    for j in sorted(degrees):
-        hi = _add_hi(b.hi(j), a.hi(j + 1))
-        lo_b = b.lo(j) - a.hi(j) if a.hi(j) is not None else 0
-        lo_a = a.lo(j + 1) - b.hi(j + 1) if b.hi(j + 1) is not None else 0
-        lo = max(0, lo_b) + max(0, lo_a)
-        out[j] = (lo, hi)
-    result = GradedDimInterval.from_dict(out)
+    # C(j) reads A and B at j and j + 1, for j from start to stop - 1.
+    start = min(b.offset, a.offset - 1)
+    stop = max(b.offset + len(b.lows), a.offset - 1 + len(a.lows))
+    alo, ahi = _padded(a, start, stop + 1)
+    blo, bhi = _padded(b, start, stop + 1)
+    # Where one term is 0 the other is taken as it is, so the cone shares its
+    # (possibly large) ints with A and B instead of allocating equal copies.
+    lows, highs = [], []
+    for blo_j, bhi_j, ahi_j, alo_j1, ahi_j1, bhi_j1 in zip(
+        blo, bhi, ahi, islice(alo, 1, None), islice(ahi, 1, None), islice(bhi, 1, None)
+    ):
+        # hi_C(j) = hi_B(j) + hi_A(j+1)
+        if ahi_j1 == 0:
+            hi = bhi_j
+        elif bhi_j == 0:
+            hi = ahi_j1
+        else:
+            hi = None if bhi_j is None or ahi_j1 is None else bhi_j + ahi_j1
+        # lo_C(j) = max(0, lo_B(j) - hi_A(j)) + max(0, lo_A(j+1) - hi_B(j+1))
+        lo = 0
+        if ahi_j is not None and blo_j > ahi_j:
+            lo = blo_j if ahi_j == 0 else blo_j - ahi_j
+        if bhi_j1 is not None and alo_j1 > bhi_j1:
+            excess = alo_j1 if bhi_j1 == 0 else alo_j1 - bhi_j1
+            lo = excess if lo == 0 else lo + excess
+        lows.append(lo)
+        highs.append(hi)
+    result = _profile(start, lows, highs)
 
     chi_a, chi_b, chi_c = _chi_interval(a), _chi_interval(b), _chi_interval(result)
     if chi_a is not None and chi_b is not None and chi_c is not None:

@@ -1,11 +1,14 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catent.errors import InputError
+import graded_reference as ref
+from catent.errors import ContractError, InputError
 from catent.graded import (
     GradedDimInterval,
     _chi_interval,
@@ -323,3 +326,142 @@ def test_delta_value_interval():
     lo, hi = delta_value_interval(gi({0: (1, 1), 1: (2, 4)}), 0.5)
     assert lo == pytest.approx(1 + 2 * math.exp(-0.5))
     assert hi == pytest.approx(1 + 4 * math.exp(-0.5))
+
+
+def test_constructor_rejects_non_integers():
+    bad = [
+        ((0, 2.7, 3),),       # float lower bound, once truncated to 2
+        ((0, 1, 3.0),),       # float upper bound
+        ((0.5, 1, 1),),       # float degree, once truncated to 0
+        ((True, 1, 1),),      # bools are not integers here
+        ((0, True, 1),),
+        ((0, 1, False),),
+        (("4", 1, 1),),       # strings are not parsed
+        ((0, "4", "4"),),
+    ]
+    for entries in bad:
+        with pytest.raises(InputError):
+            GradedDimInterval(entries)
+    with pytest.raises(InputError):
+        GradedDimInterval.exact({0: 2.0})
+    with pytest.raises(InputError):
+        gi({1: (1, "2")})
+    with pytest.raises(InputError):
+        GradedDimInterval(((0, 1, 1), (0, 0, 0)))  # duplicate degree
+    assert GradedDimInterval(((0, 2, None),)).hi(0) is None
+
+
+# -- dense representation ------------------------------------------------------
+
+# Interval profiles over negative and positive degrees: cells may be [0, 0]
+# (interior zeros once stored), unknown above, and the profile may be empty.
+cells = st.one_of(
+    st.just((0, 0)),
+    st.tuples(st.integers(0, 4), st.one_of(st.none(), st.integers(0, 4))).map(
+        lambda p: (p[0], None if p[1] is None else p[0] + p[1])
+    ),
+)
+profiles = st.dictionaries(st.integers(-8, 8), cells, max_size=8).map(gi)
+exact_profiles = st.dictionaries(
+    st.integers(-8, 8), st.integers(0, 3**40), max_size=8
+).map(gd)
+
+
+def _outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except ContractError:
+        return ContractError
+    return result.entries if isinstance(result, GradedDimInterval) else result
+
+
+@given(profiles, profiles)
+@settings(max_examples=300)
+def test_dense_operations_match_sparse_reference(a, b):
+    assert _outcome(cone_bounds, a, b) == _outcome(ref.cone_bounds, a, b)
+    assert _outcome(convolve_interval, a, b) == _outcome(ref.convolve_interval, a, b)
+    assert _chi_interval(a) == ref._chi_interval(a)
+
+
+@given(exact_profiles, exact_profiles, st.integers(-3, 3))
+def test_dense_operations_match_sparse_reference_on_big_exact_profiles(a, b, s):
+    a = a.shifted(s)
+    assert _outcome(cone_bounds, a, b) == _outcome(ref.cone_bounds, a, b)
+    assert _outcome(convolve_interval, a, b) == _outcome(ref.convolve_interval, a, b)
+    assert _chi_interval(a) == ref._chi_interval(a)
+
+
+def _every_profile(g1, g2):
+    """The inputs and results of every operation on g1 and g2."""
+    return [g1, g2, g1.shifted(3), cone_bounds(g1, g2), cone_bounds(g2, g1),
+            convolve_interval(g1, g2), direct_sum(g1, g2)]
+
+
+@given(profiles, profiles)
+def test_stored_ends_are_trimmed(g1, g2):
+    for g in _every_profile(g1, g2):
+        assert len(g.lows) == len(g.highs)
+        if g.lows:
+            for i in (0, -1):
+                assert (g.lows[i], g.highs[i]) != (0, 0)
+            assert g.entries[0][0] == g.offset
+            assert g.entries[-1][0] == g.offset + len(g.lows) - 1
+        else:
+            assert g.offset == 0 and g.entries == ()
+
+
+@given(profiles, profiles)
+def test_highs_is_lows_exactly_when_exact(g1, g2):
+    for g in _every_profile(g1, g2):
+        exact = all(lo == hi for _, lo, hi in g.entries)
+        assert (g.highs is g.lows) == exact == g.is_exact()
+        for lo, hi in zip(g.lows, g.highs):
+            if lo == hi:
+                assert lo is hi
+
+
+def test_equal_cells_share_one_int():
+    big = 7**64
+    g = gi({0: (big, big), 1: (0, big + 1)})
+    assert not g.is_exact()
+    assert g.lows[0] is g.highs[0]
+    c = cone_bounds(gd({5: big}), gd({0: big}))
+    assert c.is_exact() and c.lows[0] is c.lows[-1] is big
+
+
+@given(profiles, st.integers(-5, 5))
+def test_shifted_shares_storage(g, s):
+    moved = g.shifted(s)
+    assert moved.lows is g.lows and moved.highs is g.highs
+    assert moved.entries == tuple((d - s, lo, hi) for d, lo, hi in g.entries)
+
+
+@given(profiles, profiles)
+def test_equality_and_hash_follow_entries(g1, g2):
+    for h in _every_profile(g1, g2):
+        assert (h == g1) == (h.entries == g1.entries)
+        same = GradedDimInterval(h.entries)
+        assert same == h and hash(same) == hash(h)
+        assert GradedDimInterval.from_dict(
+            {d: (lo, hi) for d, lo, hi in h.entries}) == h
+
+
+@given(profiles)
+def test_lo_hi_are_lookups_into_entries(g):
+    stored = {d: (lo, hi) for d, lo, hi in g.entries}
+    for j in range(-12, 13):
+        assert (g.lo(j), g.hi(j)) == stored.get(j, (0, 0))
+    assert g.support == tuple(stored)
+
+
+def test_profiles_are_immutable():
+    g = gi({0: (1, 2)})
+    for name, value in (("offset", 3), ("lows", (5,)), ("highs", (5,)),
+                        ("entries", ()), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+    with pytest.raises(AttributeError):
+        del g.lows
+    assert g.entries == ((0, 1, 2),)
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and twin.entries == g.entries
