@@ -19,7 +19,6 @@ from .graded import (
     GradedDimInterval,
     cone_bounds,
     cone_exact_from_map_rank,
-    direct_sum,
 )
 from .lattice import (
     BilinearLattice,
@@ -67,7 +66,6 @@ __all__ = [
     "spectral_radius",
     "is_unipotent",
     "GradedDimInterval",
-    "direct_sum",
     "cone_bounds",
     "cone_exact_from_map_rank",
     "ActionWord",

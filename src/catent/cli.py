@@ -18,11 +18,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import __version__
 from .descent import CoverScenario, quotient_verdict
-from .errors import EngineError, InputError
+from .errors import EngineError, InputError, NumericError
 from .graded import cone_evaluations
 from .hilbert import hilbert_lift_verdict
 from .lattice import DEFAULT_TOL, BilinearLattice, LatticeVector, SquareIntMatrix
@@ -160,7 +160,13 @@ def _validate_rr(out, data, path):
     if has_q == has_table:
         out.append(f"{path}q: supply exactly one of q or d_table")
     elif has_q:
-        norm["q"] = _check_int(out, data, "q", path, lo=1)
+        # For odd q, d_1 = binom(q/2 + n + 1, n) is an odd integer over
+        # 2^n n!, so no run could succeed.
+        q = data["q"]
+        if not (_is_int(q) and q > 0 and q % 2 == 0):
+            out.append(f"{path}q: must be an even positive integer, got {q!r}")
+            q = None
+        norm["q"] = q
     else:
         norm["d_table"] = _check_d_table(out, data, path)
     norm["m_max"] = _check_int(out, data, "m_max", path, lo=3, hi=MAX_M)
@@ -341,7 +347,8 @@ def load_config(source) -> ScenarioConfig:
                 f"config parse error at line {exc.lineno}, column {exc.colno}: "
                 f"{exc.msg}"
             ) from exc
-        except ValueError as exc:  # e.g. an integer literal past the digit limit
+        except (ValueError, RecursionError) as exc:
+            # an integer literal past the digit limit, or nesting too deep
             raise InputError(f"config parse error: {exc}") from exc
     norm, violations = validate_config(raw)
     if violations:
@@ -427,8 +434,10 @@ class ReportRecord:
     """Self-auditing scenario report.
 
     The verdict is re-derivable from the record's own bound, log_rho, and
-    exactness fields; ``timing`` counts cone evaluations from a cold cache
-    so that identical runs produce identical reports.
+    exactness fields; ``work_units`` counts cone evaluations from a cold
+    cache so that identical runs produce identical reports.  The JSON form
+    is the report and engine versions followed by the fields in order, with
+    ``work_units`` nested as ``timing``.
     """
 
     scenario: dict
@@ -442,43 +451,16 @@ class ReportRecord:
     details: dict = field(default_factory=dict)
     work_units: int = 0
     error: dict | None = None
-    engine_version: str = __version__
-    report_version: int = REPORT_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "report_version": self.report_version,
-            "engine_version": self.engine_version,
-            "scenario": copy.deepcopy(self.scenario),
-            "verdict": self.verdict,
-            "entropy_lower_certified": self.entropy_lower_certified,
-            "empirical_slope": self.empirical_slope,
-            "log_rho": self.log_rho,
-            "log_rho_exact_zero": self.log_rho_exact_zero,
-            "gap": self.gap,
-            "series": copy.deepcopy(self.series),
-            "details": copy.deepcopy(self.details),
-            "timing": {"work_units": self.work_units},
-            "error": copy.deepcopy(self.error),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReportRecord":
-        return cls(
-            scenario=d["scenario"],
-            verdict=d["verdict"],
-            entropy_lower_certified=d["entropy_lower_certified"],
-            empirical_slope=d["empirical_slope"],
-            log_rho=d["log_rho"],
-            log_rho_exact_zero=d["log_rho_exact_zero"],
-            gap=d["gap"],
-            series=d["series"],
-            details=d["details"],
-            work_units=d["timing"]["work_units"],
-            error=d["error"],
-            engine_version=d["engine_version"],
-            report_version=d["report_version"],
-        )
+        out = {"report_version": REPORT_VERSION, "engine_version": __version__}
+        for f in fields(self):
+            value = copy.deepcopy(getattr(self, f.name))
+            if f.name == "work_units":
+                out["timing"] = {"work_units": value}
+            else:
+                out[f.name] = value
+        return out
 
 
 def _series_rows(series) -> list:
@@ -621,13 +603,22 @@ def run_scenario(cfg: ScenarioConfig) -> ReportRecord:
 
 
 def emit_report(record: ReportRecord, fmt: str = "json") -> str:
-    """Render a report; JSON output is byte-stable and round-trips losslessly."""
-    if fmt == "json":
-        return json.dumps(record.to_dict(), indent=2, allow_nan=False) + "\n"
-    if fmt != "table":
+    """Render a report; JSON output is byte-stable and parses back to
+    ``record.to_dict()``.  An int past the interpreter's digit limit for
+    str() cannot be printed and raises ``NumericError``."""
+    if fmt not in ("json", "table"):
         raise InputError(f"unknown report format {fmt!r}")
+    try:
+        if fmt == "json":
+            return json.dumps(record.to_dict(), indent=2, allow_nan=False) + "\n"
+        return _table(record)
+    except ValueError as exc:
+        raise NumericError(f"report cannot be printed: {exc}") from exc
+
+
+def _table(record: ReportRecord) -> str:
     lines = [
-        f"catent report v{record.report_version} (engine {record.engine_version})",
+        f"catent report v{REPORT_VERSION} (engine {__version__})",
         f"scenario kind: {record.scenario.get('kind')}",
         f"verdict: {record.verdict}",
     ]
@@ -663,9 +654,12 @@ def emit_report(record: ReportRecord, fmt: str = "json") -> str:
 
 def emit_series_csv(record: ReportRecord) -> str:
     lines = ["m,lower,upper"]
-    for row in record.series:
-        upper = "inf" if row["upper"] is None else row["upper"]
-        lines.append(f"{row['m']},{row['lower']},{upper}")
+    try:
+        for row in record.series:
+            upper = "inf" if row["upper"] is None else row["upper"]
+            lines.append(f"{row['m']},{row['lower']},{upper}")
+    except ValueError as exc:  # an int past the digit limit of str()
+        raise NumericError(f"series cannot be printed: {exc}") from exc
     return "\n".join(lines) + "\n"
 
 

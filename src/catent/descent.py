@@ -23,13 +23,7 @@ from functools import cached_property
 
 from .errors import ContractError, InputError
 from .lattice import DEFAULT_TOL, BilinearLattice, SquareIntMatrix
-from .words import (
-    ActionWord,
-    TensorClass,
-    Verdict,
-    certify_log_rho,
-    induced_matrix,
-)
+from .words import ActionWord, Verdict, certify_log_rho, induced_matrix
 
 
 def integer_kernel_basis(m: SquareIntMatrix) -> tuple[tuple[int, ...], ...]:
@@ -150,15 +144,6 @@ class CoverScenario:
 def commutes_with_deck(sc: CoverScenario) -> bool:
     """Exact check that the induced word action commutes with the deck action."""
     return sc.action @ sc.deck_matrix == sc.deck_matrix @ sc.action
-
-
-def tensor_generators_commute(sc: CoverScenario) -> bool:
-    """Exact check for the invariant-polarization condition on tensor factors."""
-    return all(
-        gen.matrix @ sc.deck_matrix == sc.deck_matrix @ gen.matrix
-        for gen in sc.word.generators
-        if isinstance(gen, TensorClass)
-    )
 
 
 def invariant_sublattice(

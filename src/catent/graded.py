@@ -51,7 +51,7 @@ import math
 from itertools import count, islice
 from typing import Mapping
 
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, NumericError
 
 # Running count of cone_bounds evaluations; the CLI reports this as the
 # deterministic work measure of a scenario.
@@ -60,10 +60,6 @@ _CONE_EVALS = 0
 
 def cone_evaluations() -> int:
     return _CONE_EVALS
-
-
-def _add_hi(x, y):
-    return None if x is None or y is None else x + y
 
 
 def _is_int(x) -> bool:
@@ -210,16 +206,6 @@ def _padded(g: GradedDimInterval, start: int, stop: int):
     return lows, highs
 
 
-def direct_sum(g1: GradedDimInterval, g2: GradedDimInterval) -> GradedDimInterval:
-    """Degreewise interval sum; unknown upper bounds absorb."""
-    start = min(g1.offset, g2.offset)
-    stop = max(g1.offset + len(g1.lows), g2.offset + len(g2.lows))
-    lo1, hi1 = _padded(g1, start, stop)
-    lo2, hi2 = _padded(g2, start, stop)
-    return _profile(start, [a + b for a, b in zip(lo1, lo2)],
-                    [_add_hi(a, b) for a, b in zip(hi1, hi2)])
-
-
 def convolve_interval(
     g1: GradedDimInterval, g2: GradedDimInterval
 ) -> GradedDimInterval:
@@ -327,13 +313,23 @@ def cone_exact_from_map_rank(
 def delta_value_interval(
     g: GradedDimInterval, t: float = 0.0
 ) -> tuple[float, float | None]:
-    """Lower/upper weighted totals sum of [lo,hi](k) e^{-kt}; exact at t=0."""
+    """Lower/upper weighted totals sum of [lo,hi](k) e^{-kt}; exact at t=0.
+
+    At t != 0 the totals are floats, and a total past the float range raises
+    ``NumericError``.
+    """
     if t == 0:
         return g.lo_total(), g.hi_total()
     lo_sum = 0.0
     hi_sum: float | None = 0.0
-    for deg, lo, hi in g.entries:
-        w = math.exp(-deg * t)
-        lo_sum += lo * w
-        hi_sum = None if hi_sum is None or hi is None else hi_sum + hi * w
+    try:
+        for deg, lo, hi in g.entries:
+            w = math.exp(-deg * t)
+            lo_sum += lo * w
+            hi_sum = None if hi_sum is None or hi is None else hi_sum + hi * w
+        finite = math.isfinite(lo_sum) and (hi_sum is None or math.isfinite(hi_sum))
+    except OverflowError:  # an int bound or a weight beyond the float range
+        finite = False
+    if not finite:
+        raise NumericError(f"weighted total at t={t} is not a finite float")
     return lo_sum, hi_sum

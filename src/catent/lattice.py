@@ -151,9 +151,6 @@ class LatticeVector:
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(int(x) for x in self.coords))
 
-    def __len__(self):
-        return len(self.coords)
-
 
 def _coords(v) -> tuple[int, ...]:
     if isinstance(v, LatticeVector):
@@ -234,27 +231,11 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-
-def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    if a.is_zero() or b.is_zero():
-        return IntPolynomial()
-    out = [0] * (a.degree + b.degree + 1)
-    for i, ca in enumerate(a.coeffs):
-        for j, cb in enumerate(b.coeffs):
-            out[i + j] += ca * cb
-    return IntPolynomial(tuple(out))
 
 
 def _frac_divmod(a: list[Fraction], b: list[Fraction]):
@@ -287,16 +268,6 @@ def poly_divmod_exact(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     if any(c.denominator != 1 for c in q):
         raise InputError("polynomial quotient is not integral")
     return IntPolynomial(tuple(int(c) for c in q))
-
-
-def poly_divides(b: IntPolynomial, a: IntPolynomial) -> bool:
-    """True iff b divides a exactly over Q."""
-    if b.is_zero():
-        return a.is_zero()
-    _, r = _frac_divmod(
-        [Fraction(c) for c in a.coeffs], [Fraction(c) for c in b.coeffs]
-    )
-    return not any(r)
 
 
 def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -360,27 +331,6 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     if g.degree < 1:
         return p
     return poly_divmod_exact(p, g)
-
-
-def poly_eval_matrix(p: IntPolynomial, m: SquareIntMatrix) -> SquareIntMatrix:
-    """Evaluate a polynomial at a matrix argument (Horner, exact)."""
-    acc = SquareIntMatrix.identity(m.n).scaled(0)
-    for c in reversed(p.coeffs):
-        acc = acc @ m + SquareIntMatrix.identity(m.n).scaled(c)
-    return acc
-
-
-def companion_matrix(p: IntPolynomial) -> SquareIntMatrix:
-    """Companion matrix of a monic integer polynomial."""
-    if p.degree < 1 or p.coeffs[-1] != 1:
-        raise InputError("companion matrix requires a monic polynomial of degree >= 1")
-    n = p.degree
-    rows = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        rows[i][i - 1] = 1
-    for i in range(n):
-        rows[i][n - 1] = -p.coeffs[i]
-    return SquareIntMatrix(tuple(tuple(r) for r in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,10 @@ Tracked families, for a generator index k and twist levels l >= 1:
 Their recursions only ever combine profiles whose supports are disjoint at
 the top, which is why the top degree of every iterate collapses to an exact
 value (the product d_{k+1} d_l d_1^{m-1}) and everything above it vanishes
-exactly; the ``verify_*`` functions enforce this as a hard contract.
+exactly.  ``verify_iterate_contract`` enforces this as a hard contract on
+every iterate the run path reads (``ext_growth_series`` calls it);
+``verify_correction_contract`` and ``verify_eval_cone_boundary`` state the
+same collapse for the other two families but run only in the tests.
 
 Entropy: the per-m lower bounds of the summed profiles grow like d_1^m, so
 log d_1 is a certified entropy lower bound; the action on any lattice model
@@ -437,7 +440,7 @@ def default_action_word(model: HKModel) -> ActionWord:
     Only unipotence matters for the verdict; the lattice is a Mukai-style
     stand-in spanned by rank, polarization, and point classes.
     """
-    q = model.q if model.q is not None and model.q % 2 == 0 else 2
+    q = model.q if model.q is not None else 2  # HKModel rejects odd q
     lattice = BilinearLattice(((0, 0, -1), (0, q, 0), (-1, 0, 0)), "symmetric")
     nil = SquareIntMatrix(((0, 0, 0), (-1, 0, 0), (0, -q, 0)))
     tensor = tensor_matrix_from_nilpotent(nil)

@@ -111,11 +111,6 @@ def twist_class_action(lattice: BilinearLattice, e) -> SquareIntMatrix:
     )
 
 
-def spherical_self_pairing(lattice: BilinearLattice) -> int:
-    """Required self-pairing of a spherical class under the lattice's sign."""
-    return 2 * lattice.euler_sign
-
-
 @dataclass(frozen=True)
 class ActionWord:
     """A composable word of generators over one lattice, applied right-to-left."""
@@ -140,7 +135,7 @@ class ActionWord:
                     )
                 if not gen.whitelisted:
                     sp = self.lattice.pairing(gen.vector, gen.vector)
-                    want = spherical_self_pairing(self.lattice)
+                    want = 2 * self.lattice.euler_sign
                     if sp != want:
                         raise InputError(
                             f"generator {i} class has self-pairing {sp}, "

@@ -22,7 +22,6 @@ from catent.lattice import (
     BilinearLattice,
     SquareIntMatrix,
     char_poly,
-    poly_eval_matrix,
     spectral_radius,
 )
 from catent.twists import (
@@ -35,7 +34,7 @@ from catent.twists import (
     verify_iterate_contract,
 )
 from catent.words import ActionWord, PTwist, TensorClass
-from lattice_powers import symmetric_power_matrix
+from lattice_powers import poly_eval_matrix, symmetric_power_matrix
 
 TOL = 1e-9
 

@@ -4,7 +4,6 @@ import math
 import pytest
 
 from catent.cli import (
-    ReportRecord,
     ScenarioConfig,
     emit_report,
     emit_series_csv,
@@ -64,6 +63,23 @@ def test_degenerate_table_cites_invariant():
         {"kind": "hk", "n": 1, "d_table": [1, 5], "m_max": 8}
     )
     assert any("d_i > 1" in v for v in violations)
+
+
+@pytest.mark.parametrize("config, field, q", [
+    ({"kind": "hk", "n": 1, "q": 3, "m_max": 5}, "q", 3),
+    ({"kind": "surface_twist", "q": 9, "k": 1, "l": 1, "m_max": 5}, "q", 9),
+    ({"kind": "hilb", "points": 2, "base": {"n": 1, "q": 5, "m_max": 5}},
+     "base.q", 5),
+    ({**list_builtin_models()["enriques-over-hk"],
+      "cover": {"n": 2, "q": 7, "m_max": 5}}, "cover.q", 7),
+])
+def test_odd_q_is_rejected_by_validate(capsys, config, field, q):
+    # With q odd, d_1 is an odd integer over 2^n n!, so every run would end
+    # in an error report; validate must say so first.
+    _, violations = validate_config(config)
+    assert violations == [f"{field}: must be an even positive integer, got {q}"]
+    assert main(["validate", "--config", json.dumps(config)]) == 1
+    assert "must be an even positive integer" in capsys.readouterr().err
 
 
 def test_all_violations_collected():
@@ -226,8 +242,9 @@ def test_run_serializes_engine_errors():
 def test_report_json_roundtrip_byte_identical():
     record = run_preset("k3-q10")
     text = emit_report(record, "json")
-    parsed = ReportRecord.from_dict(json.loads(text))
-    assert emit_report(parsed, "json") == text
+    parsed = json.loads(text)
+    assert parsed == record.to_dict()
+    assert json.dumps(parsed, indent=2, allow_nan=False) + "\n" == text
 
 
 def test_reports_deterministic_across_runs():
@@ -371,6 +388,37 @@ def test_main_integer_past_digit_limit_is_an_input_error(capsys):
     text = '{"kind": "hk", "n": 1, "q": 10, "m_max": 5, "tol": ' + "1" * 5000 + "}"
     assert main(["run", "--config", text]) == 1
     assert "error [InputError]" in capsys.readouterr().err
+
+
+def test_main_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [InputError]: config parse error")
+    assert "Traceback" not in err
+
+
+def test_main_weighted_total_past_float_range_is_a_numeric_error(capsys):
+    # At t > 0 the surface series is a float sum, and q = 10^300 puts its
+    # int bounds past the float range.
+    config = {"kind": "surface_twist", "q": 10**300, "k": 1, "l": 1,
+              "m_max": 3, "t": 0.5}
+    assert main(["run", "--config", json.dumps(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [NumericError]")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["run"], ["run", "--format", "table"], ["series"]])
+def test_main_report_past_the_int_digit_limit_is_a_numeric_error(capsys, argv):
+    # d_1 of q = 10^300 at n = 3 has about 900 digits, so the series passes
+    # the 4,300-digit limit of int-to-str conversion by m = 5.
+    config = {"kind": "hk", "n": 3, "q": 10**300, "m_max": 5}
+    assert main(argv + ["--config", json.dumps(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error [NumericError]")
 
 
 def test_main_engine_error_exit_code(capsys):

@@ -1,0 +1,190 @@
+"""Config-to-report fuzzing of ``catent run``.
+
+Draws valid and near-valid configs of every scenario kind, serializes them
+(non-finite floats as ``NaN``/``Infinity``) and runs them through ``main``.
+Every run must end in exit code 0 with a report, or in a typed engine error
+with its documented exit code; any other exception fails the test with its
+traceback.  A rerun must print the same bytes.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from catent.cli import list_builtin_models, main
+from catent.lattice import IntPolynomial
+from lattice_powers import companion_matrix
+
+ENRIQUES = list_builtin_models()["enriques-over-hk"]
+
+# Values that break a field: non-finite and huge numbers, odd q, wrong types.
+BAD_VALUES = st.sampled_from([
+    math.nan, math.inf, -math.inf, 10**300, -(10**300), 0, -1, 3, 2.5, True,
+    None, "2", [], {},
+])
+
+q_or_table = st.one_of(
+    st.fixed_dictionaries({"q": st.sampled_from([2, 4, 10, 10**300])}),
+    # hk at n = 3, m_max = 5 reads d_1 .. d_19
+    st.fixed_dictionaries({"d_table": st.integers(1, 20).flatmap(
+        lambda size: st.lists(st.integers(2, 60), min_size=size, max_size=size)
+    ).map(sorted)}),
+)
+
+
+def rr_fields(n=st.integers(1, 3), m_max=st.integers(3, 5)):
+    """Shared fields of the model-driven kinds."""
+    return st.tuples(st.fixed_dictionaries({"n": n, "m_max": m_max}),
+                     q_or_table).map(lambda p: {**p[0], **p[1]})
+
+
+@st.composite
+def matrices(draw, rank):
+    """Square int matrices of one of several shapes: the nilpotent and zero
+    ones have no log rho, and random ones with entries -2..2 are often
+    singular."""
+    shape = draw(st.sampled_from(["random", "unipotent", "nilpotent", "zero"]))
+    entry = st.integers(-2, 2)
+    rows = []
+    for i in range(rank):
+        if shape == "random":
+            rows.append(draw(st.lists(entry, min_size=rank, max_size=rank)))
+        elif shape == "zero":
+            rows.append([0] * rank)
+        else:
+            upper = draw(st.lists(entry, min_size=rank - i - 1, max_size=rank - i - 1))
+            rows.append([0] * i + [int(shape == "unipotent")] + upper)
+    return rows
+
+
+@st.composite
+def generators(draw, rank):
+    kind = draw(st.sampled_from(["shift", "ptwist", "tensor", "spherical", "explicit"]))
+    if kind == "tensor":
+        key = draw(st.sampled_from(["matrix", "nilpotent"]))
+        return {"kind": kind, key: draw(matrices(rank))}
+    if kind == "explicit":
+        return {"kind": kind, "matrix": draw(matrices(rank))}
+    if kind == "spherical":
+        vector = draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank))
+        return {"kind": kind, "class": vector, "whitelisted": draw(st.booleans())}
+    return {"kind": kind}
+
+
+@st.composite
+def lattice_words(draw):
+    rank = draw(st.one_of(st.integers(1, 6), st.sampled_from([12, 30])))
+    gram = draw(st.one_of(
+        st.just([[int(i == j) for j in range(rank)] for i in range(rank)]),
+        st.lists(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank),
+                 min_size=rank, max_size=rank),
+    ))
+    word = draw(st.lists(generators(rank), max_size=2 if rank > 6 else 3))
+    return {"kind": "lattice_word",
+            "lattice": {"gram": gram, "euler_sign": draw(st.sampled_from([1, -1]))},
+            "word": word}
+
+
+@st.composite
+def enriques(draw):
+    word = draw(st.lists(st.one_of(
+        st.sampled_from(ENRIQUES["word"] + [{"kind": "shift"}]),
+        generators(len(ENRIQUES["lattice"]["gram"])),
+    ), max_size=3))
+    cover = draw(rr_fields(n=st.integers(1, 2), m_max=st.integers(3, 4)))
+    return {**ENRIQUES, "cover": cover, "word": word}
+
+
+configs = st.one_of(
+    rr_fields().map(lambda rr: {"kind": "hk", **rr}),
+    st.builds(
+        lambda rr, k, l, t: {"kind": "surface_twist", **rr, "k": k, "l": l, "t": t},
+        rr_fields(n=st.just(1), m_max=st.integers(3, 6)).map(
+            lambda rr: {key: v for key, v in rr.items() if key != "n"}),
+        st.integers(1, 4), st.integers(1, 4),
+        st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    ),
+    st.builds(lambda points, base: {"kind": "hilb", "points": points, "base": base},
+              st.integers(1, 3), rr_fields(n=st.just(1))),
+    enriques(),
+    lattice_words(),
+)
+
+
+def _paths(value, path=()):
+    """Every key or index path into a config, the empty path excluded."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def near_valid(draw, config):
+    """The config, or a copy with one field replaced, dropped or added."""
+    action = draw(st.sampled_from(["keep", "replace", "drop", "add"]))
+    config = json.loads(json.dumps(config))
+    if action == "add":
+        config[draw(st.sampled_from(["t", "tol", "n", "q", "schema_version"]))] = draw(
+            st.one_of(BAD_VALUES, st.floats(0.0, 2.0)))
+        return config
+    if action == "keep":
+        return config
+    *parent, key = draw(st.sampled_from(sorted(_paths(config), key=repr)))
+    holder = config
+    for step in parent:
+        holder = holder[step]
+    if action == "drop":
+        del holder[key]
+    else:
+        holder[key] = draw(BAD_VALUES)
+    return config
+
+
+config_texts = configs.flatmap(near_valid).map(json.dumps)
+
+
+def run(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", "--config", text])
+    return code, out.getvalue(), err.getvalue()
+
+
+NILPOTENT = {"kind": "lattice_word", "lattice": {"gram": [[0, 1], [1, 0]]},
+             "word": [{"kind": "explicit", "matrix": [[0, 1], [0, 0]]}]}
+# x^30 - x - 1 at rank 30: log rho > 0, found by root refinement.
+RANK_30 = {"kind": "lattice_word",
+           "lattice": {"gram": [[int(i == j) for j in range(30)] for i in range(30)]},
+           "word": [{"kind": "shift"}, {"kind": "explicit", "matrix": [
+               list(row) for row in companion_matrix(
+                   IntPolynomial((-1, -1) + (0,) * 28 + (1,))).entries]}]}
+
+
+@example(json.dumps(NILPOTENT))
+@example(json.dumps(RANK_30))
+@example(json.dumps({"kind": "hk", "n": 1, "q": 3, "m_max": 5}))
+@example(json.dumps({"kind": "surface_twist", "q": 10**300, "k": 1, "l": 1,
+                     "m_max": 3, "t": 0.5}))
+@example(json.dumps({"kind": "hk", "n": 3, "q": 10**300, "m_max": 5}))
+@example("[" * 100_000 + "]" * 100_000)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(config_texts)
+def test_run_ends_in_a_report_or_a_typed_error(text):
+    code, out, err = run(text)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error [")
+    if out:
+        report = json.loads(out)
+        assert (report["error"] is None) == (code == 0)
+    else:
+        assert code
+    assert run(text) == (code, out, err)

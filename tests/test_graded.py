@@ -16,7 +16,6 @@ from catent.graded import (
     cone_exact_from_map_rank,
     convolve_interval,
     delta_value_interval,
-    direct_sum,
 )
 
 
@@ -76,25 +75,6 @@ def test_shift_examples():
 @given(graded_dims, st.integers(-4, 4), st.integers(-4, 4))
 def test_shift_group_action(g, a, b):
     assert g.shifted(a).shifted(b) == g.shifted(a + b)
-
-
-def test_direct_sum_examples():
-    g = gi({0: (1, 1), 2: (0, 3)})
-    assert direct_sum(g, gi({})) == g
-    assert direct_sum(gi({0: (1, 1)}), gi({0: (2, 2)})) == gi({0: (3, 3)})
-
-
-def test_direct_sum_commutative():
-    rng = random.Random(5)
-    for _ in range(20):
-        a = random_graded(rng)
-        b = random_graded(rng)
-        assert direct_sum(a, b) == direct_sum(b, a)
-
-
-def test_direct_sum_unknown_absorbs():
-    s = direct_sum(gi({0: (1, None)}), gi({0: (2, 2)}))
-    assert s.lo(0) == 3 and s.hi(0) is None
 
 
 # -- convolution ---------------------------------------------------------------
@@ -394,7 +374,7 @@ def test_dense_operations_match_sparse_reference_on_big_exact_profiles(a, b, s):
 def _every_profile(g1, g2):
     """The inputs and results of every operation on g1 and g2."""
     return [g1, g2, g1.shifted(3), cone_bounds(g1, g2), cone_bounds(g2, g1),
-            convolve_interval(g1, g2), direct_sum(g1, g2)]
+            convolve_interval(g1, g2)]
 
 
 @given(profiles, profiles)

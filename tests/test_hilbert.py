@@ -6,15 +6,10 @@ import pytest
 
 from catent.errors import InputError
 from catent.hilbert import hilbert_lift_verdict, kunneth_power_series
-from catent.lattice import (
-    SquareIntMatrix,
-    char_poly,
-    poly_divides,
-    spectral_radius,
-)
+from catent.lattice import SquareIntMatrix, char_poly, spectral_radius
 from catent.twists import BoundSeries, HKModel, gy_verdict
 from catent.words import Verdict, derive_verdict
-from lattice_powers import symmetric_power_matrix, tensor_power_matrix
+from lattice_powers import poly_divides, symmetric_power_matrix, tensor_power_matrix
 
 TOL = 1e-9
 

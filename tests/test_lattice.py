@@ -13,15 +13,13 @@ from catent.lattice import (
     IntPolynomial,
     SquareIntMatrix,
     char_poly,
-    companion_matrix,
     is_unipotent,
     poly_divmod_exact,
-    poly_eval_matrix,
     poly_gcd,
-    poly_mul,
     spectral_radius,
     squarefree_part,
 )
+from lattice_powers import companion_matrix, poly_eval_matrix, poly_mul
 
 TOL = 1e-9
 

@@ -9,7 +9,6 @@ from catent.lattice import (
     IntPolynomial,
     LatticeVector,
     SquareIntMatrix,
-    companion_matrix,
     is_unipotent,
     spectral_radius,
 )
@@ -27,6 +26,7 @@ from catent.words import (
     tensor_matrix_from_nilpotent,
     twist_class_action,
 )
+from lattice_powers import companion_matrix
 
 TOL = 1e-9
 
