@@ -1,10 +1,12 @@
 """Scenario configuration, orchestration, and machine-readable reporting.
 
 Configs are JSON documents with a versioned schema (one ``kind`` per
-scenario family); reports are versioned JSON with a stable field order, so
-identical configs produce byte-identical output.  The ``timing`` field
-records deterministic work units (cone evaluations from a cold cache) rather
-than wall-clock time, for the same reason.
+scenario family).  Reports are versioned JSON with a stable field order:
+``run_scenario`` returns each report as a dict with its keys in that order
+and ``emit_report`` prints the dict as it is, so identical configs produce
+byte-identical output.  The ``timing`` field records deterministic work
+units (cone evaluations from a cold cache) rather than wall-clock time, for
+the same reason.
 
 Subcommands: ``validate``, ``run``, ``catalog``, ``series`` (CSV dump).
 Exit codes: 0 success, 1 input error, 2 numeric error, 3 contract violation.
@@ -18,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 from . import __version__
 from .descent import CoverScenario, quotient_verdict
@@ -30,7 +32,9 @@ from .twists import (
     HKModel,
     clear_caches,
     entropy_lower_bound,
+    ext_growth_depth,
     gy_verdict,
+    spherical_twist_depth,
     spherical_twist_series,
 )
 from .words import (
@@ -48,7 +52,6 @@ from .words import (
 
 SCHEMA_VERSION = 1
 REPORT_VERSION = 1
-KINDS = ("hk", "hilb", "enriques", "lattice_word", "surface_twist")
 MAX_RANK = 30
 MAX_M = 64
 
@@ -143,17 +146,18 @@ def _check_d_table(out, data, path):
         if not _is_int(v):
             out.append(f"{path}d_table[{i}]: must be an integer, got {v!r}")
             return None
-        if v <= 1:
-            out.append(f"{path}d_table[{i}]: violates the invariant d_i > 1 (got {v})")
-            return None
-    if any(a > b for a, b in zip(table, table[1:])):
-        out.append(f"{path}d_table: must be nondecreasing")
-        return None
     return list(table)
 
 
-def _validate_rr(out, data, path):
-    """Shared fields of model-driven kinds: n, q or d_table, m_max."""
+def _validate_rr(out, data, path, deepest=ext_growth_depth):
+    """Shared fields of model-driven kinds: n, q or d_table, m_max.
+
+    Once these are valid, a d_table model is built and d_i read at
+    ``deepest(n, m_max)``, the deepest index the run reads, so a table that
+    breaks the model's rules or is too short fails here.  An even q gives
+    every d_i, so a q model needs no such check.
+    """
+    before = len(out)
     norm = {}
     norm["n"] = _check_int(out, data, "n", path, lo=1, hi=8)
     has_q, has_table = "q" in data, "d_table" in data
@@ -170,6 +174,11 @@ def _validate_rr(out, data, path):
     else:
         norm["d_table"] = _check_d_table(out, data, path)
     norm["m_max"] = _check_int(out, data, "m_max", path, lo=3, hi=MAX_M)
+    if len(out) == before and has_table and deepest is not None:
+        try:
+            _model_from(norm).dim(deepest(norm["n"], norm["m_max"]))
+        except InputError as exc:
+            out.append(f"{path}d_table: {exc}")
     if "t" in data:
         out.append(f"{path}t: only surface_twist reads t")
     return norm
@@ -252,8 +261,8 @@ def validate_config(data) -> tuple[dict | None, list[str]]:
     if not _is_int(version) or version != SCHEMA_VERSION:
         out.append(f"schema_version: engine supports version {SCHEMA_VERSION}, got {version}")
     kind = data.get("kind")
-    if kind not in KINDS:
-        out.append(f"kind: must be one of {KINDS}, got {kind!r}")
+    if kind not in _RUNNERS:
+        out.append(f"kind: must be one of {tuple(_RUNNERS)}, got {kind!r}")
         return None, out
 
     norm: dict = {"schema_version": SCHEMA_VERSION, "kind": kind}
@@ -261,15 +270,18 @@ def validate_config(data) -> tuple[dict | None, list[str]]:
     if kind == "hk":
         norm.update(_validate_rr(out, data, ""))
     elif kind == "surface_twist":
+        k = _check_int(out, data, "k", "", lo=1, hi=20)
+        l = _check_int(out, data, "l", "", lo=1, hi=20)
+        deepest = None if None in (k, l) else (
+            lambda n, m_max: spherical_twist_depth(k, l, m_max))
         rr = {key: value for key, value in data.items() if key != "t"}
-        sub = _validate_rr(out, {**rr, "n": 1}, "")
+        sub = _validate_rr(out, {**rr, "n": 1}, "", deepest)
         sub.pop("n")
         norm.update(sub)
         norm["t"] = _check_number(out, data, "t", "", required=False, default=0.0)
         if norm["t"] is not None and norm["t"] < 0:
             out.append(f"t: must be >= 0, got {norm['t']}")
-        norm["k"] = _check_int(out, data, "k", "", lo=1, hi=20)
-        norm["l"] = _check_int(out, data, "l", "", lo=1, hi=20)
+        norm["k"], norm["l"] = k, l
         if norm.get("m_max") is not None and norm["m_max"] > 12:
             out.append("m_max: must be <= 12 for surface iteration, "
                        f"got {norm['m_max']}")
@@ -425,55 +437,13 @@ def list_builtin_models() -> dict[str, dict]:
 
 
 # ---------------------------------------------------------------------------
-# Report records
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ReportRecord:
-    """Self-auditing scenario report.
-
-    The verdict is re-derivable from the record's own bound, log_rho, and
-    exactness fields; ``work_units`` counts cone evaluations from a cold
-    cache so that identical runs produce identical reports.  The JSON form
-    is the report and engine versions followed by the fields in order, with
-    ``work_units`` nested as ``timing``.
-    """
-
-    scenario: dict
-    verdict: str = "no violation certified"
-    entropy_lower_certified: float | None = None
-    empirical_slope: float | None = None
-    log_rho: float | None = None
-    log_rho_exact_zero: bool = False
-    gap: float | None = None
-    series: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
-    work_units: int = 0
-    error: dict | None = None
-
-    def to_dict(self) -> dict:
-        out = {"report_version": REPORT_VERSION, "engine_version": __version__}
-        for f in fields(self):
-            value = copy.deepcopy(getattr(self, f.name))
-            if f.name == "work_units":
-                out["timing"] = {"work_units": value}
-            else:
-                out[f.name] = value
-        return out
-
-
-def _series_rows(series) -> list:
-    return [{"m": m, "lower": lo, "upper": hi} for m, lo, hi in series.rows()]
-
-
-# ---------------------------------------------------------------------------
 # Scenario execution
 # ---------------------------------------------------------------------------
 
 
 def _model_from(params: dict) -> HKModel:
-    return HKModel(params["n"], params.get("q"), params.get("d_table"))
+    # surface_twist configs carry no n: their model is a surface
+    return HKModel(params.get("n", 1), params.get("q"), params.get("d_table"))
 
 
 def _build_lattice(cfg: dict) -> BilinearLattice:
@@ -552,7 +522,7 @@ def _run_lattice_word(cfg: ScenarioConfig) -> Verdict:
 
 
 def _run_surface_twist(cfg: ScenarioConfig) -> Verdict:
-    surface = HKModel(1, cfg.data.get("q"), cfg.data.get("d_table"))
+    surface = _model_from(cfg.data)
     series = spherical_twist_series(
         surface, cfg.data["k"], cfg.data["l"], cfg.data["m_max"], cfg.data["t"]
     )
@@ -569,32 +539,40 @@ _RUNNERS = {
 }
 
 
-def run_scenario(cfg: ScenarioConfig) -> ReportRecord:
-    """Execute one scenario; an engine error gives a report that carries only
-    the scenario, the error and the work done before it."""
+def run_scenario(cfg: ScenarioConfig) -> dict:
+    """Execute one scenario and return its report as a dict in JSON field
+    order.  An engine error gives a report that carries only the scenario,
+    the error and the work done before it, every result field at its
+    default."""
     clear_caches()
     start_work = cone_evaluations()
+    error = None
     try:
         if cfg.kind not in _RUNNERS:
             raise InputError(f"unknown scenario kind {cfg.kind!r}")
         v = _RUNNERS[cfg.kind](cfg)
-        fields = dict(
-            verdict=v.verdict, entropy_lower_certified=v.entropy_lower,
-            empirical_slope=v.empirical_slope, log_rho=v.log_rho,
-            log_rho_exact_zero=v.log_rho_exact_zero, gap=v.gap,
-            series=[] if v.series is None else _series_rows(v.series),
-            details=v.details,
-        )
     except EngineError as exc:
-        fields = {
-            "verdict": "error",
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-    return ReportRecord(
-        scenario=cfg.to_dict(),
-        work_units=cone_evaluations() - start_work,
-        **fields,
-    )
+        v = Verdict(entropy_lower=None, empirical_slope=None, log_rho=None,
+                    log_rho_exact_zero=False, gap=None, verdict="error",
+                    series=None, details={})
+        error = {"type": type(exc).__name__, "message": str(exc)}
+    return {
+        "report_version": REPORT_VERSION,
+        "engine_version": __version__,
+        "scenario": cfg.to_dict(),
+        "verdict": v.verdict,
+        "entropy_lower_certified": v.entropy_lower,
+        "empirical_slope": v.empirical_slope,
+        "log_rho": v.log_rho,
+        "log_rho_exact_zero": v.log_rho_exact_zero,
+        "gap": v.gap,
+        "series": [] if v.series is None else [
+            {"m": m, "lower": lo, "upper": hi} for m, lo, hi in v.series.rows()
+        ],
+        "details": v.details,
+        "timing": {"work_units": cone_evaluations() - start_work},
+        "error": error,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -602,60 +580,61 @@ def run_scenario(cfg: ScenarioConfig) -> ReportRecord:
 # ---------------------------------------------------------------------------
 
 
-def emit_report(record: ReportRecord, fmt: str = "json") -> str:
+def emit_report(report: dict, fmt: str = "json") -> str:
     """Render a report; JSON output is byte-stable and parses back to
-    ``record.to_dict()``.  An int past the interpreter's digit limit for
-    str() cannot be printed and raises ``NumericError``."""
+    ``report``.  An int past the interpreter's digit limit for str() cannot
+    be printed and raises ``NumericError``."""
     if fmt not in ("json", "table"):
         raise InputError(f"unknown report format {fmt!r}")
     try:
         if fmt == "json":
-            return json.dumps(record.to_dict(), indent=2, allow_nan=False) + "\n"
-        return _table(record)
+            return json.dumps(report, indent=2, allow_nan=False) + "\n"
+        return _table(report)
     except ValueError as exc:
         raise NumericError(f"report cannot be printed: {exc}") from exc
 
 
-def _table(record: ReportRecord) -> str:
+def _table(report: dict) -> str:
     lines = [
         f"catent report v{REPORT_VERSION} (engine {__version__})",
-        f"scenario kind: {record.scenario.get('kind')}",
-        f"verdict: {record.verdict}",
+        f"scenario kind: {report['scenario'].get('kind')}",
+        f"verdict: {report['verdict']}",
     ]
-    if record.error:
-        lines.append(f"error [{record.error['type']}]: {record.error['message']}")
-    if record.entropy_lower_certified is not None:
+    error = report["error"]
+    if error:
+        lines.append(f"error [{error['type']}]: {error['message']}")
+    if report["entropy_lower_certified"] is not None:
         lines.append(
-            f"certified entropy lower bound: {record.entropy_lower_certified:.12g}"
+            f"certified entropy lower bound: {report['entropy_lower_certified']:.12g}"
         )
-    if record.empirical_slope is not None:
-        lines.append(f"empirical log-slope: {record.empirical_slope:.12g}")
-    if record.log_rho is not None:
+    if report["empirical_slope"] is not None:
+        lines.append(f"empirical log-slope: {report['empirical_slope']:.12g}")
+    if report["log_rho"] is not None:
         rho_text = (
             "0 (exact, unipotent up to sign)"
-            if record.log_rho_exact_zero
-            else f"{record.log_rho:.12g}"
+            if report["log_rho_exact_zero"]
+            else f"{report['log_rho']:.12g}"
         )
         lines.append(f"log spectral radius: {rho_text}")
-    if record.gap is not None:
-        lines.append(f"gap: {record.gap:.12g}")
-    for key, val in record.details.items():
+    if report["gap"] is not None:
+        lines.append(f"gap: {report['gap']:.12g}")
+    for key, val in report["details"].items():
         lines.append(f"{key}: {val}")
-    if record.series:
+    if report["series"]:
         lines.append("")
         lines.append(f"{'m':>4}  {'lower':>24}  {'upper':>24}")
-        for row in record.series:
+        for row in report["series"]:
             upper = "unbounded" if row["upper"] is None else row["upper"]
             lines.append(f"{row['m']:>4}  {row['lower']:>24}  {upper:>24}")
     lines.append("")
-    lines.append(f"work units: {record.work_units}")
+    lines.append(f"work units: {report['timing']['work_units']}")
     return "\n".join(lines) + "\n"
 
 
-def emit_series_csv(record: ReportRecord) -> str:
+def emit_series_csv(report: dict) -> str:
     lines = ["m,lower,upper"]
     try:
-        for row in record.series:
+        for row in report["series"]:
             upper = "inf" if row["upper"] is None else row["upper"]
             lines.append(f"{row['m']},{row['lower']},{upper}")
     except ValueError as exc:  # an int past the digit limit of str()
@@ -749,16 +728,15 @@ def main(argv=None) -> int:
         if args.command == "validate":
             _write_out(f"config OK: kind={cfg.kind}\n", args.out)
             return 0
-        record = run_scenario(cfg)
+        report = run_scenario(cfg)
         if args.command == "series":
-            _write_out(emit_series_csv(record), args.out)
+            _write_out(emit_series_csv(report), args.out)
         else:
-            _write_out(emit_report(record, args.format), args.out)
-        if record.error is not None:
-            sys.stderr.write(
-                f"error [{record.error['type']}]: {record.error['message']}\n"
-            )
-            return _EXIT_CODES.get(record.error["type"], 1)
+            _write_out(emit_report(report, args.format), args.out)
+        error = report["error"]
+        if error is not None:
+            sys.stderr.write(f"error [{error['type']}]: {error['message']}\n")
+            return _EXIT_CODES.get(error["type"], 1)
         return 0
     except EngineError as exc:
         sys.stderr.write(f"error [{type(exc).__name__}]: {exc}\n")

@@ -387,6 +387,13 @@ class BoundSeries:
         return statistics.linear_regression(ms, logs).slope
 
 
+def ext_growth_depth(n: int, m_max: int) -> int:
+    """The deepest i whose d_i ``ext_growth_series`` reads at half dimension
+    n: ``iterate_profile(m, k, l)`` bottoms out at d_{k+l+m}, with k and l
+    up to the generator width 2n + 1 and m up to m_max."""
+    return 4 * n + 2 + m_max
+
+
 def ext_growth_series(model: HKModel, m_max: int) -> BoundSeries:
     """Bounds on the Ext total between the positive and twisted negative
     generators, summed over all summand pairs, for m = 1 .. m_max."""
@@ -484,6 +491,12 @@ def spherical_twist_step(
     """
     _require_surface(model)
     return cone_bounds(convolve_interval(mult, _twist_kernel(model, l)), target)
+
+
+def spherical_twist_depth(k: int, l: int, m_max: int) -> int:
+    """The deepest i whose d_i ``spherical_twist_series`` reads: its step-0
+    profiles sit at d_{k+lv} for twist levels lv up to l + m_max."""
+    return k + l + m_max
 
 
 def spherical_twist_series(

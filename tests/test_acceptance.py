@@ -130,11 +130,11 @@ def test_criterion_3_growth_floor_and_slope():
 
 
 def test_criterion_4_k3_preset_verdict():
-    record = run_scenario(load_config(list_builtin_models()["k3-q10"]))
-    assert record.verdict == "GY violated"
-    assert record.entropy_lower_certified == math.log(7)
-    assert record.log_rho == 0.0
-    assert record.log_rho_exact_zero
+    report = run_scenario(load_config(list_builtin_models()["k3-q10"]))
+    assert report["verdict"] == "GY violated"
+    assert report["entropy_lower_certified"] == math.log(7)
+    assert report["log_rho"] == 0.0
+    assert report["log_rho_exact_zero"]
     _passed(4, "k3-q10 preset certifies bound log 7 with integer-verified "
                "unipotent action (log rho exactly 0)")
 
@@ -233,10 +233,10 @@ def test_criterion_7_exact_linear_algebra_checks():
 
 
 def test_criterion_8_descent_preset_and_counterexample():
-    record = run_scenario(load_config(list_builtin_models()["enriques-over-hk"]))
-    assert record.verdict == "GY violated"
-    assert record.log_rho == 0.0 and record.log_rho_exact_zero
-    assert record.entropy_lower_certified == math.log(6)  # equals the cover bound
+    report = run_scenario(load_config(list_builtin_models()["enriques-over-hk"]))
+    assert report["verdict"] == "GY violated"
+    assert report["log_rho"] == 0.0 and report["log_rho_exact_zero"]
+    assert report["entropy_lower_certified"] == math.log(6)  # equals the cover bound
 
     preset = list_builtin_models()["enriques-over-hk"]
     lattice = BilinearLattice(

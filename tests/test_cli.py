@@ -82,6 +82,26 @@ def test_odd_q_is_rejected_by_validate(capsys, config, field, q):
     assert "must be an even positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, field, need", [
+    # hk, hilb.base and enriques.cover read d_1 .. d_{4n+m_max+2}
+    ({"kind": "hk", "n": 1, "d_table": [7, 22, 47], "m_max": 8}, "d_table", 14),
+    ({"kind": "hilb", "points": 2,
+      "base": {"n": 1, "d_table": [7, 22, 47], "m_max": 3}}, "base.d_table", 9),
+    ({**list_builtin_models()["enriques-over-hk"],
+      "cover": {"n": 2, "d_table": [7, 22, 47], "m_max": 5}}, "cover.d_table", 15),
+    # surface_twist reads d_1 .. d_{k+l+m_max}
+    ({"kind": "surface_twist", "d_table": [7, 22, 47], "k": 2, "l": 1,
+      "m_max": 4}, "d_table", 7),
+])
+def test_short_d_table_is_rejected_by_validate(capsys, config, field, need):
+    # A table too short for the run made every run end in an error report;
+    # validate must say so first.
+    _, violations = validate_config(config)
+    assert violations == [f"{field}: d-table too short: need d_{need}, have 3 entries"]
+    assert main(["validate", "--config", json.dumps(config)]) == 1
+    assert "d-table too short" in capsys.readouterr().err
+
+
 def test_all_violations_collected():
     _, violations = validate_config({"kind": "hk", "q": -1, "t": -2.0})
     assert len(violations) >= 3  # n missing, q range, m_max missing, t range
@@ -147,35 +167,35 @@ def test_catalog_has_at_least_four_valid_presets():
 
 
 def test_k3_preset_has_d1_seven():
-    record = run_preset("k3-q10")
-    assert record.details["d1"] == 7
+    report = run_preset("k3-q10")
+    assert report["details"]["d1"] == 7
 
 
 # -- run_scenario -----------------------------------------------------------------
 
 
 def test_hk_run_certifies_gap():
-    record = run_preset("k3-q10")
-    assert record.verdict == "GY violated"
-    assert record.entropy_lower_certified == pytest.approx(math.log(7))
-    assert record.log_rho == 0.0 and record.log_rho_exact_zero
-    assert record.series[0] == {"m": 1, "lower": 24155, "upper": 24155}
+    report = run_preset("k3-q10")
+    assert report["verdict"] == "GY violated"
+    assert report["entropy_lower_certified"] == pytest.approx(math.log(7))
+    assert report["log_rho"] == 0.0 and report["log_rho_exact_zero"]
+    assert report["series"][0] == {"m": 1, "lower": 24155, "upper": 24155}
 
 
 def test_hilb_run_scales_by_points():
-    record = run_preset("k3n-hilb")
-    assert record.verdict == "GY violated"
-    assert record.entropy_lower_certified == pytest.approx(3 * math.log(7))
-    assert record.log_rho == 0.0 and record.log_rho_exact_zero
-    assert record.series[0]["lower"] == 24155**3
+    report = run_preset("k3n-hilb")
+    assert report["verdict"] == "GY violated"
+    assert report["entropy_lower_certified"] == pytest.approx(3 * math.log(7))
+    assert report["log_rho"] == 0.0 and report["log_rho_exact_zero"]
+    assert report["series"][0]["lower"] == 24155**3
 
 
 def test_enriques_run_descends_bound():
-    record = run_preset("enriques-over-hk")
-    assert record.verdict == "GY violated"
-    assert record.entropy_lower_certified == pytest.approx(math.log(6))
-    assert record.log_rho == 0.0 and record.log_rho_exact_zero
-    assert record.details["quotient_rank"] == 3
+    report = run_preset("enriques-over-hk")
+    assert report["verdict"] == "GY violated"
+    assert report["entropy_lower_certified"] == pytest.approx(math.log(6))
+    assert report["log_rho"] == 0.0 and report["log_rho_exact_zero"]
+    assert report["details"]["quotient_rank"] == 3
 
 
 def test_lattice_word_run():
@@ -191,11 +211,11 @@ def test_lattice_word_run():
             ],
         }
     )
-    record = run_scenario(cfg)
-    assert record.error is None
-    assert record.log_rho is not None and record.log_rho > 0
-    assert not record.log_rho_exact_zero
-    assert record.verdict == "no violation certified"
+    report = run_scenario(cfg)
+    assert report["error"] is None
+    assert report["log_rho"] is not None and report["log_rho"] > 0
+    assert not report["log_rho_exact_zero"]
+    assert report["verdict"] == "no violation certified"
 
 
 def test_word_gets_one_certificate_under_both_kinds():
@@ -209,41 +229,45 @@ def test_word_gets_one_certificate_under_both_kinds():
     lattice_word = run_scenario(load_config(
         {"kind": "lattice_word", "lattice": preset["lattice"], "word": word}
     ))
-    for record in (enriques, lattice_word):
-        assert record.error is None
-        assert record.log_rho_exact_zero is True
-        assert record.log_rho == 0.0
-    assert enriques.details["cover_log_rho"] == 0.0
+    for report in (enriques, lattice_word):
+        assert report["error"] is None
+        assert report["log_rho_exact_zero"] is True
+        assert report["log_rho"] == 0.0
+    assert enriques["details"]["cover_log_rho"] == 0.0
 
 
 def test_surface_twist_run():
     cfg = load_config(
         {"kind": "surface_twist", "q": 10, "k": 1, "l": 1, "m_max": 5}
     )
-    record = run_scenario(cfg)
-    assert [row["lower"] for row in record.series][:3] == [201, 1973, 18246]
+    report = run_scenario(cfg)
+    assert [row["lower"] for row in report["series"]][:3] == [201, 1973, 18246]
+
+
+# Passes validate, but the tensor class is not unipotent, which only the run
+# finds out.
+NON_UNIPOTENT_TENSOR = {
+    "kind": "lattice_word", "lattice": {"gram": [[1, 0], [0, 1]]},
+    "word": [{"kind": "tensor", "matrix": [[2, 1], [1, 1]]}],
+}
 
 
 def test_run_serializes_engine_errors():
-    # d-table too short for the requested depth: the error lands in the
-    # report, not as an exception.
-    cfg = load_config(
-        {"kind": "hk", "n": 1, "d_table": [7, 22, 47], "m_max": 8}
-    )
-    record = run_scenario(cfg)
-    assert record.verdict == "error"
-    assert record.error["type"] == "InputError"
-    assert "d-table too short" in record.error["message"]
+    # The error lands in the report, not as an exception.
+    report = run_scenario(load_config(NON_UNIPOTENT_TENSOR))
+    assert report["verdict"] == "error"
+    assert report["error"]["type"] == "InputError"
+    assert "TensorClass matrix must be unipotent" in report["error"]["message"]
 
 
 # -- reports -----------------------------------------------------------------------
 
 
 def test_report_json_roundtrip_byte_identical():
-    record = run_preset("k3-q10")
-    text = emit_report(record, "json")
+    report = run_preset("k3-q10")
+    text = emit_report(report, "json")
     parsed = json.loads(text)
-    assert parsed == record.to_dict()
+    assert parsed == report
     assert json.dumps(parsed, indent=2, allow_nan=False) + "\n" == text
 
 
@@ -274,28 +298,28 @@ def test_report_verdict_self_auditing():
     kinds = set()
     for config in configs:
         cfg = load_config(config)
-        record = run_scenario(cfg)
-        assert record.error is None
+        report = run_scenario(cfg)
+        assert report["error"] is None
         kinds.add(cfg.kind)
-        assert record.verdict == derive_verdict(
-            record.entropy_lower_certified,
-            record.log_rho,
-            record.log_rho_exact_zero,
+        assert report["verdict"] == derive_verdict(
+            report["entropy_lower_certified"],
+            report["log_rho"],
+            report["log_rho_exact_zero"],
             cfg.tol,
         )
-        if record.entropy_lower_certified is None or record.log_rho is None:
-            assert record.gap is None
+        if report["entropy_lower_certified"] is None or report["log_rho"] is None:
+            assert report["gap"] is None
         else:
-            assert record.gap == record.entropy_lower_certified - record.log_rho
+            assert report["gap"] == report["entropy_lower_certified"] - report["log_rho"]
     assert kinds == {"hk", "hilb", "enriques", "lattice_word", "surface_twist"}
 
 
 @pytest.mark.parametrize("name", sorted(NILPOTENT_WORDS))
 def test_nilpotent_action_is_an_input_error(capsys, name):
-    record = run_scenario(load_config(nilpotent_config(name)))
-    assert record.verdict == "error"
-    assert record.error["type"] == "InputError"
-    assert "nilpotent" in record.error["message"]
+    report = run_scenario(load_config(nilpotent_config(name)))
+    assert report["verdict"] == "error"
+    assert report["error"]["type"] == "InputError"
+    assert "nilpotent" in report["error"]["message"]
     assert main(["run", "--config", json.dumps(nilpotent_config(name))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error [InputError]")
@@ -303,8 +327,8 @@ def test_nilpotent_action_is_an_input_error(capsys, name):
 
 
 def test_table_format_contents():
-    record = run_preset("k3-q10")
-    text = emit_report(record, "table")
+    report = run_preset("k3-q10")
+    text = emit_report(report, "table")
     assert "log spectral radius: 0 (exact, unipotent up to sign)\n" in text
     assert "lower" in text and "upper" in text and " m" in text
     assert "24155" in text
@@ -314,19 +338,19 @@ def test_table_names_sign_for_minus_unipotent_word():
     # shift.tensor on the enriques-over-hk lattice is minus a unipotent
     # action; the table must not call it unipotent outright.
     preset = list_builtin_models()["enriques-over-hk"]
-    record = run_scenario(load_config({
+    report = run_scenario(load_config({
         "kind": "lattice_word",
         "lattice": preset["lattice"],
         "word": [{"kind": "shift"}, preset["word"][1]],
     }))
-    assert record.log_rho_exact_zero
-    text = emit_report(record, "table")
+    assert report["log_rho_exact_zero"]
+    text = emit_report(report, "table")
     assert "log spectral radius: 0 (exact, unipotent up to sign)\n" in text
 
 
 def test_series_csv():
-    record = run_preset("k3-q10")
-    csv_text = emit_series_csv(record)
+    report = run_preset("k3-q10")
+    csv_text = emit_series_csv(report)
     lines = csv_text.strip().splitlines()
     assert lines[0] == "m,lower,upper"
     assert lines[1] == "1,24155,24155"
@@ -422,30 +446,48 @@ def test_main_report_past_the_int_digit_limit_is_a_numeric_error(capsys, argv):
 
 
 def test_main_engine_error_exit_code(capsys):
-    cfg = '{"kind": "hk", "n": 1, "d_table": [7, 22, 47], "m_max": 8}'
+    cfg = json.dumps(NON_UNIPOTENT_TENSOR)
+    assert main(["validate", "--config", cfg]) == 0
     code = main(["run", "--config", cfg])
-    assert code == 1  # input error: the table cannot support the depth
+    assert code == 1  # input error, found by the run
+
+
+# Non-invariant tensor word over a swap deck: descent must refuse, after the
+# cover bound has run.
+NON_COMMUTING_ENRIQUES = {
+    "kind": "enriques",
+    "cover": {"n": 1, "q": 10, "m_max": 4},
+    "lattice": {"gram": [[1, 0], [0, 1]], "symmetry_kind": "symmetric"},
+    "deck": {"matrix": [[0, 1], [1, 0]], "order": 2},
+    "word": [{"kind": "tensor", "matrix": [[1, 1], [0, 1]]}],
+}
 
 
 def test_main_contract_violation_exit_code(capsys):
-    # Non-invariant tensor word over a swap deck: descent must refuse, and
-    # the CLI maps the contract failure to exit code 3.
-    cfg = json.dumps(
-        {
-            "kind": "enriques",
-            "cover": {"n": 1, "q": 10, "m_max": 4},
-            "lattice": {"gram": [[1, 0], [0, 1]], "symmetry_kind": "symmetric"},
-            "deck": {"matrix": [[0, 1], [1, 0]], "order": 2},
-            "word": [{"kind": "tensor", "matrix": [[1, 1], [0, 1]]}],
-        }
-    )
-    code = main(["run", "--config", cfg])
+    # The CLI maps the contract failure to exit code 3.
+    code = main(["run", "--config", json.dumps(NON_COMMUTING_ENRIQUES)])
     assert code == 3
     captured = capsys.readouterr()
     assert "ContractError" in captured.err
     report = json.loads(captured.out)
     assert report["verdict"] == "error"
     assert report["error"]["type"] == "ContractError"
+
+
+def test_main_error_report_as_table(capsys):
+    argv = ["run", "--format", "table", "--config", json.dumps(NON_COMMUTING_ENRIQUES)]
+    assert main(argv) == 3
+    out = capsys.readouterr().out
+    assert "verdict: error\n" in out
+    assert "error [ContractError]" in out
+    assert out.endswith("work units: 176\n")
+
+
+def test_main_error_report_series_is_the_header_only(capsys):
+    assert main(["series", "--config", json.dumps(NON_COMMUTING_ENRIQUES)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "m,lower,upper\n"
+    assert captured.err.startswith("error [ContractError]")
 
 
 def test_main_requires_config_or_preset(capsys):
