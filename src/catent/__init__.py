@@ -15,11 +15,7 @@ from .errors import (
     InputError,
     NumericError,
 )
-from .graded import (
-    GradedDimInterval,
-    cone_bounds,
-    cone_exact_from_map_rank,
-)
+from .graded import GradedDimInterval, cone_bounds
 from .lattice import (
     BilinearLattice,
     IntPolynomial,
@@ -34,7 +30,6 @@ from .twists import (
     HKModel,
     entropy_lower_bound,
     ext_growth_series,
-    first_iterate_profile,
     gy_verdict,
     spherical_twist_series,
 )
@@ -67,7 +62,6 @@ __all__ = [
     "is_unipotent",
     "GradedDimInterval",
     "cone_bounds",
-    "cone_exact_from_map_rank",
     "ActionWord",
     "Shift",
     "PTwist",
@@ -80,7 +74,6 @@ __all__ = [
     "Verdict",
     "HKModel",
     "BoundSeries",
-    "first_iterate_profile",
     "ext_growth_series",
     "entropy_lower_bound",
     "gy_verdict",

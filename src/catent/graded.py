@@ -17,9 +17,9 @@ cell with lo == hi, and ``shifted`` shares the tuples of its source.  So
 (degree, lo, hi) triples.
 
 Only the public constructors validate: ``GradedDimInterval(entries)``, which
-``exact`` and ``from_dict`` call, requires int degrees and bounds (bools are
-not ints here; ``hi`` may be None), 0 <= lo <= hi and no repeated degree, and
-raises ``InputError`` otherwise.  Results computed in this module go through
+``exact`` calls, requires int degrees and bounds (bools are not ints here;
+``hi`` may be None), 0 <= lo <= hi and no repeated degree, and raises
+``InputError`` otherwise.  Results computed in this module go through
 ``_profile``, which only trims and shares.
 
 ``cone_bounds`` propagates bounds through an exact triangle A -> B -> C ->
@@ -37,8 +37,7 @@ the sharp degreewise bounds are
 The bounds are exact precisely on windows where the supports of A and B are
 disjoint enough that every relevant rank is forced to zero; the cohomology of
 a cone is not determined by dimensions alone, so in general the output is an
-honest interval.  ``cone_exact_from_map_rank`` is the independent oracle: it
-computes the cone profile exactly from supplied ranks.
+honest interval.
 
 When all upper bounds in sight are finite, every cone also passes an
 Euler-characteristic filter: the alternating sum of C must be able to equal
@@ -101,10 +100,6 @@ class GradedDimInterval:
         """Exact profile from a map degree -> dimension."""
         return cls(tuple((deg, val, val) for deg, val in d.items()))
 
-    @classmethod
-    def from_dict(cls, d: Mapping[int, tuple[int, int | None]]) -> "GradedDimInterval":
-        return cls(tuple((deg, lo, hi) for deg, (lo, hi) in d.items()))
-
     def __setattr__(self, name, value):
         raise AttributeError(f"GradedDimInterval is immutable; cannot set {name!r}")
 
@@ -142,10 +137,6 @@ class GradedDimInterval:
     def hi(self, j: int) -> int | None:
         i = j - self.offset
         return self.highs[i] if 0 <= i < len(self.highs) else 0
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(deg for deg, _, _ in self.entries)
 
     def is_exact(self) -> bool:
         return self.highs is self.lows
@@ -282,32 +273,6 @@ def cone_bounds(a: GradedDimInterval, b: GradedDimInterval) -> GradedDimInterval
                 f"{chi_c} cannot meet target [{lo_target}, {hi_target}]"
             )
     return result
-
-
-def cone_exact_from_map_rank(
-    a: GradedDimInterval, b: GradedDimInterval, ranks: Mapping[int, int]
-) -> GradedDimInterval:
-    """Exact cone profile of exact A and B when the ranks of H^j(A) -> H^j(B)
-    are known.
-
-    C(j) = (b(j) - r_j) + (a(j+1) - r_{j+1}).  This is the oracle for
-    cone_bounds: any feasible rank assignment is realizable.
-    """
-    if not (a.is_exact() and b.is_exact()):
-        raise InputError("the cone oracle needs exact source and target profiles")
-    for j, r in ranks.items():
-        if r < 0 or r > min(a.lo(j), b.lo(j)):
-            raise InputError(
-                f"infeasible rank {r} at degree {j}: "
-                f"must satisfy 0 <= r <= min({a.lo(j)}, {b.lo(j)})"
-            )
-    out: dict[int, int] = {}
-    degrees = set(b.support) | {deg - 1 for deg in a.support}
-    for j in degrees:
-        rj = ranks.get(j, 0)
-        rj1 = ranks.get(j + 1, 0)
-        out[j] = (b.lo(j) - rj) + (a.lo(j + 1) - rj1)
-    return GradedDimInterval.exact(out)
 
 
 def delta_value_interval(

@@ -388,7 +388,9 @@ def spectral_radius(m: SquareIntMatrix, tol: float = DEFAULT_TOL) -> float:
 
     Roots are bracketed by the Cauchy bound and refined by multiprecision
     polynomial root finding on the squarefree part, escalating precision
-    until the solver's own error bound is below tol.
+    until the solver's own error bound is below tol.  This is always the
+    float estimate: deciding that rho is exactly 1 is left to
+    ``words.certify_log_rho``, which owns the exact-zero certificate.
     """
     if not tol > 0:
         raise InputError("tol must be positive")
@@ -398,8 +400,6 @@ def spectral_radius(m: SquareIntMatrix, tol: float = DEFAULT_TOL) -> float:
         coeffs.pop(0)
     if len(coeffs) <= 1:
         return 0.0  # nilpotent: all eigenvalues zero
-    if is_unipotent(m):
-        return 1.0
     q = squarefree_part(IntPolynomial(tuple(coeffs)))
     bound = _cauchy_bound(q)
     desc = list(reversed(q.coeffs))

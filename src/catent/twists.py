@@ -20,9 +20,9 @@ Their recursions only ever combine profiles whose supports are disjoint at
 the top, which is why the top degree of every iterate collapses to an exact
 value (the product d_{k+1} d_l d_1^{m-1}) and everything above it vanishes
 exactly.  ``verify_iterate_contract`` enforces this as a hard contract on
-every iterate the run path reads (``ext_growth_series`` calls it);
-``verify_correction_contract`` and ``verify_eval_cone_boundary`` state the
-same collapse for the other two families but run only in the tests.
+every iterate the run path reads (``ext_growth_series`` calls it).  The
+matching checks for the other two families live in the tests
+(``tests/twists_reference.py``).
 
 Entropy: the per-m lower bounds of the summed profiles grow like d_1^m, so
 log d_1 is a certified entropy lower bound; the action on any lattice model
@@ -58,21 +58,6 @@ from .words import (
     induced_matrix,
     tensor_matrix_from_nilpotent,
 )
-
-_CACHED_FUNCS = []
-
-
-def _cached(fn):
-    wrapped = lru_cache(maxsize=None)(fn)
-    _CACHED_FUNCS.append(wrapped)
-    return wrapped
-
-
-def clear_caches() -> None:
-    """Drop all memoized profiles (used for reproducible work accounting)."""
-    for fn in _CACHED_FUNCS:
-        fn.cache_clear()
-
 
 def _binomial_dim(n: int, q: int, i: int) -> int:
     # chi of the i-th polarization power on a K3^[n]-type model:
@@ -161,25 +146,13 @@ def negative_line_bundle_profile(model: HKModel, j: int) -> GradedDimInterval:
     concentrate everything in the top degree.
     """
     if j < 1:
-        raise InputError(
-            "twist level must be >= 1; use trivial_bundle_profile for level 0"
-        )
+        raise InputError(f"twist level must be >= 1, got {j}")
     return GradedDimInterval.exact({model.dim_x: model.dim(j)})
-
-
-def trivial_bundle_profile(model: HKModel) -> GradedDimInterval:
-    """Cohomology profile of the structure sheaf: one dimension in each even
-    degree 0, 2, ..., 2n."""
-    return GradedDimInterval.exact({2 * i: 1 for i in range(model.n + 1)})
 
 
 # ---------------------------------------------------------------------------
 # Profile recursion
 # ---------------------------------------------------------------------------
-
-
-def _twist_kernel(model: HKModel, l: int) -> GradedDimInterval:
-    return trivial_bundle_profile(model) if l == 0 else negative_line_bundle_profile(model, l)
 
 
 def eval_cone_profile(
@@ -190,12 +163,12 @@ def eval_cone_profile(
     Both terms are sums of copies of the same line bundle with multiplicities
     given degreewise by ``mult``; the second copy sits two degrees deeper.
     """
-    target = convolve_interval(mult, _twist_kernel(model, l))
+    target = convolve_interval(mult, negative_line_bundle_profile(model, l))
     source = target.shifted(-2)
     return cone_bounds(source, target)
 
 
-@_cached
+@lru_cache(maxsize=None)
 def correction_profile(model: HKModel, m: int, k: int, l: int) -> GradedDimInterval:
     """Interval profile of the m-th correction object, tensored down by l."""
     if m < 1 or k < 1 or l < 1:
@@ -206,7 +179,7 @@ def correction_profile(model: HKModel, m: int, k: int, l: int) -> GradedDimInter
     return cone_bounds(inner, correction_profile(model, m - 1, k, l + 1))
 
 
-@_cached
+@lru_cache(maxsize=None)
 def eval_twist_cone_profile(
     model: HKModel, m: int, k: int, l: int
 ) -> GradedDimInterval:
@@ -216,7 +189,7 @@ def eval_twist_cone_profile(
     return eval_cone_profile(model, correction_profile(model, m - 1, k, 1), l)
 
 
-@_cached
+@lru_cache(maxsize=None)
 def iterate_profile(model: HKModel, m: int, k: int, l: int) -> GradedDimInterval:
     """Interval profile of the m-th functor iterate of the k-th negative
     generator summand, tensored down by l."""
@@ -227,6 +200,13 @@ def iterate_profile(model: HKModel, m: int, k: int, l: int) -> GradedDimInterval
     return cone_bounds(
         correction_profile(model, m, k, l), iterate_profile(model, m - 1, k + 1, l)
     )
+
+
+def clear_caches() -> None:
+    """Drop all memoized profiles (used for reproducible work accounting)."""
+    correction_profile.cache_clear()
+    eval_twist_cone_profile.cache_clear()
+    iterate_profile.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -273,76 +253,6 @@ def verify_iterate_contract(
         raise CollapseError(
             f"iterate profile (m={m}, k={k}, l={l}) has negative-degree support",
             degree=profile.entries[0][0],
-        )
-    return profile
-
-
-def verify_correction_contract(
-    model: HKModel, m: int, k: int, l: int
-) -> GradedDimInterval:
-    """Correction profile with its collapse contract enforced.
-
-    The top degree 2n(m+1)+1 must be exactly d_{k+1} d_l d_1^{m-1} and all
-    higher degrees exactly zero.
-    """
-    profile = correction_profile(model, m, k, l)
-    _check_top(
-        profile,
-        model.dim_x * (m + 1) + 1,
-        _expected_top(model, m, k, l),
-        f"correction profile (m={m}, k={k}, l={l})",
-    )
-    return profile
-
-
-def verify_eval_cone_boundary(
-    model: HKModel, m: int, k: int, l: int
-) -> GradedDimInterval:
-    """Evaluation-cone profile with its two boundary rows enforced (m >= 2):
-    exactly d_{k+1} d_l d_1^{m-1} at degree 2n(m+1)+2, zero above, and the
-    same value for the shifted term of the complex one degree higher."""
-    profile = eval_twist_cone_profile(model, m, k, l)
-    top = model.dim_x * (m + 1) + 2
-    expected = _expected_top(model, m, k, l)
-    _check_top(profile, top, expected, f"evaluation cone (m={m}, k={k}, l={l})")
-    source = convolve_interval(
-        correction_profile(model, m - 1, k, 1), _twist_kernel(model, l)
-    ).shifted(-2)
-    if (source.lo(top + 1), source.hi(top + 1)) != (expected, expected):
-        raise CollapseError(
-            f"evaluation complex (m={m}, k={k}, l={l}): shifted term at degree "
-            f"{top + 1} expected exactly {expected}, got "
-            f"[{source.lo(top + 1)}, {source.hi(top + 1)}]",
-            degree=top + 1,
-        )
-    return profile
-
-
-def first_iterate_profile(model: HKModel, k: int, l: int) -> GradedDimInterval:
-    """Exact profile of the first iterate, produced by the triangle machinery.
-
-    The closed form {2n: d_{k+l+1}, 4n-1: d_{k+1} d_l, 4n: d_{k+1} d_l} is
-    used as a cross-check only.
-    """
-    profile = verify_iterate_contract(model, 1, k, l)
-    if not profile.is_exact():
-        deg = next(d for d, lo, hi in profile.entries if lo != hi)
-        raise CollapseError(
-            f"first iterate (k={k}, l={l}) did not collapse to exact values",
-            degree=deg,
-        )
-    dd = model.dim(k + 1) * model.dim(l)
-    closed = GradedDimInterval.exact(
-        {
-            model.dim_x: model.dim(k + l + 1),
-            2 * model.dim_x - 1: dd,
-            2 * model.dim_x: dd,
-        }
-    )
-    if profile != closed:
-        raise ContractError(
-            f"first iterate (k={k}, l={l}): machinery produced {profile.entries}, "
-            f"closed form gives {closed.entries}"
         )
     return profile
 
@@ -490,7 +400,9 @@ def spherical_twist_step(
     tensored down by l more.  The zero object twists to the zero profile.
     """
     _require_surface(model)
-    return cone_bounds(convolve_interval(mult, _twist_kernel(model, l)), target)
+    return cone_bounds(
+        convolve_interval(mult, negative_line_bundle_profile(model, l)), target
+    )
 
 
 def spherical_twist_depth(k: int, l: int, m_max: int) -> int:

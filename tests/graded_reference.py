@@ -1,17 +1,32 @@
-"""Sparse reference implementations of the interval operations.
+"""Reference implementations and oracles for the interval operations.
 
-These are the entry-scanning versions of ``cone_bounds``,
-``convolve_interval`` and ``_chi_interval`` that ``catent.graded`` used
-before profiles were stored densely.  They are unchanged, except that
-``cone_bounds`` counts no evaluations and reads ``lo``/``hi`` by the same
-linear scan of ``entries`` that the sparse profile used.  The differential
-test in ``test_graded.py`` requires the dense functions to agree with them.
+``convolve_interval``, ``cone_bounds`` and ``_chi_interval`` are the
+entry-scanning versions that ``catent.graded`` used before profiles were
+stored densely.  They are unchanged, except that ``cone_bounds`` counts no
+evaluations and reads ``lo``/``hi`` by the same linear scan of ``entries``
+that the sparse profile used.  The differential test in ``test_graded.py``
+requires the dense functions to agree with them.
+
+``cone_exact_from_map_rank`` is the independent cone oracle: it computes the
+cone of exact profiles exactly from supplied ranks.  ``from_dict`` builds a
+profile from a map degree -> (lo, hi), and ``support`` lists its nonzero
+degrees.
 """
 
 from __future__ import annotations
 
-from catent.errors import ContractError
+from typing import Mapping
+
+from catent.errors import ContractError, InputError
 from catent.graded import GradedDimInterval
+
+
+def from_dict(d: Mapping[int, tuple[int, int | None]]) -> GradedDimInterval:
+    return GradedDimInterval(tuple((deg, lo, hi) for deg, (lo, hi) in d.items()))
+
+
+def support(g: GradedDimInterval) -> tuple[int, ...]:
+    return tuple(deg for deg, _, _ in g.entries)
 
 
 def _add_hi(x, y):
@@ -48,7 +63,7 @@ def convolve_interval(
             plo, phi = out.get(d, (0, 0))
             out[d] = (plo + lo1 * lo2,
                       _add_hi(phi, None if hi1 is None or hi2 is None else hi1 * hi2))
-    return GradedDimInterval.from_dict(out)
+    return from_dict(out)
 
 
 def _chi_interval(g: GradedDimInterval) -> tuple[int, int] | None:
@@ -68,7 +83,7 @@ def _chi_interval(g: GradedDimInterval) -> tuple[int, int] | None:
 
 def cone_bounds(a: GradedDimInterval, b: GradedDimInterval) -> GradedDimInterval:
     """Degreewise bounds on the cone C of a triangle A -> B -> C -> A[1]."""
-    degrees = set(b.support) | {deg - 1 for deg in a.support}
+    degrees = set(support(b)) | {deg - 1 for deg in support(a)}
     out: dict[int, tuple[int, int | None]] = {}
     for j in sorted(degrees):
         hi = _add_hi(_hi(b, j), _hi(a, j + 1))
@@ -76,7 +91,7 @@ def cone_bounds(a: GradedDimInterval, b: GradedDimInterval) -> GradedDimInterval
         lo_a = _lo(a, j + 1) - _hi(b, j + 1) if _hi(b, j + 1) is not None else 0
         lo = max(0, lo_b) + max(0, lo_a)
         out[j] = (lo, hi)
-    result = GradedDimInterval.from_dict(out)
+    result = from_dict(out)
 
     chi_a, chi_b, chi_c = _chi_interval(a), _chi_interval(b), _chi_interval(result)
     if chi_a is not None and chi_b is not None and chi_c is not None:
@@ -90,3 +105,27 @@ def cone_bounds(a: GradedDimInterval, b: GradedDimInterval) -> GradedDimInterval
     return result
 
 
+def cone_exact_from_map_rank(
+    a: GradedDimInterval, b: GradedDimInterval, ranks: Mapping[int, int]
+) -> GradedDimInterval:
+    """Exact cone profile of exact A and B when the ranks of H^j(A) -> H^j(B)
+    are known.
+
+    C(j) = (b(j) - r_j) + (a(j+1) - r_{j+1}).  This is the oracle for
+    cone_bounds: any feasible rank assignment is realizable.
+    """
+    if not (a.is_exact() and b.is_exact()):
+        raise InputError("the cone oracle needs exact source and target profiles")
+    for j, r in ranks.items():
+        if r < 0 or r > min(a.lo(j), b.lo(j)):
+            raise InputError(
+                f"infeasible rank {r} at degree {j}: "
+                f"must satisfy 0 <= r <= min({a.lo(j)}, {b.lo(j)})"
+            )
+    out: dict[int, int] = {}
+    degrees = set(support(b)) | {deg - 1 for deg in support(a)}
+    for j in degrees:
+        rj = ranks.get(j, 0)
+        rj1 = ranks.get(j + 1, 0)
+        out[j] = (b.lo(j) - rj) + (a.lo(j + 1) - rj1)
+    return GradedDimInterval.exact(out)

