@@ -19,7 +19,6 @@ from .graded import GradedDimInterval, cone_bounds
 from .lattice import (
     BilinearLattice,
     IntPolynomial,
-    LatticeVector,
     SquareIntMatrix,
     char_poly,
     is_unipotent,
@@ -34,12 +33,6 @@ from .twists import (
     spherical_twist_series,
 )
 from .words import (
-    ActionWord,
-    ExplicitMatrix,
-    PTwist,
-    Shift,
-    SphericalTwist,
-    TensorClass,
     Verdict,
     certify_log_rho,
     derive_verdict,
@@ -54,7 +47,6 @@ __all__ = [
     "ContractError",
     "CollapseError",
     "BilinearLattice",
-    "LatticeVector",
     "SquareIntMatrix",
     "IntPolynomial",
     "char_poly",
@@ -62,12 +54,6 @@ __all__ = [
     "is_unipotent",
     "GradedDimInterval",
     "cone_bounds",
-    "ActionWord",
-    "Shift",
-    "PTwist",
-    "TensorClass",
-    "SphericalTwist",
-    "ExplicitMatrix",
     "induced_matrix",
     "certify_log_rho",
     "derive_verdict",

@@ -27,7 +27,7 @@ from .descent import CoverScenario, quotient_verdict
 from .errors import EngineError, InputError, NumericError
 from .graded import cone_evaluations
 from .hilbert import hilbert_lift_verdict
-from .lattice import DEFAULT_TOL, BilinearLattice, LatticeVector, SquareIntMatrix
+from .lattice import DEFAULT_TOL, BilinearLattice, SquareIntMatrix
 from .twists import (
     HKModel,
     clear_caches,
@@ -37,18 +37,7 @@ from .twists import (
     spherical_twist_depth,
     spherical_twist_series,
 )
-from .words import (
-    ActionWord,
-    ExplicitMatrix,
-    PTwist,
-    Shift,
-    SphericalTwist,
-    TensorClass,
-    Verdict,
-    certify_log_rho,
-    induced_matrix,
-    tensor_matrix_from_nilpotent,
-)
+from .words import Verdict, certify_log_rho, induced_matrix
 
 SCHEMA_VERSION = 1
 REPORT_VERSION = 1
@@ -228,7 +217,6 @@ def _validate_word(out, data, path, rank):
             g[key] = _check_matrix(out, gen.get(key), f"{gpath}.{key}", rank=rank)
             if g[key] is None:
                 return None
-            g[key] = [list(r) for r in g[key]]
         elif gen["kind"] == "spherical":
             cls = gen.get("class")
             if (
@@ -450,36 +438,6 @@ def _build_lattice(cfg: dict) -> BilinearLattice:
     return BilinearLattice(cfg["gram"], cfg["symmetry_kind"], cfg["euler_sign"])
 
 
-def _build_word(lattice: BilinearLattice, entries: list) -> ActionWord:
-    gens = []
-    for entry in entries:
-        kind = entry["kind"]
-        if kind == "shift":
-            gens.append(Shift())
-        elif kind == "ptwist":
-            gens.append(PTwist())
-        elif kind == "tensor":
-            if "nilpotent" in entry:
-                matrix = tensor_matrix_from_nilpotent(
-                    SquareIntMatrix(tuple(map(tuple, entry["nilpotent"])))
-                )
-            else:
-                matrix = SquareIntMatrix(tuple(map(tuple, entry["matrix"])))
-            gens.append(TensorClass(matrix))
-        elif kind == "spherical":
-            gens.append(
-                SphericalTwist(
-                    LatticeVector(tuple(entry["class"])),
-                    whitelisted=entry.get("whitelisted", False),
-                )
-            )
-        elif kind == "explicit":
-            gens.append(
-                ExplicitMatrix(SquareIntMatrix(tuple(map(tuple, entry["matrix"]))))
-            )
-    return ActionWord(lattice, tuple(gens))
-
-
 def _run_hk(cfg: ScenarioConfig) -> Verdict:
     model = _model_from(cfg.data)
     verdict = gy_verdict(model, cfg.data["m_max"], tol=cfg.tol)
@@ -502,7 +460,7 @@ def _run_enriques(cfg: ScenarioConfig) -> Verdict:
         cover_lattice=lattice,
         deck_matrix=SquareIntMatrix(tuple(map(tuple, cfg.data["deck"]["matrix"]))),
         order=cfg.data["deck"]["order"],
-        word=_build_word(lattice, cfg.data["word"]),
+        action=induced_matrix(lattice, cfg.data["word"]),
         cover_entropy_bound=cover.certified,
     )
     verdict = quotient_verdict(sc, tol=cfg.tol)
@@ -514,8 +472,8 @@ def _run_enriques(cfg: ScenarioConfig) -> Verdict:
 
 def _run_lattice_word(cfg: ScenarioConfig) -> Verdict:
     lattice = _build_lattice(cfg.data["lattice"])
-    word = _build_word(lattice, cfg.data["word"])
-    log_rho, exact_zero = certify_log_rho(induced_matrix(word), cfg.tol)
+    action = induced_matrix(lattice, cfg.data["word"])
+    log_rho, exact_zero = certify_log_rho(action, cfg.tol)
     return Verdict.of(None, log_rho, exact_zero, cfg.tol, details={
         "rank": lattice.rank, "spectral_radius": math.exp(log_rho),
     })
@@ -539,11 +497,27 @@ _RUNNERS = {
 }
 
 
+def _check_printable(v: Verdict) -> None:
+    """Raise ``NumericError`` if a result int has more digits than the
+    interpreter's int-to-str limit, so that no report format could print it."""
+    # Python 3.10 before 3.10.7 has no limit and no getter.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    bound = 10**limit
+    series = () if v.series is None else (*v.series.lowers, *v.series.uppers)
+    if any(isinstance(x, int) and abs(x) >= bound
+           for x in (*series, *v.details.values())):
+        raise NumericError(
+            f"report cannot be printed: a result int has more than {limit} digits"
+        )
+
+
 def run_scenario(cfg: ScenarioConfig) -> dict:
     """Execute one scenario and return its report as a dict in JSON field
-    order.  An engine error gives a report that carries only the scenario,
-    the error and the work done before it, every result field at its
-    default."""
+    order.  An engine error, or a result too large to print, gives a report
+    that carries only the scenario, the error and the work done before it,
+    every result field at its default."""
     clear_caches()
     start_work = cone_evaluations()
     error = None
@@ -551,6 +525,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         if cfg.kind not in _RUNNERS:
             raise InputError(f"unknown scenario kind {cfg.kind!r}")
         v = _RUNNERS[cfg.kind](cfg)
+        _check_printable(v)
     except EngineError as exc:
         v = Verdict(entropy_lower=None, empirical_slope=None, log_rho=None,
                     log_rho_exact_zero=False, gap=None, verdict="error",

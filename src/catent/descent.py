@@ -1,9 +1,10 @@
 """Descent of entropy and spectral radius through a cyclic covering.
 
 Models the quotient of a hyperkaehler-type cover by a finite cyclic group of
-deck transformations.  When the autoequivalence word commutes with the deck
-action, the quotient's numerical lattice embeds as the deck-fixed sublattice,
-the word restricts to it, and
+deck transformations.  A ``CoverScenario`` holds the integer action a word
+induces on the cover lattice (``words.induced_matrix``).  When that action
+commutes with the deck action, the quotient's numerical lattice embeds as
+the deck-fixed sublattice, the action restricts to it, and
 
   * the quotient inherits the cover's certified entropy lower bound, and
   * the quotient log spectral radius is squeezed to exactly zero whenever
@@ -19,11 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import ContractError, InputError
 from .lattice import DEFAULT_TOL, BilinearLattice, SquareIntMatrix
-from .words import ActionWord, Verdict, certify_log_rho, induced_matrix
+from .words import Verdict, certify_log_rho
 
 
 def integer_kernel_basis(m: SquareIntMatrix) -> tuple[tuple[int, ...], ...]:
@@ -104,18 +104,19 @@ def _restrict_to_basis(
 
 @dataclass(frozen=True)
 class CoverScenario:
-    """A cover model, its cyclic deck action, and the word to descend.
+    """A cover model, its cyclic deck action, and the induced action of the
+    word to descend.
 
     The deck matrix must have the declared finite order exactly; this is a
     construction-time check, never a runtime surprise.  Commutation of the
-    word with the deck action is what ``commutes_with_deck`` decides, and is
-    a precondition for the descent operations.
+    action with the deck action is what ``commutes_with_deck`` decides, and
+    is a precondition for the descent operations.
     """
 
     cover_lattice: BilinearLattice
     deck_matrix: SquareIntMatrix
     order: int
-    word: ActionWord
+    action: SquareIntMatrix
     cover_entropy_bound: float
 
     def __post_init__(self):
@@ -130,15 +131,10 @@ class CoverScenario:
             raise InputError(
                 f"deck matrix does not have order dividing {self.order}"
             )
-        if self.word.lattice.rank != rank:
+        if self.action.n != rank:
             raise InputError("word acts on a lattice of different rank")
         if self.cover_entropy_bound < 0:
             raise InputError("cover entropy bound must be nonnegative")
-
-    @cached_property
-    def action(self) -> SquareIntMatrix:
-        """The word's induced action on the cover lattice, formed once."""
-        return induced_matrix(self.word)
 
 
 def commutes_with_deck(sc: CoverScenario) -> bool:

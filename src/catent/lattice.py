@@ -143,22 +143,6 @@ class SquareIntMatrix:
 
 
 @dataclass(frozen=True)
-class LatticeVector:
-    """Integer coordinate vector in a fixed basis of a lattice."""
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(x) for x in self.coords))
-
-
-def _coords(v) -> tuple[int, ...]:
-    if isinstance(v, LatticeVector):
-        return v.coords
-    return tuple(int(x) for x in v)
-
-
-@dataclass(frozen=True)
 class BilinearLattice:
     """Finite-rank integer lattice with a symmetric or Euler-type pairing.
 
@@ -197,14 +181,13 @@ class BilinearLattice:
         return len(self.gram)
 
     def pairing(self, v, w) -> int:
-        """Evaluate v^T . gram . w exactly."""
-        vc, wc = _coords(v), _coords(w)
-        if len(vc) != self.rank or len(wc) != self.rank:
+        """Evaluate v^T . gram . w exactly for int sequences v and w."""
+        if len(v) != self.rank or len(w) != self.rank:
             raise InputError(
-                f"vector length mismatch: rank {self.rank}, got {len(vc)} and {len(wc)}"
+                f"vector length mismatch: rank {self.rank}, got {len(v)} and {len(w)}"
             )
         return sum(
-            vc[i] * self.gram[i][j] * wc[j]
+            v[i] * self.gram[i][j] * w[j]
             for i in range(self.rank)
             for j in range(self.rank)
         )

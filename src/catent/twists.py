@@ -49,15 +49,7 @@ from .graded import (
     delta_value_interval,
 )
 from .lattice import DEFAULT_TOL, BilinearLattice, SquareIntMatrix
-from .words import (
-    ActionWord,
-    PTwist,
-    TensorClass,
-    Verdict,
-    certify_log_rho,
-    induced_matrix,
-    tensor_matrix_from_nilpotent,
-)
+from .words import Verdict, certify_log_rho, induced_matrix
 
 def _binomial_dim(n: int, q: int, i: int) -> int:
     # chi of the i-th polarization power on a K3^[n]-type model:
@@ -351,25 +343,24 @@ def entropy_lower_bound(model: HKModel, m_max: int) -> EntropyBound:
 # ---------------------------------------------------------------------------
 
 
-def default_action_word(model: HKModel) -> ActionWord:
-    """Rank-3 stand-in lattice action for the twist-and-tensor word.
+def default_action(model: HKModel) -> SquareIntMatrix:
+    """Class action of the twist-and-tensor word on a rank-3 stand-in lattice.
 
     Only unipotence matters for the verdict; the lattice is a Mukai-style
     stand-in spanned by rank, polarization, and point classes.
     """
     q = model.q if model.q is not None else 2  # HKModel rejects odd q
     lattice = BilinearLattice(((0, 0, -1), (0, q, 0), (-1, 0, 0)), "symmetric")
-    nil = SquareIntMatrix(((0, 0, 0), (-1, 0, 0), (0, -q, 0)))
-    tensor = tensor_matrix_from_nilpotent(nil)
-    return ActionWord(lattice, (PTwist(), TensorClass(tensor)))
+    nilpotent = ((0, 0, 0), (-1, 0, 0), (0, -q, 0))
+    return induced_matrix(
+        lattice, [{"kind": "ptwist"}, {"kind": "tensor", "nilpotent": nilpotent}]
+    )
 
 
 def gy_verdict(model: HKModel, m_max: int, tol: float = DEFAULT_TOL) -> Verdict:
     """Certified entropy bound vs. exact log spectral radius of the default
     twist-and-tensor word."""
-    log_rho, exact_zero = certify_log_rho(
-        induced_matrix(default_action_word(model)), tol
-    )
+    log_rho, exact_zero = certify_log_rho(default_action(model), tol)
     bound = entropy_lower_bound(model, m_max)
     return Verdict.of(bound.certified, log_rho, exact_zero, tol,
                       slope=bound.empirical_slope, series=bound.series)

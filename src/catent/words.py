@@ -1,30 +1,36 @@
 """Autoequivalence words and their induced integer actions on a lattice.
 
-Generators act at the level of numerical classes only:
+A word is a list of generator objects, the normalized dicts that
+``cli.validate_config`` produces and the report echoes.  Generators act at
+the level of numerical classes only:
 
-  * ``Shift`` negates classes,
-  * ``TensorClass`` multiplies by a stored unipotent matrix (the class action
-    of tensoring with a line bundle, e.g. an exponential of a nilpotent
-    cup-product matrix),
-  * ``SphericalTwist`` reflects along a spherical class,
-  * ``PTwist`` is the identity on classes,
-  * ``ExplicitMatrix`` injects an arbitrary integer action.
+  * ``{"kind": "shift"}`` negates classes,
+  * ``{"kind": "ptwist"}`` (a projective-space twist) is the identity,
+  * ``{"kind": "tensor", "matrix": M}`` multiplies by the unipotent M, the
+    class action of tensoring with a line bundle; ``"nilpotent": N`` in
+    place of ``"matrix"`` gives M as the exponential of the cup-product
+    matrix N,
+  * ``{"kind": "spherical", "class": e}`` reflects along the spherical
+    class e; ``"whitelisted": true`` skips the self-pairing check, for
+    lattices that only stand in for the actual numerical lattice,
+  * ``{"kind": "explicit", "matrix": M}`` injects an arbitrary integer action.
 
-Words compose right-to-left, matching functor composition: the first
-generator in the list is applied last.
+``generator_matrix`` is the one place that reads a generator's kind, and it
+makes the checks that need the lattice.  Words compose right-to-left,
+matching functor composition: the first generator in the list is applied
+last.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import InputError
 from .lattice import (
     DEFAULT_TOL,
     BilinearLattice,
-    LatticeVector,
     SquareIntMatrix,
     is_unipotent,
     spectral_radius,
@@ -34,136 +40,68 @@ if TYPE_CHECKING:
     from .twists import BoundSeries
 
 
-@dataclass(frozen=True)
-class Shift:
-    """Homological shift by one; negates numerical classes."""
-
-
-@dataclass(frozen=True)
-class PTwist:
-    """Projective-space twist; acts as the identity on numerical classes."""
-
-
-@dataclass(frozen=True)
-class TensorClass:
-    """Tensoring with a line bundle: a stored unipotent class action."""
-
-    matrix: SquareIntMatrix
-
-    def __post_init__(self):
-        if not is_unipotent(self.matrix):
-            raise InputError("TensorClass matrix must be unipotent")
-
-
-@dataclass(frozen=True)
-class SphericalTwist:
-    """Twist along a spherical class.
-
-    ``whitelisted`` skips the self-pairing validity check, for scenarios
-    whose lattice is only a stand-in for the actual numerical lattice.
-    """
-
-    vector: LatticeVector
-    whitelisted: bool = False
-
-
-@dataclass(frozen=True)
-class ExplicitMatrix:
-    """An arbitrary integer class action supplied directly."""
-
-    matrix: SquareIntMatrix
-
-
-Generator = Shift | PTwist | TensorClass | SphericalTwist | ExplicitMatrix
-
-
-def shift_class_action(lattice: BilinearLattice) -> SquareIntMatrix:
-    """Class action of the shift [1]: minus the identity."""
-    return SquareIntMatrix.identity(lattice.rank).scaled(-1)
-
-
-def p_twist_class_action(lattice: BilinearLattice) -> SquareIntMatrix:
-    """Class action of a projective-space twist: the identity."""
-    return SquareIntMatrix.identity(lattice.rank)
-
-
 def twist_class_action(lattice: BilinearLattice, e) -> SquareIntMatrix:
-    """Class action of the spherical twist along e.
+    """Class action of the spherical twist along the int sequence e.
 
     The class formula sends v to v - chi(e, v) e, where chi is the Euler
     pairing.  The lattice stores pairing = euler_sign * chi, so the matrix is
     I - euler_sign * e . (e^T G).  Under the Mukai convention (euler_sign -1)
     this is a reflection exactly at classes of self-pairing -2.
     """
-    coords = e.coords if isinstance(e, LatticeVector) else tuple(int(x) for x in e)
     n = lattice.rank
-    if len(coords) != n:
-        raise InputError(f"class has length {len(coords)}, lattice rank {n}")
-    row = tuple(
-        sum(coords[i] * lattice.gram[i][j] for i in range(n)) for j in range(n)
-    )
+    if len(e) != n:
+        raise InputError(f"class has length {len(e)}, lattice rank {n}")
+    row = tuple(sum(e[i] * lattice.gram[i][j] for i in range(n)) for j in range(n))
     s = lattice.euler_sign
     return SquareIntMatrix(
         tuple(
-            tuple((1 if i == j else 0) - s * coords[i] * row[j] for j in range(n))
+            tuple((1 if i == j else 0) - s * e[i] * row[j] for j in range(n))
             for i in range(n)
         )
     )
 
 
-@dataclass(frozen=True)
-class ActionWord:
-    """A composable word of generators over one lattice, applied right-to-left."""
-
-    lattice: BilinearLattice
-    generators: tuple[Generator, ...] = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        rank = self.lattice.rank
-        for i, gen in enumerate(self.generators):
-            if isinstance(gen, (TensorClass, ExplicitMatrix)):
-                if gen.matrix.n != rank:
-                    raise InputError(
-                        f"generator {i} has dimension {gen.matrix.n}, lattice rank {rank}"
-                    )
-            elif isinstance(gen, SphericalTwist):
-                if len(gen.vector.coords) != rank:
-                    raise InputError(
-                        f"generator {i} class has length {len(gen.vector.coords)}, "
-                        f"lattice rank {rank}"
-                    )
-                if not gen.whitelisted:
-                    sp = self.lattice.pairing(gen.vector, gen.vector)
-                    want = 2 * self.lattice.euler_sign
-                    if sp != want:
-                        raise InputError(
-                            f"generator {i} class has self-pairing {sp}, "
-                            f"spherical classes need {want} (or whitelist it)"
-                        )
-            elif not isinstance(gen, (Shift, PTwist)):
-                raise InputError(f"unknown generator {gen!r}")
-
-
-def generator_matrix(lattice: BilinearLattice, gen: Generator) -> SquareIntMatrix:
-    if isinstance(gen, Shift):
-        return shift_class_action(lattice)
-    if isinstance(gen, PTwist):
-        return p_twist_class_action(lattice)
-    if isinstance(gen, TensorClass):
-        return gen.matrix
-    if isinstance(gen, SphericalTwist):
-        return twist_class_action(lattice, gen.vector)
-    if isinstance(gen, ExplicitMatrix):
-        return gen.matrix
-    raise InputError(f"unknown generator {gen!r}")
+def generator_matrix(lattice: BilinearLattice, gen: dict, i: int) -> SquareIntMatrix:
+    """Class action of generator ``gen``, the i-th of its word, on ``lattice``."""
+    rank = lattice.rank
+    kind = gen["kind"]
+    if kind == "shift":
+        return SquareIntMatrix.identity(rank).scaled(-1)
+    if kind == "ptwist":
+        return SquareIntMatrix.identity(rank)
+    if kind == "spherical":
+        e = gen["class"]
+        if len(e) != rank:
+            raise InputError(
+                f"generator {i} class has length {len(e)}, lattice rank {rank}"
+            )
+        if not gen.get("whitelisted", False):
+            sp = lattice.pairing(e, e)
+            want = 2 * lattice.euler_sign
+            if sp != want:
+                raise InputError(
+                    f"generator {i} class has self-pairing {sp}, "
+                    f"spherical classes need {want} (or whitelist it)"
+                )
+        return twist_class_action(lattice, e)
+    if kind not in ("tensor", "explicit"):
+        raise InputError(f"unknown generator {gen!r}")
+    if "nilpotent" in gen:
+        matrix = tensor_matrix_from_nilpotent(SquareIntMatrix(gen["nilpotent"]))
+    else:
+        matrix = SquareIntMatrix(gen["matrix"])
+    if matrix.n != rank:
+        raise InputError(f"generator {i} has dimension {matrix.n}, lattice rank {rank}")
+    if kind == "tensor" and not is_unipotent(matrix):
+        raise InputError("TensorClass matrix must be unipotent")
+    return matrix
 
 
-def induced_matrix(word: ActionWord) -> SquareIntMatrix:
-    """Product of the generator matrices in application order."""
-    result = SquareIntMatrix.identity(word.lattice.rank)
-    for gen in word.generators:
-        result = result @ generator_matrix(word.lattice, gen)
+def induced_matrix(lattice: BilinearLattice, word) -> SquareIntMatrix:
+    """Product of the generator matrices of ``word`` in application order."""
+    result = SquareIntMatrix.identity(lattice.rank)
+    for i, gen in enumerate(word):
+        result = result @ generator_matrix(lattice, gen, i)
     return result
 
 

@@ -30,7 +30,7 @@ from catent.twists import (
     ext_growth_series,
     verify_iterate_contract,
 )
-from catent.words import ActionWord, PTwist, TensorClass
+from catent.words import induced_matrix
 from graded_reference import cone_exact_from_map_rank, support
 from lattice_powers import poly_eval_matrix, symmetric_power_matrix
 from twists_reference import (
@@ -246,11 +246,8 @@ def test_criterion_8_descent_preset_and_counterexample():
         tuple(map(tuple, preset["lattice"]["gram"])), "symmetric"
     )
     deck = SquareIntMatrix(tuple(map(tuple, preset["deck"]["matrix"])))
-    tensor = SquareIntMatrix(tuple(map(tuple, preset["word"][1]["matrix"])))
     sc = CoverScenario(
-        lattice, deck, 2,
-        ActionWord(lattice, (PTwist(), TensorClass(tensor))),
-        math.log(6),
+        lattice, deck, 2, induced_matrix(lattice, preset["word"]), math.log(6)
     )
     assert commutes_with_deck(sc)
     _, restricted = invariant_sublattice(sc)
@@ -261,7 +258,7 @@ def test_criterion_8_descent_preset_and_counterexample():
         z2,
         SquareIntMatrix(((0, 1), (1, 0))),
         2,
-        ActionWord(z2, (TensorClass(SquareIntMatrix(((1, 1), (0, 1)))),)),
+        induced_matrix(z2, [{"kind": "tensor", "matrix": [[1, 1], [0, 1]]}]),
         1.0,
     )
     assert not commutes_with_deck(bad)

@@ -437,12 +437,26 @@ def test_main_weighted_total_past_float_range_is_a_numeric_error(capsys):
 @pytest.mark.parametrize("argv", [["run"], ["run", "--format", "table"], ["series"]])
 def test_main_report_past_the_int_digit_limit_is_a_numeric_error(capsys, argv):
     # d_1 of q = 10^300 at n = 3 has about 900 digits, so the series passes
-    # the 4,300-digit limit of int-to-str conversion by m = 5.
+    # the 4,300-digit limit of int-to-str conversion by m = 5.  The run ends
+    # in an error report that keeps the work done; the cone count does not
+    # depend on q.
     config = {"kind": "hk", "n": 3, "q": 10**300, "m_max": 5}
+    work_units = run_scenario(load_config({**config, "q": 2}))["timing"]["work_units"]
     assert main(argv + ["--config", json.dumps(config)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error [NumericError]")
+    assert captured.err.startswith("error [NumericError]: report cannot be printed")
+    assert "Traceback" not in captured.err
+    if argv == ["run"]:
+        report = json.loads(captured.out)
+        assert report["verdict"] == "error"
+        assert report["error"]["type"] == "NumericError"
+        assert report["series"] == [] and report["details"] == {}
+        assert report["timing"]["work_units"] == work_units > 0
+    elif argv == ["series"]:
+        assert captured.out == "m,lower,upper\n"
+    else:
+        assert "error [NumericError]" in captured.out
+        assert captured.out.endswith(f"work units: {work_units}\n")
 
 
 def test_main_engine_error_exit_code(capsys):
@@ -450,6 +464,39 @@ def test_main_engine_error_exit_code(capsys):
     assert main(["validate", "--config", cfg]) == 0
     code = main(["run", "--config", cfg])
     assert code == 1  # input error, found by the run
+
+
+MUKAI10 = {"gram": [[0, 0, -1], [0, 10, 0], [-1, 0, 0]], "symmetry_kind": "symmetric"}
+NON_SPHERICAL_WORDS = {
+    "lattice_word": {"kind": "lattice_word", "lattice": MUKAI10},
+    "enriques": {"kind": "enriques", "cover": {"n": 1, "q": 10, "m_max": 4},
+                 "lattice": MUKAI10,
+                 "deck": {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "order": 1}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_SPHERICAL_WORDS))
+def test_main_non_spherical_class_needs_the_whitelist(capsys, kind):
+    # (0, 1, 0) has self-pairing 10 under the Mukai gram, not -2.  validate
+    # cannot see that; the run gives an error report, after the cover bound
+    # of an enriques scenario.
+    spherical = {"kind": "spherical", "class": [0, 1, 0]}
+    config = {**NON_SPHERICAL_WORDS[kind], "word": [spherical]}
+    clean = {**config, "word": [{**spherical, "whitelisted": True}]}
+    assert main(["validate", "--config", json.dumps(config)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", json.dumps(config)]) == 1
+    captured = capsys.readouterr()
+    message = ("generator 0 class has self-pairing 10, spherical classes need -2 "
+               "(or whitelist it)")
+    assert captured.err == f"error [InputError]: {message}\n"
+    report = json.loads(captured.out)
+    assert report["error"] == {"type": "InputError", "message": message}
+    assert main(["run", "--config", json.dumps(clean)]) == 0
+    clean_report = json.loads(capsys.readouterr().out)
+    assert clean_report["error"] is None
+    assert report["timing"] == clean_report["timing"]
+    assert (report["timing"]["work_units"] > 0) == (kind == "enriques")
 
 
 # Non-invariant tensor word over a swap deck: descent must refuse, after the

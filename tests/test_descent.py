@@ -13,7 +13,7 @@ from catent.descent import (
 )
 from catent.errors import ContractError, InputError
 from catent.lattice import BilinearLattice, SquareIntMatrix, is_unipotent, spectral_radius
-from catent.words import ActionWord, ExplicitMatrix, PTwist, TensorClass
+from catent.words import induced_matrix
 
 TOL = 1e-9
 
@@ -31,11 +31,9 @@ def rank4_cover():
     deck = SquareIntMatrix(
         ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1))
     )
-    tensor = SquareIntMatrix(
-        ((1, 0, 0, 0), (-1, 1, 0, 0), (1, -2, 1, 0), (0, 0, 0, 1))
-    )
-    word = ActionWord(lattice, (PTwist(), TensorClass(tensor)))
-    return CoverScenario(lattice, deck, 2, word, math.log(6))
+    tensor = [[1, 0, 0, 0], [-1, 1, 0, 0], [1, -2, 1, 0], [0, 0, 0, 1]]
+    word = [{"kind": "ptwist"}, {"kind": "tensor", "matrix": tensor}]
+    return CoverScenario(lattice, deck, 2, induced_matrix(lattice, word), math.log(6))
 
 
 # -- integer kernel ---------------------------------------------------------------
@@ -79,24 +77,28 @@ def test_kernel_random_members_annihilate():
 
 
 def test_deck_order_checked_at_construction():
-    word = ActionWord(Z2, ())
+    identity = SquareIntMatrix.identity(2)
     with pytest.raises(InputError):
-        CoverScenario(Z2, SHEAR, 2, word, 0.0)
-    CoverScenario(Z2, SWAP, 2, word, 0.0)
+        CoverScenario(Z2, SHEAR, 2, identity, 0.0)
+    CoverScenario(Z2, SWAP, 2, identity, 0.0)
 
 
 def test_deck_dimension_checked():
-    word = ActionWord(Z2, ())
     with pytest.raises(InputError):
-        CoverScenario(Z2, SquareIntMatrix.identity(3), 1, word, 0.0)
+        CoverScenario(Z2, SquareIntMatrix.identity(3), 1, SWAP, 0.0)
+
+
+def test_action_dimension_checked():
+    with pytest.raises(InputError, match="word acts on a lattice of different rank"):
+        CoverScenario(Z2, SWAP, 2, SquareIntMatrix.identity(3), 0.0)
 
 
 # -- commutation -----------------------------------------------------------------
 
 
 def test_p_twist_word_always_commutes():
-    word = ActionWord(Z2, (PTwist(),))
-    sc = CoverScenario(Z2, SWAP, 2, word, 1.0)
+    action = induced_matrix(Z2, [{"kind": "ptwist"}])
+    sc = CoverScenario(Z2, SWAP, 2, action, 1.0)
     assert commutes_with_deck(sc)
 
 
@@ -107,8 +109,7 @@ def test_invariant_tensor_commutes():
 
 def test_non_invariant_tensor_fails_commutation():
     # Oracle: [[1,1],[0,1]] and the swap do not commute (direct 2x2 product).
-    word = ActionWord(Z2, (TensorClass(SHEAR),))
-    sc = CoverScenario(Z2, SWAP, 2, word, 1.0)
+    sc = CoverScenario(Z2, SWAP, 2, SHEAR, 1.0)
     assert not commutes_with_deck(sc)
     with pytest.raises(ContractError):
         invariant_sublattice(sc)
@@ -118,8 +119,7 @@ def test_non_invariant_tensor_fails_commutation():
 
 
 def test_trivial_deck_restricts_to_original():
-    word = ActionWord(Z2, (TensorClass(SHEAR),))
-    sc = CoverScenario(Z2, SquareIntMatrix.identity(2), 1, word, 0.5)
+    sc = CoverScenario(Z2, SquareIntMatrix.identity(2), 1, SHEAR, 0.5)
     basis, restricted = invariant_sublattice(sc)
     assert len(basis) == 2
     assert spectral_radius(restricted, TOL) == pytest.approx(
@@ -128,17 +128,16 @@ def test_trivial_deck_restricts_to_original():
 
 
 def test_swap_invariants_identity_word():
-    sc = CoverScenario(Z2, SWAP, 2, ActionWord(Z2, ()), 0.0)
+    sc = CoverScenario(Z2, SWAP, 2, SquareIntMatrix.identity(2), 0.0)
     basis, restricted = invariant_sublattice(sc)
     assert len(basis) == 1 and abs(basis[0][0]) == 1
     assert restricted.entries == ((1,),)
 
 
 def test_swap_invariants_and_doubling_word():
-    word = ActionWord(
-        Z2, (ExplicitMatrix(SWAP), ExplicitMatrix(SquareIntMatrix(((2, 0), (0, 2)))))
-    )
-    sc = CoverScenario(Z2, SWAP, 2, word, 0.0)
+    word = [{"kind": "explicit", "matrix": [[0, 1], [1, 0]]},
+            {"kind": "explicit", "matrix": [[2, 0], [0, 2]]}]
+    sc = CoverScenario(Z2, SWAP, 2, induced_matrix(Z2, word), 0.0)
     basis, restricted = invariant_sublattice(sc)
     assert len(basis) == 1
     # Oracle: the word sends (1, 1) to (2, 2), so the restriction is [2].
@@ -146,9 +145,8 @@ def test_swap_invariants_and_doubling_word():
 
 
 def test_fixed_free_deck_rejected():
-    word = ActionWord(Z2, ())
     minus = SquareIntMatrix.identity(2).scaled(-1)
-    sc = CoverScenario(Z2, minus, 2, word, 1.0)
+    sc = CoverScenario(Z2, minus, 2, SquareIntMatrix.identity(2), 1.0)
     with pytest.raises(InputError):
         invariant_sublattice(sc)
 
@@ -177,8 +175,7 @@ def test_restriction_never_exceeds_ambient_radius():
             tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
             "symmetric",
         )
-        word = ActionWord(lat, (ExplicitMatrix(action),))
-        sc = CoverScenario(lat, deck, order, word, 0.0)
+        sc = CoverScenario(lat, deck, order, action, 0.0)
         if not commutes_with_deck(sc):
             continue
         try:
@@ -204,16 +201,14 @@ def test_quotient_verdict_hyperkahler_cover():
 
 
 def test_quotient_verdict_no_bound_no_claim():
-    word = ActionWord(Z2, (PTwist(),))
-    sc = CoverScenario(Z2, SWAP, 2, word, 0.0)
+    sc = CoverScenario(Z2, SWAP, 2, SquareIntMatrix.identity(2), 0.0)
     verdict = quotient_verdict(sc)
     assert verdict.verdict == "no violation certified"
 
 
 def test_quotient_verdict_non_unipotent_inequality():
     big = SquareIntMatrix(((2, 1), (1, 1)))
-    word = ActionWord(Z2, (ExplicitMatrix(big),))
-    sc = CoverScenario(Z2, SquareIntMatrix.identity(2), 1, word, 0.1)
+    sc = CoverScenario(Z2, SquareIntMatrix.identity(2), 1, big, 0.1)
     verdict = quotient_verdict(sc)
     assert not verdict.log_rho_exact_zero
     assert verdict.log_rho <= verdict.details["cover_log_rho"] + 1e-8

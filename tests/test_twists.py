@@ -7,7 +7,7 @@ from catent.graded import GradedDimInterval, _chi_interval
 from catent.twists import (
     BoundSeries,
     HKModel,
-    default_action_word,
+    default_action,
     entropy_lower_bound,
     ext_growth_series,
     eval_cone_profile,
@@ -17,7 +17,6 @@ from catent.twists import (
     spherical_twist_step,
     verify_iterate_contract,
 )
-from catent.words import induced_matrix
 from catent.lattice import is_unipotent
 from graded_reference import from_dict, support
 from twists_reference import (
@@ -279,7 +278,9 @@ def test_gy_verdict_generic_model():
 
 def test_default_word_is_unipotent():
     for model in (K3, HK2, HKModel(3, table=(2, 3, 4, 5, 6, 7, 8))):
-        assert is_unipotent(induced_matrix(default_action_word(model)))
+        assert is_unipotent(default_action(model))
+    # For q = 10 the word is the identity P-twist times the tensor action.
+    assert default_action(K3).entries == ((1, 0, 0), (-1, 1, 0), (5, -10, 1))
 
 
 # -- surface spherical twist -------------------------------------------------------

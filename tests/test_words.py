@@ -7,22 +7,14 @@ from catent.errors import InputError
 from catent.lattice import (
     BilinearLattice,
     IntPolynomial,
-    LatticeVector,
     SquareIntMatrix,
     is_unipotent,
     spectral_radius,
 )
 from catent.words import (
-    ActionWord,
-    ExplicitMatrix,
-    PTwist,
-    Shift,
-    SphericalTwist,
-    TensorClass,
     certify_log_rho,
+    generator_matrix,
     induced_matrix,
-    p_twist_class_action,
-    shift_class_action,
     tensor_matrix_from_nilpotent,
     twist_class_action,
 )
@@ -33,9 +25,17 @@ TOL = 1e-9
 # Rank-3 Mukai-type lattice of a degree-10 polarized K3 restricted to
 # (rank, divisor, point) classes; the structure sheaf class is (1, 0, 1).
 MUKAI10 = BilinearLattice(((0, 0, -1), (0, 10, 0), (-1, 0, 0)), "symmetric")
-SPHERICAL = LatticeVector((1, 0, 1))
+SPHERICAL = (1, 0, 1)
 # Class action of tensoring with the inverse polarization.
 TENSOR10 = SquareIntMatrix(((1, 0, 0), (-1, 1, 0), (5, -10, 1)))
+SHIFT = {"kind": "shift"}
+PTWIST = {"kind": "ptwist"}
+TWIST = {"kind": "spherical", "class": list(SPHERICAL)}
+TENSOR = {"kind": "tensor", "matrix": [list(row) for row in TENSOR10.entries]}
+
+
+def explicit(m: SquareIntMatrix) -> dict:
+    return {"kind": "explicit", "matrix": [list(row) for row in m.entries]}
 
 
 def unimodular(rng, n, steps=12):
@@ -84,7 +84,7 @@ def test_twist_matches_per_basis_formula():
         basis = tuple(1 if i == j else 0 for i in range(3))
         pe = MUKAI10.pairing(SPHERICAL, basis)
         expected = tuple(
-            basis[i] - s * pe * SPHERICAL.coords[i] for i in range(3)
+            basis[i] - s * pe * SPHERICAL[i] for i in range(3)
         )
         assert m.apply(basis) == expected
 
@@ -95,14 +95,14 @@ def test_twist_dimension_mismatch():
 
 
 def test_p_twist_is_identity():
-    m = p_twist_class_action(MUKAI10)
+    m = generator_matrix(MUKAI10, PTWIST, 0)
     assert m == SquareIntMatrix.identity(3)
     assert (m @ m) == m
     assert spectral_radius(m, TOL) == 1.0
 
 
 def test_shift_action():
-    m = shift_class_action(BilinearLattice(((1, 0), (0, 1)), "symmetric"))
+    m = generator_matrix(BilinearLattice(((1, 0), (0, 1)), "symmetric"), SHIFT, 0)
     assert m.entries == ((-1, 0), (0, -1))
     assert (m @ m) == SquareIntMatrix.identity(2)
     assert spectral_radius(m, TOL) == 1.0
@@ -112,19 +112,17 @@ def test_shift_action():
 
 
 def test_induced_matrix_empty_word():
-    assert induced_matrix(ActionWord(MUKAI10)) == SquareIntMatrix.identity(3)
+    assert induced_matrix(MUKAI10, []) == SquareIntMatrix.identity(3)
 
 
 def test_induced_matrix_double_shift():
-    w = ActionWord(MUKAI10, (Shift(), Shift()))
-    assert induced_matrix(w) == SquareIntMatrix.identity(3)
+    assert induced_matrix(MUKAI10, [SHIFT, SHIFT]) == SquareIntMatrix.identity(3)
 
 
 def test_induced_matrix_twist_then_tensor():
     # Word applies tensor first, twist second; oracle applies the two maps
     # successively to each basis vector.
-    w = ActionWord(MUKAI10, (SphericalTwist(SPHERICAL), TensorClass(TENSOR10)))
-    m = induced_matrix(w)
+    m = induced_matrix(MUKAI10, [TWIST, TENSOR])
     t = twist_class_action(MUKAI10, SPHERICAL)
     for j in range(3):
         basis = tuple(1 if i == j else 0 for i in range(3))
@@ -134,40 +132,31 @@ def test_induced_matrix_twist_then_tensor():
 
 def test_word_concatenation_is_matrix_product():
     rng = random.Random(3)
-    gens = (
-        Shift(),
-        PTwist(),
-        SphericalTwist(SPHERICAL),
-        TensorClass(TENSOR10),
-        ExplicitMatrix(random_matrix(rng, 3)),
-    )
+    gens = (SHIFT, PTWIST, TWIST, TENSOR, explicit(random_matrix(rng, 3)))
     for _ in range(10):
-        g1 = tuple(rng.choice(gens) for _ in range(rng.randint(0, 3)))
-        g2 = tuple(rng.choice(gens) for _ in range(rng.randint(0, 3)))
-        lhs = induced_matrix(ActionWord(MUKAI10, g1 + g2))
-        rhs = induced_matrix(ActionWord(MUKAI10, g1)) @ induced_matrix(
-            ActionWord(MUKAI10, g2)
-        )
+        g1 = [rng.choice(gens) for _ in range(rng.randint(0, 3))]
+        g2 = [rng.choice(gens) for _ in range(rng.randint(0, 3))]
+        lhs = induced_matrix(MUKAI10, g1 + g2)
+        rhs = induced_matrix(MUKAI10, g1) @ induced_matrix(MUKAI10, g2)
         assert lhs == rhs
 
 
 def test_word_log_rho_p_twist_tensor_exact_zero():
-    w = ActionWord(MUKAI10, (PTwist(), TensorClass(TENSOR10)))
-    assert certify_log_rho(induced_matrix(w), TOL) == (0.0, True)
-    assert is_unipotent(induced_matrix(w))
+    m = induced_matrix(MUKAI10, [PTWIST, TENSOR])
+    assert certify_log_rho(m, TOL) == (0.0, True)
+    assert is_unipotent(m)
 
 
 def test_word_log_rho_companion():
     m = companion_matrix(IntPolynomial((1, -3, 1)))
     lat = BilinearLattice(((1, 0), (0, 1)), "symmetric")
-    w = ActionWord(lat, (ExplicitMatrix(m),))
-    log_rho, exact_zero = certify_log_rho(induced_matrix(w), TOL)
+    log_rho, exact_zero = certify_log_rho(induced_matrix(lat, [explicit(m)]), TOL)
     assert log_rho == pytest.approx(math.log((3 + math.sqrt(5)) / 2), abs=TOL)
     assert not exact_zero
 
 
 def test_word_log_rho_empty():
-    assert certify_log_rho(induced_matrix(ActionWord(MUKAI10)), TOL) == (0.0, True)
+    assert certify_log_rho(induced_matrix(MUKAI10, []), TOL) == (0.0, True)
 
 
 def test_unipotent_words_have_exact_zero_log_rho():
@@ -182,18 +171,16 @@ def test_unipotent_words_have_exact_zero_log_rho():
         gens = []
         for _ in range(rng.randint(1, 6)):
             kind = rng.choice(("shift", "ptwist", "tensor"))
-            if kind == "shift":
-                gens.append(Shift())
-            elif kind == "ptwist":
-                gens.append(PTwist())
-            else:
+            if kind == "tensor":
                 rows = [[0] * 4 for _ in range(4)]
                 for i in range(4):
                     rows[i][i] = 1
                     for j in range(i + 1, 4):
                         rows[i][j] = rng.randint(-3, 3)
-                gens.append(TensorClass(SquareIntMatrix(tuple(map(tuple, rows)))))
-        m = induced_matrix(ActionWord(lat, tuple(gens)))
+                gens.append({"kind": "tensor", "matrix": rows})
+            else:
+                gens.append({"kind": kind})
+        m = induced_matrix(lat, gens)
         assert certify_log_rho(m, TOL) == (0.0, True)
         assert is_unipotent(m) or is_unipotent(m @ m)
 
@@ -215,20 +202,41 @@ def test_conjugation_invariance_of_spectral_radius():
 
 
 def test_tensor_class_requires_unipotent():
-    with pytest.raises(InputError):
-        TensorClass(SquareIntMatrix(((2, 0), (0, 1))))
+    lat = BilinearLattice(((1, 0), (0, 1)), "symmetric")
+    tensor = {"kind": "tensor", "matrix": [[2, 0], [0, 1]]}
+    with pytest.raises(InputError, match="TensorClass matrix must be unipotent"):
+        generator_matrix(lat, tensor, 0)
+    # The same matrix is a valid explicit action.
+    assert generator_matrix(lat, {**tensor, "kind": "explicit"}, 0).entries == (
+        (2, 0), (0, 1))
 
 
 def test_spherical_class_validated_with_whitelist_escape():
-    bad = LatticeVector((0, 1, 0))  # self-pairing 10, not -2
-    with pytest.raises(InputError):
-        ActionWord(MUKAI10, (SphericalTwist(bad),))
-    ActionWord(MUKAI10, (SphericalTwist(bad, whitelisted=True),))
+    bad = {"kind": "spherical", "class": [0, 1, 0]}  # self-pairing 10, not -2
+    with pytest.raises(InputError, match=(
+        r"^generator 1 class has self-pairing 10, spherical classes need -2 "
+        r"\(or whitelist it\)$"
+    )):
+        induced_matrix(MUKAI10, [PTWIST, bad])
+    whitelisted = {**bad, "whitelisted": True}
+    assert induced_matrix(MUKAI10, [PTWIST, whitelisted]) == twist_class_action(
+        MUKAI10, (0, 1, 0))
 
 
 def test_word_rejects_wrong_rank_generator():
-    with pytest.raises(InputError):
-        ActionWord(MUKAI10, (ExplicitMatrix(SquareIntMatrix.identity(2)),))
+    cases = [
+        (explicit(SquareIntMatrix.identity(2)), "has dimension 2"),
+        ({"kind": "tensor", "matrix": [[1, 0], [0, 1]]}, "has dimension 2"),
+        ({"kind": "spherical", "class": [1, 0]}, "class has length 2"),
+    ]
+    for gen, what in cases:
+        with pytest.raises(InputError, match=f"^generator 1 {what}, lattice rank 3$"):
+            induced_matrix(MUKAI10, [SHIFT, gen])
+
+
+def test_unknown_generator_kind_rejected():
+    with pytest.raises(InputError, match="unknown generator"):
+        induced_matrix(MUKAI10, [{"kind": "rotate", "matrix": [[1]]}])
 
 
 def test_tensor_matrix_from_nilpotent():
