@@ -434,10 +434,6 @@ def _model_from(params: dict) -> HKModel:
     return HKModel(params.get("n", 1), params.get("q"), params.get("d_table"))
 
 
-def _build_lattice(cfg: dict) -> BilinearLattice:
-    return BilinearLattice(cfg["gram"], cfg["symmetry_kind"], cfg["euler_sign"])
-
-
 def _run_hk(cfg: ScenarioConfig) -> Verdict:
     model = _model_from(cfg.data)
     verdict = gy_verdict(model, cfg.data["m_max"], tol=cfg.tol)
@@ -451,19 +447,26 @@ def _run_hilb(cfg: ScenarioConfig) -> Verdict:
     return replace(lifted, details={"points": points, **lifted.details})
 
 
+def _word_action(data: dict) -> SquareIntMatrix:
+    """The action of the config's word on its lattice, after the lattice
+    checks of every generator."""
+    lat = data["lattice"]
+    lattice = BilinearLattice(lat["gram"], lat["symmetry_kind"], lat["euler_sign"])
+    return induced_matrix(lattice, data["word"])
+
+
+def _cover_scenario(data: dict) -> CoverScenario:
+    deck = data["deck"]
+    return CoverScenario(SquareIntMatrix(deck["matrix"]), deck["order"],
+                         _word_action(data))
+
+
 def _run_enriques(cfg: ScenarioConfig) -> Verdict:
     params = cfg.data["cover"]
     cover_model = _model_from(params)
     cover = entropy_lower_bound(cover_model, params["m_max"])
-    lattice = _build_lattice(cfg.data["lattice"])
-    sc = CoverScenario(
-        cover_lattice=lattice,
-        deck_matrix=SquareIntMatrix(tuple(map(tuple, cfg.data["deck"]["matrix"]))),
-        order=cfg.data["deck"]["order"],
-        action=induced_matrix(lattice, cfg.data["word"]),
-        cover_entropy_bound=cover.certified,
-    )
-    verdict = quotient_verdict(sc, tol=cfg.tol)
+    sc = _cover_scenario(cfg.data)
+    verdict = quotient_verdict(sc, cover.certified, tol=cfg.tol)
     details = {**verdict.details, "deck_order": sc.order,
                "cover_d1": cover_model.dim(1)}
     return replace(verdict, empirical_slope=cover.empirical_slope,
@@ -471,11 +474,10 @@ def _run_enriques(cfg: ScenarioConfig) -> Verdict:
 
 
 def _run_lattice_word(cfg: ScenarioConfig) -> Verdict:
-    lattice = _build_lattice(cfg.data["lattice"])
-    action = induced_matrix(lattice, cfg.data["word"])
+    action = _word_action(cfg.data)
     log_rho, exact_zero = certify_log_rho(action, cfg.tol)
     return Verdict.of(None, log_rho, exact_zero, cfg.tol, details={
-        "rank": lattice.rank, "spectral_radius": math.exp(log_rho),
+        "rank": action.n, "spectral_radius": math.exp(log_rho),
     })
 
 
@@ -701,6 +703,11 @@ def main(argv=None) -> int:
 
         cfg = _load_from_args(args)
         if args.command == "validate":
+            # The lattice checks that the run makes, without the run.
+            if cfg.kind == "enriques":
+                _cover_scenario(cfg.data)
+            elif cfg.kind == "lattice_word":
+                _word_action(cfg.data)
             _write_out(f"config OK: kind={cfg.kind}\n", args.out)
             return 0
         report = run_scenario(cfg)

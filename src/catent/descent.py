@@ -1,40 +1,48 @@
 """Descent of entropy and spectral radius through a cyclic covering.
 
 Models the quotient of a hyperkaehler-type cover by a finite cyclic group of
-deck transformations.  A ``CoverScenario`` holds the integer action a word
-induces on the cover lattice (``words.induced_matrix``).  When that action
-commutes with the deck action, the quotient's numerical lattice embeds as
-the deck-fixed sublattice, the action restricts to it, and
+deck transformations.  A ``CoverScenario`` holds the deck matrix, its order
+and the integer action a word induces on the cover lattice
+(``words.induced_matrix``).  When that action commutes with the deck action,
+the quotient's numerical lattice embeds as the deck-fixed sublattice, the
+action restricts to it, and
 
   * the quotient inherits the cover's certified entropy lower bound, and
   * the quotient log spectral radius is squeezed to exactly zero whenever
     the cover action is unipotent up to sign (restriction preserves it).
 
 ``quotient_verdict`` gives both as one ``Verdict``.  All sublattice
-computation is exact: the fixed sublattice is the integer kernel of
-(deck - I), computed by unimodular row reduction, and the restricted action
-is solved over exact rationals and cleared to integers.
+computation is in integers: the fixed sublattice is the integer kernel of
+(deck - I), computed by unimodular row reduction, and the inverse of that
+reduction reads the restricted action off the images of the kernel basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ContractError, InputError
-from .lattice import DEFAULT_TOL, BilinearLattice, SquareIntMatrix
+from .lattice import DEFAULT_TOL, SquareIntMatrix
 from .words import Verdict, certify_log_rho
 
+Vectors = tuple[tuple[int, ...], ...]
 
-def integer_kernel_basis(m: SquareIntMatrix) -> tuple[tuple[int, ...], ...]:
-    """Basis of the saturated integer kernel {v : M v = 0}.
+
+def integer_kernel_basis(m: SquareIntMatrix) -> tuple[Vectors, Vectors]:
+    """Basis of the saturated integer kernel {v : M v = 0}, and its left
+    inverse.
 
     Row-reduces [M^T | I] with unimodular integer operations; rows whose left
-    block vanishes carry a basis of the kernel lattice in their right block.
+    block vanishes carry a basis of the kernel lattice in their right block
+    U.  The inverse V of U is kept alongside: a row swap swaps the same two
+    columns of V, and ``row_i -= q row_p`` adds q times column i to column p.
+    ``left`` is the columns of V that match the kernel rows, so
+    ``left . basis^T = I``.
     """
     n = m.n
     mt = m.transpose().entries
     rows = [list(mt[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
+    inv = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
     pivot_row = 0
     for col in range(n):
         while True:
@@ -43,69 +51,47 @@ def integer_kernel_basis(m: SquareIntMatrix) -> tuple[tuple[int, ...], ...]:
                 break
             best = min(nonzero, key=lambda i: abs(rows[i][col]))
             rows[pivot_row], rows[best] = rows[best], rows[pivot_row]
+            for r in inv:
+                r[pivot_row], r[best] = r[best], r[pivot_row]
             clean = True
             for i in range(pivot_row + 1, n):
                 if rows[i][col]:
                     q = rows[i][col] // rows[pivot_row][col]
                     rows[i] = [a - q * b for a, b in zip(rows[i], rows[pivot_row])]
+                    for r in inv:
+                        r[pivot_row] += q * r[i]
                     if rows[i][col]:
                         clean = False
             if clean:
                 pivot_row += 1
                 break
-    return tuple(tuple(row[n:]) for row in rows[pivot_row:])
+    basis = tuple(tuple(row[n:]) for row in rows[pivot_row:])
+    left = tuple(tuple(r[k] for r in inv) for k in range(pivot_row, n))
+    return basis, left
 
 
 def _restrict_to_basis(
-    action: SquareIntMatrix, basis: tuple[tuple[int, ...], ...]
+    action: SquareIntMatrix, basis: Vectors, left: Vectors
 ) -> SquareIntMatrix:
-    """Matrix of the action on the sublattice spanned by ``basis`` vectors."""
-    rank = action.n
-    size = len(basis)
+    """Matrix X of the action on the sublattice spanned by ``basis``.
+
+    X = left . (A basis^T), and basis^T X == A basis^T is checked exactly,
+    which holds exactly when the action preserves the sublattice.
+    """
     images = [action.apply(v) for v in basis]
-    # Solve [basis columns] X = [image columns] over Q by Gaussian elimination.
-    aug = [
-        [Fraction(basis[j][i]) for j in range(size)]
-        + [Fraction(images[j][i]) for j in range(size)]
-        for i in range(rank)
-    ]
-    pivots = []
-    row = 0
-    for col in range(size):
-        pivot = next((r for r in range(row, rank) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ContractError("sublattice basis is not linearly independent")
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        aug[row] = [x / aug[row][col] for x in aug[row]]
-        for r in range(rank):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(row)
-        row += 1
-    for r in range(row, rank):
-        if any(aug[r][size:]):
-            raise ContractError(
-                "action does not preserve the invariant sublattice"
-            )
-    rows_out = []
-    for r in pivots:
-        row_vals = []
-        for j in range(size):
-            val = aug[r][size + j]
-            if val.denominator != 1:
-                raise ContractError(
-                    "restricted action is not integral on the kernel basis"
-                )
-            row_vals.append(int(val))
-        rows_out.append(tuple(row_vals))
-    return SquareIntMatrix(tuple(rows_out))
+    x = tuple(tuple(sum(a * b for a, b in zip(row, image)) for image in images)
+              for row in left)
+    back = [tuple(sum(c * v[i] for c, v in zip(col, basis)) for i in range(action.n))
+            for col in zip(*x)]
+    if back != images:
+        raise ContractError("action does not preserve the invariant sublattice")
+    return SquareIntMatrix(x)
 
 
 @dataclass(frozen=True)
 class CoverScenario:
-    """A cover model, its cyclic deck action, and the induced action of the
-    word to descend.
+    """A cyclic deck action of the declared order on a cover lattice, and the
+    induced action of the word to descend; the rank is the deck's.
 
     The deck matrix must have the declared finite order exactly; this is a
     construction-time check, never a runtime surprise.  Commutation of the
@@ -113,18 +99,12 @@ class CoverScenario:
     is a precondition for the descent operations.
     """
 
-    cover_lattice: BilinearLattice
     deck_matrix: SquareIntMatrix
     order: int
     action: SquareIntMatrix
-    cover_entropy_bound: float
 
     def __post_init__(self):
-        rank = self.cover_lattice.rank
-        if self.deck_matrix.n != rank:
-            raise InputError(
-                f"deck matrix dimension {self.deck_matrix.n} != lattice rank {rank}"
-            )
+        rank = self.deck_matrix.n
         if self.order < 1:
             raise InputError("deck order must be a positive integer")
         if self.deck_matrix.power(self.order) != SquareIntMatrix.identity(rank):
@@ -133,8 +113,6 @@ class CoverScenario:
             )
         if self.action.n != rank:
             raise InputError("word acts on a lattice of different rank")
-        if self.cover_entropy_bound < 0:
-            raise InputError("cover entropy bound must be nonnegative")
 
 
 def commutes_with_deck(sc: CoverScenario) -> bool:
@@ -142,33 +120,35 @@ def commutes_with_deck(sc: CoverScenario) -> bool:
     return sc.action @ sc.deck_matrix == sc.deck_matrix @ sc.action
 
 
-def invariant_sublattice(
-    sc: CoverScenario,
-) -> tuple[tuple[tuple[int, ...], ...], SquareIntMatrix]:
+def invariant_sublattice(sc: CoverScenario) -> tuple[Vectors, SquareIntMatrix]:
     """Basis of the deck-fixed sublattice and the word's restriction to it."""
     if not commutes_with_deck(sc):
         raise ContractError(
             "word action does not commute with the deck action; descent needs "
             "an invariant polarization"
         )
-    fixed = sc.deck_matrix - SquareIntMatrix.identity(sc.cover_lattice.rank)
-    basis = integer_kernel_basis(fixed)
+    fixed = sc.deck_matrix - SquareIntMatrix.identity(sc.deck_matrix.n)
+    basis, left = integer_kernel_basis(fixed)
     if not basis:
         raise InputError(
             "deck action fixes no lattice vector; not a valid quotient model"
         )
-    return basis, _restrict_to_basis(sc.action, basis)
+    return basis, _restrict_to_basis(sc.action, basis, left)
 
 
-def quotient_verdict(sc: CoverScenario, tol: float = DEFAULT_TOL) -> Verdict:
+def quotient_verdict(sc: CoverScenario, cover_entropy_bound: float,
+                     tol: float = DEFAULT_TOL) -> Verdict:
     """Descend the entropy bound and squeeze the quotient spectral radius.
 
-    The entropy bound transfers as an identity through the covering.  The
-    cover action and its restriction are certified separately: an exactly
-    zero cover certificate must restrict to an exactly zero one, and
-    otherwise only the inequality against the cover value is asserted.
-    ``details`` gives the cover's log rho and the quotient rank.
+    The cover's entropy bound, which must be nonnegative, transfers as an
+    identity through the covering.  The cover action and its restriction are
+    certified separately: an exactly zero cover certificate must restrict to
+    an exactly zero one, and otherwise only the inequality against the cover
+    value is asserted.  ``details`` gives the cover's log rho and the
+    quotient rank.
     """
+    if cover_entropy_bound < 0:
+        raise InputError("cover entropy bound must be nonnegative")
     basis, restricted = invariant_sublattice(sc)
     cover_log_rho, cover_exact_zero = certify_log_rho(sc.action, tol)
     log_rho, exact_zero = certify_log_rho(restricted, tol)
@@ -180,6 +160,6 @@ def quotient_verdict(sc: CoverScenario, tol: float = DEFAULT_TOL) -> Verdict:
     if log_rho > cover_log_rho + 10 * tol:
         raise ContractError("restricted spectral radius exceeds the ambient one")
     return Verdict.of(
-        sc.cover_entropy_bound, log_rho, exact_zero, tol,
+        cover_entropy_bound, log_rho, exact_zero, tol,
         details={"cover_log_rho": cover_log_rho, "quotient_rank": len(basis)},
     )

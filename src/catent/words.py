@@ -9,16 +9,16 @@ the level of numerical classes only:
   * ``{"kind": "tensor", "matrix": M}`` multiplies by the unipotent M, the
     class action of tensoring with a line bundle; ``"nilpotent": N`` in
     place of ``"matrix"`` gives M as the exponential of the cup-product
-    matrix N,
+    matrix N, summed in integers,
   * ``{"kind": "spherical", "class": e}`` reflects along the spherical
     class e; ``"whitelisted": true`` skips the self-pairing check, for
     lattices that only stand in for the actual numerical lattice,
   * ``{"kind": "explicit", "matrix": M}`` injects an arbitrary integer action.
 
 ``generator_matrix`` is the one place that reads a generator's kind, and it
-makes the checks that need the lattice.  Words compose right-to-left,
-matching functor composition: the first generator in the list is applied
-last.
+makes the checks that need the lattice, for ``catent validate`` as for the
+run.  Words compose right-to-left, matching functor composition: the first
+generator in the list is applied last.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def generator_matrix(lattice: BilinearLattice, gen: dict, i: int) -> SquareIntMa
     if matrix.n != rank:
         raise InputError(f"generator {i} has dimension {matrix.n}, lattice rank {rank}")
     if kind == "tensor" and not is_unipotent(matrix):
-        raise InputError("TensorClass matrix must be unipotent")
+        raise InputError(f"generator {i} tensor matrix must be unipotent")
     return matrix
 
 
@@ -184,34 +184,22 @@ class Verdict:
 def tensor_matrix_from_nilpotent(n: SquareIntMatrix) -> SquareIntMatrix:
     """Exponential of a nilpotent cup-product matrix, as an integer matrix.
 
-    The exponential series terminates; each term is computed exactly over
-    Fractions and the result must clear to integers.
+    The exponential series terminates at N^(size-1); with f = (size-1)!, the
+    integer sum of N^k (f/k!) must divide by f entry by entry.
     """
-    from fractions import Fraction
-
     if not is_unipotent(n + SquareIntMatrix.identity(n.n)):
         raise InputError("matrix is not nilpotent")
-    size = n.n
-    acc = [[Fraction(1 if i == j else 0) for j in range(size)] for i in range(size)]
-    power = SquareIntMatrix.identity(size)
-    factorial = 1
-    for k in range(1, size):
+    f = math.factorial(n.n - 1)
+    acc = SquareIntMatrix.identity(n.n).scaled(f)
+    power = SquareIntMatrix.identity(n.n)
+    for k in range(1, n.n):
         power = power @ n
         if power.is_zero():
             break
-        factorial *= k
-        for i in range(size):
-            for j in range(size):
-                acc[i][j] += Fraction(power.entries[i][j], factorial)
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            if acc[i][j].denominator != 1:
-                raise InputError(
-                    "exponential of this nilpotent matrix is not integral; "
-                    "supply the unipotent class action directly"
-                )
-            row.append(int(acc[i][j]))
-        rows.append(tuple(row))
-    return SquareIntMatrix(tuple(rows))
+        acc = acc + power.scaled(f // math.factorial(k))
+    if any(x % f for row in acc.entries for x in row):
+        raise InputError(
+            "exponential of this nilpotent matrix is not integral; "
+            "supply the unipotent class action directly"
+        )
+    return SquareIntMatrix(tuple(tuple(x // f for x in row) for row in acc.entries))

@@ -246,20 +246,16 @@ def test_criterion_8_descent_preset_and_counterexample():
         tuple(map(tuple, preset["lattice"]["gram"])), "symmetric"
     )
     deck = SquareIntMatrix(tuple(map(tuple, preset["deck"]["matrix"])))
-    sc = CoverScenario(
-        lattice, deck, 2, induced_matrix(lattice, preset["word"]), math.log(6)
-    )
+    sc = CoverScenario(deck, 2, induced_matrix(lattice, preset["word"]))
     assert commutes_with_deck(sc)
     _, restricted = invariant_sublattice(sc)
-    assert quotient_verdict(sc).log_rho_exact_zero
+    assert quotient_verdict(sc, math.log(6)).log_rho_exact_zero
 
     z2 = BilinearLattice(((1, 0), (0, 1)), "symmetric")
     bad = CoverScenario(
-        z2,
         SquareIntMatrix(((0, 1), (1, 0))),
         2,
         induced_matrix(z2, [{"kind": "tensor", "matrix": [[1, 1], [0, 1]]}]),
-        1.0,
     )
     assert not commutes_with_deck(bad)
     _passed(8, "descent preset: commutation holds, quotient log rho is "

@@ -244,8 +244,8 @@ def test_surface_twist_run():
     assert [row["lower"] for row in report["series"]][:3] == [201, 1973, 18246]
 
 
-# Passes validate, but the tensor class is not unipotent, which only the run
-# finds out.
+# Schema-valid, but the tensor class is not unipotent, which takes the
+# lattice checks of validate or run to find out.
 NON_UNIPOTENT_TENSOR = {
     "kind": "lattice_word", "lattice": {"gram": [[1, 0], [0, 1]]},
     "word": [{"kind": "tensor", "matrix": [[2, 1], [1, 1]]}],
@@ -257,7 +257,7 @@ def test_run_serializes_engine_errors():
     report = run_scenario(load_config(NON_UNIPOTENT_TENSOR))
     assert report["verdict"] == "error"
     assert report["error"]["type"] == "InputError"
-    assert "TensorClass matrix must be unipotent" in report["error"]["message"]
+    assert report["error"]["message"] == "generator 0 tensor matrix must be unipotent"
 
 
 # -- reports -----------------------------------------------------------------------
@@ -461,9 +461,13 @@ def test_main_report_past_the_int_digit_limit_is_a_numeric_error(capsys, argv):
 
 def test_main_engine_error_exit_code(capsys):
     cfg = json.dumps(NON_UNIPOTENT_TENSOR)
-    assert main(["validate", "--config", cfg]) == 0
+    line = "error [InputError]: generator 0 tensor matrix must be unipotent\n"
+    assert main(["validate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line)
     code = main(["run", "--config", cfg])
-    assert code == 1  # input error, found by the run
+    assert code == 1  # the same input error, found by the run
+    assert capsys.readouterr().err == line
 
 
 MUKAI10 = {"gram": [[0, 0, -1], [0, 10, 0], [-1, 0, 0]], "symmetry_kind": "symmetric"}
@@ -478,17 +482,19 @@ NON_SPHERICAL_WORDS = {
 @pytest.mark.parametrize("kind", sorted(NON_SPHERICAL_WORDS))
 def test_main_non_spherical_class_needs_the_whitelist(capsys, kind):
     # (0, 1, 0) has self-pairing 10 under the Mukai gram, not -2.  validate
-    # cannot see that; the run gives an error report, after the cover bound
-    # of an enriques scenario.
+    # says so; the run gives an error report, after the cover bound of an
+    # enriques scenario.
     spherical = {"kind": "spherical", "class": [0, 1, 0]}
     config = {**NON_SPHERICAL_WORDS[kind], "word": [spherical]}
     clean = {**config, "word": [{**spherical, "whitelisted": True}]}
-    assert main(["validate", "--config", json.dumps(config)]) == 0
-    capsys.readouterr()
-    assert main(["run", "--config", json.dumps(config)]) == 1
-    captured = capsys.readouterr()
     message = ("generator 0 class has self-pairing 10, spherical classes need -2 "
                "(or whitelist it)")
+    assert main(["validate", "--config", json.dumps(config)]) == 1
+    assert capsys.readouterr().err == f"error [InputError]: {message}\n"
+    assert main(["validate", "--config", json.dumps(clean)]) == 0
+    assert capsys.readouterr().out == f"config OK: kind={kind}\n"
+    assert main(["run", "--config", json.dumps(config)]) == 1
+    captured = capsys.readouterr()
     assert captured.err == f"error [InputError]: {message}\n"
     report = json.loads(captured.out)
     assert report["error"] == {"type": "InputError", "message": message}
@@ -497,6 +503,30 @@ def test_main_non_spherical_class_needs_the_whitelist(capsys, kind):
     assert clean_report["error"] is None
     assert report["timing"] == clean_report["timing"]
     assert (report["timing"]["work_units"] > 0) == (kind == "enriques")
+
+
+# The swap has order 2, not a divisor of 3.
+BAD_DECK_ORDER = {
+    **NON_SPHERICAL_WORDS["enriques"],
+    "deck": {"matrix": [[0, 1, 0], [1, 0, 0], [0, 0, 1]], "order": 3},
+    "word": [{"kind": "ptwist"}],
+}
+
+
+def test_main_bad_deck_order_fails_validate_as_run(capsys):
+    cfg = json.dumps(BAD_DECK_ORDER)
+    line = "error [InputError]: deck matrix does not have order dividing 3\n"
+    assert main(["validate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line)
+    assert main(["run", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == line
+    report = json.loads(captured.out)
+    assert report["error"]["message"] == "deck matrix does not have order dividing 3"
+    assert report["timing"]["work_units"] == 176  # the cover bound ran first
+    fixed = {**BAD_DECK_ORDER, "deck": {**BAD_DECK_ORDER["deck"], "order": 2}}
+    assert main(["validate", "--config", json.dumps(fixed)]) == 0
 
 
 # Non-invariant tensor word over a swap deck: descent must refuse, after the

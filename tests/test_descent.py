@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -14,12 +15,33 @@ from catent.descent import (
 from catent.errors import ContractError, InputError
 from catent.lattice import BilinearLattice, SquareIntMatrix, is_unipotent, spectral_radius
 from catent.words import induced_matrix
+from rational_reference import kernel_basis, restrict_to_basis
 
 TOL = 1e-9
 
 Z2 = BilinearLattice(((1, 0), (0, 1)), "symmetric")
 SWAP = SquareIntMatrix(((0, 1), (1, 0)))
 SHEAR = SquareIntMatrix(((1, 1), (0, 1)))
+
+
+def _product(left, basis):
+    """left . basis^T, as rows."""
+    return tuple(tuple(sum(a * b for a, b in zip(row, v)) for v in basis)
+                 for row in left)
+
+
+def _matrix(rows):
+    return SquareIntMatrix(tuple(map(tuple, rows)))
+
+
+def _random_matrix(rng, n):
+    """An n x n product of n x r and r x n factors: rank at most r, so the
+    kernel is often nontrivial."""
+    r = rng.randint(0, n)
+    a = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+    b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+    return _matrix([[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(n)]
+                    for i in range(n)])
 
 
 def rank4_cover():
@@ -33,21 +55,23 @@ def rank4_cover():
     )
     tensor = [[1, 0, 0, 0], [-1, 1, 0, 0], [1, -2, 1, 0], [0, 0, 0, 1]]
     word = [{"kind": "ptwist"}, {"kind": "tensor", "matrix": tensor}]
-    return CoverScenario(lattice, deck, 2, induced_matrix(lattice, word), math.log(6))
+    return CoverScenario(deck, 2, induced_matrix(lattice, word))
 
 
 # -- integer kernel ---------------------------------------------------------------
 
 
 def test_kernel_of_zero_map_is_everything():
-    basis = integer_kernel_basis(SquareIntMatrix.identity(3).scaled(0))
+    basis, left = integer_kernel_basis(SquareIntMatrix.identity(3).scaled(0))
     assert len(basis) == 3
+    assert _product(left, basis) == SquareIntMatrix.identity(3).entries
 
 
 def test_kernel_swap_fixed_line():
     fixed = SWAP - SquareIntMatrix.identity(2)
-    basis = integer_kernel_basis(fixed)
+    basis, left = integer_kernel_basis(fixed)
     assert len(basis) == 1
+    assert _product(left, basis) == ((1,),)
     v = basis[0]
     assert v[0] == v[1] and abs(v[0]) == 1  # primitive (1, 1) up to sign
 
@@ -55,9 +79,10 @@ def test_kernel_swap_fixed_line():
 def test_kernel_is_saturated():
     # 2x + 2y = 0 has primitive kernel vector (1, -1), not (2, -2).
     m = SquareIntMatrix(((2, 2), (0, 0)))
-    basis = integer_kernel_basis(m)
+    basis, left = integer_kernel_basis(m)
     assert len(basis) == 1
     assert sorted(map(abs, basis[0])) == [1, 1]
+    assert _product(left, basis) == ((1,),)
 
 
 def test_kernel_random_members_annihilate():
@@ -69,8 +94,59 @@ def test_kernel_random_members_annihilate():
                 tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)
             )
         )
-        for v in integer_kernel_basis(m):
+        for v in integer_kernel_basis(m)[0]:
             assert m.apply(v) == (0,) * n
+
+
+def test_kernel_basis_matches_reference_with_left_inverse():
+    rng = random.Random(1301)
+    nonempty = 0
+    for _ in range(1500):
+        m = _random_matrix(rng, rng.randint(1, 6))
+        basis, left = integer_kernel_basis(m)
+        assert basis == kernel_basis(m)
+        identity = SquareIntMatrix.identity(len(basis)).entries if basis else ()
+        assert _product(left, basis) == identity
+        nonempty += bool(basis)
+    assert nonempty > 500
+
+
+def test_restriction_matches_rational_reference():
+    # Each kernel gets a random action, which rarely preserves it, and the
+    # action B R L + Q (I - B L), which preserves it with restriction R
+    # (B = basis^T, L = left).  The integer restriction must equal the
+    # rational solve, or fail with the same message.
+    rng = random.Random(1302)
+    agreed = rejected = 0
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        basis, left = integer_kernel_basis(_random_matrix(rng, n))
+        if not basis:
+            continue
+        s = len(basis)
+        r = [[rng.randint(-3, 3) for _ in range(s)] for _ in range(s)]
+        q = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        bl = [[sum(v[i] * w[j] for v, w in zip(basis, left)) for j in range(n)]
+              for i in range(n)]
+        brl = [[sum(basis[k][i] * r[k][l] * left[l][j]
+                    for k in range(s) for l in range(s)) for j in range(n)]
+               for i in range(n)]
+        preserving = [[brl[i][j] + q[i][j] - sum(q[i][k] * bl[k][j] for k in range(n))
+                       for j in range(n)] for i in range(n)]
+        for action, restriction in ((_matrix(q), None), (_matrix(preserving), r)):
+            try:
+                want = restrict_to_basis(action, basis)
+            except ContractError as exc:
+                with pytest.raises(ContractError, match=f"^{re.escape(str(exc))}$"):
+                    descent._restrict_to_basis(action, basis, left)
+                rejected += 1
+                continue
+            got = descent._restrict_to_basis(action, basis, left)
+            assert got == want
+            if restriction is not None:
+                assert got == _matrix(restriction)
+            agreed += 1
+    assert agreed > 400 and rejected > 100
 
 
 # -- scenario validation -------------------------------------------------------------
@@ -78,19 +154,23 @@ def test_kernel_random_members_annihilate():
 
 def test_deck_order_checked_at_construction():
     identity = SquareIntMatrix.identity(2)
-    with pytest.raises(InputError):
-        CoverScenario(Z2, SHEAR, 2, identity, 0.0)
-    CoverScenario(Z2, SWAP, 2, identity, 0.0)
+    with pytest.raises(InputError, match="^deck matrix does not have order dividing 2$"):
+        CoverScenario(SHEAR, 2, identity)
+    with pytest.raises(InputError, match="^deck order must be a positive integer$"):
+        CoverScenario(SWAP, 0, identity)
+    CoverScenario(SWAP, 2, identity)
 
 
 def test_deck_dimension_checked():
-    with pytest.raises(InputError):
-        CoverScenario(Z2, SquareIntMatrix.identity(3), 1, SWAP, 0.0)
+    # The rank is the deck's, so a deck of another rank than the action's
+    # is the same mismatch as an action of another rank than the deck's.
+    with pytest.raises(InputError, match="word acts on a lattice of different rank"):
+        CoverScenario(SquareIntMatrix.identity(3), 1, SWAP)
 
 
 def test_action_dimension_checked():
     with pytest.raises(InputError, match="word acts on a lattice of different rank"):
-        CoverScenario(Z2, SWAP, 2, SquareIntMatrix.identity(3), 0.0)
+        CoverScenario(SWAP, 2, SquareIntMatrix.identity(3))
 
 
 # -- commutation -----------------------------------------------------------------
@@ -98,7 +178,7 @@ def test_action_dimension_checked():
 
 def test_p_twist_word_always_commutes():
     action = induced_matrix(Z2, [{"kind": "ptwist"}])
-    sc = CoverScenario(Z2, SWAP, 2, action, 1.0)
+    sc = CoverScenario(SWAP, 2, action)
     assert commutes_with_deck(sc)
 
 
@@ -109,7 +189,7 @@ def test_invariant_tensor_commutes():
 
 def test_non_invariant_tensor_fails_commutation():
     # Oracle: [[1,1],[0,1]] and the swap do not commute (direct 2x2 product).
-    sc = CoverScenario(Z2, SWAP, 2, SHEAR, 1.0)
+    sc = CoverScenario(SWAP, 2, SHEAR)
     assert not commutes_with_deck(sc)
     with pytest.raises(ContractError):
         invariant_sublattice(sc)
@@ -119,7 +199,7 @@ def test_non_invariant_tensor_fails_commutation():
 
 
 def test_trivial_deck_restricts_to_original():
-    sc = CoverScenario(Z2, SquareIntMatrix.identity(2), 1, SHEAR, 0.5)
+    sc = CoverScenario(SquareIntMatrix.identity(2), 1, SHEAR)
     basis, restricted = invariant_sublattice(sc)
     assert len(basis) == 2
     assert spectral_radius(restricted, TOL) == pytest.approx(
@@ -128,7 +208,7 @@ def test_trivial_deck_restricts_to_original():
 
 
 def test_swap_invariants_identity_word():
-    sc = CoverScenario(Z2, SWAP, 2, SquareIntMatrix.identity(2), 0.0)
+    sc = CoverScenario(SWAP, 2, SquareIntMatrix.identity(2))
     basis, restricted = invariant_sublattice(sc)
     assert len(basis) == 1 and abs(basis[0][0]) == 1
     assert restricted.entries == ((1,),)
@@ -137,7 +217,7 @@ def test_swap_invariants_identity_word():
 def test_swap_invariants_and_doubling_word():
     word = [{"kind": "explicit", "matrix": [[0, 1], [1, 0]]},
             {"kind": "explicit", "matrix": [[2, 0], [0, 2]]}]
-    sc = CoverScenario(Z2, SWAP, 2, induced_matrix(Z2, word), 0.0)
+    sc = CoverScenario(SWAP, 2, induced_matrix(Z2, word))
     basis, restricted = invariant_sublattice(sc)
     assert len(basis) == 1
     # Oracle: the word sends (1, 1) to (2, 2), so the restriction is [2].
@@ -146,7 +226,7 @@ def test_swap_invariants_and_doubling_word():
 
 def test_fixed_free_deck_rejected():
     minus = SquareIntMatrix.identity(2).scaled(-1)
-    sc = CoverScenario(Z2, minus, 2, SquareIntMatrix.identity(2), 1.0)
+    sc = CoverScenario(minus, 2, SquareIntMatrix.identity(2))
     with pytest.raises(InputError):
         invariant_sublattice(sc)
 
@@ -171,11 +251,7 @@ def test_restriction_never_exceeds_ambient_radius():
         while p != SquareIntMatrix.identity(n):
             p = p @ deck
             order += 1
-        lat = BilinearLattice(
-            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
-            "symmetric",
-        )
-        sc = CoverScenario(lat, deck, order, action, 0.0)
+        sc = CoverScenario(deck, order, action)
         if not commutes_with_deck(sc):
             continue
         try:
@@ -192,7 +268,7 @@ def test_restriction_never_exceeds_ambient_radius():
 
 def test_quotient_verdict_hyperkahler_cover():
     sc = rank4_cover()
-    verdict = quotient_verdict(sc)
+    verdict = quotient_verdict(sc, math.log(6))
     assert verdict.verdict == "GY violated"
     assert verdict.entropy_lower == pytest.approx(math.log(6))
     assert verdict.log_rho == 0.0
@@ -200,16 +276,22 @@ def test_quotient_verdict_hyperkahler_cover():
     assert verdict.details["quotient_rank"] == 3
 
 
+def test_negative_cover_bound_rejected():
+    sc = CoverScenario(SWAP, 2, SquareIntMatrix.identity(2))
+    with pytest.raises(InputError, match="^cover entropy bound must be nonnegative$"):
+        quotient_verdict(sc, -0.5)
+
+
 def test_quotient_verdict_no_bound_no_claim():
-    sc = CoverScenario(Z2, SWAP, 2, SquareIntMatrix.identity(2), 0.0)
-    verdict = quotient_verdict(sc)
+    sc = CoverScenario(SWAP, 2, SquareIntMatrix.identity(2))
+    verdict = quotient_verdict(sc, 0.0)
     assert verdict.verdict == "no violation certified"
 
 
 def test_quotient_verdict_non_unipotent_inequality():
     big = SquareIntMatrix(((2, 1), (1, 1)))
-    sc = CoverScenario(Z2, SquareIntMatrix.identity(2), 1, big, 0.1)
-    verdict = quotient_verdict(sc)
+    sc = CoverScenario(SquareIntMatrix.identity(2), 1, big)
+    verdict = quotient_verdict(sc, 0.1)
     assert not verdict.log_rho_exact_zero
     assert verdict.log_rho <= verdict.details["cover_log_rho"] + 1e-8
     assert verdict.details["quotient_rank"] == 2
@@ -229,4 +311,4 @@ def test_exact_zero_cover_with_growing_restriction_is_a_contract_error(
         descent, "invariant_sublattice", lambda sc: (((1, 0), (0, 1)), growing)
     )
     with pytest.raises(ContractError):
-        quotient_verdict(rank4_cover())
+        quotient_verdict(rank4_cover(), math.log(6))

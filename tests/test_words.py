@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -19,6 +20,7 @@ from catent.words import (
     twist_class_action,
 )
 from lattice_powers import companion_matrix
+from rational_reference import tensor_matrix_from_nilpotent as rational_exponential
 
 TOL = 1e-9
 
@@ -204,7 +206,7 @@ def test_conjugation_invariance_of_spectral_radius():
 def test_tensor_class_requires_unipotent():
     lat = BilinearLattice(((1, 0), (0, 1)), "symmetric")
     tensor = {"kind": "tensor", "matrix": [[2, 0], [0, 1]]}
-    with pytest.raises(InputError, match="TensorClass matrix must be unipotent"):
+    with pytest.raises(InputError, match="^generator 0 tensor matrix must be unipotent$"):
         generator_matrix(lat, tensor, 0)
     # The same matrix is a valid explicit action.
     assert generator_matrix(lat, {**tensor, "kind": "explicit"}, 0).entries == (
@@ -251,3 +253,44 @@ def test_tensor_matrix_from_nilpotent_nonintegral():
     n = SquareIntMatrix(((0, 1, 0), (0, 0, 1), (0, 0, 0)))
     with pytest.raises(InputError):
         tensor_matrix_from_nilpotent(n)
+
+
+def test_tensor_exponential_matches_rational_reference():
+    # Conjugates of strictly lower-triangular matrices are nilpotent, and
+    # their exponentials are integral only sometimes; the plain random
+    # matrices are rarely nilpotent.  The integer sum must equal the
+    # Fraction sum, or fail with the same message.
+    rng = random.Random(1303)
+    agreed = rejected = 0
+    for case in range(1500):
+        n = rng.randint(1, 6)
+        if case % 2:
+            m = SquareIntMatrix(tuple(
+                tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)))
+        else:
+            low = SquareIntMatrix(tuple(
+                tuple(rng.randint(-3, 3) if j < i else 0 for j in range(n))
+                for i in range(n)))
+            c = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+            c_inv = [row[:] for row in c]
+            for _ in range(n):
+                if n < 2:
+                    break
+                i, j = rng.sample(range(n), 2)
+                f = rng.choice([-1, 1])
+                for k in range(n):
+                    c[i][k] += f * c[j][k]
+                for k in range(n):
+                    c_inv[k][j] -= f * c_inv[k][i]
+            cm = SquareIntMatrix(tuple(map(tuple, c)))
+            m = cm @ low @ SquareIntMatrix(tuple(map(tuple, c_inv)))
+        try:
+            want = rational_exponential(m)
+        except InputError as exc:
+            with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
+                tensor_matrix_from_nilpotent(m)
+            rejected += 1
+            continue
+        assert tensor_matrix_from_nilpotent(m) == want
+        agreed += 1
+    assert agreed > 300 and rejected > 800
