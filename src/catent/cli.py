@@ -249,7 +249,7 @@ def validate_config(data) -> tuple[dict | None, list[str]]:
     if not _is_int(version) or version != SCHEMA_VERSION:
         out.append(f"schema_version: engine supports version {SCHEMA_VERSION}, got {version}")
     kind = data.get("kind")
-    if kind not in _RUNNERS:
+    if not isinstance(kind, str) or kind not in _RUNNERS:
         out.append(f"kind: must be one of {tuple(_RUNNERS)}, got {kind!r}")
         return None, out
 
@@ -334,8 +334,12 @@ def load_config(source) -> ScenarioConfig:
     else:
         text = None
         if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
-            with open(source, encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(source, encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                reason = getattr(exc, "strerror", None) or exc
+                raise InputError(f"cannot read config {source}: {reason}") from exc
         elif isinstance(source, str):
             text = source
         else:
@@ -653,8 +657,11 @@ def _load_from_args(args) -> ScenarioConfig:
 
 def _write_out(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -703,11 +710,12 @@ def main(argv=None) -> int:
 
         cfg = _load_from_args(args)
         if args.command == "validate":
-            # The lattice checks that the run makes, without the run.
+            # Every check that the run makes without cone work; the cover
+            # bound only enters the verdict.
             if cfg.kind == "enriques":
-                _cover_scenario(cfg.data)
+                quotient_verdict(_cover_scenario(cfg.data), 0.0, cfg.tol)
             elif cfg.kind == "lattice_word":
-                _word_action(cfg.data)
+                certify_log_rho(_word_action(cfg.data), cfg.tol)
             _write_out(f"config OK: kind={cfg.kind}\n", args.out)
             return 0
         report = run_scenario(cfg)

@@ -3,9 +3,10 @@
 Models the quotient of a hyperkaehler-type cover by a finite cyclic group of
 deck transformations.  A ``CoverScenario`` holds the deck matrix, its order
 and the integer action a word induces on the cover lattice
-(``words.induced_matrix``).  When that action commutes with the deck action,
-the quotient's numerical lattice embeds as the deck-fixed sublattice, the
-action restricts to it, and
+(``words.induced_matrix``), and makes every check of them when it is built:
+the action commutes with the deck action, so the quotient's numerical
+lattice embeds as the deck-fixed sublattice, which must be nonzero, and the
+action restricts to it.  Then
 
   * the quotient inherits the cover's certified entropy lower bound, and
   * the quotient log spectral radius is squeezed to exactly zero whenever
@@ -19,7 +20,7 @@ reduction reads the restricted action off the images of the kernel basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ContractError, InputError
 from .lattice import DEFAULT_TOL, SquareIntMatrix
@@ -93,15 +94,17 @@ class CoverScenario:
     """A cyclic deck action of the declared order on a cover lattice, and the
     induced action of the word to descend; the rank is the deck's.
 
-    The deck matrix must have the declared finite order exactly; this is a
-    construction-time check, never a runtime surprise.  Commutation of the
-    action with the deck action is what ``commutes_with_deck`` decides, and
-    is a precondition for the descent operations.
+    Every check is made at construction, in this order: the deck has the
+    declared order, the action has the deck's rank and commutes with the
+    deck, and the deck fixes a nonzero vector.  ``basis`` spans the fixed
+    sublattice and ``restricted`` is the action on it.
     """
 
     deck_matrix: SquareIntMatrix
     order: int
     action: SquareIntMatrix
+    basis: Vectors = field(init=False)
+    restricted: SquareIntMatrix = field(init=False)
 
     def __post_init__(self):
         rank = self.deck_matrix.n
@@ -113,27 +116,20 @@ class CoverScenario:
             )
         if self.action.n != rank:
             raise InputError("word acts on a lattice of different rank")
-
-
-def commutes_with_deck(sc: CoverScenario) -> bool:
-    """Exact check that the induced word action commutes with the deck action."""
-    return sc.action @ sc.deck_matrix == sc.deck_matrix @ sc.action
-
-
-def invariant_sublattice(sc: CoverScenario) -> tuple[Vectors, SquareIntMatrix]:
-    """Basis of the deck-fixed sublattice and the word's restriction to it."""
-    if not commutes_with_deck(sc):
-        raise ContractError(
-            "word action does not commute with the deck action; descent needs "
-            "an invariant polarization"
-        )
-    fixed = sc.deck_matrix - SquareIntMatrix.identity(sc.deck_matrix.n)
-    basis, left = integer_kernel_basis(fixed)
-    if not basis:
-        raise InputError(
-            "deck action fixes no lattice vector; not a valid quotient model"
-        )
-    return basis, _restrict_to_basis(sc.action, basis, left)
+        if self.action @ self.deck_matrix != self.deck_matrix @ self.action:
+            raise ContractError(
+                "word action does not commute with the deck action; descent needs "
+                "an invariant polarization"
+            )
+        basis, left = integer_kernel_basis(
+            self.deck_matrix - SquareIntMatrix.identity(rank))
+        if not basis:
+            raise InputError(
+                "deck action fixes no lattice vector; not a valid quotient model"
+            )
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "restricted",
+                           _restrict_to_basis(self.action, basis, left))
 
 
 def quotient_verdict(sc: CoverScenario, cover_entropy_bound: float,
@@ -149,9 +145,8 @@ def quotient_verdict(sc: CoverScenario, cover_entropy_bound: float,
     """
     if cover_entropy_bound < 0:
         raise InputError("cover entropy bound must be nonnegative")
-    basis, restricted = invariant_sublattice(sc)
     cover_log_rho, cover_exact_zero = certify_log_rho(sc.action, tol)
-    log_rho, exact_zero = certify_log_rho(restricted, tol)
+    log_rho, exact_zero = certify_log_rho(sc.restricted, tol)
     if cover_exact_zero and not exact_zero:
         raise ContractError(
             "restriction of an action that is unipotent up to sign failed "
@@ -161,5 +156,5 @@ def quotient_verdict(sc: CoverScenario, cover_entropy_bound: float,
         raise ContractError("restricted spectral radius exceeds the ambient one")
     return Verdict.of(
         cover_entropy_bound, log_rho, exact_zero, tol,
-        details={"cover_log_rho": cover_log_rho, "quotient_rank": len(basis)},
+        details={"cover_log_rho": cover_log_rho, "quotient_rank": len(sc.basis)},
     )

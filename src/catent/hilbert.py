@@ -25,7 +25,6 @@ def kunneth_power_series(series: BoundSeries, n: int) -> BoundSeries:
     if n == 1:
         return series
     return BoundSeries(
-        series.t,
         tuple(lo**n for lo in series.lowers),
         tuple(None if hi is None else hi**n for hi in series.uppers),
     )

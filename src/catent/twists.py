@@ -73,8 +73,10 @@ class HKModel:
 
     The rule i -> d_i gives the section dimension of the i-th power of the
     polarization, either from the degree-n binomial formula in a stored
-    even form value q, or from an explicit table (d_1, d_2, ...).  All
-    generated or stored values must exceed 1 and be nondecreasing.
+    even form value q, or from an explicit table (d_1, d_2, ...).  Every
+    check is made at construction: an odd q fails at d_1, and a table must
+    be nondecreasing with every entry above 1.  An even q needs no more,
+    since it gives d_i >= n + 1 >= 2 for every i.
     """
 
     n: int
@@ -90,7 +92,6 @@ class HKModel:
             if self.q < 1:
                 raise InputError("q must be a positive integer")
             self.dim(1)  # reject non-integral rules at construction
-            self.dim(2)
         if self.table is not None:
             table = tuple(int(x) for x in self.table)
             object.__setattr__(self, "table", table)
@@ -117,18 +118,14 @@ class HKModel:
         if i < 0:
             raise InputError("dimension index must be nonnegative")
         if self.q is not None:
-            d = _binomial_dim(self.n, self.q, i)
-        else:
-            if i == 0:
-                raise InputError("d_0 is not stored in table-based models")
-            if i > len(self.table):
-                raise InputError(
-                    f"d-table too short: need d_{i}, have {len(self.table)} entries"
-                )
-            d = self.table[i - 1]
-        if d <= 1:
-            raise InputError(f"Riemann-Roch rule violates d_i > 1 at i={i} (got {d})")
-        return d
+            return _binomial_dim(self.n, self.q, i)
+        if i == 0:
+            raise InputError("d_0 is not stored in table-based models")
+        if i > len(self.table):
+            raise InputError(
+                f"d-table too short: need d_{i}, have {len(self.table)} entries"
+            )
+        return self.table[i - 1]
 
 
 def negative_line_bundle_profile(model: HKModel, j: int) -> GradedDimInterval:
@@ -256,13 +253,13 @@ def verify_iterate_contract(
 
 @dataclass(frozen=True)
 class BoundSeries:
-    """Per-step lower/upper bounds for the generator-pair Ext total at t.
+    """Per-step lower/upper bounds for a generator-pair Ext total.
 
     Entry i corresponds to step m = i + 1; ``None`` upper bounds mean
-    unbounded.  Values are exact integers at t = 0.
+    unbounded.  Values are exact integers, except for a spherical-twist
+    series weighted at t > 0.
     """
 
-    t: float
     lowers: tuple
     uppers: tuple
 
@@ -313,7 +310,7 @@ def ext_growth_series(model: HKModel, m_max: int) -> BoundSeries:
                 hi_sum = None if hi_sum is None or hi is None else hi_sum + hi
         lowers.append(lo_sum)
         uppers.append(hi_sum)
-    return BoundSeries(0.0, tuple(lowers), tuple(uppers))
+    return BoundSeries(tuple(lowers), tuple(uppers))
 
 
 @dataclass(frozen=True)
@@ -432,4 +429,4 @@ def spherical_twist_series(
             raise ContractError(f"interval blow-up at step {m}: no finite bounds left")
         lowers.append(lo)
         uppers.append(hi)
-    return BoundSeries(t, tuple(lowers), tuple(uppers))
+    return BoundSeries(tuple(lowers), tuple(uppers))

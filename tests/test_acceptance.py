@@ -9,13 +9,11 @@ import math
 import random
 import time
 
+import pytest
+
 from catent.cli import emit_report, list_builtin_models, load_config, run_scenario
-from catent.descent import (
-    CoverScenario,
-    commutes_with_deck,
-    invariant_sublattice,
-    quotient_verdict,
-)
+from catent.descent import CoverScenario, quotient_verdict
+from catent.errors import ContractError
 from catent.graded import GradedDimInterval, cone_bounds
 from catent.hilbert import kunneth_power_series
 from catent.lattice import (
@@ -153,7 +151,7 @@ def test_criterion_5_power_scaling():
         sym_rho = spectral_radius(symmetric_power_matrix(m, n), TOL)
         assert abs(sym_rho - rho**n) <= 1e-6 * max(1.0, rho**n)
     for n in (2, 3):
-        base = BoundSeries(0.0, tuple(5 * 3**m for m in range(1, 9)), (None,) * 8)
+        base = BoundSeries(tuple(5 * 3**m for m in range(1, 9)), (None,) * 8)
         lifted = kunneth_power_series(base, n)
         assert math.isclose(
             lifted.log_slope(1, 8), n * base.log_slope(1, 8), rel_tol=1e-12
@@ -247,17 +245,16 @@ def test_criterion_8_descent_preset_and_counterexample():
     )
     deck = SquareIntMatrix(tuple(map(tuple, preset["deck"]["matrix"])))
     sc = CoverScenario(deck, 2, induced_matrix(lattice, preset["word"]))
-    assert commutes_with_deck(sc)
-    _, restricted = invariant_sublattice(sc)
+    assert sc.action @ deck == deck @ sc.action
     assert quotient_verdict(sc, math.log(6)).log_rho_exact_zero
 
     z2 = BilinearLattice(((1, 0), (0, 1)), "symmetric")
-    bad = CoverScenario(
-        SquareIntMatrix(((0, 1), (1, 0))),
-        2,
-        induced_matrix(z2, [{"kind": "tensor", "matrix": [[1, 1], [0, 1]]}]),
-    )
-    assert not commutes_with_deck(bad)
+    with pytest.raises(ContractError, match="does not commute with the deck"):
+        CoverScenario(
+            SquareIntMatrix(((0, 1), (1, 0))),
+            2,
+            induced_matrix(z2, [{"kind": "tensor", "matrix": [[1, 1], [0, 1]]}]),
+        )
     _passed(8, "descent preset: commutation holds, quotient log rho is "
                "exactly 0, bound equals the cover bound; the non-invariant "
                "counterexample fails commutation")

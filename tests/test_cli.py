@@ -155,6 +155,13 @@ def test_load_config_from_file(tmp_path):
     assert load_config(str(path)).kind == "hk"
 
 
+@pytest.mark.parametrize("kind", [[], {}])
+def test_unhashable_kind_rejected(kind):
+    kinds = ("hk", "hilb", "enriques", "lattice_word", "surface_twist")
+    assert validate_config({"kind": kind}) == (
+        None, [f"kind: must be one of {kinds}, got {kind!r}"])
+
+
 # -- presets ---------------------------------------------------------------------
 
 
@@ -324,6 +331,8 @@ def test_nilpotent_action_is_an_input_error(capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("error [InputError]")
     assert "Traceback" not in err
+    assert main(["validate", "--config", json.dumps(nilpotent_config(name))]) == 1
+    assert capsys.readouterr().err == err
 
 
 def test_table_format_contents():
@@ -529,6 +538,20 @@ def test_main_bad_deck_order_fails_validate_as_run(capsys):
     assert main(["validate", "--config", json.dumps(fixed)]) == 0
 
 
+def test_main_fixed_free_deck_fails_validate_as_run(capsys):
+    # -I fixes no vector of the lattice; both commands say so, and the run
+    # only after the cover bound.
+    config = {**BAD_DECK_ORDER, "deck": {"matrix": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+                                         "order": 2}}
+    message = "deck action fixes no lattice vector; not a valid quotient model"
+    assert main(["validate", "--config", json.dumps(config)]) == 1
+    assert capsys.readouterr() == ("", f"error [InputError]: {message}\n")
+    assert main(["run", "--config", json.dumps(config)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == {"type": "InputError", "message": message}
+    assert report["timing"]["work_units"] == 176
+
+
 # Non-invariant tensor word over a swap deck: descent must refuse, after the
 # cover bound has run.
 NON_COMMUTING_ENRIQUES = {
@@ -549,6 +572,8 @@ def test_main_contract_violation_exit_code(capsys):
     report = json.loads(captured.out)
     assert report["verdict"] == "error"
     assert report["error"]["type"] == "ContractError"
+    assert main(["validate", "--config", json.dumps(NON_COMMUTING_ENRIQUES)]) == 3
+    assert capsys.readouterr() == ("", captured.err)
 
 
 def test_main_error_report_as_table(capsys):
@@ -565,6 +590,31 @@ def test_main_error_report_series_is_the_header_only(capsys):
     captured = capsys.readouterr()
     assert captured.out == "m,lower,upper\n"
     assert captured.err.startswith("error [ContractError]")
+
+
+@pytest.mark.parametrize("case", ["config-dir", "config-latin1", "out-missing-dir",
+                                  "out-dir"])
+def test_main_unusable_paths_are_input_errors(tmp_path, capsys, case):
+    hk = json.dumps({"kind": "hk", "n": 1, "q": 10, "m_max": 4})
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"kind": "hk", "note": "\xe9"}')
+    missing = tmp_path / "missing" / "x.json"
+    argv, message = {
+        "config-dir": (["--config", str(tmp_path)],
+                       f"cannot read config {tmp_path}: Is a directory"),
+        "config-latin1": (["--config", str(latin1)],
+                          f"cannot read config {latin1}: 'utf-8' codec can't decode"),
+        "out-missing-dir": (["--config", hk, "--out", str(missing)],
+                            f"cannot write {missing}: No such file or directory"),
+        "out-dir": (["--config", hk, "--out", str(tmp_path)],
+                    f"cannot write {tmp_path}: Is a directory"),
+    }[case]
+    for command in ("validate", "run"):
+        assert main([command, *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error [InputError]: {message}")
+        assert captured.err.count("\n") == 1
 
 
 def test_main_requires_config_or_preset(capsys):

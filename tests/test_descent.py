@@ -5,13 +5,7 @@ import re
 import pytest
 
 from catent import descent
-from catent.descent import (
-    CoverScenario,
-    commutes_with_deck,
-    integer_kernel_basis,
-    invariant_sublattice,
-    quotient_verdict,
-)
+from catent.descent import CoverScenario, integer_kernel_basis, quotient_verdict
 from catent.errors import ContractError, InputError
 from catent.lattice import BilinearLattice, SquareIntMatrix, is_unipotent, spectral_radius
 from catent.words import induced_matrix
@@ -179,20 +173,34 @@ def test_action_dimension_checked():
 def test_p_twist_word_always_commutes():
     action = induced_matrix(Z2, [{"kind": "ptwist"}])
     sc = CoverScenario(SWAP, 2, action)
-    assert commutes_with_deck(sc)
+    assert sc.action @ sc.deck_matrix == sc.deck_matrix @ sc.action
 
 
 def test_invariant_tensor_commutes():
     sc = rank4_cover()
-    assert commutes_with_deck(sc)
+    assert sc.action @ sc.deck_matrix == sc.deck_matrix @ sc.action
 
 
 def test_non_invariant_tensor_fails_commutation():
     # Oracle: [[1,1],[0,1]] and the swap do not commute (direct 2x2 product).
-    sc = CoverScenario(SWAP, 2, SHEAR)
-    assert not commutes_with_deck(sc)
-    with pytest.raises(ContractError):
-        invariant_sublattice(sc)
+    assert SHEAR @ SWAP != SWAP @ SHEAR
+    with pytest.raises(ContractError, match="^word action does not commute with the "
+                       "deck action; descent needs an invariant polarization$"):
+        CoverScenario(SWAP, 2, SHEAR)
+
+
+def test_checks_run_in_order():
+    # Deck order, then action rank, then commutation, then a fixed vector:
+    # the quarter turn fixes no vector and does not commute with the shear.
+    quarter_turn = SquareIntMatrix(((0, -1), (1, 0)))
+    with pytest.raises(InputError, match="^deck matrix does not have order dividing 2$"):
+        CoverScenario(quarter_turn, 2, SquareIntMatrix.identity(3))
+    with pytest.raises(InputError, match="^word acts on a lattice of different rank$"):
+        CoverScenario(quarter_turn, 4, SquareIntMatrix.identity(3))
+    with pytest.raises(ContractError, match="does not commute"):
+        CoverScenario(quarter_turn, 4, SHEAR)
+    with pytest.raises(InputError, match="^deck action fixes no lattice vector"):
+        CoverScenario(quarter_turn, 4, SquareIntMatrix.identity(2))
 
 
 # -- invariant sublattice --------------------------------------------------------------
@@ -200,35 +208,32 @@ def test_non_invariant_tensor_fails_commutation():
 
 def test_trivial_deck_restricts_to_original():
     sc = CoverScenario(SquareIntMatrix.identity(2), 1, SHEAR)
-    basis, restricted = invariant_sublattice(sc)
-    assert len(basis) == 2
-    assert spectral_radius(restricted, TOL) == pytest.approx(
+    assert len(sc.basis) == 2
+    assert spectral_radius(sc.restricted, TOL) == pytest.approx(
         spectral_radius(SHEAR, TOL), abs=1e-8
     )
 
 
 def test_swap_invariants_identity_word():
     sc = CoverScenario(SWAP, 2, SquareIntMatrix.identity(2))
-    basis, restricted = invariant_sublattice(sc)
-    assert len(basis) == 1 and abs(basis[0][0]) == 1
-    assert restricted.entries == ((1,),)
+    assert len(sc.basis) == 1 and abs(sc.basis[0][0]) == 1
+    assert sc.restricted.entries == ((1,),)
 
 
 def test_swap_invariants_and_doubling_word():
     word = [{"kind": "explicit", "matrix": [[0, 1], [1, 0]]},
             {"kind": "explicit", "matrix": [[2, 0], [0, 2]]}]
     sc = CoverScenario(SWAP, 2, induced_matrix(Z2, word))
-    basis, restricted = invariant_sublattice(sc)
-    assert len(basis) == 1
+    assert len(sc.basis) == 1
     # Oracle: the word sends (1, 1) to (2, 2), so the restriction is [2].
-    assert restricted.entries == ((2,),)
+    assert sc.restricted.entries == ((2,),)
 
 
 def test_fixed_free_deck_rejected():
     minus = SquareIntMatrix.identity(2).scaled(-1)
-    sc = CoverScenario(minus, 2, SquareIntMatrix.identity(2))
-    with pytest.raises(InputError):
-        invariant_sublattice(sc)
+    with pytest.raises(InputError, match="^deck action fixes no lattice vector; "
+                       "not a valid quotient model$"):
+        CoverScenario(minus, 2, SquareIntMatrix.identity(2))
 
 
 def test_restriction_never_exceeds_ambient_radius():
@@ -251,15 +256,12 @@ def test_restriction_never_exceeds_ambient_radius():
         while p != SquareIntMatrix.identity(n):
             p = p @ deck
             order += 1
-        sc = CoverScenario(deck, order, action)
-        if not commutes_with_deck(sc):
-            continue
         try:
-            basis, restricted = invariant_sublattice(sc)
+            sc = CoverScenario(deck, order, action)
         except InputError:
             continue
         found += 1
-        assert spectral_radius(restricted, TOL) <= spectral_radius(action, TOL) + 1e-8
+        assert spectral_radius(sc.restricted, TOL) <= spectral_radius(action, TOL) + 1e-8
     assert found > 50
 
 
@@ -298,17 +300,11 @@ def test_quotient_verdict_non_unipotent_inequality():
 
 
 def test_unipotent_cover_forces_unipotent_restriction():
+    assert is_unipotent(rank4_cover().restricted)
+
+
+def test_exact_zero_cover_with_growing_restriction_is_a_contract_error():
     sc = rank4_cover()
-    _, restricted = invariant_sublattice(sc)
-    assert is_unipotent(restricted)
-
-
-def test_exact_zero_cover_with_growing_restriction_is_a_contract_error(
-    monkeypatch,
-):
-    growing = SquareIntMatrix(((2, 1), (1, 1)))
-    monkeypatch.setattr(
-        descent, "invariant_sublattice", lambda sc: (((1, 0), (0, 1)), growing)
-    )
-    with pytest.raises(ContractError):
-        quotient_verdict(rank4_cover(), math.log(6))
+    object.__setattr__(sc, "restricted", SquareIntMatrix(((2, 1), (1, 1))))
+    with pytest.raises(ContractError, match="failed the exact-zero certificate$"):
+        quotient_verdict(sc, math.log(6))

@@ -1,10 +1,12 @@
-"""Config-to-report fuzzing of ``catent run``.
+"""Config-to-report fuzzing of ``catent run`` and ``catent validate``.
 
 Draws valid and near-valid configs of every scenario kind, serializes them
 (non-finite floats as ``NaN``/``Infinity``) and runs them through ``main``.
 Every run must end in exit code 0 with a report, or in a typed engine error
 with its documented exit code; any other exception fails the test with its
-traceback.  A rerun must print the same bytes.
+traceback.  A rerun must print the same bytes.  On lattice words, which need
+no cone work, ``validate`` must reject every config that the run rejects,
+with the same exit code and error line.
 """
 
 import contextlib
@@ -149,15 +151,20 @@ def near_valid(draw, config):
 config_texts = configs.flatmap(near_valid).map(json.dumps)
 
 
-def run(text):
+def run(text, command="run"):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["run", "--config", text])
+        code = main([command, "--config", text])
     return code, out.getvalue(), err.getvalue()
 
 
 NILPOTENT = {"kind": "lattice_word", "lattice": {"gram": [[0, 1], [1, 0]]},
              "word": [{"kind": "explicit", "matrix": [[0, 1], [0, 0]]}]}
+# -I fixes no vector, so there is no quotient lattice to descend to.
+FIXED_FREE_DECK = {"kind": "enriques", "cover": {"n": 1, "q": 10, "m_max": 4},
+                   "lattice": {"gram": [[1, 0], [0, 1]], "symmetry_kind": "symmetric"},
+                   "deck": {"matrix": [[-1, 0], [0, -1]], "order": 2},
+                   "word": [{"kind": "ptwist"}]}
 # x^30 - x - 1 at rank 30: log rho > 0, found by root refinement.
 RANK_30 = {"kind": "lattice_word",
            "lattice": {"gram": [[int(i == j) for j in range(30)] for i in range(30)]},
@@ -173,6 +180,8 @@ RANK_30 = {"kind": "lattice_word",
                      "m_max": 3, "t": 0.5}))
 @example(json.dumps({"kind": "hk", "n": 3, "q": 10**300, "m_max": 5}))
 @example("[" * 100_000 + "]" * 100_000)
+@example(json.dumps({"kind": []}))
+@example(json.dumps({"kind": {}}))
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(config_texts)
@@ -188,3 +197,14 @@ def test_run_ends_in_a_report_or_a_typed_error(text):
     else:
         assert code
     assert run(text) == (code, out, err)
+
+
+@example(json.dumps(NILPOTENT))
+@example(json.dumps(FIXED_FREE_DECK))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.one_of(lattice_words(), enriques()).map(json.dumps))
+def test_validate_rejects_what_run_rejects(text):
+    code, _, err = run(text)
+    if code:
+        assert run(text, "validate") == (code, "", err)

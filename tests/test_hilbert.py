@@ -24,18 +24,18 @@ def random_matrix(rng, n, lo=-3, hi=3):
 
 
 def test_kunneth_identity_at_one():
-    s = BoundSeries(0.0, (2, 4), (2, 5))
+    s = BoundSeries((2, 4), (2, 5))
     assert kunneth_power_series(s, 1) == s
 
 
 def test_kunneth_geometric():
-    s = BoundSeries(0.0, (2, 4, 8), (2, 4, 8))
+    s = BoundSeries((2, 4, 8), (2, 4, 8))
     out = kunneth_power_series(s, 2)
     assert out.lowers == (4, 16, 64)
 
 
 def test_kunneth_unknown_absorbs():
-    s = BoundSeries(0.0, (2, 4), (2, None))
+    s = BoundSeries((2, 4), (2, None))
     assert kunneth_power_series(s, 3).uppers == (8, None)
 
 
@@ -43,7 +43,7 @@ def test_kunneth_slope_scales_exactly():
     rng = random.Random(2)
     for n in (2, 3):
         c, r = rng.randint(1, 9), rng.randint(2, 5)
-        s = BoundSeries(0.0, tuple(c * r**m for m in range(1, 8)), (None,) * 7)
+        s = BoundSeries(tuple(c * r**m for m in range(1, 8)), (None,) * 7)
         base_slope = s.log_slope(1, 7)
         lifted = kunneth_power_series(s, n).log_slope(1, 7)
         assert math.isclose(lifted, n * base_slope, rel_tol=1e-9)
@@ -130,7 +130,7 @@ def test_scenario_validation():
     with pytest.raises(InputError):
         hilbert_lift_verdict(0, base)
     with pytest.raises(InputError):
-        hilbert_lift_verdict(2, replace(base, series=BoundSeries(0.0, (0,), (None,))))
+        hilbert_lift_verdict(2, replace(base, series=BoundSeries((0,), (None,))))
     with pytest.raises(InputError):
         hilbert_lift_verdict(2, replace(base, entropy_lower=-1.0))
 
@@ -156,7 +156,7 @@ def test_lift_verdict_identity_at_one_point():
 
 def test_lift_verdict_equality_case_claims_no_gap():
     # Base with entropy bound equal to log rho: no strict gap is claimed.
-    series = BoundSeries(0.0, (2, 4, 8), (2, 4, 8))
+    series = BoundSeries((2, 4, 8), (2, 4, 8))
     log2 = math.log(2)
     base = Verdict(
         log_rho=log2,

@@ -234,13 +234,12 @@ def test_series_dominates_top_terms_and_geometric_floor():
 
 def test_series_integer_at_t_zero():
     series = ext_growth_series(K3, 3)
-    assert series.t == 0.0
     assert all(isinstance(lo, int) for lo in series.lowers)
     assert all(isinstance(hi, int) for hi in series.uppers)
 
 
 def test_log_slope_window_validation():
-    series = BoundSeries(0.0, (2, 4, 8), (2, 4, 8))
+    series = BoundSeries((2, 4, 8), (2, 4, 8))
     assert series.log_slope(1, 3) == pytest.approx(math.log(2))
     with pytest.raises(InputError):
         series.log_slope(3, 1)
