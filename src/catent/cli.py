@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 from . import __version__
 from .descent import CoverScenario, quotient_verdict
-from .errors import EngineError, InputError, NumericError
+from .errors import EngineError, InputError, NumericError, is_int
 from .graded import cone_evaluations
 from .hilbert import hilbert_lift_verdict
 from .lattice import DEFAULT_TOL, BilinearLattice, SquareIntMatrix
@@ -57,48 +57,38 @@ _EXIT_CODES = {
 # ---------------------------------------------------------------------------
 
 
-def _is_int(v) -> bool:
-    """A JSON integer: an int that is not a bool."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _check_int(out, data, key, path, lo=None, hi=None, required=True, default=None):
+def _check_int(out, data, key, path, lo, hi):
     if key not in data:
-        if required:
-            out.append(f"{path}{key}: required field is missing")
-        return default
+        out.append(f"{path}{key}: required field is missing")
+        return None
     v = data[key]
-    if not _is_int(v):
+    if not is_int(v):
         out.append(f"{path}{key}: must be an integer, got {v!r}")
-        return default
-    if lo is not None and v < lo:
+        return None
+    if v < lo:
         out.append(f"{path}{key}: must be >= {lo}, got {v}")
-        return default
-    if hi is not None and v > hi:
+        return None
+    if v > hi:
         out.append(f"{path}{key}: must be <= {hi}, got {v}")
-        return default
+        return None
     return v
 
 
-def _check_number(out, data, key, path, lo=None, required=True, default=None):
-    if key not in data:
-        if required:
-            out.append(f"{path}{key}: required field is missing")
-        return default
-    v = data[key]
+def _check_number(out, data, key, default, lo=None):
+    v = data.get(key, default)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        out.append(f"{path}{key}: must be a number, got {v!r}")
-        return default
+        out.append(f"{key}: must be a number, got {v!r}")
+        return None
     try:
         f = float(v)
     except OverflowError:  # an integer beyond the float range
         f = math.inf
     if not math.isfinite(f):
-        out.append(f"{path}{key}: must be finite, got {f}")
-        return default
+        out.append(f"{key}: must be finite, got {f}")
+        return None
     if lo is not None and not f > lo:
-        out.append(f"{path}{key}: must be > {lo}, got {v}")
-        return default
+        out.append(f"{key}: must be > {lo}, got {v}")
+        return None
     return f
 
 
@@ -115,7 +105,7 @@ def _check_matrix(out, value, path, rank=None):
         if (
             not isinstance(row, (list, tuple))
             or len(row) != n
-            or not all(_is_int(x) for x in row)
+            or not all(is_int(x) for x in row)
         ):
             out.append(f"{path}[{i}]: must be a row of {n} integers")
             return None
@@ -126,48 +116,29 @@ def _check_matrix(out, value, path, rank=None):
     return rows
 
 
-def _check_d_table(out, data, path):
-    table = data.get("d_table")
-    if not isinstance(table, (list, tuple)) or not table:
-        out.append(f"{path}d_table: must be a nonempty list of integers")
-        return None
-    for i, v in enumerate(table, start=1):
-        if not _is_int(v):
-            out.append(f"{path}d_table[{i}]: must be an integer, got {v!r}")
-            return None
-    return list(table)
-
-
 def _validate_rr(out, data, path, deepest=ext_growth_depth):
     """Shared fields of model-driven kinds: n, q or d_table, m_max.
 
-    Once these are valid, a d_table model is built and d_i read at
-    ``deepest(n, m_max)``, the deepest index the run reads, so a table that
-    breaks the model's rules or is too short fails here.  An even q gives
-    every d_i, so a q model needs no such check.
+    Once n is valid the model is built, which checks q or the table.  Once
+    m_max is valid too, a table model's d_i is read at ``deepest(n, m_max)``,
+    the deepest index the run reads, so a table too short for the run fails
+    here.  An even q gives every d_i.
     """
-    before = len(out)
-    norm = {}
-    norm["n"] = _check_int(out, data, "n", path, lo=1, hi=8)
-    has_q, has_table = "q" in data, "d_table" in data
-    if has_q == has_table:
+    norm = {"n": _check_int(out, data, "n", path, 1, 8)}
+    q, table = data.get("q"), data.get("d_table")  # null is absent, as in HKModel
+    m_max = _check_int(out, data, "m_max", path, 3, MAX_M)
+    if (q is None) == (table is None):
         out.append(f"{path}q: supply exactly one of q or d_table")
-    elif has_q:
-        # For odd q, d_1 = binom(q/2 + n + 1, n) is an odd integer over
-        # 2^n n!, so no run could succeed.
-        q = data["q"]
-        if not (_is_int(q) and q > 0 and q % 2 == 0):
-            out.append(f"{path}q: must be an even positive integer, got {q!r}")
-            q = None
-        norm["q"] = q
-    else:
-        norm["d_table"] = _check_d_table(out, data, path)
-    norm["m_max"] = _check_int(out, data, "m_max", path, lo=3, hi=MAX_M)
-    if len(out) == before and has_table and deepest is not None:
+    elif norm["n"] is not None:
         try:
-            _model_from(norm).dim(deepest(norm["n"], norm["m_max"]))
-        except InputError as exc:
-            out.append(f"{path}d_table: {exc}")
+            model = HKModel(norm["n"], q, table)
+            if model.table and deepest is not None and m_max is not None:
+                model.dim(deepest(norm["n"], m_max))
+        except InputError as exc:  # the model's q errors name their field
+            out.append(f"{path}{exc}" if table is None else f"{path}d_table: {exc}")
+        else:
+            norm.update({"q": q} if table is None else {"d_table": list(model.table)})
+    norm["m_max"] = m_max
     if "t" in data:
         out.append(f"{path}t: only surface_twist reads t")
     return norm
@@ -177,24 +148,16 @@ def _validate_lattice(out, data, path):
     if not isinstance(data, dict):
         out.append(f"{path}: must be an object with a gram matrix")
         return None
-    norm = {}
-    norm["gram"] = _check_matrix(out, data.get("gram"), f"{path}.gram")
-    kind = data.get("symmetry_kind", "euler_general")
-    if kind not in ("symmetric", "euler_general"):
-        out.append(f"{path}.symmetry_kind: must be symmetric or euler_general")
-        kind = None
-    norm["symmetry_kind"] = kind
-    sign = data.get("euler_sign", -1)
-    if not _is_int(sign) or sign not in (1, -1):
-        out.append(f"{path}.euler_sign: must be the integer +1 or -1, got {sign!r}")
-        sign = None
-    norm["euler_sign"] = sign
-    if norm["gram"] is not None and kind == "symmetric":
-        g = norm["gram"]
-        if any(
-            g[i][j] != g[j][i] for i in range(len(g)) for j in range(i + 1, len(g))
-        ):
-            out.append(f"{path}.gram: symmetric lattice has an asymmetric gram")
+    norm = {
+        "gram": _check_matrix(out, data.get("gram"), f"{path}.gram"),
+        "symmetry_kind": data.get("symmetry_kind", "euler_general"),
+        "euler_sign": data.get("euler_sign", -1),
+    }
+    if norm["gram"] is not None:
+        try:
+            BilinearLattice(**norm)
+        except InputError as exc:
+            out.append(f"{path}: {exc}")
     return norm
 
 
@@ -222,7 +185,7 @@ def _validate_word(out, data, path, rank):
             if (
                 not isinstance(cls, (list, tuple))
                 or (rank is not None and len(cls) != rank)
-                or not all(_is_int(x) for x in cls)
+                or not all(is_int(x) for x in cls)
             ):
                 out.append(f"{gpath}.class: must be a list of {rank} integers")
                 return None
@@ -240,13 +203,14 @@ def _validate_word(out, data, path, rank):
 def validate_config(data) -> tuple[dict | None, list[str]]:
     """Normalize a raw config; returns (normalized, violations).
 
-    All detectable schema violations are collected, not just the first.
+    Violations of every field are collected.  A model or a lattice is checked
+    by building the type that owns its rules, ``HKModel`` or ``BilinearLattice``.
     """
     out: list[str] = []
     if not isinstance(data, dict):
         return None, ["config: must be a JSON object"]
     version = data.get("schema_version", SCHEMA_VERSION)
-    if not _is_int(version) or version != SCHEMA_VERSION:
+    if not is_int(version) or version != SCHEMA_VERSION:
         out.append(f"schema_version: engine supports version {SCHEMA_VERSION}, got {version}")
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in _RUNNERS:
@@ -258,15 +222,15 @@ def validate_config(data) -> tuple[dict | None, list[str]]:
     if kind == "hk":
         norm.update(_validate_rr(out, data, ""))
     elif kind == "surface_twist":
-        k = _check_int(out, data, "k", "", lo=1, hi=20)
-        l = _check_int(out, data, "l", "", lo=1, hi=20)
+        k = _check_int(out, data, "k", "", 1, 20)
+        l = _check_int(out, data, "l", "", 1, 20)
         deepest = None if None in (k, l) else (
             lambda n, m_max: spherical_twist_depth(k, l, m_max))
         rr = {key: value for key, value in data.items() if key != "t"}
         sub = _validate_rr(out, {**rr, "n": 1}, "", deepest)
         sub.pop("n")
         norm.update(sub)
-        norm["t"] = _check_number(out, data, "t", "", required=False, default=0.0)
+        norm["t"] = _check_number(out, data, "t", 0.0)
         if norm["t"] is not None and norm["t"] < 0:
             out.append(f"t: must be >= 0, got {norm['t']}")
         norm["k"], norm["l"] = k, l
@@ -274,7 +238,7 @@ def validate_config(data) -> tuple[dict | None, list[str]]:
             out.append("m_max: must be <= 12 for surface iteration, "
                        f"got {norm['m_max']}")
     elif kind == "hilb":
-        norm["points"] = _check_int(out, data, "points", "", lo=1, hi=8)
+        norm["points"] = _check_int(out, data, "points", "", 1, 8)
         base = data.get("base")
         if not isinstance(base, dict):
             out.append("base: required object with the surface model fields")
@@ -295,7 +259,7 @@ def validate_config(data) -> tuple[dict | None, list[str]]:
         else:
             norm["deck"] = {
                 "matrix": _check_matrix(out, deck.get("matrix"), "deck.matrix", rank=rank),
-                "order": _check_int(out, deck, "order", "deck.", lo=1, hi=64),
+                "order": _check_int(out, deck, "order", "deck.", 1, 64),
             }
         norm["word"] = _validate_word(out, data.get("word"), "word", rank)
     elif kind == "lattice_word":
@@ -304,8 +268,7 @@ def validate_config(data) -> tuple[dict | None, list[str]]:
         rank = len(lattice["gram"]) if lattice and lattice.get("gram") else None
         norm["word"] = _validate_word(out, data.get("word"), "word", rank)
 
-    norm["tol"] = _check_number(out, data, "tol", "", lo=0.0, required=False,
-                                default=DEFAULT_TOL)
+    norm["tol"] = _check_number(out, data, "tol", DEFAULT_TOL, lo=0.0)
 
     if out:
         return None, out
@@ -327,34 +290,36 @@ class ScenarioConfig:
         return copy.deepcopy(self.data)
 
 
+def _read_config(source):
+    """The raw config in a dict, a file path, or inline JSON."""
+    if isinstance(source, dict):
+        return source
+    if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
+        try:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise InputError(f"cannot read config {source}: {reason}") from exc
+    elif isinstance(source, str):
+        text = source
+    else:
+        raise InputError(f"cannot load config from {source!r}")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(
+            f"config parse error at line {exc.lineno}, column {exc.colno}: "
+            f"{exc.msg}"
+        ) from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past the digit limit, or nesting too deep
+        raise InputError(f"config parse error: {exc}") from exc
+
+
 def load_config(source) -> ScenarioConfig:
     """Load and validate a config from a dict, a file path, or inline JSON."""
-    if isinstance(source, dict):
-        raw = source
-    else:
-        text = None
-        if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
-            try:
-                with open(source, encoding="utf-8") as fh:
-                    text = fh.read()
-            except (OSError, UnicodeDecodeError) as exc:
-                reason = getattr(exc, "strerror", None) or exc
-                raise InputError(f"cannot read config {source}: {reason}") from exc
-        elif isinstance(source, str):
-            text = source
-        else:
-            raise InputError(f"cannot load config from {source!r}")
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(
-                f"config parse error at line {exc.lineno}, column {exc.colno}: "
-                f"{exc.msg}"
-            ) from exc
-        except (ValueError, RecursionError) as exc:
-            # an integer literal past the digit limit, or nesting too deep
-            raise InputError(f"config parse error: {exc}") from exc
-    norm, violations = validate_config(raw)
+    norm, violations = validate_config(_read_config(source))
     if violations:
         raise InputError(
             "config validation failed:\n" + "\n".join(f"  - {v}" for v in violations),
@@ -454,9 +419,7 @@ def _run_hilb(cfg: ScenarioConfig) -> Verdict:
 def _word_action(data: dict) -> SquareIntMatrix:
     """The action of the config's word on its lattice, after the lattice
     checks of every generator."""
-    lat = data["lattice"]
-    lattice = BilinearLattice(lat["gram"], lat["symmetry_kind"], lat["euler_sign"])
-    return induced_matrix(lattice, data["word"])
+    return induced_matrix(BilinearLattice(**data["lattice"]), data["word"])
 
 
 def _cover_scenario(data: dict) -> CoverScenario:
@@ -629,6 +592,7 @@ def emit_series_csv(report: dict) -> str:
 
 
 def _load_from_args(args) -> ScenarioConfig:
+    """The raw --config or --preset, with --tol and --m-max set, validated once."""
     if args.preset and args.config:
         raise InputError("give either --config or --preset, not both")
     if args.preset:
@@ -639,20 +603,17 @@ def _load_from_args(args) -> ScenarioConfig:
             )
         raw = presets[args.preset]
     elif args.config:
-        raw = args.config
+        raw = _read_config(args.config)
     else:
         raise InputError("one of --config or --preset is required")
-    cfg = load_config(raw)
-    data = cfg.to_dict()
-    if getattr(args, "tol", None) is not None:
-        data["tol"] = args.tol
-    if getattr(args, "m_max", None) is not None:
-        for holder in ("base", "cover"):
-            if holder in data:
-                data[holder]["m_max"] = args.m_max
-        if "m_max" in data:
-            data["m_max"] = args.m_max
-    return load_config(data)
+    if isinstance(raw, dict):
+        if args.tol is not None:
+            raw["tol"] = args.tol
+        if args.m_max is not None:
+            for holder in (raw, raw.get("base"), raw.get("cover")):
+                if isinstance(holder, dict) and "m_max" in holder:
+                    holder["m_max"] = args.m_max
+    return load_config(raw)
 
 
 def _write_out(text: str, out_path: str | None):
@@ -718,6 +679,8 @@ def main(argv=None) -> int:
                 certify_log_rho(_word_action(cfg.data), cfg.tol)
             _write_out(f"config OK: kind={cfg.kind}\n", args.out)
             return 0
+        if args.out:  # an unusable path fails before any cone work
+            _write_out("", args.out)
         report = run_scenario(cfg)
         if args.command == "series":
             _write_out(emit_series_csv(report), args.out)

@@ -5,6 +5,11 @@ errors exit 2, contract violations exit 3.
 """
 
 
+def is_int(x) -> bool:
+    """The integer test of the engine and its config schema: a plain int."""
+    return type(x) is int
+
+
 class EngineError(Exception):
     """Base class for all errors raised by the engine."""
 

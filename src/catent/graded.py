@@ -17,8 +17,8 @@ cell with lo == hi, and ``shifted`` shares the tuples of its source.  So
 (degree, lo, hi) triples.
 
 Only the public constructors validate: ``GradedDimInterval(entries)``, which
-``exact`` calls, requires int degrees and bounds (bools are not ints here;
-``hi`` may be None), 0 <= lo <= hi and no repeated degree, and raises
+``exact`` calls, requires int degrees and bounds (``errors.is_int``; ``hi``
+may be None), 0 <= lo <= hi and no repeated degree, and raises
 ``InputError`` otherwise.  Results computed in this module go through
 ``_profile``, which only trims and shares.
 
@@ -50,7 +50,7 @@ import math
 from itertools import count, islice
 from typing import Mapping
 
-from .errors import ContractError, InputError, NumericError
+from .errors import ContractError, InputError, NumericError, is_int
 
 # Running count of cone_bounds evaluations; the CLI reports this as the
 # deterministic work measure of a scenario.
@@ -59,10 +59,6 @@ _CONE_EVALS = 0
 
 def cone_evaluations() -> int:
     return _CONE_EVALS
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class GradedDimInterval:
@@ -76,7 +72,7 @@ class GradedDimInterval:
     def __new__(cls, entries=()):
         cells: dict[int, tuple[int, int | None]] = {}
         for deg, lo, hi in entries:
-            if not (_is_int(deg) and _is_int(lo) and (hi is None or _is_int(hi))):
+            if not (is_int(deg) and is_int(lo) and (hi is None or is_int(hi))):
                 raise InputError(
                     "degrees and bounds must be integers, got "
                     f"({deg!r}, {lo!r}, {hi!r})"
@@ -87,7 +83,7 @@ class GradedDimInterval:
                 raise InputError(f"empty interval [{lo}, {hi}] at degree {deg}")
             if deg in cells:
                 raise InputError(f"duplicate degree {deg}")
-            cells[int(deg)] = (int(lo), None if hi is None else int(hi))
+            cells[deg] = (lo, hi)
         offset = min(cells, default=0)
         lows = [0] * (max(cells, default=-1) - offset + 1)
         highs = lows.copy()

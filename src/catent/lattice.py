@@ -27,6 +27,10 @@ ever decide a case they can prove:
 Every case a gate or shortcut cannot decide (trace n; a common factor mod P
 or P dividing the leading coefficient) still reaches the full exact test, so
 the results are the same as without them.
+
+Each type checks its values when it is built, with no coercion: a non-int
+entry or coefficient (``errors.is_int``), a bad symmetry kind or euler_sign
+and an asymmetric gram declared symmetric are ``InputError``s.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, is_int
 
 #: Default accuracy target for spectral-radius refinement.
 DEFAULT_TOL = 1e-9
@@ -46,10 +50,15 @@ _SYMMETRY_KINDS = ("symmetric", "euler_general")
 
 
 def _as_int_rows(rows):
-    out = []
-    for row in rows:
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+    """``rows`` as a tuple of int tuples; anything else is an InputError."""
+    try:
+        out = tuple(map(tuple, rows))
+    except TypeError:
+        raise InputError(f"matrix must be a sequence of rows, got {rows!r}") from None
+    for row in out:
+        if not all(map(is_int, row)):
+            raise InputError(f"matrix entries must be integers, got row {row!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -173,8 +182,9 @@ class BilinearLattice:
                         raise InputError(
                             f"symmetric lattice has asymmetric gram at ({i},{j})"
                         )
-        if self.euler_sign not in (1, -1):
-            raise InputError("euler_sign must be +1 or -1")
+        if not (is_int(self.euler_sign) and self.euler_sign in (1, -1)):
+            raise InputError(
+                f"euler_sign must be the integer +1 or -1, got {self.euler_sign!r}")
 
     @property
     def rank(self) -> int:
@@ -205,7 +215,9 @@ class IntPolynomial:
     coeffs: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        cs = [int(c) for c in self.coeffs]
+        cs = list(self.coeffs)
+        if not all(map(is_int, cs)):
+            raise InputError(f"coefficients must be integers, got {self.coeffs!r}")
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CollapseError, ContractError, InputError
+from .errors import CollapseError, ContractError, InputError, is_int
 from .graded import (
     GradedDimInterval,
     cone_bounds,
@@ -59,12 +59,7 @@ def _binomial_dim(n: int, q: int, i: int) -> int:
     for t in range(n):
         val *= x - t
     val /= math.factorial(n)
-    if val.denominator != 1:
-        raise InputError(
-            f"Riemann-Roch rule gives non-integer dimension at i={i} "
-            f"(q={q}, n={n}); supply an explicit d-table instead"
-        )
-    return int(val)
+    return int(val)  # integral, since HKModel takes an even q only
 
 
 @dataclass(frozen=True)
@@ -74,9 +69,10 @@ class HKModel:
     The rule i -> d_i gives the section dimension of the i-th power of the
     polarization, either from the degree-n binomial formula in a stored
     even form value q, or from an explicit table (d_1, d_2, ...).  Every
-    check is made at construction: an odd q fails at d_1, and a table must
-    be nondecreasing with every entry above 1.  An even q needs no more,
-    since it gives d_i >= n + 1 >= 2 for every i.
+    rule is checked at construction, with no coercion: n is a positive int,
+    q an even positive int (an odd q makes d_1 a fraction), and a table a
+    nonempty, nondecreasing list or tuple of ints above 1.  An even q gives
+    integral d_i >= n + 1 >= 2 for every i.
     """
 
     n: int
@@ -84,24 +80,26 @@ class HKModel:
     table: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError("n must be a positive integer")
+        if not (is_int(self.n) and self.n >= 1):
+            raise InputError(f"n: must be a positive integer, got {self.n!r}")
         if (self.q is None) == (self.table is None):
             raise InputError("supply exactly one of q or an explicit d-table")
         if self.q is not None:
-            if self.q < 1:
-                raise InputError("q must be a positive integer")
-            self.dim(1)  # reject non-integral rules at construction
-        if self.table is not None:
-            table = tuple(int(x) for x in self.table)
-            object.__setattr__(self, "table", table)
-            if not table:
-                raise InputError("d-table must be nonempty")
-            for i, d in enumerate(table, start=1):
-                if d <= 1:
-                    raise InputError(f"d-table violates d_i > 1 at i={i} (got {d})")
-            if any(a > b for a, b in zip(table, table[1:])):
-                raise InputError("d-table must be nondecreasing")
+            if not (is_int(self.q) and self.q > 0 and self.q % 2 == 0):
+                raise InputError(f"q: must be an even positive integer, got {self.q!r}")
+            return
+        if not isinstance(self.table, (list, tuple)) or not self.table:
+            raise InputError(
+                f"d-table must be a nonempty list of integers, got {self.table!r}")
+        table = tuple(self.table)
+        object.__setattr__(self, "table", table)
+        for i, d in enumerate(table, start=1):
+            if not is_int(d):
+                raise InputError(f"d-table entry d_{i} must be an integer, got {d!r}")
+            if d <= 1:
+                raise InputError(f"d-table violates d_i > 1 at i={i} (got {d})")
+        if any(a > b for a, b in zip(table, table[1:])):
+            raise InputError("d-table must be nondecreasing")
 
     @property
     def dim_x(self) -> int:

@@ -1,8 +1,10 @@
 import json
 import math
+import os
 
 import pytest
 
+from catent import cli
 from catent.cli import (
     ScenarioConfig,
     emit_report,
@@ -14,6 +16,7 @@ from catent.cli import (
     validate_config,
 )
 from catent.errors import InputError
+from catent.graded import cone_evaluations
 from catent.words import derive_verdict
 
 
@@ -117,7 +120,31 @@ def test_euler_sign_must_be_an_integer(sign):
     config = {"kind": "lattice_word", "word": [],
               "lattice": {"gram": [[1]], "euler_sign": sign}}
     _, violations = validate_config(config)
-    assert any(v.startswith("lattice.euler_sign:") for v in violations)
+    # BilinearLattice owns the rule; the schema reports it under the lattice
+    assert violations == [f"lattice: euler_sign must be the integer +1 or -1, got {sign!r}"]
+
+
+@pytest.mark.parametrize("lattice, message", [
+    ({"gram": [[1]], "symmetry_kind": "orthogonal"},
+     "symmetry_kind must be one of ('symmetric', 'euler_general'), got 'orthogonal'"),
+    ({"gram": [[0, 1], [2, 0]], "symmetry_kind": "symmetric"},
+     "symmetric lattice has asymmetric gram at (0,1)"),
+    ({"gram": [[1]], "euler_sign": 2}, "euler_sign must be the integer +1 or -1, got 2"),
+])
+def test_lattice_rules_come_from_the_lattice(lattice, message):
+    config = {"kind": "lattice_word", "lattice": lattice, "word": []}
+    assert validate_config(config) == (None, [f"lattice: {message}"])
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"q": 10.0}, "q: must be an even positive integer, got 10.0"),
+    ({"q": None}, "q: supply exactly one of q or d_table"),
+    ({"d_table": [2.9, 3]}, "d_table: d-table entry d_1 must be an integer, got 2.9"),
+    ({"d_table": []}, "d_table: d-table must be a nonempty list of integers, got []"),
+])
+def test_model_rules_come_from_the_model(fields, message):
+    config = {"kind": "hk", "n": 1, "m_max": 3, **fields}
+    assert validate_config(config) == (None, [message])
 
 
 @pytest.mark.parametrize("version", [True, 1.0])
@@ -383,6 +410,23 @@ def test_main_validate_and_overrides(capsys):
     assert data["scenario"]["m_max"] == 4
 
 
+def test_main_overrides_apply_before_the_one_validation(capsys, monkeypatch):
+    # --m-max and --tol replace the raw fields, and the config is validated
+    # once, so the value an override replaces is never checked.
+    config = json.dumps({"kind": "hilb", "points": 2, "tol": "loose",
+                         "base": {"n": 1, "q": 10, "m_max": 100}})
+    assert main(["validate", "--config", config]) == 1
+    assert "base.m_max: must be <= 64, got 100" in capsys.readouterr().err
+    seen = []
+    monkeypatch.setattr(cli, "validate_config",
+                        lambda data: seen.append(data) or validate_config(data))
+    argv = ["validate", "--config", config, "--m-max", "4", "--tol", "1e-6"]
+    assert main(argv) == 0
+    assert [(d["base"]["m_max"], d["tol"]) for d in seen] == [(4, 1e-6)]
+    assert main(["validate", "--config", config, "--m-max", "4", "--tol", "-1"]) == 1
+    assert "tol: must be > 0.0, got -1.0" in capsys.readouterr().err
+
+
 def test_main_catalog(capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out
@@ -615,6 +659,29 @@ def test_main_unusable_paths_are_input_errors(tmp_path, capsys, case):
         assert captured.out == ""
         assert captured.err.startswith(f"error [InputError]: {message}")
         assert captured.err.count("\n") == 1
+
+
+def test_main_out_is_opened_before_the_run(tmp_path, capsys):
+    # An unusable --out path fails before any cone work...
+    hk = json.dumps({"kind": "hk", "n": 1, "q": 10, "m_max": 4})
+    work = cone_evaluations()
+    assert main(["run", "--config", hk, "--out", str(tmp_path)]) == 1
+    assert cone_evaluations() == work
+    assert capsys.readouterr() == (
+        "", f"error [InputError]: cannot write {tmp_path}: Is a directory\n")
+    # ...and a usable one keeps the exit code of the error report it holds.
+    out = tmp_path / "c.json"
+    argv = ["run", "--config", json.dumps(NON_COMMUTING_ENRIQUES), "--out", str(out)]
+    assert main(argv) == 3
+    assert json.loads(out.read_text())["error"]["type"] == "ContractError"
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_main_write_error_is_an_input_error(capsys):
+    assert main(["run", "--preset", "k3-q10", "--out", "/dev/full"]) == 1
+    assert capsys.readouterr() == (
+        "", "error [InputError]: cannot write /dev/full: No space left on device\n")
 
 
 def test_main_requires_config_or_preset(capsys):

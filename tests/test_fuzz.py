@@ -6,7 +6,9 @@ Every run must end in exit code 0 with a report, or in a typed engine error
 with its documented exit code; any other exception fails the test with its
 traceback.  A rerun must print the same bytes.  On lattice words, which need
 no cone work, ``validate`` must reject every config that the run rejects,
-with the same exit code and error line.
+with the same exit code and error line.  On lattice and model fields of any
+JSON-like value, ``validate_config`` must accept exactly when the engine
+type that owns the field does.
 """
 
 import contextlib
@@ -17,8 +19,10 @@ import math
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from catent.cli import list_builtin_models, main
-from catent.lattice import IntPolynomial
+from catent.cli import list_builtin_models, main, validate_config
+from catent.errors import InputError
+from catent.lattice import BilinearLattice, IntPolynomial
+from catent.twists import HKModel, ext_growth_depth
 from lattice_powers import companion_matrix
 
 ENRIQUES = list_builtin_models()["enriques-over-hk"]
@@ -208,3 +212,91 @@ def test_validate_rejects_what_run_rejects(text):
     code, _, err = run(text)
     if code:
         assert run(text, "validate") == (code, "", err)
+
+
+# JSON-like values: near-miss numbers, bools, strings, lists and objects.
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 12),
+              st.sampled_from([1.0, -1.0, 2.0, 2.9, 10.0, math.nan, 10**300]),
+              st.floats(-4, 12), st.sampled_from(["", "1", "symmetric"])),
+    lambda children: st.one_of(st.lists(children, max_size=3),
+                               st.dictionaries(st.sampled_from(["a", "1"]), children,
+                                               max_size=2)),
+    max_leaves=8,
+)
+
+
+def mostly(draw, good):
+    """A draw from ``good`` three times in four, else any JSON-like value."""
+    return draw(good if draw(st.integers(0, 3)) else json_values)
+
+
+@st.composite
+def lattice_dicts(draw):
+    """A gram of rank 1..3, symmetric or not, with int entries or not, and
+    each of symmetry_kind and euler_sign absent, well-formed or not."""
+    rank = draw(st.integers(1, 3))
+    entries = st.integers(-2, 2) if draw(st.integers(0, 3)) else json_values
+    gram = draw(st.lists(st.lists(entries, min_size=rank, max_size=rank),
+                         min_size=rank, max_size=rank))
+    if draw(st.booleans()):
+        gram = [[gram[max(i, j)][min(i, j)] for j in range(rank)] for i in range(rank)]
+    lattice = {"gram": mostly(draw, st.just(gram))}
+    for key, good in (("symmetry_kind", ["symmetric", "euler_general"]),
+                      ("euler_sign", [1, -1])):
+        if draw(st.booleans()):
+            lattice[key] = mostly(draw, st.sampled_from(good))
+    return lattice
+
+
+@st.composite
+def model_dicts(draw):
+    """n, m_max = 3 and q, d_table, both or neither.  A well-formed table
+    has about as many entries as an hk run at m_max = 3 reads."""
+    n = mostly(draw, st.integers(1, 8))
+    model = {"n": n, "m_max": 3}
+    rule = draw(st.sampled_from(["q", "d_table", "q", "d_table", "both", "neither"]))
+    if rule in ("q", "both"):
+        model["q"] = mostly(draw, st.integers(1, 6).map(lambda k: 2 * k))
+    if rule in ("d_table", "both"):
+        depth = ext_growth_depth(n, 3) if type(n) is int and 1 <= n <= 8 else 9
+        model["d_table"] = draw(st.one_of(
+            st.integers(depth - 2, depth + 2).flatmap(lambda size: st.lists(
+                st.integers(2, 60), min_size=size, max_size=size)).map(sorted),
+            st.lists(st.integers(2, 60) | json_values, max_size=12),
+            json_values))
+    return model
+
+
+def engine_accepts(kind, fields):
+    """Whether the engine type that owns the fields takes them: for a model,
+    within the schema's cap on n and with every d_i the run reads."""
+    try:
+        if kind == "lattice_word":
+            BilinearLattice(**fields)
+        else:
+            model = HKModel(fields["n"], fields.get("q"), fields.get("d_table"))
+            if model.table:
+                model.dim(ext_growth_depth(model.n, fields["m_max"]))
+            return model.n <= 8  # the schema's desk-scale cap
+    except InputError:
+        return False
+    return True
+
+
+@example(("lattice_word", {"gram": [[2]], "euler_sign": 1.0}))
+@example(("lattice_word", {"gram": [[2]], "euler_sign": True}))
+@example(("lattice_word", {"gram": [[1.9]]}))
+@example(("hk", {"n": 1, "q": 10.0, "m_max": 3}))
+@example(("hk", {"n": 10, "q": 10, "m_max": 3}))
+@example(("hk", {"n": 1, "d_table": [2.9] + list(range(3, 12)), "m_max": 3}))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["lattice_word", "hk"]).flatmap(lambda kind: st.tuples(
+    st.just(kind), lattice_dicts() if kind == "lattice_word" else model_dicts())))
+def test_validate_accepts_exactly_what_the_engine_types_accept(case):
+    kind, fields = case
+    config = {"kind": kind, **(
+        {"lattice": fields, "word": []} if kind == "lattice_word" else fields)}
+    _, violations = validate_config(config)
+    assert (violations == []) == engine_accepts(kind, fields), violations

@@ -63,6 +63,38 @@ def test_symmetric_gram_validated():
     BilinearLattice(((0, 1), (2, 0)), "euler_general")
 
 
+@pytest.mark.parametrize("bad", [1.9, 1.0, True, "1"])
+def test_matrix_entries_are_not_coerced(bad):
+    # [[1.9]] was once stored as [[1]].
+    message = f"matrix entries must be integers, got row ({bad!r},)"
+    with pytest.raises(InputError) as info:
+        SquareIntMatrix([[bad]])
+    assert str(info.value) == message
+    with pytest.raises(InputError) as info:
+        BilinearLattice([[bad]])
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("rows", [5, None, [5], [[1], 2]])
+def test_matrix_rows_must_be_sequences(rows):
+    with pytest.raises(InputError, match="^matrix must be a sequence of rows"):
+        SquareIntMatrix(rows)
+
+
+@pytest.mark.parametrize("sign", [True, 1.0, -1.0, "1", 2, None])
+def test_euler_sign_is_the_integer_plus_or_minus_one(sign):
+    with pytest.raises(InputError) as info:
+        BilinearLattice([[2]], "euler_general", sign)
+    assert str(info.value) == f"euler_sign must be the integer +1 or -1, got {sign!r}"
+    assert BilinearLattice([[2]], "euler_general", 1).euler_sign == 1
+
+
+@pytest.mark.parametrize("kind", ["Symmetric", "", None, 1, ["symmetric"]])
+def test_symmetry_kind_checked(kind):
+    with pytest.raises(InputError, match="^symmetry_kind must be one of"):
+        BilinearLattice([[2]], kind)
+
+
 # -- characteristic polynomial ----------------------------------------------
 
 
@@ -224,6 +256,13 @@ def test_spectral_radius_requires_positive_tol():
 def test_poly_trim_and_zero():
     assert IntPolynomial((0, 0)).is_zero()
     assert IntPolynomial((1, 2, 0)).coeffs == (1, 2)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 2.0), (True,), ("1", 1), (1, 0.0)])
+def test_poly_coefficients_are_not_coerced(coeffs):
+    with pytest.raises(InputError) as info:
+        IntPolynomial(coeffs)
+    assert str(info.value) == f"coefficients must be integers, got {coeffs!r}"
 
 
 def test_poly_mul_divmod_roundtrip():

@@ -52,8 +52,36 @@ def test_model_rejects_degenerate_dimensions():
 
 
 def test_model_rejects_nonintegral_rule():
-    with pytest.raises(InputError):
-        HKModel(1, q=9).dim(1)  # 9/2 + 2 is not an integer
+    # d_1 = 9/2 + 2 is not an integer, so the model takes an even q only.
+    with pytest.raises(InputError, match=r"^q: must be an even positive integer, got 9$"):
+        HKModel(1, q=9)
+
+
+@pytest.mark.parametrize("n, q, table, message", [
+    (1, 10.0, None, "q: must be an even positive integer, got 10.0"),
+    (1, True, None, "q: must be an even positive integer, got True"),
+    (1, "10", None, "q: must be an even positive integer, got '10'"),
+    (1, -2, None, "q: must be an even positive integer, got -2"),
+    (1.0, 10, None, "n: must be a positive integer, got 1.0"),
+    (True, 10, None, "n: must be a positive integer, got True"),
+    ("1", 10, None, "n: must be a positive integer, got '1'"),
+    (1, None, (2.9, 3), "d-table entry d_1 must be an integer, got 2.9"),
+    (1, None, (2, True), "d-table entry d_2 must be an integer, got True"),
+    (1, None, (2, "3"), "d-table entry d_2 must be an integer, got '3'"),
+    (1, None, (), "d-table must be a nonempty list of integers, got ()"),
+    (1, None, "23", "d-table must be a nonempty list of integers, got '23'"),
+    (1, None, 5, "d-table must be a nonempty list of integers, got 5"),
+])
+def test_model_values_are_checked_without_coercion(n, q, table, message):
+    # A float, bool or str is never read as an int: q=10.0 once ended in a
+    # TypeError, and the table (2.9, 3) was stored as (2, 3).
+    with pytest.raises(InputError) as info:
+        HKModel(n, q, table)
+    assert str(info.value) == message
+
+
+def test_model_stores_a_list_table_as_a_tuple():
+    assert HKModel(1, table=[6, 21]).table == (6, 21)
 
 
 def test_dim_values():
