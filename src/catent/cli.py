@@ -568,8 +568,7 @@ def _table(report: dict) -> str:
         lines.append("")
         lines.append(f"{'m':>4}  {'lower':>24}  {'upper':>24}")
         for row in report["series"]:
-            upper = "unbounded" if row["upper"] is None else row["upper"]
-            lines.append(f"{row['m']:>4}  {row['lower']:>24}  {upper:>24}")
+            lines.append(f"{row['m']:>4}  {row['lower']:>24}  {row['upper']:>24}")
     lines.append("")
     lines.append(f"work units: {report['timing']['work_units']}")
     return "\n".join(lines) + "\n"
@@ -579,8 +578,7 @@ def emit_series_csv(report: dict) -> str:
     lines = ["m,lower,upper"]
     try:
         for row in report["series"]:
-            upper = "inf" if row["upper"] is None else row["upper"]
-            lines.append(f"{row['m']},{row['lower']},{upper}")
+            lines.append(f"{row['m']},{row['lower']},{row['upper']}")
     except ValueError as exc:  # an int past the digit limit of str()
         raise NumericError(f"series cannot be printed: {exc}") from exc
     return "\n".join(lines) + "\n"

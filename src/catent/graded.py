@@ -1,10 +1,9 @@
 """Graded dimension intervals, with exact-triangle propagation.
 
 A ``GradedDimInterval`` is what is known of the dimension profile of a
-complex: a finitely supported map degree -> [lo, hi], where an ``hi`` of
-``None`` means "unknown above".  A profile is exact when lo == hi in every
-degree (``is_exact``); ``GradedDimInterval.exact`` builds one from a map
-degree -> dimension.
+complex: a finitely supported map degree -> [lo, hi] of integer bounds.  A
+profile is exact when lo == hi in every degree (``is_exact``);
+``GradedDimInterval.exact`` builds one from a map degree -> dimension.
 
 Storage is dense and immutable.  ``offset`` is the lowest stored degree and
 the tuples ``lows``/``highs`` hold the bounds of degrees offset, offset + 1,
@@ -17,10 +16,10 @@ cell with lo == hi, and ``shifted`` shares the tuples of its source.  So
 (degree, lo, hi) triples.
 
 Only the public constructors validate: ``GradedDimInterval(entries)``, which
-``exact`` calls, requires int degrees and bounds (``errors.is_int``; ``hi``
-may be None), 0 <= lo <= hi and no repeated degree, and raises
-``InputError`` otherwise.  Results computed in this module go through
-``_profile``, which only trims and shares.
+``exact`` calls, requires int degrees and bounds (``errors.is_int``),
+0 <= lo <= hi and no repeated degree, and raises ``InputError`` otherwise.
+Results computed in this module go through ``_profile``, which only trims
+and shares.
 
 ``cone_bounds`` propagates bounds through an exact triangle A -> B -> C ->
 A[1] using only the long exact sequence of cohomology.  For each degree j the
@@ -39,9 +38,9 @@ disjoint enough that every relevant rank is forced to zero; the cohomology of
 a cone is not determined by dimensions alone, so in general the output is an
 honest interval.
 
-When all upper bounds in sight are finite, every cone also passes an
-Euler-characteristic filter: the alternating sum of C must be able to equal
-that of B minus that of A (the rank terms cancel in the alternating sum).
+Every cone also passes an Euler-characteristic filter: the alternating sum
+of C must be able to equal that of B minus that of A (the rank terms cancel
+in the alternating sum).
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ def cone_evaluations() -> int:
 
 
 class GradedDimInterval:
-    """Finitely supported map degree -> [lo, hi]; hi None means unknown.
+    """Finitely supported map degree -> [lo, hi] of integer bounds.
 
     Degrees outside the stored range are exactly [0, 0].
     """
@@ -70,16 +69,16 @@ class GradedDimInterval:
     __slots__ = ("offset", "lows", "highs")
 
     def __new__(cls, entries=()):
-        cells: dict[int, tuple[int, int | None]] = {}
+        cells: dict[int, tuple[int, int]] = {}
         for deg, lo, hi in entries:
-            if not (is_int(deg) and is_int(lo) and (hi is None or is_int(hi))):
+            if not (is_int(deg) and is_int(lo) and is_int(hi)):
                 raise InputError(
                     "degrees and bounds must be integers, got "
                     f"({deg!r}, {lo!r}, {hi!r})"
                 )
             if lo < 0:
                 raise InputError(f"negative lower bound {lo} at degree {deg}")
-            if hi is not None and hi < lo:
+            if hi < lo:
                 raise InputError(f"empty interval [{lo}, {hi}] at degree {deg}")
             if deg in cells:
                 raise InputError(f"duplicate degree {deg}")
@@ -118,19 +117,19 @@ class GradedDimInterval:
         return f"GradedDimInterval(entries={self.entries!r})"
 
     @property
-    def entries(self) -> tuple[tuple[int, int, int | None], ...]:
+    def entries(self) -> tuple[tuple[int, int, int], ...]:
         """The nonzero cells as (degree, lo, hi), by increasing degree."""
         return tuple(
             (deg, lo, hi)
             for deg, lo, hi in zip(count(self.offset), self.lows, self.highs)
-            if lo or hi != 0
+            if hi > 0
         )
 
     def lo(self, j: int) -> int:
         i = j - self.offset
         return self.lows[i] if 0 <= i < len(self.lows) else 0
 
-    def hi(self, j: int) -> int | None:
+    def hi(self, j: int) -> int:
         i = j - self.offset
         return self.highs[i] if 0 <= i < len(self.highs) else 0
 
@@ -139,12 +138,6 @@ class GradedDimInterval:
 
     def shifted(self, s: int) -> "GradedDimInterval":
         return _new(self.offset - s, self.lows, self.highs) if self.lows else self
-
-    def lo_total(self) -> int:
-        return sum(self.lows)
-
-    def hi_total(self) -> int | None:
-        return None if None in self.highs else sum(self.highs)
 
 
 def _new(offset: int, lows: tuple, highs: tuple) -> GradedDimInterval:
@@ -199,28 +192,24 @@ def convolve_interval(
     """Kuenneth product: [lo, hi](k) sums [lo1(i) lo2(j), hi1(i) hi2(j)] over
     i + j = k.
 
-    Only cells other than [0, 0] take part, and each of those has hi > 0 or
-    hi None, so a product with an unknown factor is unknown and absorbs.
+    Only cells other than [0, 0], those with hi > 0, take part.
     """
     cells2 = [(j, lo2, hi2) for j, (lo2, hi2) in enumerate(zip(g2.lows, g2.highs))
-              if lo2 or hi2 != 0]
+              if hi2 > 0]
     size = len(g1.lows) + len(g2.lows) - 1
     lows, highs = [0] * size, [0] * size
     for i, (lo1, hi1) in enumerate(zip(g1.lows, g1.highs)):
-        if not lo1 and hi1 == 0:
+        if hi1 == 0:
             continue
         for j, lo2, hi2 in cells2:
             k = i + j
             lows[k] += lo1 * lo2
-            if highs[k] is not None:
-                highs[k] = None if hi1 is None or hi2 is None else highs[k] + hi1 * hi2
+            highs[k] += hi1 * hi2
     return _profile(g1.offset + g2.offset, lows, highs)
 
 
-def _chi_interval(g: GradedDimInterval) -> tuple[int, int] | None:
-    """Range of the alternating sum; None when an upper bound is unknown."""
-    if None in g.highs:
-        return None
+def _chi_interval(g: GradedDimInterval) -> tuple[int, int]:
+    """Range of the alternating sum."""
     even, odd = g.offset % 2, 1 - g.offset % 2  # first even / odd degree index
     return (sum(g.lows[even::2]) - sum(g.highs[odd::2]),
             sum(g.highs[even::2]) - sum(g.lows[odd::2]))
@@ -247,12 +236,12 @@ def cone_bounds(a: GradedDimInterval, b: GradedDimInterval) -> GradedDimInterval
         elif bhi_j == 0:
             hi = ahi_j1
         else:
-            hi = None if bhi_j is None or ahi_j1 is None else bhi_j + ahi_j1
+            hi = bhi_j + ahi_j1
         # lo_C(j) = max(0, lo_B(j) - hi_A(j)) + max(0, lo_A(j+1) - hi_B(j+1))
         lo = 0
-        if ahi_j is not None and blo_j > ahi_j:
+        if blo_j > ahi_j:
             lo = blo_j if ahi_j == 0 else blo_j - ahi_j
-        if bhi_j1 is not None and alo_j1 > bhi_j1:
+        if alo_j1 > bhi_j1:
             excess = alo_j1 if bhi_j1 == 0 else alo_j1 - bhi_j1
             lo = excess if lo == 0 else lo + excess
         lows.append(lo)
@@ -260,35 +249,33 @@ def cone_bounds(a: GradedDimInterval, b: GradedDimInterval) -> GradedDimInterval
     result = _profile(start, lows, highs)
 
     chi_a, chi_b, chi_c = _chi_interval(a), _chi_interval(b), _chi_interval(result)
-    if chi_a is not None and chi_b is not None and chi_c is not None:
-        lo_target = chi_b[0] - chi_a[1]
-        hi_target = chi_b[1] - chi_a[0]
-        if chi_c[1] < lo_target or chi_c[0] > hi_target:
-            raise ContractError(
-                "Euler characteristic filter failed: cone range "
-                f"{chi_c} cannot meet target [{lo_target}, {hi_target}]"
-            )
+    lo_target = chi_b[0] - chi_a[1]
+    hi_target = chi_b[1] - chi_a[0]
+    if chi_c[1] < lo_target or chi_c[0] > hi_target:
+        raise ContractError(
+            "Euler characteristic filter failed: cone range "
+            f"{chi_c} cannot meet target [{lo_target}, {hi_target}]"
+        )
     return result
 
 
 def delta_value_interval(
     g: GradedDimInterval, t: float = 0.0
-) -> tuple[float, float | None]:
+) -> tuple[float, float]:
     """Lower/upper weighted totals sum of [lo,hi](k) e^{-kt}; exact at t=0.
 
     At t != 0 the totals are floats, and a total past the float range raises
     ``NumericError``.
     """
     if t == 0:
-        return g.lo_total(), g.hi_total()
-    lo_sum = 0.0
-    hi_sum: float | None = 0.0
+        return sum(g.lows), sum(g.highs)
+    lo_sum = hi_sum = 0.0
     try:
         for deg, lo, hi in g.entries:
             w = math.exp(-deg * t)
             lo_sum += lo * w
-            hi_sum = None if hi_sum is None or hi is None else hi_sum + hi * w
-        finite = math.isfinite(lo_sum) and (hi_sum is None or math.isfinite(hi_sum))
+            hi_sum += hi * w
+        finite = math.isfinite(lo_sum) and math.isfinite(hi_sum)
     except OverflowError:  # an int bound or a weight beyond the float range
         finite = False
     if not finite:

@@ -19,14 +19,14 @@ from .words import Verdict
 
 
 def kunneth_power_series(series: BoundSeries, n: int) -> BoundSeries:
-    """Pointwise n-th power of a bound series; unknown uppers absorb."""
+    """Pointwise n-th power of a bound series, lowers and uppers alike."""
     if n < 1:
         raise InputError("power must be >= 1")
     if n == 1:
         return series
     return BoundSeries(
         tuple(lo**n for lo in series.lowers),
-        tuple(None if hi is None else hi**n for hi in series.uppers),
+        tuple(hi**n for hi in series.uppers),
     )
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CollapseError, ContractError, InputError, is_int
+from .errors import CollapseError, InputError, is_int
 from .graded import (
     GradedDimInterval,
     cone_bounds,
@@ -236,10 +236,10 @@ def verify_iterate_contract(
         _expected_top(model, m, k, l),
         f"iterate profile (m={m}, k={k}, l={l})",
     )
-    if profile.entries and profile.entries[0][0] < 0:
+    if profile.offset < 0:
         raise CollapseError(
             f"iterate profile (m={m}, k={k}, l={l}) has negative-degree support",
-            degree=profile.entries[0][0],
+            degree=profile.offset,
         )
     return profile
 
@@ -253,9 +253,9 @@ def verify_iterate_contract(
 class BoundSeries:
     """Per-step lower/upper bounds for a generator-pair Ext total.
 
-    Entry i corresponds to step m = i + 1; ``None`` upper bounds mean
-    unbounded.  Values are exact integers, except for a spherical-twist
-    series weighted at t > 0.
+    Entry i corresponds to step m = i + 1.  Bounds are finite: exact
+    integers, except for a spherical-twist series weighted at t > 0, whose
+    bounds are floats.
     """
 
     lowers: tuple
@@ -299,13 +299,12 @@ def ext_growth_series(model: HKModel, m_max: int) -> BoundSeries:
     width = model.generator_width
     lowers, uppers = [], []
     for m in range(1, m_max + 1):
-        lo_sum = 0
-        hi_sum: int | None = 0
+        lo_sum = hi_sum = 0
         for k in range(1, width + 1):
             for l in range(1, width + 1):
                 lo, hi = delta_value_interval(verify_iterate_contract(model, m, k, l))
                 lo_sum += lo
-                hi_sum = None if hi_sum is None or hi is None else hi_sum + hi
+                hi_sum += hi
         lowers.append(lo_sum)
         uppers.append(hi_sum)
     return BoundSeries(tuple(lowers), tuple(uppers))
@@ -423,8 +422,6 @@ def spherical_twist_series(
     lowers, uppers = [], []
     for m in range(1, m_max + 1):
         lo, hi = delta_value_interval(profiles[(m, l)], t)
-        if hi is None and lo == 0:
-            raise ContractError(f"interval blow-up at step {m}: no finite bounds left")
         lowers.append(lo)
         uppers.append(hi)
     return BoundSeries(tuple(lowers), tuple(uppers))

@@ -2,7 +2,7 @@
 
 ``convolve_interval``, ``cone_bounds`` and ``_chi_interval`` are the
 entry-scanning versions that ``catent.graded`` used before profiles were
-stored densely.  They are unchanged, except that ``cone_bounds`` counts no
+stored densely.  They keep the sparse algorithms; ``cone_bounds`` counts no
 evaluations and reads ``lo``/``hi`` by the same linear scan of ``entries``
 that the sparse profile used.  The differential test in ``test_graded.py``
 requires the dense functions to agree with them.
@@ -21,16 +21,12 @@ from catent.errors import ContractError, InputError
 from catent.graded import GradedDimInterval
 
 
-def from_dict(d: Mapping[int, tuple[int, int | None]]) -> GradedDimInterval:
+def from_dict(d: Mapping[int, tuple[int, int]]) -> GradedDimInterval:
     return GradedDimInterval(tuple((deg, lo, hi) for deg, (lo, hi) in d.items()))
 
 
 def support(g: GradedDimInterval) -> tuple[int, ...]:
     return tuple(deg for deg, _, _ in g.entries)
-
-
-def _add_hi(x, y):
-    return None if x is None or y is None else x + y
 
 
 def _lo(g, j):
@@ -52,26 +48,20 @@ def convolve_interval(
 ) -> GradedDimInterval:
     """Kuenneth product: [lo, hi](k) sums [lo1(i) lo2(j), hi1(i) hi2(j)] over
     i + j = k.
-
-    An unknown upper bound absorbs: every stored entry has hi > 0 or hi None,
-    so a product with an unknown factor is unknown.
     """
-    out: dict[int, tuple[int, int | None]] = {}
+    out: dict[int, tuple[int, int]] = {}
     for d1, lo1, hi1 in g1.entries:
         for d2, lo2, hi2 in g2.entries:
             d = d1 + d2
             plo, phi = out.get(d, (0, 0))
-            out[d] = (plo + lo1 * lo2,
-                      _add_hi(phi, None if hi1 is None or hi2 is None else hi1 * hi2))
+            out[d] = (plo + lo1 * lo2, phi + hi1 * hi2)
     return from_dict(out)
 
 
-def _chi_interval(g: GradedDimInterval) -> tuple[int, int] | None:
-    """Range of the alternating sum; None when an upper bound is unknown."""
+def _chi_interval(g: GradedDimInterval) -> tuple[int, int]:
+    """Range of the alternating sum."""
     lo_sum = hi_sum = 0
     for deg, lo, hi in g.entries:
-        if hi is None:
-            return None
         if deg % 2 == 0:
             lo_sum += lo
             hi_sum += hi
@@ -84,24 +74,21 @@ def _chi_interval(g: GradedDimInterval) -> tuple[int, int] | None:
 def cone_bounds(a: GradedDimInterval, b: GradedDimInterval) -> GradedDimInterval:
     """Degreewise bounds on the cone C of a triangle A -> B -> C -> A[1]."""
     degrees = set(support(b)) | {deg - 1 for deg in support(a)}
-    out: dict[int, tuple[int, int | None]] = {}
+    out: dict[int, tuple[int, int]] = {}
     for j in sorted(degrees):
-        hi = _add_hi(_hi(b, j), _hi(a, j + 1))
-        lo_b = _lo(b, j) - _hi(a, j) if _hi(a, j) is not None else 0
-        lo_a = _lo(a, j + 1) - _hi(b, j + 1) if _hi(b, j + 1) is not None else 0
-        lo = max(0, lo_b) + max(0, lo_a)
+        hi = _hi(b, j) + _hi(a, j + 1)
+        lo = max(0, _lo(b, j) - _hi(a, j)) + max(0, _lo(a, j + 1) - _hi(b, j + 1))
         out[j] = (lo, hi)
     result = from_dict(out)
 
     chi_a, chi_b, chi_c = _chi_interval(a), _chi_interval(b), _chi_interval(result)
-    if chi_a is not None and chi_b is not None and chi_c is not None:
-        lo_target = chi_b[0] - chi_a[1]
-        hi_target = chi_b[1] - chi_a[0]
-        if chi_c[1] < lo_target or chi_c[0] > hi_target:
-            raise ContractError(
-                "Euler characteristic filter failed: cone range "
-                f"{chi_c} cannot meet target [{lo_target}, {hi_target}]"
-            )
+    lo_target = chi_b[0] - chi_a[1]
+    hi_target = chi_b[1] - chi_a[0]
+    if chi_c[1] < lo_target or chi_c[0] > hi_target:
+        raise ContractError(
+            "Euler characteristic filter failed: cone range "
+            f"{chi_c} cannot meet target [{lo_target}, {hi_target}]"
+        )
     return result
 
 

@@ -37,12 +37,10 @@ graded_dims = st.dictionaries(
     st.integers(-6, 6), st.integers(0, 5), max_size=8
 ).map(gd)
 
-# Interval entries [lo, hi], with hi None (unknown) allowed.
+# Interval entries [lo, hi].
 interval_dicts = st.dictionaries(
     st.integers(-6, 6),
-    st.tuples(st.integers(0, 4), st.one_of(st.none(), st.integers(0, 4))).map(
-        lambda p: (p[0], None if p[1] is None else p[0] + p[1])
-    ),
+    st.tuples(st.integers(0, 4), st.integers(0, 4)).map(lambda p: (p[0], p[0] + p[1])),
     max_size=6,
 )
 
@@ -68,7 +66,7 @@ def reference_convolve(g1, g2):
 
 def test_shift_examples():
     assert gi({0: (1, 1)}).shifted(1) == gi({-1: (1, 1)})
-    g = gi({0: (1, 2), 3: (0, None)})
+    g = gi({0: (1, 2), 3: (0, 5)})
     assert g.shifted(0) == g
 
 
@@ -104,12 +102,8 @@ def test_convolve_associative(g1, g2, g3):
 
 
 def _draw_inside(data, g):
-    """An exact profile inside the interval profile g; an unknown upper bound
-    admits values up to lo + 6."""
-    return gd({
-        deg: data.draw(st.integers(lo, lo + 6 if hi is None else hi))
-        for deg, lo, hi in g.entries
-    })
+    """An exact profile inside the interval profile g."""
+    return gd({deg: data.draw(st.integers(lo, hi)) for deg, lo, hi in g.entries})
 
 
 @given(interval_dicts, interval_dicts, st.data())
@@ -121,7 +115,7 @@ def test_convolve_interval_contains_every_exact_convolution(d1, d2, data):
     for j in set(support(out)) | set(exact):
         val = exact.get(j, 0)
         assert out.lo(j) <= val
-        assert out.hi(j) is None or val <= out.hi(j)
+        assert val <= out.hi(j)
 
 
 def test_self_convolution_matches_series_power():
@@ -218,7 +212,7 @@ def test_cone_exact_rejects_infeasible_rank():
 
 def test_cone_exact_rejects_inexact_profile():
     exact = gd({0: 1})
-    for inexact in (gi({0: (1, 2)}), gi({0: (1, None)})):
+    for inexact in (gi({0: (1, 2)}), gi({0: (0, 3)})):
         with pytest.raises(InputError):
             cone_exact_from_map_rank(inexact, exact, {})
         with pytest.raises(InputError):
@@ -266,6 +260,27 @@ def test_chained_cones_contain_every_exact_realization():
     assert inexact_inner > 150  # 198 of the 200 inner cones at this seed
 
 
+def _scaled(g, c):
+    """c·g, built through the public constructor."""
+    return GradedDimInterval(tuple((deg, c * lo, c * hi) for deg, lo, hi in g.entries))
+
+
+@given(interval_dicts.map(gi), interval_dicts.map(gi), st.integers(1, 9))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_cone_and_convolution_are_positively_homogeneous(a, b, c):
+    # max(0, c·y - c·x) = c·max(0, y - x), and the Euler filter's ranges and
+    # targets scale by c as well, so it fails on c·A, c·B exactly when it
+    # fails on A, B.
+    try:
+        cone = cone_bounds(a, b)
+    except ContractError:
+        with pytest.raises(ContractError):
+            cone_bounds(_scaled(a, c), _scaled(b, c))
+    else:
+        assert cone_bounds(_scaled(a, c), _scaled(b, c)) == _scaled(cone, c)
+    assert convolve_interval(_scaled(a, c), b) == _scaled(convolve_interval(a, b), c)
+
+
 def test_cone_euler_additivity_when_exact():
     # Whenever the cone collapses to exact values, alternating sums must add.
     rng = random.Random(101)
@@ -278,18 +293,6 @@ def test_cone_euler_additivity_when_exact():
             found += 1
             assert chi(c) == chi(b) - chi(a)
     assert found > 0
-
-
-def test_unknown_upper_bound_absorbs_through_cone():
-    a = gi({1: (2, None)})
-    b = gi({0: (1, 1)})
-    c = cone_bounds(a, b)
-    assert c.hi(0) is None
-    # lo still combines the known pieces: b_0 plus the forced kernel a_1.
-    assert c.lo(0) == 3
-    # an unknown hi on the source side removes the cokernel information
-    c2 = cone_bounds(gi({0: (0, None)}), b)
-    assert c2.lo(0) == 0 and c2.hi(0) == 1
 
 
 # -- interval helpers ----------------------------------------------------------
@@ -310,7 +313,7 @@ def test_interval_exact_roundtrip():
     assert {deg: lo for deg, lo, _ in g.entries} == d
     assert GradedDimInterval.exact({0: 0, 2: 5}) == gi({2: (5, 5)})
     assert not gi({0: (1, 2)}).is_exact()
-    assert not gi({0: (1, None)}).is_exact()
+    assert not gi({0: (0, 3)}).is_exact()
     with pytest.raises(InputError):
         GradedDimInterval.exact({0: -1})
 
@@ -325,9 +328,9 @@ def test_convolve_interval_matches_exact_case():
 
 
 def test_delta_value_interval():
-    g = gi({0: (1, 2), 2: (3, None)})
+    g = gi({0: (1, 2), 2: (3, 5)})
     lo, hi = delta_value_interval(g, 0.0)
-    assert (lo, hi) == (4, None)
+    assert (lo, hi) == (4, 7)
     lo, hi = delta_value_interval(gi({0: (1, 1), 1: (2, 4)}), 0.5)
     assert lo == pytest.approx(1 + 2 * math.exp(-0.5))
     assert hi == pytest.approx(1 + 4 * math.exp(-0.5))
@@ -343,6 +346,7 @@ def test_constructor_rejects_non_integers():
         ((0, 1, False),),
         (("4", 1, 1),),       # strings are not parsed
         ((0, "4", "4"),),
+        ((0, 2, None),),      # no unknown upper bound
     ]
     for entries in bad:
         with pytest.raises(InputError):
@@ -353,18 +357,15 @@ def test_constructor_rejects_non_integers():
         gi({1: (1, "2")})
     with pytest.raises(InputError):
         GradedDimInterval(((0, 1, 1), (0, 0, 0)))  # duplicate degree
-    assert GradedDimInterval(((0, 2, None),)).hi(0) is None
 
 
 # -- dense representation ------------------------------------------------------
 
 # Interval profiles over negative and positive degrees: cells may be [0, 0]
-# (interior zeros once stored), unknown above, and the profile may be empty.
+# (interior zeros once stored), and the profile may be empty.
 cells = st.one_of(
     st.just((0, 0)),
-    st.tuples(st.integers(0, 4), st.one_of(st.none(), st.integers(0, 4))).map(
-        lambda p: (p[0], None if p[1] is None else p[0] + p[1])
-    ),
+    st.tuples(st.integers(0, 4), st.integers(0, 4)).map(lambda p: (p[0], p[0] + p[1])),
 )
 profiles = st.dictionaries(st.integers(-8, 8), cells, max_size=8).map(gi)
 exact_profiles = st.dictionaries(
