@@ -8,6 +8,10 @@ byte-identical output.  The ``timing`` field records deterministic work
 units (cone evaluations from a cold cache) rather than wall-clock time, for
 the same reason.
 
+A run is a check stage, every check that needs no cone evaluation, then a
+cone stage.  ``validate`` is the check stage alone; an error report from the
+check stage carries 0 work units.
+
 Subcommands: ``validate``, ``run``, ``catalog``, ``series`` (CSV dump).
 Exit codes: 0 success, 1 input error, 2 numeric error, 3 contract violation.
 """
@@ -20,6 +24,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from . import __version__
@@ -32,10 +37,10 @@ from .twists import (
     HKModel,
     clear_caches,
     entropy_lower_bound,
-    ext_growth_depth,
+    ext_growth_uppers,
     gy_verdict,
-    spherical_twist_depth,
     spherical_twist_series,
+    spherical_twist_uppers,
 )
 from .words import Verdict, certify_log_rho, induced_matrix
 
@@ -116,13 +121,10 @@ def _check_matrix(out, value, path, rank=None):
     return rows
 
 
-def _validate_rr(out, data, path, deepest=ext_growth_depth):
+def _validate_rr(out, data, path):
     """Shared fields of model-driven kinds: n, q or d_table, m_max.
 
-    Once n is valid the model is built, which checks q or the table.  Once
-    m_max is valid too, a table model's d_i is read at ``deepest(n, m_max)``,
-    the deepest index the run reads, so a table too short for the run fails
-    here.  An even q gives every d_i.
+    Once n is valid the model is built, which checks q or the table.
     """
     norm = {"n": _check_int(out, data, "n", path, 1, 8)}
     q, table = data.get("q"), data.get("d_table")  # null is absent, as in HKModel
@@ -132,8 +134,6 @@ def _validate_rr(out, data, path, deepest=ext_growth_depth):
     elif norm["n"] is not None:
         try:
             model = HKModel(norm["n"], q, table)
-            if model.table and deepest is not None and m_max is not None:
-                model.dim(deepest(norm["n"], m_max))
         except InputError as exc:  # the model's q errors name their field
             out.append(f"{path}{exc}" if table is None else f"{path}d_table: {exc}")
         else:
@@ -224,10 +224,8 @@ def validate_config(data) -> tuple[dict | None, list[str]]:
     elif kind == "surface_twist":
         k = _check_int(out, data, "k", "", 1, 20)
         l = _check_int(out, data, "l", "", 1, 20)
-        deepest = None if None in (k, l) else (
-            lambda n, m_max: spherical_twist_depth(k, l, m_max))
         rr = {key: value for key, value in data.items() if key != "t"}
-        sub = _validate_rr(out, {**rr, "n": 1}, "", deepest)
+        sub = _validate_rr(out, {**rr, "n": 1}, "")
         sub.pop("n")
         norm.update(sub)
         norm["t"] = _check_number(out, data, "t", 0.0)
@@ -403,17 +401,42 @@ def _model_from(params: dict) -> HKModel:
     return HKModel(params.get("n", 1), params.get("q"), params.get("d_table"))
 
 
-def _run_hk(cfg: ScenarioConfig) -> Verdict:
-    model = _model_from(cfg.data)
-    verdict = gy_verdict(model, cfg.data["m_max"], tol=cfg.tol)
-    return replace(verdict, details={"d1": model.dim(1), "n": model.n})
+def _check_printable(uppers, power: int = 1) -> None:
+    """Raise ``NumericError`` once a series upper total to the ``power`` has
+    more digits than the interpreter's int-to-str limit.  Every report int is
+    at most the largest (lowers are at most uppers, d_1 at most the m = 1
+    upper), so no format could print the report."""
+    # Python 3.10 before 3.10.7 has no limit and no getter.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for hi in uppers:  # consumed in any case: the totals read every d_i
+        if limit and hi**power >= 10**limit:
+            raise NumericError(
+                f"report cannot be printed: a result int has more than {limit} digits"
+            )
 
 
-def _run_hilb(cfg: ScenarioConfig) -> Verdict:
+# Each runner is the check stage of its kind: it makes every check that needs
+# no cone evaluation and returns the cone stage, which gives the ``Verdict``.
+
+
+def _run_hk(cfg: ScenarioConfig) -> Callable[[], Verdict]:
+    model, m_max = _model_from(cfg.data), cfg.data["m_max"]
+    _check_printable(ext_growth_uppers(model, m_max))
+    return lambda: replace(gy_verdict(model, m_max, tol=cfg.tol),
+                           details={"d1": model.dim(1), "n": model.n})
+
+
+def _run_hilb(cfg: ScenarioConfig) -> Callable[[], Verdict]:
     params, points = cfg.data["base"], cfg.data["points"]
-    base = gy_verdict(_model_from(params), params["m_max"], tol=cfg.tol)
-    lifted = hilbert_lift_verdict(points, base, tol=cfg.tol)
-    return replace(lifted, details={"points": points, **lifted.details})
+    model = _model_from(params)
+    _check_printable(ext_growth_uppers(model, params["m_max"]), points)
+
+    def cone_stage() -> Verdict:
+        base = gy_verdict(model, params["m_max"], tol=cfg.tol)
+        lifted = hilbert_lift_verdict(points, base, tol=cfg.tol)
+        return replace(lifted, details={"points": points, **lifted.details})
+
+    return cone_stage
 
 
 def _word_action(data: dict) -> SquareIntMatrix:
@@ -422,39 +445,41 @@ def _word_action(data: dict) -> SquareIntMatrix:
     return induced_matrix(BilinearLattice(**data["lattice"]), data["word"])
 
 
-def _cover_scenario(data: dict) -> CoverScenario:
-    deck = data["deck"]
-    return CoverScenario(SquareIntMatrix(deck["matrix"]), deck["order"],
-                         _word_action(data))
-
-
-def _run_enriques(cfg: ScenarioConfig) -> Verdict:
-    params = cfg.data["cover"]
+def _run_enriques(cfg: ScenarioConfig) -> Callable[[], Verdict]:
+    params, deck = cfg.data["cover"], cfg.data["deck"]
     cover_model = _model_from(params)
-    cover = entropy_lower_bound(cover_model, params["m_max"])
-    sc = _cover_scenario(cfg.data)
-    verdict = quotient_verdict(sc, cover.certified, tol=cfg.tol)
-    details = {**verdict.details, "deck_order": sc.order,
-               "cover_d1": cover_model.dim(1)}
-    return replace(verdict, empirical_slope=cover.empirical_slope,
-                   series=cover.series, details=details)
+    _check_printable(ext_growth_uppers(cover_model, params["m_max"]))
+    sc = CoverScenario(SquareIntMatrix(deck["matrix"]), deck["order"],
+                       _word_action(cfg.data))
+    log_rho, exact_zero, details = quotient_verdict(sc, tol=cfg.tol)
+
+    def cone_stage() -> Verdict:
+        cover = entropy_lower_bound(cover_model, params["m_max"])
+        return Verdict.of(
+            cover.certified, log_rho, exact_zero, cfg.tol,
+            slope=cover.empirical_slope, series=cover.series,
+            details={**details, "deck_order": sc.order,
+                     "cover_d1": cover_model.dim(1)})
+
+    return cone_stage
 
 
-def _run_lattice_word(cfg: ScenarioConfig) -> Verdict:
+def _run_lattice_word(cfg: ScenarioConfig) -> Callable[[], Verdict]:
     action = _word_action(cfg.data)
     log_rho, exact_zero = certify_log_rho(action, cfg.tol)
-    return Verdict.of(None, log_rho, exact_zero, cfg.tol, details={
+    return lambda: Verdict.of(None, log_rho, exact_zero, cfg.tol, details={
         "rank": action.n, "spectral_radius": math.exp(log_rho),
     })
 
 
-def _run_surface_twist(cfg: ScenarioConfig) -> Verdict:
-    surface = _model_from(cfg.data)
-    series = spherical_twist_series(
-        surface, cfg.data["k"], cfg.data["l"], cfg.data["m_max"], cfg.data["t"]
-    )
-    return Verdict.of(None, None, False, cfg.tol, series=series,
-                      details={"k": cfg.data["k"], "l": cfg.data["l"]})
+def _run_surface_twist(cfg: ScenarioConfig) -> Callable[[], Verdict]:
+    data = cfg.data
+    surface, k, l, m_max = _model_from(data), data["k"], data["l"], data["m_max"]
+    _check_printable(spherical_twist_uppers(surface, k, l, m_max))
+    return lambda: Verdict.of(
+        None, None, False, cfg.tol,
+        series=spherical_twist_series(surface, k, l, m_max, data["t"]),
+        details={"k": k, "l": l})
 
 
 _RUNNERS = {
@@ -464,22 +489,6 @@ _RUNNERS = {
     "lattice_word": _run_lattice_word,
     "surface_twist": _run_surface_twist,
 }
-
-
-def _check_printable(v: Verdict) -> None:
-    """Raise ``NumericError`` if a result int has more digits than the
-    interpreter's int-to-str limit, so that no report format could print it."""
-    # Python 3.10 before 3.10.7 has no limit and no getter.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        return
-    bound = 10**limit
-    series = () if v.series is None else (*v.series.lowers, *v.series.uppers)
-    if any(isinstance(x, int) and abs(x) >= bound
-           for x in (*series, *v.details.values())):
-        raise NumericError(
-            f"report cannot be printed: a result int has more than {limit} digits"
-        )
 
 
 def run_scenario(cfg: ScenarioConfig) -> dict:
@@ -493,8 +502,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     try:
         if cfg.kind not in _RUNNERS:
             raise InputError(f"unknown scenario kind {cfg.kind!r}")
-        v = _RUNNERS[cfg.kind](cfg)
-        _check_printable(v)
+        v = _RUNNERS[cfg.kind](cfg)()
     except EngineError as exc:
         v = Verdict(entropy_lower=None, empirical_slope=None, log_rho=None,
                     log_rho_exact_zero=False, gap=None, verdict="error",
@@ -669,12 +677,7 @@ def main(argv=None) -> int:
 
         cfg = _load_from_args(args)
         if args.command == "validate":
-            # Every check that the run makes without cone work; the cover
-            # bound only enters the verdict.
-            if cfg.kind == "enriques":
-                quotient_verdict(_cover_scenario(cfg.data), 0.0, cfg.tol)
-            elif cfg.kind == "lattice_word":
-                certify_log_rho(_word_action(cfg.data), cfg.tol)
+            _RUNNERS[cfg.kind](cfg)  # the run's check stage, without cone work
             _write_out(f"config OK: kind={cfg.kind}\n", args.out)
             return 0
         if args.out:  # an unusable path fails before any cone work

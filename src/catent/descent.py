@@ -12,7 +12,8 @@ action restricts to it.  Then
   * the quotient log spectral radius is squeezed to exactly zero whenever
     the cover action is unipotent up to sign (restriction preserves it).
 
-``quotient_verdict`` gives both as one ``Verdict``.  All sublattice
+``quotient_verdict`` certifies the quotient log spectral radius; the
+caller gates it against the cover's bound.  All sublattice
 computation is in integers: the fixed sublattice is the integer kernel of
 (deck - I), computed by unimodular row reduction, and the inverse of that
 reduction reads the restricted action off the images of the kernel basis.
@@ -22,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, is_int
 from .lattice import DEFAULT_TOL, SquareIntMatrix
-from .words import Verdict, certify_log_rho
+from .words import certify_log_rho
 
 Vectors = tuple[tuple[int, ...], ...]
 
@@ -94,10 +95,11 @@ class CoverScenario:
     """A cyclic deck action of the declared order on a cover lattice, and the
     induced action of the word to descend; the rank is the deck's.
 
-    Every check is made at construction, in this order: the deck has the
-    declared order, the action has the deck's rank and commutes with the
-    deck, and the deck fixes a nonzero vector.  ``basis`` spans the fixed
-    sublattice and ``restricted`` is the action on it.
+    Every check is made at construction, in this order: the order is a
+    positive int and the deck has that order, the action has the deck's
+    rank and commutes with the deck, and the deck fixes a nonzero vector.
+    ``basis`` spans the fixed sublattice and ``restricted`` is the action on
+    it.
     """
 
     deck_matrix: SquareIntMatrix
@@ -108,7 +110,7 @@ class CoverScenario:
 
     def __post_init__(self):
         rank = self.deck_matrix.n
-        if self.order < 1:
+        if not (is_int(self.order) and self.order >= 1):
             raise InputError("deck order must be a positive integer")
         if self.deck_matrix.power(self.order) != SquareIntMatrix.identity(rank):
             raise InputError(
@@ -132,19 +134,17 @@ class CoverScenario:
                            _restrict_to_basis(self.action, basis, left))
 
 
-def quotient_verdict(sc: CoverScenario, cover_entropy_bound: float,
-                     tol: float = DEFAULT_TOL) -> Verdict:
-    """Descend the entropy bound and squeeze the quotient spectral radius.
+def quotient_verdict(sc: CoverScenario,
+                     tol: float = DEFAULT_TOL) -> tuple[float, bool, dict]:
+    """The quotient's ``(log_rho, exact_zero)`` certificate and its details.
 
-    The cover's entropy bound, which must be nonnegative, transfers as an
-    identity through the covering.  The cover action and its restriction are
-    certified separately: an exactly zero cover certificate must restrict to
-    an exactly zero one, and otherwise only the inequality against the cover
-    value is asserted.  ``details`` gives the cover's log rho and the
-    quotient rank.
+    The cover's entropy bound transfers as an identity through the covering,
+    so only the spectral radius needs descending.  The cover action and its
+    restriction are certified separately: an exactly zero cover certificate
+    must restrict to an exactly zero one, and otherwise only the inequality
+    against the cover value is asserted.  The details give the cover's log
+    rho and the quotient rank.
     """
-    if cover_entropy_bound < 0:
-        raise InputError("cover entropy bound must be nonnegative")
     cover_log_rho, cover_exact_zero = certify_log_rho(sc.action, tol)
     log_rho, exact_zero = certify_log_rho(sc.restricted, tol)
     if cover_exact_zero and not exact_zero:
@@ -154,7 +154,5 @@ def quotient_verdict(sc: CoverScenario, cover_entropy_bound: float,
         )
     if log_rho > cover_log_rho + 10 * tol:
         raise ContractError("restricted spectral radius exceeds the ambient one")
-    return Verdict.of(
-        cover_entropy_bound, log_rho, exact_zero, tol,
-        details={"cover_log_rho": cover_log_rho, "quotient_rank": len(sc.basis)},
-    )
+    return log_rho, exact_zero, {"cover_log_rho": cover_log_rho,
+                                 "quotient_rank": len(sc.basis)}

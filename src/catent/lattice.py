@@ -9,8 +9,10 @@ never be a rounding artifact:
     recursion with an exact divisibility check at every step,
   * unipotence is an exact integer nilpotence test, never ``|lambda - 1| < eps``,
   * the spectral radius is bracketed by the Cauchy bound of the exact
-    characteristic polynomial and refined with validated multiprecision
-    root finding on its squarefree part.
+    characteristic polynomial and refined by multiprecision root finding on
+    its squarefree part.  The refinement stops on mpmath's own error
+    estimate, which is not a proven bound, so the float spectral radius is
+    an estimate; only the exact-zero certificate is proved.
 
 Cheap exact tests run in front of the expensive exact ones, and they only
 ever decide a case they can prove:
@@ -379,12 +381,13 @@ def _cauchy_bound(p: IntPolynomial) -> mpmath.mpf:
 
 
 def spectral_radius(m: SquareIntMatrix, tol: float = DEFAULT_TOL) -> float:
-    """Maximum root modulus of char_poly(M), accurate to +/- tol.
+    """Maximum root modulus of char_poly(M), estimated to within tol.
 
     Roots are bracketed by the Cauchy bound and refined by multiprecision
     polynomial root finding on the squarefree part, escalating precision
-    until the solver's own error bound is below tol.  This is always the
-    float estimate: deciding that rho is exactly 1 is left to
+    until the solver's own error estimate is below tol.  That estimate is
+    mpmath's, not a proven enclosure, so neither is the result.  This is
+    always the float estimate: deciding that rho is exactly 1 is left to
     ``words.certify_log_rho``, which owns the exact-zero certificate.
     """
     if not tol > 0:

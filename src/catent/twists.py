@@ -30,7 +30,9 @@ is unipotent, so the log spectral radius is exactly zero and the
 Gromov-Yomdin equality fails with gap at least log d_1.
 
 A generic surface spherical-twist iteration (bounds only, no collapse
-contract) is included for degree-two models.
+contract) is included for degree-two models.  ``ext_growth_uppers`` and
+``spherical_twist_uppers`` give the exact upper series of both families from
+totals alone, with no cone evaluation.
 """
 
 from __future__ import annotations
@@ -284,13 +286,6 @@ class BoundSeries:
         return statistics.linear_regression(ms, logs).slope
 
 
-def ext_growth_depth(n: int, m_max: int) -> int:
-    """The deepest i whose d_i ``ext_growth_series`` reads at half dimension
-    n: ``iterate_profile(m, k, l)`` bottoms out at d_{k+l+m}, with k and l
-    up to the generator width 2n + 1 and m up to m_max."""
-    return 4 * n + 2 + m_max
-
-
 def ext_growth_series(model: HKModel, m_max: int) -> BoundSeries:
     """Bounds on the Ext total between the positive and twisted negative
     generators, summed over all summand pairs, for m = 1 .. m_max."""
@@ -390,12 +385,6 @@ def spherical_twist_step(
     )
 
 
-def spherical_twist_depth(k: int, l: int, m_max: int) -> int:
-    """The deepest i whose d_i ``spherical_twist_series`` reads: its step-0
-    profiles sit at d_{k+lv} for twist levels lv up to l + m_max."""
-    return k + l + m_max
-
-
 def spherical_twist_series(
     model: HKModel, k: int, l: int, m_max: int, t: float = 0.0
 ) -> BoundSeries:
@@ -425,3 +414,61 @@ def spherical_twist_series(
         lowers.append(lo)
         uppers.append(hi)
     return BoundSeries(tuple(lowers), tuple(uppers))
+
+
+# ---------------------------------------------------------------------------
+# Upper totals without profiles
+# ---------------------------------------------------------------------------
+#
+# Summed over degrees, hi_C(j) = hi_B(j) + hi_A(j+1) gives hi_total(C) =
+# hi_total(A) + hi_total(B) for every cone, and a Kuenneth product multiplies
+# totals.  So the upper series of both families follows a scalar recursion
+# that mirrors their profile recursion and makes no cone evaluation.
+
+
+def _dims_in_order(model: HKModel):
+    """i -> d_i, reading d_1, d_2, ... in order, so that a table too short for
+    the caller fails at its first missing entry."""
+    dims = [None]
+
+    def d(i: int) -> int:
+        while len(dims) <= i:
+            dims.append(model.dim(len(dims)))
+        return dims[i]
+
+    return d
+
+
+def ext_growth_uppers(model: HKModel, m_max: int):
+    """Yield the uppers of ``ext_growth_series(model, m_max)``, m = 1, 2, ...,
+    reading every d_i the series reads."""
+    d = _dims_in_order(model)
+
+    @lru_cache(maxsize=None)
+    def correction(m: int, k: int, l: int) -> int:  # correction_profile
+        if m == 1:  # the eval cone of {2n: d_{k+1}}
+            return 2 * d(k + 1) * d(l)
+        # eval_twist_cone_profile, then the cone with the previous correction
+        return 2 * correction(m - 1, k, 1) * d(l) + correction(m - 1, k, l + 1)
+
+    @lru_cache(maxsize=None)
+    def iterate(m: int, k: int, l: int) -> int:  # iterate_profile
+        if m == 0:
+            return d(k + l)
+        return correction(m, k, l) + iterate(m - 1, k + 1, l)
+
+    width = range(1, model.generator_width + 1)
+    for m in range(1, m_max + 1):
+        yield sum(iterate(m, k, l) for k in width for l in width)
+
+
+def spherical_twist_uppers(model: HKModel, k: int, l: int, m_max: int):
+    """Yield the uppers of ``spherical_twist_series(model, k, l, m_max)`` at
+    t = 0, m = 1, 2, ..., reading every d_i the series reads."""
+    _require_surface(model)
+    d = _dims_in_order(model)
+    totals = {(0, lv): d(k + lv) for lv in range(1, l + m_max + 1)}
+    for m in range(1, m_max + 1):
+        for lv in range(1, l + m_max - m + 1):  # spherical_twist_step
+            totals[(m, lv)] = totals[(m - 1, 1)] * d(lv) + totals[(m - 1, lv + 1)]
+        yield totals[(m, l)]

@@ -97,12 +97,29 @@ def test_odd_q_is_rejected_by_validate(capsys, config, field, q):
       "m_max": 4}, "d_table", 7),
 ])
 def test_short_d_table_is_rejected_by_validate(capsys, config, field, need):
-    # A table too short for the run made every run end in an error report;
-    # validate must say so first.
-    _, violations = validate_config(config)
-    assert violations == [f"{field}: d-table too short: need d_{need}, have 3 entries"]
+    # The check stage reads d_1, d_2, ... in order up to the deepest d_i the
+    # run reads, so a table too short for the run fails validate and the run
+    # alike, at its first missing entry and before any cone work.
+    line = "error [InputError]: d-table too short: need d_4, have 3 entries\n"
+    assert validate_config(config)[1] == []
     assert main(["validate", "--config", json.dumps(config)]) == 1
-    assert "d-table too short" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", line)
+    assert main(["run", "--config", json.dumps(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == line
+    assert json.loads(captured.out)["timing"]["work_units"] == 0
+    # The table at ``field`` must reach d_need exactly.
+    *parents, key = field.split(".")
+    for size, code in ((need - 1, 1), (need, 0)):
+        longer = json.loads(json.dumps(config))
+        holder = longer
+        for step in parents:
+            holder = holder[step]
+        holder[key] = [7, 22, 47] + list(range(50, 50 + size - 3))
+        assert main(["validate", "--config", json.dumps(longer)]) == code
+        expected = (f"error [InputError]: d-table too short: need d_{need}, "
+                    f"have {need - 1} entries\n") if code else ""
+        assert capsys.readouterr().err == expected
 
 
 def test_all_violations_collected():
@@ -490,11 +507,10 @@ def test_main_weighted_total_past_float_range_is_a_numeric_error(capsys):
 @pytest.mark.parametrize("argv", [["run"], ["run", "--format", "table"], ["series"]])
 def test_main_report_past_the_int_digit_limit_is_a_numeric_error(capsys, argv):
     # d_1 of q = 10^300 at n = 3 has about 900 digits, so the series passes
-    # the 4,300-digit limit of int-to-str conversion by m = 5.  The run ends
-    # in an error report that keeps the work done; the cone count does not
-    # depend on q.
+    # the 4,300-digit limit of int-to-str conversion by m = 4.  The check
+    # stage finds that from the upper totals, so validate fails as the run
+    # does, and the run's error report carries no cone work.
     config = {"kind": "hk", "n": 3, "q": 10**300, "m_max": 5}
-    work_units = run_scenario(load_config({**config, "q": 2}))["timing"]["work_units"]
     assert main(argv + ["--config", json.dumps(config)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error [NumericError]: report cannot be printed")
@@ -504,12 +520,14 @@ def test_main_report_past_the_int_digit_limit_is_a_numeric_error(capsys, argv):
         assert report["verdict"] == "error"
         assert report["error"]["type"] == "NumericError"
         assert report["series"] == [] and report["details"] == {}
-        assert report["timing"]["work_units"] == work_units > 0
+        assert report["timing"]["work_units"] == 0
+        assert main(["validate", "--config", json.dumps(config)]) == 2
+        assert capsys.readouterr() == ("", captured.err)
     elif argv == ["series"]:
         assert captured.out == "m,lower,upper\n"
     else:
         assert "error [NumericError]" in captured.out
-        assert captured.out.endswith(f"work units: {work_units}\n")
+        assert captured.out.endswith("work units: 0\n")
 
 
 def test_main_engine_error_exit_code(capsys):
@@ -535,8 +553,7 @@ NON_SPHERICAL_WORDS = {
 @pytest.mark.parametrize("kind", sorted(NON_SPHERICAL_WORDS))
 def test_main_non_spherical_class_needs_the_whitelist(capsys, kind):
     # (0, 1, 0) has self-pairing 10 under the Mukai gram, not -2.  validate
-    # says so; the run gives an error report, after the cover bound of an
-    # enriques scenario.
+    # says so; the run gives an error report, before any cone work.
     spherical = {"kind": "spherical", "class": [0, 1, 0]}
     config = {**NON_SPHERICAL_WORDS[kind], "word": [spherical]}
     clean = {**config, "word": [{**spherical, "whitelisted": True}]}
@@ -554,8 +571,8 @@ def test_main_non_spherical_class_needs_the_whitelist(capsys, kind):
     assert main(["run", "--config", json.dumps(clean)]) == 0
     clean_report = json.loads(capsys.readouterr().out)
     assert clean_report["error"] is None
-    assert report["timing"] == clean_report["timing"]
-    assert (report["timing"]["work_units"] > 0) == (kind == "enriques")
+    assert report["timing"]["work_units"] == 0
+    assert (clean_report["timing"]["work_units"] > 0) == (kind == "enriques")
 
 
 # The swap has order 2, not a divisor of 3.
@@ -577,14 +594,14 @@ def test_main_bad_deck_order_fails_validate_as_run(capsys):
     assert captured.err == line
     report = json.loads(captured.out)
     assert report["error"]["message"] == "deck matrix does not have order dividing 3"
-    assert report["timing"]["work_units"] == 176  # the cover bound ran first
+    assert report["timing"]["work_units"] == 0  # found before the cover bound
     fixed = {**BAD_DECK_ORDER, "deck": {**BAD_DECK_ORDER["deck"], "order": 2}}
     assert main(["validate", "--config", json.dumps(fixed)]) == 0
 
 
 def test_main_fixed_free_deck_fails_validate_as_run(capsys):
-    # -I fixes no vector of the lattice; both commands say so, and the run
-    # only after the cover bound.
+    # -I fixes no vector of the lattice; both commands say so before any cone
+    # work.
     config = {**BAD_DECK_ORDER, "deck": {"matrix": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]],
                                          "order": 2}}
     message = "deck action fixes no lattice vector; not a valid quotient model"
@@ -593,11 +610,11 @@ def test_main_fixed_free_deck_fails_validate_as_run(capsys):
     assert main(["run", "--config", json.dumps(config)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["error"] == {"type": "InputError", "message": message}
-    assert report["timing"]["work_units"] == 176
+    assert report["timing"]["work_units"] == 0
 
 
-# Non-invariant tensor word over a swap deck: descent must refuse, after the
-# cover bound has run.
+# Non-invariant tensor word over a swap deck: descent must refuse, before the
+# cover bound runs.
 NON_COMMUTING_ENRIQUES = {
     "kind": "enriques",
     "cover": {"n": 1, "q": 10, "m_max": 4},
@@ -626,7 +643,7 @@ def test_main_error_report_as_table(capsys):
     out = capsys.readouterr().out
     assert "verdict: error\n" in out
     assert "error [ContractError]" in out
-    assert out.endswith("work units: 176\n")
+    assert out.endswith("work units: 0\n")
 
 
 def test_main_error_report_series_is_the_header_only(capsys):

@@ -8,7 +8,7 @@ from catent import descent
 from catent.descent import CoverScenario, integer_kernel_basis, quotient_verdict
 from catent.errors import ContractError, InputError
 from catent.lattice import BilinearLattice, SquareIntMatrix, is_unipotent, spectral_radius
-from catent.words import induced_matrix
+from catent.words import Verdict, induced_matrix
 from rational_reference import kernel_basis, restrict_to_basis
 
 TOL = 1e-9
@@ -155,6 +155,13 @@ def test_deck_order_checked_at_construction():
     CoverScenario(SWAP, 2, identity)
 
 
+@pytest.mark.parametrize("order", [2.0, "2", True, None])
+def test_deck_order_must_be_an_int(order):
+    # No coercion: a float or str order is not powered, and True is not 1.
+    with pytest.raises(InputError, match="^deck order must be a positive integer$"):
+        CoverScenario(SWAP, order, SquareIntMatrix.identity(2))
+
+
 def test_deck_dimension_checked():
     # The rank is the deck's, so a deck of another rank than the action's
     # is the same mismatch as an action of another rank than the deck's.
@@ -269,34 +276,28 @@ def test_restriction_never_exceeds_ambient_radius():
 
 
 def test_quotient_verdict_hyperkahler_cover():
-    sc = rank4_cover()
-    verdict = quotient_verdict(sc, math.log(6))
+    log_rho, exact_zero, details = quotient_verdict(rank4_cover())
+    assert (log_rho, exact_zero) == (0.0, True)
+    assert details == {"cover_log_rho": 0.0, "quotient_rank": 3}
+    verdict = Verdict.of(math.log(6), log_rho, exact_zero, TOL)
     assert verdict.verdict == "GY violated"
-    assert verdict.entropy_lower == pytest.approx(math.log(6))
-    assert verdict.log_rho == 0.0
-    assert verdict.log_rho_exact_zero
-    assert verdict.details["quotient_rank"] == 3
-
-
-def test_negative_cover_bound_rejected():
-    sc = CoverScenario(SWAP, 2, SquareIntMatrix.identity(2))
-    with pytest.raises(InputError, match="^cover entropy bound must be nonnegative$"):
-        quotient_verdict(sc, -0.5)
 
 
 def test_quotient_verdict_no_bound_no_claim():
+    # A zero cover bound certifies nothing, whatever the quotient certificate.
     sc = CoverScenario(SWAP, 2, SquareIntMatrix.identity(2))
-    verdict = quotient_verdict(sc, 0.0)
-    assert verdict.verdict == "no violation certified"
+    log_rho, exact_zero, _ = quotient_verdict(sc)
+    assert exact_zero
+    assert Verdict.of(0.0, log_rho, exact_zero, TOL).verdict == "no violation certified"
 
 
 def test_quotient_verdict_non_unipotent_inequality():
     big = SquareIntMatrix(((2, 1), (1, 1)))
     sc = CoverScenario(SquareIntMatrix.identity(2), 1, big)
-    verdict = quotient_verdict(sc, 0.1)
-    assert not verdict.log_rho_exact_zero
-    assert verdict.log_rho <= verdict.details["cover_log_rho"] + 1e-8
-    assert verdict.details["quotient_rank"] == 2
+    log_rho, exact_zero, details = quotient_verdict(sc)
+    assert not exact_zero
+    assert log_rho <= details["cover_log_rho"] + 1e-8
+    assert details["quotient_rank"] == 2
 
 
 def test_unipotent_cover_forces_unipotent_restriction():
@@ -307,4 +308,4 @@ def test_exact_zero_cover_with_growing_restriction_is_a_contract_error():
     sc = rank4_cover()
     object.__setattr__(sc, "restricted", SquareIntMatrix(((2, 1), (1, 1))))
     with pytest.raises(ContractError, match="failed the exact-zero certificate$"):
-        quotient_verdict(sc, math.log(6))
+        quotient_verdict(sc)

@@ -4,11 +4,11 @@ Draws valid and near-valid configs of every scenario kind, serializes them
 (non-finite floats as ``NaN``/``Infinity``) and runs them through ``main``.
 Every run must end in exit code 0 with a report, or in a typed engine error
 with its documented exit code; any other exception fails the test with its
-traceback.  A rerun must print the same bytes.  On lattice words, which need
-no cone work, ``validate`` must reject every config that the run rejects,
-with the same exit code and error line.  On lattice and model fields of any
-JSON-like value, ``validate_config`` must accept exactly when the engine
-type that owns the field does.
+traceback.  A rerun must print the same bytes.  ``validate`` must reject
+every valid config that the run rejects, with the same exit code and error
+line; the one known gap is pinned by an expected failure.  On lattice and
+model fields of any JSON-like value, ``validate_config`` must accept exactly
+when the engine type that owns the field does.
 """
 
 import contextlib
@@ -16,13 +16,14 @@ import io
 import json
 import math
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from catent.cli import list_builtin_models, main, validate_config
 from catent.errors import InputError
 from catent.lattice import BilinearLattice, IntPolynomial
-from catent.twists import HKModel, ext_growth_depth
+from catent.twists import HKModel
 from lattice_powers import companion_matrix
 
 ENRIQUES = list_builtin_models()["enriques-over-hk"]
@@ -176,13 +177,24 @@ RANK_30 = {"kind": "lattice_word",
                list(row) for row in companion_matrix(
                    IntPolynomial((-1, -1) + (0,) * 28 + (1,))).entries]}]}
 
+# The swap has order 2, not a divisor of 3.
+BAD_DECK_ORDER = {**FIXED_FREE_DECK, "deck": {"matrix": [[0, 1], [1, 0]], "order": 3}}
+# Its series passes the 4,300-digit limit of int-to-str conversion.
+LONG_INT = {"kind": "hk", "n": 3, "q": 10**300, "m_max": 5}
+# A hilb base reads d_1 .. d_9 at n = 1, m_max = 3.
+SHORT_BASE_TABLE = {"kind": "hilb", "points": 2,
+                    "base": {"n": 1, "d_table": [7, 22, 47], "m_max": 3}}
+# One cell of the t-weighted total passes the float range; the upper totals
+# are far below the int digit limit and cannot tell.
+FLOAT_OVERFLOW = {"kind": "surface_twist", "q": 10**300, "k": 1, "l": 1,
+                  "m_max": 3, "t": 0.5}
+
 
 @example(json.dumps(NILPOTENT))
 @example(json.dumps(RANK_30))
 @example(json.dumps({"kind": "hk", "n": 1, "q": 3, "m_max": 5}))
-@example(json.dumps({"kind": "surface_twist", "q": 10**300, "k": 1, "l": 1,
-                     "m_max": 3, "t": 0.5}))
-@example(json.dumps({"kind": "hk", "n": 3, "q": 10**300, "m_max": 5}))
+@example(json.dumps(FLOAT_OVERFLOW))
+@example(json.dumps(LONG_INT))
 @example("[" * 100_000 + "]" * 100_000)
 @example(json.dumps({"kind": []}))
 @example(json.dumps({"kind": {}}))
@@ -205,13 +217,25 @@ def test_run_ends_in_a_report_or_a_typed_error(text):
 
 @example(json.dumps(NILPOTENT))
 @example(json.dumps(FIXED_FREE_DECK))
+@example(json.dumps(BAD_DECK_ORDER))
+@example(json.dumps(LONG_INT))
+@example(json.dumps(SHORT_BASE_TABLE))
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-@given(st.one_of(lattice_words(), enriques()).map(json.dumps))
+@given(configs.map(json.dumps))
 def test_validate_rejects_what_run_rejects(text):
     code, _, err = run(text)
     if code:
         assert run(text, "validate") == (code, "", err)
+
+
+@pytest.mark.xfail(strict=True, reason="validate cannot see a float overflow "
+                   "of one weighted cell from the upper totals")
+def test_validate_rejects_a_weighted_total_past_the_float_range():
+    text = json.dumps(FLOAT_OVERFLOW)
+    code, _, err = run(text)
+    assert code == 2 and err.startswith("error [NumericError]: weighted total")
+    assert run(text, "validate") == (code, "", err)
 
 
 # JSON-like values: near-miss numbers, bools, strings, lists and objects.
@@ -259,7 +283,8 @@ def model_dicts(draw):
     if rule in ("q", "both"):
         model["q"] = mostly(draw, st.integers(1, 6).map(lambda k: 2 * k))
     if rule in ("d_table", "both"):
-        depth = ext_growth_depth(n, 3) if type(n) is int and 1 <= n <= 8 else 9
+        # hk reads d_1 .. d_{4n+2+m_max}
+        depth = 4 * n + 2 + 3 if type(n) is int and 1 <= n <= 8 else 9
         model["d_table"] = draw(st.one_of(
             st.integers(depth - 2, depth + 2).flatmap(lambda size: st.lists(
                 st.integers(2, 60), min_size=size, max_size=size)).map(sorted),
@@ -270,14 +295,13 @@ def model_dicts(draw):
 
 def engine_accepts(kind, fields):
     """Whether the engine type that owns the fields takes them: for a model,
-    within the schema's cap on n and with every d_i the run reads."""
+    within the schema's cap on n.  A table too short for the run passes both;
+    the run's check stage rejects it."""
     try:
         if kind == "lattice_word":
             BilinearLattice(**fields)
         else:
             model = HKModel(fields["n"], fields.get("q"), fields.get("d_table"))
-            if model.table:
-                model.dim(ext_growth_depth(model.n, fields["m_max"]))
             return model.n <= 8  # the schema's desk-scale cap
     except InputError:
         return False

@@ -10,11 +10,13 @@ from catent.twists import (
     default_action,
     entropy_lower_bound,
     ext_growth_series,
+    ext_growth_uppers,
     eval_cone_profile,
     gy_verdict,
     negative_line_bundle_profile,
     spherical_twist_series,
     spherical_twist_step,
+    spherical_twist_uppers,
     verify_iterate_contract,
 )
 from catent.lattice import is_unipotent
@@ -266,6 +268,30 @@ def test_series_integer_at_t_zero():
     assert all(isinstance(hi, int) for hi in series.uppers)
 
 
+# hk at n = 2, m_max = 4 reads d_1 .. d_14.
+FIBONACCI = HKModel(2, table=(2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987))
+
+
+@pytest.mark.parametrize("model, m_max", [
+    (K3, 10), (HK2, 8), (HKModel(3, q=10), 6), (HKModel(1, q=2), 14),
+    (HKModel(4, q=16), 6), (K3, 24), (FIBONACCI, 4),
+])
+def test_upper_totals_equal_the_series_uppers(model, m_max):
+    # Upper totals add through a cone and multiply through a Kuenneth
+    # product, so the scalar recursion gives the profiles' uppers exactly.
+    uppers = ext_growth_series(model, m_max).uppers
+    assert tuple(ext_growth_uppers(model, m_max)) == uppers
+
+
+def test_upper_totals_read_a_table_in_order():
+    # The series reads up to d_14; the totals fail at the first missing d_i.
+    for size in (10, 13):
+        short = HKModel(2, table=FIBONACCI.table[:size])
+        message = f"^d-table too short: need d_{size + 1}, have {size} entries$"
+        with pytest.raises(InputError, match=message):
+            tuple(ext_growth_uppers(short, 4))
+
+
 def test_log_slope_window_validation():
     series = BoundSeries((2, 4, 8), (2, 4, 8))
     assert series.log_slope(1, 3) == pytest.approx(math.log(2))
@@ -319,6 +345,15 @@ def test_surface_series_frozen_values():
     series = spherical_twist_series(K3, 1, 1, 5)
     assert series.lowers[:3] == (201, 1973, 18246)
     assert series.uppers[:3] == (201, 1973, 19394)
+
+
+@pytest.mark.parametrize("model, k, l, m_max", [
+    (K3, 1, 1, 5), (K3, 2, 3, 8), (HKModel(1, q=2), 4, 1, 12),
+    (HKModel(1, table=FIBONACCI.table[:9]), 3, 2, 4),
+])
+def test_surface_upper_totals_equal_the_series_uppers(model, k, l, m_max):
+    uppers = spherical_twist_series(model, k, l, m_max, t=0).uppers
+    assert tuple(spherical_twist_uppers(model, k, l, m_max)) == uppers
 
 
 def test_surface_series_nondecreasing():
