@@ -10,7 +10,9 @@ the same reason.
 
 A run is a check stage, every check that needs no cone evaluation, then a
 cone stage.  ``validate`` is the check stage alone; an error report from the
-check stage carries 0 work units.
+check stage carries 0 work units.  The schema (``validate_config``) checks
+shapes and caps only: every model, lattice, matrix, word and deck value is
+checked once, by its engine type, in the check stage.
 
 Subcommands: ``validate``, ``run``, ``catalog``, ``series`` (CSV dump).
 Exit codes: 0 success, 1 input error, 2 numeric error, 3 contract violation.
@@ -30,7 +32,7 @@ from dataclasses import dataclass, replace
 from . import __version__
 from .descent import CoverScenario, quotient_verdict
 from .errors import EngineError, InputError, NumericError, is_int
-from .graded import cone_evaluations
+from .graded import cone_evaluations, delta_value_interval
 from .hilbert import hilbert_lift_verdict
 from .lattice import DEFAULT_TOL, BilinearLattice, SquareIntMatrix
 from .twists import (
@@ -97,47 +99,32 @@ def _check_number(out, data, key, default, lo=None):
     return f
 
 
-def _check_matrix(out, value, path, rank=None):
-    if not isinstance(value, (list, tuple)) or not value:
-        out.append(f"{path}: must be a nonempty list of rows")
+def _check_rows(out, value, path):
+    """A copy of the matrix ``value`` for the echo, a list of at most MAX_RANK
+    row lists; its entries and shape are the matrix type's to check."""
+    if not isinstance(value, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in value):
+        out.append(f"{path}: must be a list of rows")
         return None
-    n = len(value)
-    if rank is not None and n != rank:
-        out.append(f"{path}: expected {rank} rows, got {n}")
+    if len(value) > MAX_RANK:
+        out.append(f"{path}: rank {len(value)} exceeds the desk-scale cap {MAX_RANK}")
         return None
-    rows = []
-    for i, row in enumerate(value):
-        if (
-            not isinstance(row, (list, tuple))
-            or len(row) != n
-            or not all(is_int(x) for x in row)
-        ):
-            out.append(f"{path}[{i}]: must be a row of {n} integers")
-            return None
-        rows.append(list(row))
-    if n > MAX_RANK:
-        out.append(f"{path}: rank {n} exceeds the desk-scale cap {MAX_RANK}")
-        return None
-    return rows
+    return [list(row) for row in value]
 
 
 def _validate_rr(out, data, path):
-    """Shared fields of model-driven kinds: n, q or d_table, m_max.
-
-    Once n is valid the model is built, which checks q or the table.
-    """
+    """Shared fields of model-driven kinds: n, q or d_table, m_max."""
     norm = {"n": _check_int(out, data, "n", path, 1, 8)}
     q, table = data.get("q"), data.get("d_table")  # null is absent, as in HKModel
     m_max = _check_int(out, data, "m_max", path, 3, MAX_M)
     if (q is None) == (table is None):
         out.append(f"{path}q: supply exactly one of q or d_table")
-    elif norm["n"] is not None:
-        try:
-            model = HKModel(norm["n"], q, table)
-        except InputError as exc:  # the model's q errors name their field
-            out.append(f"{path}{exc}" if table is None else f"{path}d_table: {exc}")
-        else:
-            norm.update({"q": q} if table is None else {"d_table": list(model.table)})
+    elif table is None:
+        norm["q"] = q
+    elif not isinstance(table, (list, tuple)):
+        out.append(f"{path}d_table: must be a list of integers")
+    else:
+        norm["d_table"] = list(table)
     norm["m_max"] = m_max
     if "t" in data:
         out.append(f"{path}t: only surface_twist reads t")
@@ -148,23 +135,17 @@ def _validate_lattice(out, data, path):
     if not isinstance(data, dict):
         out.append(f"{path}: must be an object with a gram matrix")
         return None
-    norm = {
-        "gram": _check_matrix(out, data.get("gram"), f"{path}.gram"),
+    return {
+        "gram": _check_rows(out, data.get("gram"), f"{path}.gram"),
         "symmetry_kind": data.get("symmetry_kind", "euler_general"),
         "euler_sign": data.get("euler_sign", -1),
     }
-    if norm["gram"] is not None:
-        try:
-            BilinearLattice(**norm)
-        except InputError as exc:
-            out.append(f"{path}: {exc}")
-    return norm
 
 
 _GENERATOR_KINDS = ("shift", "ptwist", "tensor", "spherical", "explicit")
 
 
-def _validate_word(out, data, path, rank):
+def _validate_word(out, data, path):
     if not isinstance(data, list):
         out.append(f"{path}: must be a list of generator objects")
         return None
@@ -177,17 +158,13 @@ def _validate_word(out, data, path, rank):
         g = {"kind": gen["kind"]}
         if gen["kind"] in ("tensor", "explicit"):
             key = "nilpotent" if (gen["kind"] == "tensor" and "nilpotent" in gen) else "matrix"
-            g[key] = _check_matrix(out, gen.get(key), f"{gpath}.{key}", rank=rank)
+            g[key] = _check_rows(out, gen.get(key), f"{gpath}.{key}")
             if g[key] is None:
                 return None
         elif gen["kind"] == "spherical":
             cls = gen.get("class")
-            if (
-                not isinstance(cls, (list, tuple))
-                or (rank is not None and len(cls) != rank)
-                or not all(is_int(x) for x in cls)
-            ):
-                out.append(f"{gpath}.class: must be a list of {rank} integers")
+            if not isinstance(cls, (list, tuple)):
+                out.append(f"{gpath}.class: must be a list of integers")
                 return None
             g["class"] = list(cls)
             whitelisted = gen.get("whitelisted", False)
@@ -203,8 +180,10 @@ def _validate_word(out, data, path, rank):
 def validate_config(data) -> tuple[dict | None, list[str]]:
     """Normalize a raw config; returns (normalized, violations).
 
-    Violations of every field are collected.  A model or a lattice is checked
-    by building the type that owns its rules, ``HKModel`` or ``BilinearLattice``.
+    The schema checks shapes, required fields, its desk-scale caps and the
+    numbers ``t`` and ``tol``, and collects the violations of every field.
+    The values of a model, a lattice, a matrix, a word or a deck are checked
+    once, by the engine type that holds them, in the run's check stage.
     """
     out: list[str] = []
     if not isinstance(data, dict):
@@ -248,23 +227,19 @@ def validate_config(data) -> tuple[dict | None, list[str]]:
             out.append("cover: required object with the cover model fields")
         else:
             norm["cover"] = _validate_rr(out, cover, "cover.")
-        lattice = _validate_lattice(out, data.get("lattice"), "lattice")
-        norm["lattice"] = lattice
-        rank = len(lattice["gram"]) if lattice and lattice.get("gram") else None
+        norm["lattice"] = _validate_lattice(out, data.get("lattice"), "lattice")
         deck = data.get("deck")
         if not isinstance(deck, dict):
             out.append("deck: required object with matrix and order")
         else:
             norm["deck"] = {
-                "matrix": _check_matrix(out, deck.get("matrix"), "deck.matrix", rank=rank),
+                "matrix": _check_rows(out, deck.get("matrix"), "deck.matrix"),
                 "order": _check_int(out, deck, "order", "deck.", 1, 64),
             }
-        norm["word"] = _validate_word(out, data.get("word"), "word", rank)
+        norm["word"] = _validate_word(out, data.get("word"), "word")
     elif kind == "lattice_word":
-        lattice = _validate_lattice(out, data.get("lattice"), "lattice")
-        norm["lattice"] = lattice
-        rank = len(lattice["gram"]) if lattice and lattice.get("gram") else None
-        norm["word"] = _validate_word(out, data.get("word"), "word", rank)
+        norm["lattice"] = _validate_lattice(out, data.get("lattice"), "lattice")
+        norm["word"] = _validate_word(out, data.get("word"), "word")
 
     norm["tol"] = _check_number(out, data, "tol", DEFAULT_TOL, lo=0.0)
 
@@ -288,6 +263,14 @@ class ScenarioConfig:
         return copy.deepcopy(self.data)
 
 
+def _finite_float(literal: str) -> float:
+    """NaN, Infinity and a float literal past the float range are not JSON
+    numbers, and no report could echo them."""
+    if not math.isfinite(value := float(literal)):
+        raise ValueError(f"numbers must be finite, got {literal}")
+    return value
+
+
 def _read_config(source):
     """The raw config in a dict, a file path, or inline JSON."""
     if isinstance(source, dict):
@@ -304,19 +287,22 @@ def _read_config(source):
     else:
         raise InputError(f"cannot load config from {source!r}")
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
     except (ValueError, RecursionError) as exc:
-        # an integer literal past the digit limit, or nesting too deep
+        # an integer literal past the digit limit, a number that is not
+        # finite, or nesting too deep
         raise InputError(f"config parse error: {exc}") from exc
 
 
 def load_config(source) -> ScenarioConfig:
-    """Load and validate a config from a dict, a file path, or inline JSON."""
+    """Load a config from a dict, a file path, or inline JSON, and check it
+    against the schema.  A value that only an engine type checks, such as an
+    odd q or an asymmetric gram, passes here and fails the check stage."""
     norm, violations = validate_config(_read_config(source))
     if violations:
         raise InputError(
@@ -475,7 +461,10 @@ def _run_lattice_word(cfg: ScenarioConfig) -> Callable[[], Verdict]:
 def _run_surface_twist(cfg: ScenarioConfig) -> Callable[[], Verdict]:
     data = cfg.data
     surface, k, l, m_max = _model_from(data), data["k"], data["l"], data["m_max"]
-    _check_printable(spherical_twist_uppers(surface, k, l, m_max))
+    uppers = list(spherical_twist_uppers(surface, k, l, m_max))
+    _check_printable(sum(upper.highs) for upper in uppers)
+    for upper in uppers:  # a weighted cell past the float range fails here too
+        delta_value_interval(upper, data["t"])
     return lambda: Verdict.of(
         None, None, False, cfg.tol,
         series=spherical_twist_series(surface, k, l, m_max, data["t"]),

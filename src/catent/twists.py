@@ -30,9 +30,9 @@ is unipotent, so the log spectral radius is exactly zero and the
 Gromov-Yomdin equality fails with gap at least log d_1.
 
 A generic surface spherical-twist iteration (bounds only, no collapse
-contract) is included for degree-two models.  ``ext_growth_uppers`` and
-``spherical_twist_uppers`` give the exact upper series of both families from
-totals alone, with no cone evaluation.
+contract) is included for degree-two models.  ``ext_growth_uppers`` gives
+the exact upper series of the first family, and ``spherical_twist_uppers``
+the exact upper profiles of the second, with no cone evaluation.
 """
 
 from __future__ import annotations
@@ -417,13 +417,13 @@ def spherical_twist_series(
 
 
 # ---------------------------------------------------------------------------
-# Upper totals without profiles
+# Uppers without cone evaluations
 # ---------------------------------------------------------------------------
 #
-# Summed over degrees, hi_C(j) = hi_B(j) + hi_A(j+1) gives hi_total(C) =
-# hi_total(A) + hi_total(B) for every cone, and a Kuenneth product multiplies
-# totals.  So the upper series of both families follows a scalar recursion
-# that mirrors their profile recursion and makes no cone evaluation.
+# hi_C(j) = hi_B(j) + hi_A(j+1) reads only uppers, and summed over degrees it
+# gives hi_total(C) = hi_total(A) + hi_total(B); a Kuenneth product multiplies
+# totals.  So the uppers of both families follow a recursion that mirrors
+# their profile recursion and makes no cone evaluation.
 
 
 def _dims_in_order(model: HKModel):
@@ -463,12 +463,18 @@ def ext_growth_uppers(model: HKModel, m_max: int):
 
 
 def spherical_twist_uppers(model: HKModel, k: int, l: int, m_max: int):
-    """Yield the uppers of ``spherical_twist_series(model, k, l, m_max)`` at
-    t = 0, m = 1, 2, ..., reading every d_i the series reads."""
+    """Yield the upper profiles of ``spherical_twist_series(model, k, l,
+    m_max)``, m = 1, 2, ..., as exact profiles, reading every d_i the series
+    reads.  ``delta_value_interval`` of each gives the series upper at any t,
+    bit for bit, and fails exactly when the series does."""
     _require_surface(model)
     d = _dims_in_order(model)
-    totals = {(0, lv): d(k + lv) for lv in range(1, l + m_max + 1)}
+    uppers = {(0, lv): {model.dim_x: d(k + lv)} for lv in range(1, l + m_max + 1)}
     for m in range(1, m_max + 1):
         for lv in range(1, l + m_max - m + 1):  # spherical_twist_step
-            totals[(m, lv)] = totals[(m - 1, 1)] * d(lv) + totals[(m - 1, lv + 1)]
-        yield totals[(m, l)]
+            cells = dict(uppers[(m - 1, lv + 1)])
+            # hi_C(j) = hi_B(j) + d_lv hi_mult(j - 1), mult the (m - 1, 1) upper
+            for j, hi in uppers[(m - 1, 1)].items():
+                cells[j + 1] = cells.get(j + 1, 0) + d(lv) * hi
+            uppers[(m, lv)] = cells
+        yield GradedDimInterval.exact(uppers[(m, l)])

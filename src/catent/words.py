@@ -16,8 +16,8 @@ the level of numerical classes only:
   * ``{"kind": "explicit", "matrix": M}`` injects an arbitrary integer action.
 
 ``generator_matrix`` is the one place that reads a generator's kind, and it
-makes the checks that need the lattice, for ``catent validate`` as for the
-run.  Words compose right-to-left, matching functor composition: the first
+makes every check of a generator's values, for ``catent validate`` as for
+the run.  Words compose right-to-left, matching functor composition: the first
 generator in the list is applied last.
 """
 
@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import InputError
+from .errors import InputError, is_int
 from .lattice import (
     DEFAULT_TOL,
     BilinearLattice,
@@ -75,6 +75,8 @@ def generator_matrix(lattice: BilinearLattice, gen: dict, i: int) -> SquareIntMa
             raise InputError(
                 f"generator {i} class has length {len(e)}, lattice rank {rank}"
             )
+        if not all(map(is_int, e)):
+            raise InputError(f"generator {i} class entries must be integers, got {e!r}")
         if not gen.get("whitelisted", False):
             sp = lattice.pairing(e, e)
             want = 2 * lattice.euler_sign

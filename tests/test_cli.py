@@ -61,11 +61,27 @@ def test_missing_field_named_in_violations():
     assert any(v.startswith("n:") for v in violations)
 
 
-def test_degenerate_table_cites_invariant():
-    _, violations = validate_config(
-        {"kind": "hk", "n": 1, "d_table": [1, 5], "m_max": 8}
-    )
-    assert any("d_i > 1" in v for v in violations)
+def rejected_by_the_check_stage(capsys, config, message):
+    """Assert that ``config`` passes the schema, and that ``validate`` and
+    ``run`` both exit 1 with the engine's ``message``, ``run`` with an error
+    report of 0 work units.  Returns the report."""
+    assert validate_config(config)[1] == []
+    line = f"error [InputError]: {message}\n"
+    assert main(["validate", "--config", json.dumps(config)]) == 1
+    assert capsys.readouterr() == ("", line)
+    assert main(["run", "--config", json.dumps(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == line
+    report = json.loads(captured.out)
+    assert report["error"] == {"type": "InputError", "message": message}
+    assert report["timing"]["work_units"] == 0
+    return report
+
+
+def test_degenerate_table_cites_invariant(capsys):
+    rejected_by_the_check_stage(
+        capsys, {"kind": "hk", "n": 1, "d_table": [1, 5], "m_max": 8},
+        "d-table violates d_i > 1 at i=1 (got 1)")
 
 
 @pytest.mark.parametrize("config, field, q", [
@@ -78,11 +94,14 @@ def test_degenerate_table_cites_invariant():
 ])
 def test_odd_q_is_rejected_by_validate(capsys, config, field, q):
     # With q odd, d_1 is an odd integer over 2^n n!, so every run would end
-    # in an error report; validate must say so first.
-    _, violations = validate_config(config)
-    assert violations == [f"{field}: must be an even positive integer, got {q}"]
-    assert main(["validate", "--config", json.dumps(config)]) == 1
-    assert "must be an even positive integer" in capsys.readouterr().err
+    # in an error report; HKModel says so in the check stage, which validate
+    # runs too.  The report echoes the odd q at its field.
+    report = rejected_by_the_check_stage(
+        capsys, config, f"q: must be an even positive integer, got {q}")
+    holder = report["scenario"]
+    for step in field.split("."):
+        holder = holder[step]
+    assert holder == q
 
 
 @pytest.mark.parametrize("config, field, need", [
@@ -133,12 +152,12 @@ def test_unknown_kind_rejected():
 
 
 @pytest.mark.parametrize("sign", [True, -1.0, 1.0])
-def test_euler_sign_must_be_an_integer(sign):
+def test_euler_sign_must_be_an_integer(capsys, sign):
     config = {"kind": "lattice_word", "word": [],
               "lattice": {"gram": [[1]], "euler_sign": sign}}
-    _, violations = validate_config(config)
-    # BilinearLattice owns the rule; the schema reports it under the lattice
-    assert violations == [f"lattice: euler_sign must be the integer +1 or -1, got {sign!r}"]
+    # BilinearLattice owns the rule, and the check stage builds it
+    rejected_by_the_check_stage(
+        capsys, config, f"euler_sign must be the integer +1 or -1, got {sign!r}")
 
 
 @pytest.mark.parametrize("lattice, message", [
@@ -148,20 +167,25 @@ def test_euler_sign_must_be_an_integer(sign):
      "symmetric lattice has asymmetric gram at (0,1)"),
     ({"gram": [[1]], "euler_sign": 2}, "euler_sign must be the integer +1 or -1, got 2"),
 ])
-def test_lattice_rules_come_from_the_lattice(lattice, message):
+def test_lattice_rules_come_from_the_lattice(capsys, lattice, message):
     config = {"kind": "lattice_word", "lattice": lattice, "word": []}
-    assert validate_config(config) == (None, [f"lattice: {message}"])
+    rejected_by_the_check_stage(capsys, config, message)
 
 
 @pytest.mark.parametrize("fields, message", [
     ({"q": 10.0}, "q: must be an even positive integer, got 10.0"),
-    ({"q": None}, "q: supply exactly one of q or d_table"),
-    ({"d_table": [2.9, 3]}, "d_table: d-table entry d_1 must be an integer, got 2.9"),
-    ({"d_table": []}, "d_table: d-table must be a nonempty list of integers, got []"),
+    ({"d_table": [2.9, 3]}, "d-table entry d_1 must be an integer, got 2.9"),
+    ({"d_table": []}, "d-table must be a nonempty list of integers, got []"),
 ])
-def test_model_rules_come_from_the_model(fields, message):
+def test_model_rules_come_from_the_model(capsys, fields, message):
     config = {"kind": "hk", "n": 1, "m_max": 3, **fields}
-    assert validate_config(config) == (None, [message])
+    rejected_by_the_check_stage(capsys, config, message)
+
+
+def test_model_needs_exactly_one_of_q_and_d_table():
+    # which of the two is given picks the echo key, so the schema checks it
+    config = {"kind": "hk", "n": 1, "m_max": 3, "q": None}
+    assert validate_config(config) == (None, ["q: supply exactly one of q or d_table"])
 
 
 @pytest.mark.parametrize("version", [True, 1.0])
@@ -611,6 +635,38 @@ def test_main_fixed_free_deck_fails_validate_as_run(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["error"] == {"type": "InputError", "message": message}
     assert report["timing"]["work_units"] == 0
+
+
+def test_deck_of_the_wrong_rank_reaches_the_cover_scenario(capsys):
+    # The schema does not compare the deck with the lattice; CoverScenario
+    # owns the rank rule and states it in the check stage.
+    config = {**BAD_DECK_ORDER, "deck": {"matrix": [[1, 0], [0, 1]], "order": 1}}
+    rejected_by_the_check_stage(capsys, config, "word acts on a lattice of different rank")
+
+
+def test_load_config_builds_no_engine_type(monkeypatch):
+    # Each value is checked once, in the check stage, not by the schema too.
+    calls = []
+    for name in ("HKModel", "BilinearLattice"):
+        engine_type = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, engine_type=engine_type, **kwargs:
+                            calls.append(engine_type) or engine_type(*args, **kwargs))
+    loaded = [load_config(preset) for preset in list_builtin_models().values()]
+    assert calls == []
+    for cfg in loaded:
+        cli._RUNNERS[cfg.kind](cfg)
+    assert len(calls) == 5  # one model per preset, and the enriques lattice
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_main_non_finite_literals_are_parse_errors(capsys, literal):
+    # Python's json reads these, but no report could echo them.
+    text = ('{"kind": "lattice_word", "lattice": {"gram": [[' + literal + ']]}, '
+            '"word": []}')
+    line = f"error [InputError]: config parse error: numbers must be finite, got {literal}\n"
+    for command in ("validate", "run"):
+        assert main([command, "--config", text]) == 1
+        assert capsys.readouterr() == ("", line)
 
 
 # Non-invariant tensor word over a swap deck: descent must refuse, before the

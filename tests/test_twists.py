@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from catent.errors import CollapseError, InputError
-from catent.graded import GradedDimInterval, _chi_interval
+from catent.errors import CollapseError, InputError, NumericError
+from catent.graded import GradedDimInterval, _chi_interval, delta_value_interval
 from catent.twists import (
     BoundSeries,
     HKModel,
@@ -352,8 +352,30 @@ def test_surface_series_frozen_values():
     (HKModel(1, table=FIBONACCI.table[:9]), 3, 2, 4),
 ])
 def test_surface_upper_totals_equal_the_series_uppers(model, k, l, m_max):
-    uppers = spherical_twist_series(model, k, l, m_max, t=0).uppers
-    assert tuple(spherical_twist_uppers(model, k, l, m_max)) == uppers
+    # The weighted totals of the upper profiles are the series uppers, bit
+    # for bit: exact ints at t = 0, the same float sums at t > 0.
+    profiles = list(spherical_twist_uppers(model, k, l, m_max))
+    assert all(p.is_exact() for p in profiles)
+    for t in (0, 0.5, 3):
+        uppers = spherical_twist_series(model, k, l, m_max, t).uppers
+        totals = tuple(delta_value_interval(p, t)[1] for p in profiles)
+        assert [(type(x), x) for x in totals] == [(type(x), x) for x in uppers]
+
+
+@pytest.mark.parametrize("t", [0.5, 3])
+def test_surface_upper_profiles_overflow_where_the_series_does(t):
+    # q = 10^300 puts cells past the float range; the upper profiles fail
+    # delta_value_interval with the series' own error.
+    model = HKModel(1, q=10**300)
+    with pytest.raises(NumericError) as series_error:
+        spherical_twist_series(model, 1, 1, 3, t)
+    with pytest.raises(NumericError) as upper_error:
+        for profile in spherical_twist_uppers(model, 1, 1, 3):
+            delta_value_interval(profile, t)
+    assert str(upper_error.value) == str(series_error.value)
+    profiles = spherical_twist_uppers(model, 1, 1, 3)
+    assert [delta_value_interval(p)[1] for p in profiles] == list(
+        spherical_twist_series(model, 1, 1, 3).uppers)
 
 
 def test_surface_series_nondecreasing():

@@ -236,6 +236,17 @@ def test_word_rejects_wrong_rank_generator():
             induced_matrix(MUKAI10, [SHIFT, gen])
 
 
+@pytest.mark.parametrize("entries", [[True, 0, True], [1.0, 0, 1], ["1", 0, 1]])
+def test_spherical_class_entries_must_be_integers(entries):
+    # True would pass the self-pairing check as 1, and a str would end in a
+    # TypeError inside the pairing.
+    for whitelisted in (False, True):
+        gen = {"kind": "spherical", "class": entries, "whitelisted": whitelisted}
+        with pytest.raises(InputError, match=re.escape(
+                f"generator 1 class entries must be integers, got {entries!r}")):
+            induced_matrix(MUKAI10, [SHIFT, gen])
+
+
 def test_unknown_generator_kind_rejected():
     with pytest.raises(InputError, match="unknown generator"):
         induced_matrix(MUKAI10, [{"kind": "rotate", "matrix": [[1]]}])
