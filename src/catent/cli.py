@@ -306,8 +306,7 @@ def load_config(source) -> ScenarioConfig:
     norm, violations = validate_config(_read_config(source))
     if violations:
         raise InputError(
-            "config validation failed:\n" + "\n".join(f"  - {v}" for v in violations),
-            violations=violations,
+            "config validation failed:\n" + "\n".join(f"  - {v}" for v in violations)
         )
     return ScenarioConfig(norm["kind"], norm)
 

@@ -15,14 +15,7 @@ class EngineError(Exception):
 
 
 class InputError(EngineError):
-    """Invalid argument, configuration, or model data.
-
-    May carry a list of individual violations (one per offending field).
-    """
-
-    def __init__(self, message, violations=None):
-        super().__init__(message)
-        self.violations = list(violations) if violations else [message]
+    """Invalid argument, configuration, or model data."""
 
 
 class NumericError(EngineError):

@@ -81,8 +81,12 @@ def generator_matrix(lattice: BilinearLattice, gen: dict, i: int) -> SquareIntMa
             sp = lattice.pairing(e, e)
             want = 2 * lattice.euler_sign
             if sp != want:
+                try:
+                    has = f"self-pairing {sp}"
+                except ValueError:  # more digits than str() converts
+                    has = "a self-pairing too long to print"
                 raise InputError(
-                    f"generator {i} class has self-pairing {sp}, "
+                    f"generator {i} class has {has}, "
                     f"spherical classes need {want} (or whitelist it)"
                 )
         return twist_class_action(lattice, e)

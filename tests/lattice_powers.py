@@ -10,11 +10,10 @@ check ``char_poly`` (Cayley-Hamilton, companion matrices) and
 ``squarefree_part``.
 """
 
-from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 from catent.errors import InputError
-from catent.lattice import IntPolynomial, SquareIntMatrix, _frac_divmod
+from catent.lattice import IntPolynomial, SquareIntMatrix, poly_divmod_exact
 
 
 def tensor_power_matrix(m: SquareIntMatrix, n: int) -> SquareIntMatrix:
@@ -77,13 +76,12 @@ def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 
 def poly_divides(b: IntPolynomial, a: IntPolynomial) -> bool:
-    """True iff b divides a exactly over Q."""
-    if b.is_zero():
-        return a.is_zero()
-    _, r = _frac_divmod(
-        [Fraction(c) for c in a.coeffs], [Fraction(c) for c in b.coeffs]
-    )
-    return not any(r)
+    """True iff b divides a in Z[x]; for a monic b, the same as over Q."""
+    try:
+        poly_divmod_exact(a, b)
+    except InputError:
+        return False
+    return True
 
 
 def poly_eval_matrix(p: IntPolynomial, m: SquareIntMatrix) -> SquareIntMatrix:

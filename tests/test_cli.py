@@ -212,9 +212,13 @@ def test_load_config_inline_json_and_parse_diagnostics():
 
 
 def test_load_config_collects_schema_errors():
+    # The message lists every violation of the schema, one a line.
+    _, violations = validate_config({"kind": "hk"})
+    assert len(violations) >= 2
     with pytest.raises(InputError) as exc:
         load_config({"kind": "hk"})
-    assert len(exc.value.violations) >= 2
+    assert str(exc.value) == "config validation failed:\n" + "\n".join(
+        f"  - {v}" for v in violations)
 
 
 def test_load_config_from_file(tmp_path):
@@ -597,6 +601,23 @@ def test_main_non_spherical_class_needs_the_whitelist(capsys, kind):
     assert clean_report["error"] is None
     assert report["timing"]["work_units"] == 0
     assert (clean_report["timing"]["work_units"] > 0) == (kind == "enriques")
+
+
+def test_main_self_pairing_too_long_to_print_is_an_input_error(capsys):
+    # The class entry has 3,001 digits, so the report can echo it, but its
+    # self-pairing has 6,001, past the limit of int-to-str conversion.
+    config = json.dumps({"kind": "lattice_word", "lattice": {"gram": [[1, 0], [0, 1]]},
+                         "word": [{"kind": "spherical", "class": [10**3000, 0]}]})
+    line = ("error [InputError]: generator 0 class has a self-pairing too long "
+            "to print, spherical classes need -2 (or whitelist it)\n")
+    assert main(["validate", "--config", config]) == 1
+    assert capsys.readouterr() == ("", line)
+    assert main(["run", "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == line
+    report = json.loads(captured.out)
+    assert report["error"]["type"] == "InputError"
+    assert report["timing"]["work_units"] == 0
 
 
 # The swap has order 2, not a divisor of 3.
