@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 from . import __version__
 from .descent import CoverScenario, quotient_verdict
-from .errors import EngineError, InputError, NumericError, is_int
+from .errors import EngineError, InputError, NumericError, is_int, shown
 from .graded import cone_evaluations, delta_value_interval
 from .hilbert import hilbert_lift_verdict
 from .lattice import DEFAULT_TOL, BilinearLattice, SquareIntMatrix
@@ -70,13 +70,13 @@ def _check_int(out, data, key, path, lo, hi):
         return None
     v = data[key]
     if not is_int(v):
-        out.append(f"{path}{key}: must be an integer, got {v!r}")
+        out.append(f"{path}{key}: must be an integer, got {shown(v)}")
         return None
     if v < lo:
-        out.append(f"{path}{key}: must be >= {lo}, got {v}")
+        out.append(f"{path}{key}: must be >= {lo}, got {shown(v)}")
         return None
     if v > hi:
-        out.append(f"{path}{key}: must be <= {hi}, got {v}")
+        out.append(f"{path}{key}: must be <= {hi}, got {shown(v)}")
         return None
     return v
 
@@ -84,7 +84,7 @@ def _check_int(out, data, key, path, lo, hi):
 def _check_number(out, data, key, default, lo=None):
     v = data.get(key, default)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        out.append(f"{key}: must be a number, got {v!r}")
+        out.append(f"{key}: must be a number, got {shown(v)}")
         return None
     try:
         f = float(v)
@@ -94,7 +94,7 @@ def _check_number(out, data, key, default, lo=None):
         out.append(f"{key}: must be finite, got {f}")
         return None
     if lo is not None and not f > lo:
-        out.append(f"{key}: must be > {lo}, got {v}")
+        out.append(f"{key}: must be > {lo}, got {shown(v)}")
         return None
     return f
 
@@ -190,10 +190,11 @@ def validate_config(data) -> tuple[dict | None, list[str]]:
         return None, ["config: must be a JSON object"]
     version = data.get("schema_version", SCHEMA_VERSION)
     if not is_int(version) or version != SCHEMA_VERSION:
-        out.append(f"schema_version: engine supports version {SCHEMA_VERSION}, got {version}")
+        out.append(f"schema_version: engine supports version {SCHEMA_VERSION}, "
+                   f"got {shown(version)}")
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in _RUNNERS:
-        out.append(f"kind: must be one of {tuple(_RUNNERS)}, got {kind!r}")
+        out.append(f"kind: must be one of {tuple(_RUNNERS)}, got {shown(kind)}")
         return None, out
 
     norm: dict = {"schema_version": SCHEMA_VERSION, "kind": kind}
@@ -285,7 +286,7 @@ def _read_config(source):
     elif isinstance(source, str):
         text = source
     else:
-        raise InputError(f"cannot load config from {source!r}")
+        raise InputError(f"cannot load config from {shown(source)}")
     try:
         return json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
     except json.JSONDecodeError as exc:

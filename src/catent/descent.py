@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ContractError, InputError, is_int
+from .errors import ContractError, InputError, is_int, shown
 from .lattice import DEFAULT_TOL, SquareIntMatrix
 from .words import certify_log_rho
 
@@ -114,7 +114,7 @@ class CoverScenario:
             raise InputError("deck order must be a positive integer")
         if self.deck_matrix.power(self.order) != SquareIntMatrix.identity(rank):
             raise InputError(
-                f"deck matrix does not have order dividing {self.order}"
+                f"deck matrix does not have order dividing {shown(self.order)}"
             )
         if self.action.n != rank:
             raise InputError("word acts on a lattice of different rank")

@@ -10,6 +10,22 @@ def is_int(x) -> bool:
     return type(x) is int
 
 
+def shown(value) -> str:
+    """``repr(value)`` for an error message that echoes a caller's value.
+
+    An int with more digits than the interpreter converts to str, or a
+    container holding one, has no repr; it is then named by its size, so the
+    message is still made and its error still raised.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        if is_int(value):
+            sign = "a negative" if value < 0 else "an"
+            return f"{sign} int of {value.bit_length()} bits"
+        return f"a {type(value).__name__} holding an int too long to print"
+
+
 class EngineError(Exception):
     """Base class for all errors raised by the engine."""
 

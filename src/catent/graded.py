@@ -49,7 +49,7 @@ import math
 from itertools import count, islice
 from typing import Mapping
 
-from .errors import ContractError, InputError, NumericError, is_int
+from .errors import ContractError, InputError, NumericError, is_int, shown
 
 # Running count of cone_bounds evaluations; the CLI reports this as the
 # deterministic work measure of a scenario.
@@ -73,15 +73,16 @@ class GradedDimInterval:
         for deg, lo, hi in entries:
             if not (is_int(deg) and is_int(lo) and is_int(hi)):
                 raise InputError(
-                    "degrees and bounds must be integers, got "
-                    f"({deg!r}, {lo!r}, {hi!r})"
+                    f"degrees and bounds must be integers, got {shown((deg, lo, hi))}"
                 )
             if lo < 0:
-                raise InputError(f"negative lower bound {lo} at degree {deg}")
+                raise InputError(
+                    f"negative lower bound {shown(lo)} at degree {shown(deg)}")
             if hi < lo:
-                raise InputError(f"empty interval [{lo}, {hi}] at degree {deg}")
+                raise InputError(f"empty interval [{shown(lo)}, {shown(hi)}] "
+                                 f"at degree {shown(deg)}")
             if deg in cells:
-                raise InputError(f"duplicate degree {deg}")
+                raise InputError(f"duplicate degree {shown(deg)}")
             cells[deg] = (lo, hi)
         offset = min(cells, default=0)
         lows = [0] * (max(cells, default=-1) - offset + 1)

@@ -21,14 +21,17 @@ ever decide a case they can prove:
     trace(M) = n, so ``is_unipotent`` returns False on any other trace
     without a matrix product (``words.log_rho_is_exact_zero`` gates M^2 the
     same way, reading trace(M^2) as sum m_ij m_ji),
-  * sufficient-condition shortcuts answer "yes" early: if p mod P and p'
-    mod P are coprime in F_P[x] for a prime P not dividing the leading
-    coefficient, p is squarefree over Q (Gauss's lemma), so
-    ``squarefree_part`` returns p without the rational Euclid.
+  * sufficient-condition shortcuts answer "yes" early: a triangular M
+    (upper or lower) with a unit diagonal is unipotent, because M - I is
+    strictly triangular, so ``is_unipotent`` returns True without a matrix
+    product; and if p mod P and p' mod P are coprime in F_P[x] for a prime
+    P not dividing the leading coefficient, p is squarefree over Q (Gauss's
+    lemma), so ``squarefree_part`` returns p without the rational Euclid.
 
-Every case a gate or shortcut cannot decide (trace n; a common factor mod P
-or P dividing the leading coefficient) still reaches the full exact test, so
-the results are the same as without them.
+Every case a gate or shortcut cannot decide (trace n but not unit
+triangular; a common factor mod P or P dividing the leading coefficient)
+still reaches the full exact test, so the results are the same as without
+them.
 
 Each type checks its values when it is built, with no coercion: a non-int
 entry or coefficient (``errors.is_int``), a bad symmetry kind or euler_sign
@@ -43,7 +46,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import InputError, NumericError, is_int
+from .errors import InputError, NumericError, is_int, shown
 
 #: Default accuracy target for spectral-radius refinement.
 DEFAULT_TOL = 1e-9
@@ -56,10 +59,11 @@ def _as_int_rows(rows):
     try:
         out = tuple(map(tuple, rows))
     except TypeError:
-        raise InputError(f"matrix must be a sequence of rows, got {rows!r}") from None
+        raise InputError(
+            f"matrix must be a sequence of rows, got {shown(rows)}") from None
     for row in out:
         if not all(map(is_int, row)):
-            raise InputError(f"matrix entries must be integers, got row {row!r}")
+            raise InputError(f"matrix entries must be integers, got row {shown(row)}")
     return out
 
 
@@ -100,9 +104,10 @@ class SquareIntMatrix:
         if self.n != other.n:
             raise InputError(f"dimension mismatch: {self.n} vs {other.n}")
         cols = tuple(zip(*other.entries))
+        mul = operator.mul
         return SquareIntMatrix._unchecked(
             tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                tuple(sum(map(mul, row, col)) for col in cols)
                 for row in self.entries
             )
         )
@@ -143,6 +148,14 @@ class SquareIntMatrix:
             raise InputError(f"dimension mismatch: {self.n} vs {len(v)}")
         return tuple(sum(a * x for a, x in zip(row, v)) for row in self.entries)
 
+    def scalar(self) -> int | None:
+        """The c with M = c*I, or None when M is not a scalar matrix."""
+        c = self.entries[0][0]
+        for i, row in enumerate(self.entries):
+            if row[i] != c or any(row[:i]) or any(row[i + 1:]):
+                return None
+        return c
+
     def trace(self) -> int:
         return sum(self.entries[i][i] for i in range(self.n))
 
@@ -175,7 +188,8 @@ class BilinearLattice:
             raise InputError("gram matrix must be square of positive rank")
         if self.symmetry_kind not in _SYMMETRY_KINDS:
             raise InputError(
-                f"symmetry_kind must be one of {_SYMMETRY_KINDS}, got {self.symmetry_kind!r}"
+                f"symmetry_kind must be one of {_SYMMETRY_KINDS}, "
+                f"got {shown(self.symmetry_kind)}"
             )
         if self.symmetry_kind == "symmetric":
             for i in range(n):
@@ -186,7 +200,7 @@ class BilinearLattice:
                         )
         if not (is_int(self.euler_sign) and self.euler_sign in (1, -1)):
             raise InputError(
-                f"euler_sign must be the integer +1 or -1, got {self.euler_sign!r}")
+                f"euler_sign must be the integer +1 or -1, got {shown(self.euler_sign)}")
 
     @property
     def rank(self) -> int:
@@ -219,7 +233,7 @@ class IntPolynomial:
     def __post_init__(self):
         cs = list(self.coeffs)
         if not all(map(is_int, cs)):
-            raise InputError(f"coefficients must be integers, got {self.coeffs!r}")
+            raise InputError(f"coefficients must be integers, got {shown(self.coeffs)}")
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -360,11 +374,19 @@ def is_unipotent(m: SquareIntMatrix) -> bool:
     """Exact test: (M - I)^k = 0 for a power k >= n, n the dimension.
 
     A unipotent M has trace n, so any other trace is a "no" without a
-    matrix product.  Trace n goes through the nilpotence test, which squares
+    matrix product.  A triangular M, upper or lower, with a unit diagonal is
+    a "yes" without one, as M - I is strictly triangular.  Every other
+    matrix of trace n goes through the nilpotence test, which squares
     N = M - I: N is nilpotent iff N^n = 0 iff N^(2^j) = 0 once 2^j >= n.
     """
     if m.trace() != m.n:
         return False
+    rows = m.entries
+    if all(row[i] == 1 for i, row in enumerate(rows)) and (
+        not any(any(row[:i]) for i, row in enumerate(rows))
+        or not any(any(row[i + 1:]) for i, row in enumerate(rows))
+    ):
+        return True
     power, k = m - SquareIntMatrix.identity(m.n), 1  # power = (M - I)^k
     while not power.is_zero():
         if k >= m.n:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CollapseError, InputError, is_int
+from .errors import CollapseError, InputError, is_int, shown
 from .graded import (
     GradedDimInterval,
     cone_bounds,
@@ -83,23 +83,24 @@ class HKModel:
 
     def __post_init__(self):
         if not (is_int(self.n) and self.n >= 1):
-            raise InputError(f"n: must be a positive integer, got {self.n!r}")
+            raise InputError(f"n: must be a positive integer, got {shown(self.n)}")
         if (self.q is None) == (self.table is None):
             raise InputError("supply exactly one of q or an explicit d-table")
         if self.q is not None:
             if not (is_int(self.q) and self.q > 0 and self.q % 2 == 0):
-                raise InputError(f"q: must be an even positive integer, got {self.q!r}")
+                raise InputError(f"q: must be an even positive integer, got {shown(self.q)}")
             return
         if not isinstance(self.table, (list, tuple)) or not self.table:
             raise InputError(
-                f"d-table must be a nonempty list of integers, got {self.table!r}")
+                f"d-table must be a nonempty list of integers, got {shown(self.table)}")
         table = tuple(self.table)
         object.__setattr__(self, "table", table)
         for i, d in enumerate(table, start=1):
             if not is_int(d):
-                raise InputError(f"d-table entry d_{i} must be an integer, got {d!r}")
+                raise InputError(
+                    f"d-table entry d_{i} must be an integer, got {shown(d)}")
             if d <= 1:
-                raise InputError(f"d-table violates d_i > 1 at i={i} (got {d})")
+                raise InputError(f"d-table violates d_i > 1 at i={i} (got {shown(d)})")
         if any(a > b for a, b in zip(table, table[1:])):
             raise InputError("d-table must be nondecreasing")
 
@@ -168,7 +169,11 @@ def correction_profile(model: HKModel, m: int, k: int, l: int) -> GradedDimInter
     return cone_bounds(inner, correction_profile(model, m - 1, k, l + 1))
 
 
-@lru_cache(maxsize=None)
+# No memo: only correction_profile(m, k, l) reads this, and that memo reads
+# each (m, k, l) once, so a stored profile would never be read again.  The
+# zero-size lru_cache keeps the miss counter and cache_clear that the
+# benchmark's memo counters read.
+@lru_cache(maxsize=0)
 def eval_twist_cone_profile(
     model: HKModel, m: int, k: int, l: int
 ) -> GradedDimInterval:
@@ -363,7 +368,7 @@ def gy_verdict(model: HKModel, m_max: int, tol: float = DEFAULT_TOL) -> Verdict:
 def _require_surface(model: HKModel) -> None:
     if model.n != 1:
         raise InputError(
-            f"spherical twists need a surface model (n = 1), got n = {model.n}"
+            f"spherical twists need a surface model (n = 1), got n = {shown(model.n)}"
         )
 
 

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import InputError, is_int
+from .errors import InputError, is_int, shown
 from .lattice import (
     DEFAULT_TOL,
     BilinearLattice,
@@ -76,22 +76,19 @@ def generator_matrix(lattice: BilinearLattice, gen: dict, i: int) -> SquareIntMa
                 f"generator {i} class has length {len(e)}, lattice rank {rank}"
             )
         if not all(map(is_int, e)):
-            raise InputError(f"generator {i} class entries must be integers, got {e!r}")
+            raise InputError(
+                f"generator {i} class entries must be integers, got {shown(e)}")
         if not gen.get("whitelisted", False):
             sp = lattice.pairing(e, e)
             want = 2 * lattice.euler_sign
             if sp != want:
-                try:
-                    has = f"self-pairing {sp}"
-                except ValueError:  # more digits than str() converts
-                    has = "a self-pairing too long to print"
                 raise InputError(
-                    f"generator {i} class has {has}, "
+                    f"generator {i} class has self-pairing {shown(sp)}, "
                     f"spherical classes need {want} (or whitelist it)"
                 )
         return twist_class_action(lattice, e)
     if kind not in ("tensor", "explicit"):
-        raise InputError(f"unknown generator {gen!r}")
+        raise InputError(f"unknown generator {shown(gen)}")
     if "nilpotent" in gen:
         matrix = tensor_matrix_from_nilpotent(SquareIntMatrix(gen["nilpotent"]))
     else:
@@ -104,11 +101,24 @@ def generator_matrix(lattice: BilinearLattice, gen: dict, i: int) -> SquareIntMa
 
 
 def induced_matrix(lattice: BilinearLattice, word) -> SquareIntMatrix:
-    """Product of the generator matrices of ``word`` in application order."""
-    result = SquareIntMatrix.identity(lattice.rank)
+    """Product of the generator matrices of ``word`` in application order.
+
+    A generator matrix equal to c*I, such as a shift's or a ptwist's,
+    commutes with every matrix, so it scales the product by c instead of
+    entering a matrix product.  The product starts from the first other
+    generator, not from I.
+    """
+    scale, result = 1, None
     for i, gen in enumerate(word):
-        result = result @ generator_matrix(lattice, gen, i)
-    return result
+        matrix = generator_matrix(lattice, gen, i)
+        c = matrix.scalar()
+        if c is not None:
+            scale *= c
+        else:
+            result = matrix if result is None else result @ matrix
+    if result is None:
+        return SquareIntMatrix.identity(lattice.rank).scaled(scale)
+    return result if scale == 1 else result.scaled(scale)
 
 
 def log_rho_is_exact_zero(m: SquareIntMatrix) -> bool:

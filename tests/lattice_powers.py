@@ -7,10 +7,13 @@ base verdict by the number of points.  These helpers let the tests confirm
 that scaling on explicit matrices.  Nor does the engine multiply, test
 divisibility of, or evaluate polynomials at matrices: the tests use those to
 check ``char_poly`` (Cayley-Hamilton, companion matrices) and
-``squarefree_part``.
+``squarefree_part``.  ``counted_products`` counts the matrix products a
+call makes, for the tests of the paths that should make none.
 """
 
+from contextlib import contextmanager
 from itertools import combinations_with_replacement, permutations
+from unittest import mock
 
 from catent.errors import InputError
 from catent.lattice import IntPolynomial, SquareIntMatrix, poly_divmod_exact
@@ -103,3 +106,18 @@ def companion_matrix(p: IntPolynomial) -> SquareIntMatrix:
     for i in range(n):
         rows[i][n - 1] = -p.coeffs[i]
     return SquareIntMatrix(tuple(tuple(r) for r in rows))
+
+
+@contextmanager
+def counted_products():
+    """A list that gains one entry per ``SquareIntMatrix`` product made in
+    the ``with`` block."""
+    products = []
+    matmul = SquareIntMatrix.__matmul__
+
+    def counting(a, b):
+        products.append(1)
+        return matmul(a, b)
+
+    with mock.patch.object(SquareIntMatrix, "__matmul__", counting):
+        yield products

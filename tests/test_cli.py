@@ -605,11 +605,13 @@ def test_main_non_spherical_class_needs_the_whitelist(capsys, kind):
 
 def test_main_self_pairing_too_long_to_print_is_an_input_error(capsys):
     # The class entry has 3,001 digits, so the report can echo it, but its
-    # self-pairing has 6,001, past the limit of int-to-str conversion.
+    # self-pairing has 6,001, past the limit of int-to-str conversion, and
+    # the message names it by its size.
     config = json.dumps({"kind": "lattice_word", "lattice": {"gram": [[1, 0], [0, 1]]},
                          "word": [{"kind": "spherical", "class": [10**3000, 0]}]})
-    line = ("error [InputError]: generator 0 class has a self-pairing too long "
-            "to print, spherical classes need -2 (or whitelist it)\n")
+    bits = (10**6000).bit_length()
+    line = (f"error [InputError]: generator 0 class has self-pairing an int of {bits} "
+            "bits, spherical classes need -2 (or whitelist it)\n")
     assert main(["validate", "--config", config]) == 1
     assert capsys.readouterr() == ("", line)
     assert main(["run", "--config", config]) == 1

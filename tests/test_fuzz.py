@@ -8,7 +8,9 @@ traceback.  A rerun must print the same bytes.  ``validate`` must reject
 every valid config that the run rejects, with the same exit code and error
 line.  On lattice and model fields of any JSON-like value, ``validate`` must
 make an input error exactly when the engine type that owns the field
-rejects it.
+rejects it.  Through the Python API, a dict config, which may hold an int
+too long for JSON to print, must end in a report or a typed engine error
+too.
 """
 
 import contextlib
@@ -19,8 +21,8 @@ import math
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from catent.cli import list_builtin_models, main
-from catent.errors import InputError
+from catent.cli import emit_report, list_builtin_models, load_config, main, run_scenario
+from catent.errors import EngineError, InputError
 from catent.lattice import BilinearLattice, IntPolynomial
 from catent.twists import HKModel
 from lattice_powers import companion_matrix
@@ -226,6 +228,32 @@ def test_validate_rejects_what_run_rejects(text):
     code, _, err = run(text)
     if code:
         assert run(text, "validate") == (code, "", err)
+
+
+# Ints past the int-to-str digit limit, which only a dict config can hold:
+# each is echoed by an error message.
+HUGE_N = {"kind": "hk", "n": 10**5000, "q": 10, "m_max": 4}
+HUGE_ODD_Q = {"kind": "hk", "n": 1, "q": 10**5000 + 1, "m_max": 4}
+HUGE_EULER_SIGN = {"kind": "lattice_word",
+                   "lattice": {"gram": [[1]], "euler_sign": 10**5000}, "word": []}
+
+
+@example(HUGE_N)
+@example(HUGE_ODD_Q)
+@example(HUGE_EULER_SIGN)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(configs.flatmap(near_valid))
+def test_python_api_ends_in_a_report_or_a_typed_error(config):
+    try:
+        report = run_scenario(load_config(config))
+    except InputError:
+        return
+    assert (report["error"] is None) == (report["verdict"] != "error")
+    try:
+        emit_report(report)
+    except EngineError:
+        pass
 
 
 def test_validate_rejects_a_weighted_total_past_the_float_range():

@@ -19,7 +19,7 @@ from catent.lattice import (
     spectral_radius,
     squarefree_part,
 )
-from lattice_powers import companion_matrix, poly_eval_matrix, poly_mul
+from lattice_powers import companion_matrix, counted_products, poly_eval_matrix, poly_mul
 
 TOL = 1e-9
 
@@ -131,14 +131,7 @@ def test_is_unipotent_basic():
 
 
 def test_trace_n_matrix_still_gets_the_nilpotence_test():
-    products = []
-    matmul = SquareIntMatrix.__matmul__
-
-    def counting(a, b):
-        products.append(1)
-        return matmul(a, b)
-
-    with mock.patch.object(SquareIntMatrix, "__matmul__", counting):
+    with counted_products() as products:
         # trace 2 = n, but eigenvalues 2 and 0: only the full test can say no
         assert not is_unipotent(SquareIntMatrix(((2, 0), (0, 0))))
         assert products
@@ -148,8 +141,33 @@ def test_trace_n_matrix_still_gets_the_nilpotence_test():
         assert not products
 
 
+def test_unit_triangular_is_unipotent_without_a_product():
+    with counted_products() as products:
+        assert is_unipotent(SquareIntMatrix(((1, 5, -2), (0, 1, 7), (0, 0, 1))))
+        assert is_unipotent(SquareIntMatrix(((1, 0, 0), (3, 1, 0), (-4, 9, 1))))
+        assert not products
+        # a unit diagonal with entries on both sides is not triangular
+        assert not is_unipotent(SquareIntMatrix(((1, 1), (1, 1))))
+        assert products
+
+
 def _plain_matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def matrix_pairs(draw):
+    n = draw(st.integers(1, 8))
+    bound = draw(st.sampled_from((3, 3**40)))
+    entry = st.integers(-bound, bound)
+    return tuple([[draw(entry) for _ in range(n)] for _ in range(n)] for _ in range(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_pairs())
+def test_matmul_matches_plain_triple_loop(pair):
+    a, b = (SquareIntMatrix(tuple(map(tuple, rows))) for rows in pair)
+    assert (a @ b).entries == tuple(map(tuple, _plain_matmul(*pair)))
 
 
 def _unipotent_reference(rows):
@@ -166,12 +184,33 @@ def _unipotent_reference(rows):
 def unipotence_candidates(draw):
     n = draw(st.integers(1, 6))
     entry = st.integers(-3, 3)
-    kind = draw(st.sampled_from(("random", "trace_n", "conjugated")))
+    kind = draw(st.sampled_from((
+        "random", "trace_n", "conjugated", "unit_upper", "unit_lower",
+        "triangular_trace_n", "unit_diagonal_both_sides")))
     if kind == "random":
         return [[draw(entry) for _ in range(n)] for _ in range(n)]
     if kind == "trace_n":
         rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
         rows[-1][-1] += n - sum(rows[i][i] for i in range(n))
+        return rows
+    if kind in ("unit_upper", "unit_lower"):
+        upper = kind == "unit_upper"
+        return [[1 if i == j else (draw(entry) if (j > i) == upper else 0)
+                 for j in range(n)] for i in range(n)]
+    if kind == "triangular_trace_n":
+        # trace n on a diagonal that is not all ones, such as diag(2, 0, 1)
+        diag = [draw(entry) for _ in range(n)]
+        diag[-1] += n - sum(diag)
+        if n > 1 and diag == [1] * n:
+            diag[0], diag[1] = 2, 0
+        upper = draw(st.booleans())
+        return [[diag[i] if i == j else (draw(entry) if (j > i) == upper else 0)
+                 for j in range(n)] for i in range(n)]
+    if kind == "unit_diagonal_both_sides":
+        rows = [[1 if i == j else draw(entry) for j in range(n)] for i in range(n)]
+        if n > 1:
+            nonzero = st.sampled_from((-3, -2, -1, 1, 2, 3))
+            rows[0][-1], rows[-1][0] = draw(nonzero), draw(nonzero)
         return rows
     # P U P^-1 with U unit upper triangular (or minus that) and P unimodular
     sign = draw(st.sampled_from((1, -1)))

@@ -19,7 +19,7 @@ from catent.words import (
     tensor_matrix_from_nilpotent,
     twist_class_action,
 )
-from lattice_powers import companion_matrix
+from lattice_powers import companion_matrix, counted_products
 from rational_reference import tensor_matrix_from_nilpotent as rational_exponential
 
 TOL = 1e-9
@@ -130,6 +130,43 @@ def test_induced_matrix_twist_then_tensor():
         basis = tuple(1 if i == j else 0 for i in range(3))
         expected = t.apply(TENSOR10.apply(basis))
         assert m.apply(basis) == expected
+
+
+def _fold_from_identity(lattice, word):
+    """The word's action as a fold from I, one plain product per generator."""
+    n = lattice.rank
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, gen in enumerate(word):
+        cols = list(zip(*generator_matrix(lattice, gen, i).entries))
+        rows = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in rows]
+    return SquareIntMatrix(tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("word", [
+    [], [SHIFT], [SHIFT] * 2, [SHIFT] * 3, [SHIFT] * 4, [PTWIST], [PTWIST] * 3,
+    [SHIFT, PTWIST, SHIFT, PTWIST, SHIFT],
+])
+def test_induced_matrix_of_scalar_words_matches_fold_from_identity(word):
+    assert induced_matrix(MUKAI10, word) == _fold_from_identity(MUKAI10, word)
+
+
+def test_induced_matrix_matches_fold_from_identity():
+    rng = random.Random(2003)
+    ident = SquareIntMatrix.identity(3)
+    gens = (SHIFT, PTWIST, TWIST, TENSOR, explicit(random_matrix(rng, 3)),
+            explicit(random_matrix(rng, 3)), explicit(ident.scaled(-2)),
+            explicit(ident.scaled(0)), {**explicit(ident), "kind": "tensor"})
+    for _ in range(300):
+        word = [rng.choice(gens) for _ in range(rng.randint(0, 6))]
+        assert induced_matrix(MUKAI10, word) == _fold_from_identity(MUKAI10, word)
+
+
+def test_scalar_generators_enter_no_matrix_product():
+    word = [SHIFT, PTWIST, TENSOR, SHIFT, TWIST]
+    with counted_products() as products:
+        m = induced_matrix(MUKAI10, word)
+    assert len(products) == 1  # TENSOR10 times the twist
+    assert m == _fold_from_identity(MUKAI10, word)
 
 
 def test_word_concatenation_is_matrix_product():
