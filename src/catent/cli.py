@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from . import __version__
 from .descent import CoverScenario, quotient_verdict
 from .errors import EngineError, InputError, NumericError, is_int, shown
-from .graded import cone_evaluations, delta_value_interval
+from .graded import cone_evaluations, cone_uppers, delta_value_interval
 from .hilbert import hilbert_lift_verdict
 from .lattice import DEFAULT_TOL, BilinearLattice, SquareIntMatrix
 from .twists import (
@@ -41,8 +41,8 @@ from .twists import (
     entropy_lower_bound,
     ext_growth_uppers,
     gy_verdict,
+    spherical_twist_levels,
     spherical_twist_series,
-    spherical_twist_uppers,
 )
 from .words import Verdict, certify_log_rho, induced_matrix
 
@@ -260,9 +260,6 @@ class ScenarioConfig:
     def tol(self) -> float:
         return self.data["tol"]
 
-    def to_dict(self) -> dict:
-        return copy.deepcopy(self.data)
-
 
 def _finite_float(literal: str) -> float:
     """NaN, Infinity and a float literal past the float range are not JSON
@@ -461,7 +458,7 @@ def _run_lattice_word(cfg: ScenarioConfig) -> Callable[[], Verdict]:
 def _run_surface_twist(cfg: ScenarioConfig) -> Callable[[], Verdict]:
     data = cfg.data
     surface, k, l, m_max = _model_from(data), data["k"], data["l"], data["m_max"]
-    uppers = list(spherical_twist_uppers(surface, k, l, m_max))
+    uppers = list(spherical_twist_levels(surface, k, l, m_max, cone_uppers))
     _check_printable(sum(upper.highs) for upper in uppers)
     for upper in uppers:  # a weighted cell past the float range fails here too
         delta_value_interval(upper, data["t"])
@@ -478,6 +475,19 @@ _RUNNERS = {
     "lattice_word": _run_lattice_word,
     "surface_twist": _run_surface_twist,
 }
+
+
+def _echo(value):
+    """A copy of the config for its report.  A leaf that JSON cannot hold,
+    such as a NaN or a set, is shown by its repr: only a config that an
+    engine type rejects holds one."""
+    if value is None or isinstance(value, (int, str)):  # bool is an int
+        return value
+    if isinstance(value, dict):
+        return {key: _echo(child) for key, child in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_echo(child) for child in value]
+    return value if isinstance(value, float) and math.isfinite(value) else shown(value)
 
 
 def run_scenario(cfg: ScenarioConfig) -> dict:
@@ -500,7 +510,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     return {
         "report_version": REPORT_VERSION,
         "engine_version": __version__,
-        "scenario": cfg.to_dict(),
+        "scenario": _echo(cfg.data),
         "verdict": v.verdict,
         "entropy_lower_certified": v.entropy_lower,
         "empirical_slope": v.empirical_slope,

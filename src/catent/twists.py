@@ -30,9 +30,10 @@ is unipotent, so the log spectral radius is exactly zero and the
 Gromov-Yomdin equality fails with gap at least log d_1.
 
 A generic surface spherical-twist iteration (bounds only, no collapse
-contract) is included for degree-two models.  ``ext_growth_uppers`` gives
-the exact upper series of the first family, and ``spherical_twist_uppers``
-the exact upper profiles of the second, with no cone evaluation.
+contract) is included for degree-two models, as one level loop: the series
+runs it with ``cone_bounds``, the check stage with ``graded.cone_uppers``
+for the exact upper profiles.  ``ext_growth_uppers`` gives the exact upper
+series of the first family.  Neither upper recursion evaluates a cone.
 """
 
 from __future__ import annotations
@@ -372,22 +373,30 @@ def _require_surface(model: HKModel) -> None:
         )
 
 
-def spherical_twist_step(
-    model: HKModel,
-    mult: GradedDimInterval,
-    target: GradedDimInterval,
-    l: int,
-) -> GradedDimInterval:
-    """One spherical-twist cone at twist level l on a surface model (n = 1).
-
-    ``mult`` carries the evaluation multiplicities (the profile of the object
-    being twisted, already tensored down by one); ``target`` is that object
-    tensored down by l more.  The zero object twists to the zero profile.
-    """
+def spherical_twist_levels(model: HKModel, k: int, l: int, m_max: int, cone):
+    """Yield the profile at twist level l of the m-th spherical-twist-and-
+    tensor iterate, m = 1 .. m_max.  Level 0 at twist level lv is
+    {2: d_{k+lv}}; level m at lv is ``cone(a, b)``, where a convolves level
+    m - 1 at 1 with {2: d_lv} and b is level m - 1 at lv + 1.
+    ``cone_bounds`` gives interval bounds, ``graded.cone_uppers`` the exact
+    upper profiles.  The arguments are checked at the call, and the d_i are
+    read in order, so a short table fails at its first missing entry."""
     _require_surface(model)
-    return cone_bounds(
-        convolve_interval(mult, negative_line_bundle_profile(model, l)), target
-    )
+    if k < 1 or l < 1:
+        raise InputError("k and l must be >= 1")
+    if m_max < 1:
+        raise InputError("m_max must be >= 1")
+    d, exact = _dims_in_order(model), GradedDimInterval.exact
+
+    def levels():
+        # level[lv - 1] is the profile at twist level lv
+        level = [exact({2: d(k + lv)}) for lv in range(1, l + m_max + 1)]
+        for m in range(1, m_max + 1):
+            level = [cone(convolve_interval(level[0], exact({2: d(lv)})), level[lv])
+                     for lv in range(1, l + m_max - m + 1)]
+            yield level[l - 1]
+
+    return levels()
 
 
 def spherical_twist_series(
@@ -400,25 +409,10 @@ def spherical_twist_series(
     asserted; supports overlap from step three on, so these are honest
     bounds, not exact values.
     """
-    _require_surface(model)
-    if k < 1 or l < 1:
-        raise InputError("k and l must be >= 1")
-    if m_max < 1:
-        raise InputError("m_max must be >= 1")
-    profiles: dict[tuple[int, int], GradedDimInterval] = {}
-    for lv in range(1, l + m_max + 1):
-        profiles[(0, lv)] = negative_line_bundle_profile(model, k + lv)
-    for m in range(1, m_max + 1):
-        for lv in range(1, l + m_max - m + 1):
-            profiles[(m, lv)] = spherical_twist_step(
-                model, profiles[(m - 1, 1)], profiles[(m - 1, lv + 1)], lv
-            )
-    lowers, uppers = [], []
-    for m in range(1, m_max + 1):
-        lo, hi = delta_value_interval(profiles[(m, l)], t)
-        lowers.append(lo)
-        uppers.append(hi)
-    return BoundSeries(tuple(lowers), tuple(uppers))
+    lowers, uppers = zip(*(
+        delta_value_interval(profile, t)
+        for profile in spherical_twist_levels(model, k, l, m_max, cone_bounds)))
+    return BoundSeries(lowers, uppers)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +421,8 @@ def spherical_twist_series(
 #
 # hi_C(j) = hi_B(j) + hi_A(j+1) reads only uppers, and summed over degrees it
 # gives hi_total(C) = hi_total(A) + hi_total(B); a Kuenneth product multiplies
-# totals.  So the uppers of both families follow a recursion that mirrors
-# their profile recursion and makes no cone evaluation.
+# totals.  So the uppers of the iterate family follow a recursion that
+# mirrors its profile recursion and makes no cone evaluation.
 
 
 def _dims_in_order(model: HKModel):
@@ -465,21 +459,3 @@ def ext_growth_uppers(model: HKModel, m_max: int):
     width = range(1, model.generator_width + 1)
     for m in range(1, m_max + 1):
         yield sum(iterate(m, k, l) for k in width for l in width)
-
-
-def spherical_twist_uppers(model: HKModel, k: int, l: int, m_max: int):
-    """Yield the upper profiles of ``spherical_twist_series(model, k, l,
-    m_max)``, m = 1, 2, ..., as exact profiles, reading every d_i the series
-    reads.  ``delta_value_interval`` of each gives the series upper at any t,
-    bit for bit, and fails exactly when the series does."""
-    _require_surface(model)
-    d = _dims_in_order(model)
-    uppers = {(0, lv): {model.dim_x: d(k + lv)} for lv in range(1, l + m_max + 1)}
-    for m in range(1, m_max + 1):
-        for lv in range(1, l + m_max - m + 1):  # spherical_twist_step
-            cells = dict(uppers[(m - 1, lv + 1)])
-            # hi_C(j) = hi_B(j) + d_lv hi_mult(j - 1), mult the (m - 1, 1) upper
-            for j, hi in uppers[(m - 1, 1)].items():
-                cells[j + 1] = cells.get(j + 1, 0) + d(lv) * hi
-            uppers[(m, lv)] = cells
-        yield GradedDimInterval.exact(uppers[(m, l)])

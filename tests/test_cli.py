@@ -323,6 +323,20 @@ def test_surface_twist_run():
     assert [row["lower"] for row in report["series"]][:3] == [201, 1973, 18246]
 
 
+@pytest.mark.parametrize("k, l, m_max", [(1, 1, 3), (2, 3, 5), (3, 1, 12)])
+def test_surface_twist_cone_count(capsys, k, l, m_max):
+    # One cone per twist level that level m keeps, l + m_max - m of them,
+    # and none in the check stage.
+    config = {"kind": "surface_twist", "q": 10, "k": k, "l": l, "m_max": m_max}
+    report = run_scenario(load_config(config))
+    assert report["timing"]["work_units"] == sum(
+        l + m_max - m for m in range(1, m_max + 1))
+    work = cone_evaluations()
+    assert main(["validate", "--config", json.dumps(config)]) == 0
+    assert cone_evaluations() == work
+    assert capsys.readouterr().out == "config OK: kind=surface_twist\n"
+
+
 # Schema-valid, but the tensor class is not unipotent, which takes the
 # lattice checks of validate or run to find out.
 NON_UNIPOTENT_TENSOR = {

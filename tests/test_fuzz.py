@@ -9,8 +9,8 @@ every valid config that the run rejects, with the same exit code and error
 line.  On lattice and model fields of any JSON-like value, ``validate`` must
 make an input error exactly when the engine type that owns the field
 rejects it.  Through the Python API, a dict config, which may hold an int
-too long for JSON to print, must end in a report or a typed engine error
-too.
+too long for JSON to print or a NaN, must end in a report or a typed engine
+error too, and a report that holds no such int must print and parse back.
 """
 
 import contextlib
@@ -18,11 +18,12 @@ import io
 import json
 import math
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from catent.cli import emit_report, list_builtin_models, load_config, main, run_scenario
-from catent.errors import EngineError, InputError
+from catent.errors import InputError
 from catent.lattice import BilinearLattice, IntPolynomial
 from catent.twists import HKModel
 from lattice_powers import companion_matrix
@@ -238,9 +239,21 @@ HUGE_EULER_SIGN = {"kind": "lattice_word",
                    "lattice": {"gram": [[1]], "euler_sign": 10**5000}, "word": []}
 
 
+# Floats that JSON cannot hold, which only a dict config can hold: each is
+# rejected by the engine type that owns its field, and its error report
+# echoes it by its repr.
+NAN_GRAM = {"kind": "lattice_word", "lattice": {"gram": [[math.nan]]}, "word": []}
+INF_SYMMETRY_KIND = {"kind": "lattice_word",
+                     "lattice": {"gram": [[1]], "symmetry_kind": math.inf}, "word": []}
+INF_D_TABLE = {"kind": "hk", "n": 1, "d_table": [math.inf], "m_max": 3}
+
+
 @example(HUGE_N)
 @example(HUGE_ODD_Q)
 @example(HUGE_EULER_SIGN)
+@example(NAN_GRAM)
+@example(INF_SYMMETRY_KIND)
+@example(INF_D_TABLE)
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(configs.flatmap(near_valid))
@@ -251,9 +264,21 @@ def test_python_api_ends_in_a_report_or_a_typed_error(config):
         return
     assert (report["error"] is None) == (report["verdict"] != "error")
     try:
-        emit_report(report)
-    except EngineError:
-        pass
+        json.dumps(config)  # passes a NaN, fails an int too long for str()
+    except ValueError:
+        return
+    assert json.loads(emit_report(report)) == report
+
+
+@pytest.mark.parametrize("config", [
+    NAN_GRAM, INF_SYMMETRY_KIND, INF_D_TABLE,
+    {"kind": "lattice_word", "lattice": {"gram": [[1]], "symmetry_kind": {1}}, "word": []},
+], ids=["nan-gram", "inf-symmetry-kind", "inf-d-table", "set-symmetry-kind"])
+def test_python_api_echoes_a_leaf_json_cannot_hold_by_its_repr(config):
+    report = run_scenario(load_config(config))
+    assert report["error"]["type"] == "InputError"
+    assert json.loads(emit_report(report)) == report
+    assert report["timing"]["work_units"] == 0
 
 
 def test_validate_rejects_a_weighted_total_past_the_float_range():

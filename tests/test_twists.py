@@ -3,7 +3,14 @@ import math
 import pytest
 
 from catent.errors import CollapseError, InputError, NumericError
-from catent.graded import GradedDimInterval, _chi_interval, delta_value_interval
+from catent.graded import (
+    GradedDimInterval,
+    _chi_interval,
+    cone_bounds,
+    cone_uppers,
+    convolve_interval,
+    delta_value_interval,
+)
 from catent.twists import (
     BoundSeries,
     HKModel,
@@ -14,13 +21,13 @@ from catent.twists import (
     eval_cone_profile,
     gy_verdict,
     negative_line_bundle_profile,
+    spherical_twist_levels,
     spherical_twist_series,
-    spherical_twist_step,
-    spherical_twist_uppers,
     verify_iterate_contract,
 )
 from catent.lattice import is_unipotent
 from graded_reference import from_dict, support
+import twists_reference
 from twists_reference import (
     first_iterate_profile,
     trivial_bundle_profile,
@@ -210,15 +217,14 @@ def test_first_step_contracts_hold_at_every_generator_level():
 
 
 def test_contracts_reject_bad_level():
-    zero = GradedDimInterval()
     with pytest.raises(InputError):
         verify_iterate_contract(K3, 2, 1, 0)
     with pytest.raises(InputError):
         verify_correction_contract(K3, 2, 1, 0)
     with pytest.raises(InputError):
         eval_cone_profile(K3, exact({2: 7}), 0)
-    with pytest.raises(InputError):
-        spherical_twist_step(K3, zero, zero, 0)
+    with pytest.raises(InputError, match="k and l must be >= 1"):
+        spherical_twist_series(K3, 1, 0, 3)
 
 
 def test_collapse_error_names_degree():
@@ -354,7 +360,7 @@ def test_surface_series_frozen_values():
 def test_surface_upper_totals_equal_the_series_uppers(model, k, l, m_max):
     # The weighted totals of the upper profiles are the series uppers, bit
     # for bit: exact ints at t = 0, the same float sums at t > 0.
-    profiles = list(spherical_twist_uppers(model, k, l, m_max))
+    profiles = list(spherical_twist_levels(model, k, l, m_max, cone_uppers))
     assert all(p.is_exact() for p in profiles)
     for t in (0, 0.5, 3):
         uppers = spherical_twist_series(model, k, l, m_max, t).uppers
@@ -365,15 +371,19 @@ def test_surface_upper_totals_equal_the_series_uppers(model, k, l, m_max):
 @pytest.mark.parametrize("t", [0.5, 3])
 def test_surface_upper_profiles_overflow_where_the_series_does(t):
     # q = 10^300 puts cells past the float range; the upper profiles fail
-    # delta_value_interval with the series' own error.
+    # delta_value_interval with the series' own error, and so does the
+    # reference recursion.
     model = HKModel(1, q=10**300)
     with pytest.raises(NumericError) as series_error:
         spherical_twist_series(model, 1, 1, 3, t)
+    with pytest.raises(NumericError) as oracle_error:
+        twists_reference.spherical_twist_series(model, 1, 1, 3, t)
+    assert str(oracle_error.value) == str(series_error.value)
     with pytest.raises(NumericError) as upper_error:
-        for profile in spherical_twist_uppers(model, 1, 1, 3):
+        for profile in spherical_twist_levels(model, 1, 1, 3, cone_uppers):
             delta_value_interval(profile, t)
     assert str(upper_error.value) == str(series_error.value)
-    profiles = spherical_twist_uppers(model, 1, 1, 3)
+    profiles = spherical_twist_levels(model, 1, 1, 3, cone_uppers)
     assert [delta_value_interval(p)[1] for p in profiles] == list(
         spherical_twist_series(model, 1, 1, 3).uppers)
 
@@ -384,9 +394,11 @@ def test_surface_series_nondecreasing():
 
 
 def test_surface_trivial_twist_of_zero_object():
+    # The twist of the zero object at any level is the zero profile, in both
+    # algebras of the level loop.
     zero = GradedDimInterval()
-    out = spherical_twist_step(K3, zero, zero, 1)
-    assert out == GradedDimInterval()
+    for cone in (cone_bounds, cone_uppers):
+        assert cone(convolve_interval(zero, exact({2: 22})), zero) == zero
 
 
 def test_surface_model_validation():
@@ -396,5 +408,49 @@ def test_surface_model_validation():
         spherical_twist_series(K3, 0, 1, 3)
     with pytest.raises(InputError):
         spherical_twist_series(HK2, 1, 1, 3)
-    with pytest.raises(InputError):
-        spherical_twist_step(HK2, GradedDimInterval(), GradedDimInterval(), 1)
+    # The checks run at the call, before the loop reads a d_i.
+    for cone in (cone_bounds, cone_uppers):
+        with pytest.raises(InputError, match="surface model"):
+            spherical_twist_levels(HK2, 1, 1, 3, cone)
+        with pytest.raises(InputError, match="k and l"):
+            spherical_twist_levels(K3, 1, 0, 3, cone)
+        with pytest.raises(InputError, match="m_max"):
+            spherical_twist_levels(K3, 1, 1, 0, cone)
+
+
+SURFACES = {
+    "q2": HKModel(1, q=2),
+    "q10": K3,
+    "fibonacci": HKModel(1, table=FIBONACCI.table[:9] + (400,) * 9),
+    "linear": HKModel(1, table=tuple(range(2, 20))),
+}
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_surface_level_loop_matches_the_dict_recursion(name):
+    # The level loop keeps one level; the reference keeps every (m, lv)
+    # profile in a dict and propagates the uppers by hand.  Series and upper
+    # profiles agree bit for bit, types included.
+    model = SURFACES[name]
+
+    def typed(values):
+        return [(type(x), x) for x in values]
+
+    for k in range(1, 4):
+        for l in range(1, 4):
+            for m_max in range(1, 13):
+                for t in (0, 0.5, 3):
+                    series = spherical_twist_series(model, k, l, m_max, t)
+                    oracle = twists_reference.spherical_twist_series(model, k, l, m_max, t)
+                    assert typed(series.lowers) == typed(oracle.lowers)
+                    assert typed(series.uppers) == typed(oracle.uppers)
+                uppers = list(spherical_twist_levels(model, k, l, m_max, cone_uppers))
+                assert uppers == twists_reference.spherical_twist_uppers(
+                    model, k, l, m_max)
+
+
+def test_surface_series_names_the_first_missing_d():
+    # The loop reads d_1, d_2, ... in order: k = 5 on three entries needs
+    # d_6 first, but d_4 is the first entry missing.
+    with pytest.raises(InputError, match="need d_4, have 3 entries"):
+        spherical_twist_series(HKModel(1, table=(7, 22, 47)), 5, 1, 3)

@@ -6,16 +6,28 @@ collapse for the correction and evaluation-cone families, check the first
 iterate against its closed form, and give the structure-sheaf profile.  They
 read the cached profiles of ``catent.twists`` and raise its
 ``CollapseError``/``ContractError`` as the run path would.
+
+``spherical_twist_series`` and ``spherical_twist_uppers`` are the spherical
+recursion written out a second way, as oracles for the level loop
+``catent.twists.spherical_twist_levels``: a dict holds every (m, twist level)
+profile, and the uppers are propagated by hand on dicts of ints.
 """
 
 from __future__ import annotations
 
-from catent.errors import CollapseError, ContractError
-from catent.graded import GradedDimInterval, convolve_interval
+from catent.errors import CollapseError, ContractError, InputError
+from catent.graded import (
+    GradedDimInterval,
+    cone_bounds,
+    convolve_interval,
+    delta_value_interval,
+)
 from catent.twists import (
+    BoundSeries,
     HKModel,
     _check_top,
     _expected_top,
+    _require_surface,
     correction_profile,
     eval_twist_cone_profile,
     negative_line_bundle_profile,
@@ -97,3 +109,47 @@ def first_iterate_profile(model: HKModel, k: int, l: int) -> GradedDimInterval:
             f"closed form gives {closed.entries}"
         )
     return profile
+
+
+def spherical_twist_series(
+    model: HKModel, k: int, l: int, m_max: int, t: float = 0.0
+) -> BoundSeries:
+    """The spherical-twist series from a dict of every (m, lv) profile: level
+    m at twist level lv is the cone from the level m - 1 profile at 1,
+    convolved with {2: d_lv}, to the level m - 1 profile at lv + 1."""
+    _require_surface(model)
+    if k < 1 or l < 1:
+        raise InputError("k and l must be >= 1")
+    if m_max < 1:
+        raise InputError("m_max must be >= 1")
+    profiles: dict[tuple[int, int], GradedDimInterval] = {}
+    for lv in range(1, l + m_max + 1):
+        profiles[(0, lv)] = negative_line_bundle_profile(model, k + lv)
+    for m in range(1, m_max + 1):
+        for lv in range(1, l + m_max - m + 1):
+            mult = convolve_interval(
+                profiles[(m - 1, 1)], negative_line_bundle_profile(model, lv))
+            profiles[(m, lv)] = cone_bounds(mult, profiles[(m - 1, lv + 1)])
+    lowers, uppers = [], []
+    for m in range(1, m_max + 1):
+        lo, hi = delta_value_interval(profiles[(m, l)], t)
+        lowers.append(lo)
+        uppers.append(hi)
+    return BoundSeries(tuple(lowers), tuple(uppers))
+
+
+def spherical_twist_uppers(model: HKModel, k: int, l: int, m_max: int):
+    """The exact upper profiles of ``spherical_twist_series``, m = 1 .. m_max,
+    from hi_C(j) = hi_B(j) + hi_A(j + 1) on dicts of ints, with no cone."""
+    _require_surface(model)
+    uppers = {(0, lv): {model.dim_x: model.dim(k + lv)} for lv in range(1, l + m_max + 1)}
+    profiles = []
+    for m in range(1, m_max + 1):
+        for lv in range(1, l + m_max - m + 1):
+            cells = dict(uppers[(m - 1, lv + 1)])
+            # hi_C(j) = hi_B(j) + d_lv hi_mult(j - 1), mult the (m - 1, 1) upper
+            for j, hi in uppers[(m - 1, 1)].items():
+                cells[j + 1] = cells.get(j + 1, 0) + model.dim(lv) * hi
+            uppers[(m, lv)] = cells
+        profiles.append(GradedDimInterval.exact(uppers[(m, l)]))
+    return profiles
