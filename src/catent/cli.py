@@ -478,12 +478,12 @@ _RUNNERS = {
 
 
 def _echo(value):
-    """A copy of the config for its report.  A leaf that JSON cannot hold,
-    such as a NaN or a set, is shown by its repr: only a config that an
-    engine type rejects holds one."""
+    """A copy of the config for its report.  A value that JSON cannot hold,
+    such as a NaN, a set or a dict with a key that is not a str, is shown by
+    its repr: only a config that an engine type rejects holds one."""
     if value is None or isinstance(value, (int, str)):  # bool is an int
         return value
-    if isinstance(value, dict):
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
         return {key: _echo(child) for key, child in value.items()}
     if isinstance(value, (list, tuple)):
         return [_echo(child) for child in value]

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from catent.cli import emit_report, list_builtin_models, load_config, main, run_scenario
-from catent.errors import InputError
+from catent.errors import InputError, NumericError
 from catent.lattice import BilinearLattice, IntPolynomial
 from catent.twists import HKModel
 from lattice_powers import companion_matrix
@@ -266,6 +266,8 @@ def test_python_api_ends_in_a_report_or_a_typed_error(config):
     try:
         json.dumps(config)  # passes a NaN, fails an int too long for str()
     except ValueError:
+        with pytest.raises(NumericError):
+            emit_report(report)
         return
     assert json.loads(emit_report(report)) == report
 
@@ -273,7 +275,11 @@ def test_python_api_ends_in_a_report_or_a_typed_error(config):
 @pytest.mark.parametrize("config", [
     NAN_GRAM, INF_SYMMETRY_KIND, INF_D_TABLE,
     {"kind": "lattice_word", "lattice": {"gram": [[1]], "symmetry_kind": {1}}, "word": []},
-], ids=["nan-gram", "inf-symmetry-kind", "inf-d-table", "set-symmetry-kind"])
+    {"kind": "lattice_word", "lattice": {"gram": [[1]], "symmetry_kind": {(1,): 1}},
+     "word": []},
+    {"kind": "lattice_word", "lattice": {"gram": [[{(1,): 1}]]}, "word": []},
+], ids=["nan-gram", "inf-symmetry-kind", "inf-d-table", "set-symmetry-kind",
+        "tuple-keyed-symmetry-kind", "tuple-keyed-gram-entry"])
 def test_python_api_echoes_a_leaf_json_cannot_hold_by_its_repr(config):
     report = run_scenario(load_config(config))
     assert report["error"]["type"] == "InputError"
