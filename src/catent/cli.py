@@ -31,7 +31,8 @@ from dataclasses import dataclass, replace
 
 from . import __version__
 from .descent import CoverScenario, quotient_verdict
-from .errors import EngineError, InputError, NumericError, is_int, shown
+from .errors import (EngineError, InputError, NumericError, bound_problem,
+                     int_problem, is_int, real_problem, shown)
 from .graded import cone_evaluations, cone_uppers, delta_value_interval
 from .hilbert import hilbert_lift_verdict
 from .lattice import DEFAULT_TOL, BilinearLattice, SquareIntMatrix
@@ -68,35 +69,18 @@ def _check_int(out, data, key, path, lo, hi):
     if key not in data:
         out.append(f"{path}{key}: required field is missing")
         return None
-    v = data[key]
-    if not is_int(v):
-        out.append(f"{path}{key}: must be an integer, got {shown(v)}")
+    if problem := int_problem(data[key], lo, hi):
+        out.append(f"{path}{key}: {problem}")
         return None
-    if v < lo:
-        out.append(f"{path}{key}: must be >= {lo}, got {shown(v)}")
-        return None
-    if v > hi:
-        out.append(f"{path}{key}: must be <= {hi}, got {shown(v)}")
-        return None
-    return v
+    return data[key]
 
 
 def _check_number(out, data, key, default, lo=None):
     v = data.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        out.append(f"{key}: must be a number, got {shown(v)}")
+    if problem := real_problem(v, lo):
+        out.append(f"{key}: {problem}")
         return None
-    try:
-        f = float(v)
-    except OverflowError:  # an integer beyond the float range
-        f = math.inf
-    if not math.isfinite(f):
-        out.append(f"{key}: must be finite, got {f}")
-        return None
-    if lo is not None and not f > lo:
-        out.append(f"{key}: must be > {lo}, got {shown(v)}")
-        return None
-    return f
+    return float(v)
 
 
 def _check_rows(out, value, path):
@@ -209,8 +193,8 @@ def validate_config(data) -> tuple[dict | None, list[str]]:
         sub.pop("n")
         norm.update(sub)
         norm["t"] = _check_number(out, data, "t", 0.0)
-        if norm["t"] is not None and norm["t"] < 0:
-            out.append(f"t: must be >= 0, got {norm['t']}")
+        if norm["t"] is not None and (problem := bound_problem(norm["t"], 0)):
+            out.append(f"t: {problem}")
         norm["k"], norm["l"] = k, l
         if norm.get("m_max") is not None and norm["m_max"] > 12:
             out.append("m_max: must be <= 12 for surface iteration, "

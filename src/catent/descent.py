@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ContractError, InputError, is_int, shown
+from .errors import ContractError, InputError, require_int, shown
 from .lattice import DEFAULT_TOL, SquareIntMatrix
 from .words import certify_log_rho
 
@@ -110,8 +110,7 @@ class CoverScenario:
 
     def __post_init__(self):
         rank = self.deck_matrix.n
-        if not (is_int(self.order) and self.order >= 1):
-            raise InputError("deck order must be a positive integer")
+        require_int(self.order, "order", 1)
         if self.deck_matrix.power(self.order) != SquareIntMatrix.identity(rank):
             raise InputError(
                 f"deck matrix does not have order dividing {shown(self.order)}"

@@ -51,7 +51,7 @@ import math
 from itertools import count, islice
 from typing import Mapping
 
-from .errors import ContractError, InputError, NumericError, is_int, shown
+from .errors import ContractError, InputError, NumericError, is_int, require_int, shown
 
 # Running count of cone_bounds evaluations; the CLI reports this as the
 # deterministic work measure of a scenario.
@@ -140,6 +140,7 @@ class GradedDimInterval:
         return self.highs is self.lows
 
     def shifted(self, s: int) -> "GradedDimInterval":
+        require_int(s, "s")
         return _new(self.offset - s, self.lows, self.highs) if self.lows else self
 
 

@@ -12,7 +12,7 @@ a new one, gap and gate included, and never forms the power matrices.
 
 from __future__ import annotations
 
-from .errors import InputError
+from .errors import InputError, require_int
 from .lattice import DEFAULT_TOL
 from .twists import BoundSeries
 from .words import Verdict
@@ -20,9 +20,7 @@ from .words import Verdict
 
 def kunneth_power_series(series: BoundSeries, n: int) -> BoundSeries:
     """Pointwise n-th power of a bound series, lowers and uppers alike."""
-    if n < 1:
-        raise InputError("power must be >= 1")
-    if n == 1:
+    if require_int(n, "n", 1) == 1:
         return series
     return BoundSeries(
         tuple(lo**n for lo in series.lowers),
@@ -34,8 +32,10 @@ def hilbert_lift_verdict(n: int, base: Verdict, tol: float = DEFAULT_TOL) -> Ver
     """Transfer the base verdict to n points: every quantity scales by exactly
     n, and the lifted values pass through the one verdict gate.  ``details``
     keeps the base bound and log rho and whether the base gap was strict."""
-    if n < 1:
-        raise InputError("number of points n must be >= 1")
+    require_int(n, "n", 1)
+    for name in ("entropy_lower", "empirical_slope", "log_rho", "series"):
+        if getattr(base, name) is None:
+            raise InputError(f"base verdict has no {name}")
     if any(lo <= 0 for lo in base.series.lowers):
         raise InputError("base series must have positive lower bounds")
     if base.entropy_lower < 0:

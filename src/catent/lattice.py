@@ -46,7 +46,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import InputError, NumericError, is_int, shown
+from .errors import InputError, NumericError, is_int, real_problem, require_int, shown
 
 #: Default accuracy target for spectral-radius refinement.
 DEFAULT_TOL = 1e-9
@@ -132,8 +132,7 @@ class SquareIntMatrix:
         )
 
     def power(self, k: int) -> "SquareIntMatrix":
-        if k < 0:
-            raise InputError("negative matrix power not supported")
+        require_int(k, "k", 0)
         result = SquareIntMatrix.identity(self.n)
         base = self
         while k:
@@ -412,8 +411,8 @@ def spectral_radius(m: SquareIntMatrix, tol: float = DEFAULT_TOL) -> float:
     always the float estimate: deciding that rho is exactly 1 is left to
     ``words.certify_log_rho``, which owns the exact-zero certificate.
     """
-    if not tol > 0:
-        raise InputError("tol must be positive")
+    if problem := real_problem(tol, 0.0):
+        raise InputError(f"tol: {problem}")
     p = char_poly(m)
     coeffs = list(p.coeffs)
     while coeffs and coeffs[0] == 0:

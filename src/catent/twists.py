@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CollapseError, InputError, is_int, shown
+from .errors import CollapseError, InputError, int_problem, is_int, require_int, shown
 from .graded import (
     GradedDimInterval,
     cone_bounds,
@@ -83,8 +83,7 @@ class HKModel:
     table: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not (is_int(self.n) and self.n >= 1):
-            raise InputError(f"n: must be a positive integer, got {shown(self.n)}")
+        require_int(self.n, "n", 1)
         if (self.q is None) == (self.table is None):
             raise InputError("supply exactly one of q or an explicit d-table")
         if self.q is not None:
@@ -98,8 +97,7 @@ class HKModel:
         object.__setattr__(self, "table", table)
         for i, d in enumerate(table, start=1):
             if not is_int(d):
-                raise InputError(
-                    f"d-table entry d_{i} must be an integer, got {shown(d)}")
+                raise InputError(f"d-table entry d_{i} {int_problem(d)}")
             if d <= 1:
                 raise InputError(f"d-table violates d_i > 1 at i={i} (got {shown(d)})")
         if any(a > b for a, b in zip(table, table[1:])):
@@ -117,8 +115,7 @@ class HKModel:
 
     def dim(self, i: int) -> int:
         """d_i, the section dimension of the i-th polarization power."""
-        if i < 0:
-            raise InputError("dimension index must be nonnegative")
+        require_int(i, "i", 0)
         if self.q is not None:
             return _binomial_dim(self.n, self.q, i)
         if i == 0:
@@ -136,8 +133,7 @@ def negative_line_bundle_profile(model: HKModel, j: int) -> GradedDimInterval:
     Kodaira vanishing plus Serre duality with trivial canonical bundle
     concentrate everything in the top degree.
     """
-    if j < 1:
-        raise InputError(f"twist level must be >= 1, got {j}")
+    require_int(j, "j", 1)
     return GradedDimInterval.exact({model.dim_x: model.dim(j)})
 
 
@@ -162,8 +158,9 @@ def eval_cone_profile(
 @lru_cache(maxsize=None)
 def correction_profile(model: HKModel, m: int, k: int, l: int) -> GradedDimInterval:
     """Interval profile of the m-th correction object, tensored down by l."""
-    if m < 1 or k < 1 or l < 1:
-        raise InputError("correction profiles need m, k, l >= 1")
+    require_int(m, "m", 1)
+    require_int(k, "k", 1)
+    require_int(l, "l", 1)
     if m == 1:
         return eval_cone_profile(model, negative_line_bundle_profile(model, k + 1), l)
     inner = eval_twist_cone_profile(model, m, k, l)
@@ -179,8 +176,7 @@ def eval_twist_cone_profile(
     model: HKModel, m: int, k: int, l: int
 ) -> GradedDimInterval:
     """Interval profile of the evaluation cone feeding the m-th correction."""
-    if m < 2:
-        raise InputError("evaluation cones exist for m >= 2 only")
+    require_int(m, "m", 2)
     return eval_cone_profile(model, correction_profile(model, m - 1, k, 1), l)
 
 
@@ -188,8 +184,9 @@ def eval_twist_cone_profile(
 def iterate_profile(model: HKModel, m: int, k: int, l: int) -> GradedDimInterval:
     """Interval profile of the m-th functor iterate of the k-th negative
     generator summand, tensored down by l."""
-    if m < 0 or k < 1 or l < 1:
-        raise InputError("iterate profiles need m >= 0 and k, l >= 1")
+    require_int(m, "m", 0)
+    require_int(k, "k", 1)
+    require_int(l, "l", 1)
     if m == 0:
         return negative_line_bundle_profile(model, k + l)
     return cone_bounds(
@@ -285,8 +282,10 @@ class BoundSeries:
 
     def log_slope(self, m_from: int, m_to: int) -> float:
         """Least-squares slope of log lower(m) against m on [m_from, m_to]."""
-        if not 1 <= m_from < m_to <= self.m_max:
-            raise InputError(f"invalid slope window [{m_from}, {m_to}]")
+        require_int(m_from, "m_from", 1)
+        require_int(m_to, "m_to", 1)
+        if not m_from < m_to <= self.m_max:
+            raise InputError(f"invalid slope window [{shown(m_from)}, {shown(m_to)}]")
         ms = list(range(m_from, m_to + 1))
         logs = [math.log(self.lowers[m - 1]) for m in ms]
         return statistics.linear_regression(ms, logs).slope
@@ -295,8 +294,7 @@ class BoundSeries:
 def ext_growth_series(model: HKModel, m_max: int) -> BoundSeries:
     """Bounds on the Ext total between the positive and twisted negative
     generators, summed over all summand pairs, for m = 1 .. m_max."""
-    if m_max < 1:
-        raise InputError("m_max must be >= 1")
+    require_int(m_max, "m_max", 1)
     width = model.generator_width
     lowers, uppers = [], []
     for m in range(1, m_max + 1):
@@ -326,8 +324,7 @@ def entropy_lower_bound(model: HKModel, m_max: int) -> EntropyBound:
     The certificate does not depend on the slope estimate; the series top
     terms alone give lower(m) >= d_1^{m+1} for every m.
     """
-    if m_max < 3:
-        raise InputError("m_max must be >= 3 for a meaningful slope window")
+    require_int(m_max, "m_max", 3)  # a meaningful slope window
     series = ext_growth_series(model, m_max)
     slope = series.log_slope(max(1, m_max // 2), m_max)
     return EntropyBound(math.log(model.dim(1)), slope, series)
@@ -382,10 +379,9 @@ def spherical_twist_levels(model: HKModel, k: int, l: int, m_max: int, cone):
     upper profiles.  The arguments are checked at the call, and the d_i are
     read in order, so a short table fails at its first missing entry."""
     _require_surface(model)
-    if k < 1 or l < 1:
-        raise InputError("k and l must be >= 1")
-    if m_max < 1:
-        raise InputError("m_max must be >= 1")
+    require_int(k, "k", 1)
+    require_int(l, "l", 1)
+    require_int(m_max, "m_max", 1)
     d, exact = _dims_in_order(model), GradedDimInterval.exact
 
     def levels():
@@ -439,8 +435,9 @@ def _dims_in_order(model: HKModel):
 
 
 def ext_growth_uppers(model: HKModel, m_max: int):
-    """Yield the uppers of ``ext_growth_series(model, m_max)``, m = 1, 2, ...,
-    reading every d_i the series reads."""
+    """An iterator over the uppers of ``ext_growth_series(model, m_max)``,
+    reading every d_i the series reads; m_max is checked at the call."""
+    require_int(m_max, "m_max", 1)
     d = _dims_in_order(model)
 
     @lru_cache(maxsize=None)
@@ -457,5 +454,5 @@ def ext_growth_uppers(model: HKModel, m_max: int):
         return correction(m, k, l) + iterate(m - 1, k + 1, l)
 
     width = range(1, model.generator_width + 1)
-    for m in range(1, m_max + 1):
-        yield sum(iterate(m, k, l) for k in width for l in width)
+    return (sum(iterate(m, k, l) for k in width for l in width)
+            for m in range(1, m_max + 1))

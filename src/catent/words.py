@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import InputError, is_int, shown
+from .errors import InputError, is_int, real_problem, shown
 from .lattice import (
     DEFAULT_TOL,
     BilinearLattice,
@@ -191,6 +191,8 @@ class Verdict:
            tol: float, slope: float | None = None,
            series: BoundSeries | None = None, details: dict | None = None) -> Verdict:
         """The gap, when both sides exist, and the verdict of the one gate."""
+        if problem := real_problem(tol, 0.0):
+            raise InputError(f"tol: {problem}")
         gap = None if bound is None or log_rho is None else bound - log_rho
         return cls(bound, slope, log_rho, exact_zero, gap,
                    derive_verdict(bound, log_rho, exact_zero, tol), series,

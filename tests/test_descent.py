@@ -150,7 +150,7 @@ def test_deck_order_checked_at_construction():
     identity = SquareIntMatrix.identity(2)
     with pytest.raises(InputError, match="^deck matrix does not have order dividing 2$"):
         CoverScenario(SHEAR, 2, identity)
-    with pytest.raises(InputError, match="^deck order must be a positive integer$"):
+    with pytest.raises(InputError, match="^order: must be >= 1, got 0$"):
         CoverScenario(SWAP, 0, identity)
     CoverScenario(SWAP, 2, identity)
 
@@ -158,7 +158,7 @@ def test_deck_order_checked_at_construction():
 @pytest.mark.parametrize("order", [2.0, "2", True, None])
 def test_deck_order_must_be_an_int(order):
     # No coercion: a float or str order is not powered, and True is not 1.
-    with pytest.raises(InputError, match="^deck order must be a positive integer$"):
+    with pytest.raises(InputError, match="^order: must be an integer, got "):
         CoverScenario(SWAP, order, SquareIntMatrix.identity(2))
 
 

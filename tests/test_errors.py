@@ -1,0 +1,126 @@
+"""The two value rules of ``catent.errors`` at every engine entry point that
+raises them.
+
+The CLI's schema bounds every such value first, so only Python callers reach
+these checks; they get an ``InputError`` in the schema's words, never a
+``TypeError`` or a float-scaled result.
+"""
+
+import math
+
+import pytest
+
+from catent.descent import CoverScenario
+from catent.errors import InputError
+from catent.graded import GradedDimInterval, cone_bounds
+from catent.hilbert import hilbert_lift_verdict, kunneth_power_series
+from catent.lattice import SquareIntMatrix, spectral_radius
+from catent.twists import (
+    BoundSeries,
+    HKModel,
+    clear_caches,
+    correction_profile,
+    entropy_lower_bound,
+    eval_twist_cone_profile,
+    ext_growth_series,
+    ext_growth_uppers,
+    iterate_profile,
+    negative_line_bundle_profile,
+    spherical_twist_levels,
+    spherical_twist_series,
+)
+from catent.words import Verdict, certify_log_rho
+
+K3 = HKModel(1, q=10)
+SERIES = BoundSeries((7, 49, 343, 2401), (7, 49, 343, 2401))
+BASE = Verdict.of(math.log(7), 0.0, True, 1e-9, slope=math.log(7), series=SERIES)
+SWAP = SquareIntMatrix(((0, 1), (1, 0)))
+CAT = SquareIntMatrix(((2, 1), (1, 1)))  # rho > 1, so log rho is refined
+HUGE = -10**5000  # below every bound, and too long for str()
+
+#: (entry point taking the value, argument name, lower bound or None)
+GATED = {
+    "HKModel.n": (lambda v: HKModel(v, q=10), "n", 1),
+    "HKModel.dim": (lambda v: K3.dim(v), "i", 0),
+    "negative_line_bundle_profile": (lambda v: negative_line_bundle_profile(K3, v), "j", 1),
+    "correction_profile.m": (lambda v: correction_profile(K3, v, 1, 1), "m", 1),
+    "correction_profile.k": (lambda v: correction_profile(K3, 1, v, 1), "k", 1),
+    "correction_profile.l": (lambda v: correction_profile(K3, 1, 1, v), "l", 1),
+    "eval_twist_cone_profile": (lambda v: eval_twist_cone_profile(K3, v, 1, 1), "m", 2),
+    "iterate_profile.m": (lambda v: iterate_profile(K3, v, 1, 1), "m", 0),
+    "iterate_profile.k": (lambda v: iterate_profile(K3, 0, v, 1), "k", 1),
+    "iterate_profile.l": (lambda v: iterate_profile(K3, 0, 1, v), "l", 1),
+    "ext_growth_series": (lambda v: ext_growth_series(K3, v), "m_max", 1),
+    "ext_growth_uppers": (lambda v: ext_growth_uppers(K3, v), "m_max", 1),
+    "entropy_lower_bound": (lambda v: entropy_lower_bound(K3, v), "m_max", 3),
+    "spherical_twist_levels.k": (
+        lambda v: spherical_twist_levels(K3, v, 1, 3, cone_bounds), "k", 1),
+    "spherical_twist_levels.l": (
+        lambda v: spherical_twist_levels(K3, 1, v, 3, cone_bounds), "l", 1),
+    "spherical_twist_levels.m_max": (
+        lambda v: spherical_twist_levels(K3, 1, 1, v, cone_bounds), "m_max", 1),
+    "spherical_twist_series.k": (lambda v: spherical_twist_series(K3, v, 1, 3), "k", 1),
+    "spherical_twist_series.l": (lambda v: spherical_twist_series(K3, 1, v, 3), "l", 1),
+    "spherical_twist_series.m_max": (
+        lambda v: spherical_twist_series(K3, 1, 1, v), "m_max", 1),
+    "log_slope.m_from": (lambda v: SERIES.log_slope(v, 4), "m_from", 1),
+    "log_slope.m_to": (lambda v: SERIES.log_slope(1, v), "m_to", 1),
+    "kunneth_power_series": (lambda v: kunneth_power_series(SERIES, v), "n", 1),
+    "hilbert_lift_verdict": (lambda v: hilbert_lift_verdict(v, BASE), "n", 1),
+    "CoverScenario.order": (
+        lambda v: CoverScenario(SWAP, v, SquareIntMatrix.identity(2)), "order", 1),
+    "SquareIntMatrix.power": (lambda v: SWAP.power(v), "k", 0),
+    "GradedDimInterval.shifted": (
+        lambda v: GradedDimInterval.exact({0: 1}).shifted(v), "s", None),
+}
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    # A memo hit for an equal key (True == 1) would skip the checked body.
+    clear_caches()
+    yield
+    clear_caches()
+
+
+VALUES = {"float": 1.5, "bool": True, "str": "2", "None": None, "huge": HUGE}
+
+
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{entry}-{kind}")
+    for entry, (_, _, lo) in GATED.items() for kind, value in VALUES.items()
+    if value is not HUGE or lo is not None  # an unbounded argument takes any int
+])
+def test_gated_entry_points_raise_the_integer_rule(entry, value):
+    call, name, lo = GATED[entry]
+    with pytest.raises(InputError) as info:
+        call(value)
+    if value is HUGE:
+        expected = f"{name}: must be >= {lo}, got a negative int of 16610 bits"
+    else:
+        expected = f"{name}: must be an integer, got {value!r}"
+    assert str(info.value) == expected
+
+
+TOL_CHECKED = {
+    "spectral_radius": lambda v: spectral_radius(CAT, v),
+    "certify_log_rho": lambda v: certify_log_rho(CAT, v),
+    "Verdict.of": lambda v: Verdict.of(1.0, 0.5, False, v),
+    "hilbert_lift_verdict": lambda v: hilbert_lift_verdict(2, BASE, v),
+}
+
+
+@pytest.mark.parametrize("value, problem", [
+    ("x", "must be a number, got 'x'"),
+    (True, "must be a number, got True"),
+    (None, "must be a number, got None"),
+    (0, "must be > 0.0, got 0"),
+    (-1.0, "must be > 0.0, got -1.0"),
+    (math.nan, "must be finite, got nan"),
+    (10**400, "must be finite, got inf"),  # past the float range
+])
+@pytest.mark.parametrize("entry", TOL_CHECKED)
+def test_tol_follows_the_number_rule(entry, value, problem):
+    with pytest.raises(InputError) as info:
+        TOL_CHECKED[entry](value)
+    assert str(info.value) == f"tol: {problem}"

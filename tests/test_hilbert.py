@@ -131,6 +131,15 @@ def test_scenario_validation():
         hilbert_lift_verdict(2, replace(base, entropy_lower=-1.0))
 
 
+@pytest.mark.parametrize("field", ["entropy_lower", "empirical_slope", "log_rho", "series"])
+def test_lift_names_a_missing_base_field(field):
+    # Once an AttributeError (no series) or a TypeError (no bound, slope or
+    # log rho); the field is named before any positivity check reads it.
+    base = replace(make_base(3), **{field: None})
+    with pytest.raises(InputError, match=f"^base verdict has no {field}$"):
+        hilbert_lift_verdict(2, base)
+
+
 def test_lift_verdict_scales_gap():
     base = make_base()
     verdict = hilbert_lift_verdict(3, base)

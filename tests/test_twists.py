@@ -71,9 +71,9 @@ def test_model_rejects_nonintegral_rule():
     (1, True, None, "q: must be an even positive integer, got True"),
     (1, "10", None, "q: must be an even positive integer, got '10'"),
     (1, -2, None, "q: must be an even positive integer, got -2"),
-    (1.0, 10, None, "n: must be a positive integer, got 1.0"),
-    (True, 10, None, "n: must be a positive integer, got True"),
-    ("1", 10, None, "n: must be a positive integer, got '1'"),
+    (1.0, 10, None, "n: must be an integer, got 1.0"),
+    (True, 10, None, "n: must be an integer, got True"),
+    ("1", 10, None, "n: must be an integer, got '1'"),
     (1, None, (2.9, 3), "d-table entry d_1 must be an integer, got 2.9"),
     (1, None, (2, True), "d-table entry d_2 must be an integer, got True"),
     (1, None, (2, "3"), "d-table entry d_2 must be an integer, got '3'"),
@@ -223,7 +223,7 @@ def test_contracts_reject_bad_level():
         verify_correction_contract(K3, 2, 1, 0)
     with pytest.raises(InputError):
         eval_cone_profile(K3, exact({2: 7}), 0)
-    with pytest.raises(InputError, match="k and l must be >= 1"):
+    with pytest.raises(InputError, match=r"^l: must be >= 1, got 0$"):
         spherical_twist_series(K3, 1, 0, 3)
 
 
@@ -412,9 +412,9 @@ def test_surface_model_validation():
     for cone in (cone_bounds, cone_uppers):
         with pytest.raises(InputError, match="surface model"):
             spherical_twist_levels(HK2, 1, 1, 3, cone)
-        with pytest.raises(InputError, match="k and l"):
+        with pytest.raises(InputError, match=r"^l: must be >= 1, got 0$"):
             spherical_twist_levels(K3, 1, 0, 3, cone)
-        with pytest.raises(InputError, match="m_max"):
+        with pytest.raises(InputError, match=r"^m_max: must be >= 1, got 0$"):
             spherical_twist_levels(K3, 1, 1, 0, cone)
 
 
