@@ -27,7 +27,7 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import __version__
 from .descent import CoverScenario, quotient_verdict
@@ -233,16 +233,12 @@ def validate_config(data) -> tuple[dict | None, list[str]]:
     return norm, []
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """A validated, normalized scenario configuration."""
-
-    kind: str
-    data: dict
+class ScenarioConfig(dict):
+    """A validated, normalized config: the dict ``validate_config`` returns."""
 
     @property
-    def tol(self) -> float:
-        return self.data["tol"]
+    def kind(self) -> str:  # read by the benchmark's warm-up
+        return self["kind"]
 
 
 def _finite_float(literal: str) -> float:
@@ -290,7 +286,7 @@ def load_config(source) -> ScenarioConfig:
         raise InputError(
             "config validation failed:\n" + "\n".join(f"  - {v}" for v in violations)
         )
-    return ScenarioConfig(norm["kind"], norm)
+    return ScenarioConfig(norm)
 
 
 # ---------------------------------------------------------------------------
@@ -387,43 +383,43 @@ def _check_printable(uppers, power: int = 1) -> None:
 
 
 def _run_hk(cfg: ScenarioConfig) -> Callable[[], Verdict]:
-    model, m_max = _model_from(cfg.data), cfg.data["m_max"]
+    model, m_max = _model_from(cfg), cfg["m_max"]
     _check_printable(ext_growth_uppers(model, m_max))
-    return lambda: replace(gy_verdict(model, m_max, tol=cfg.tol),
+    return lambda: replace(gy_verdict(model, m_max, tol=cfg["tol"]),
                            details={"d1": model.dim(1), "n": model.n})
 
 
 def _run_hilb(cfg: ScenarioConfig) -> Callable[[], Verdict]:
-    params, points = cfg.data["base"], cfg.data["points"]
+    params, points = cfg["base"], cfg["points"]
     model = _model_from(params)
     _check_printable(ext_growth_uppers(model, params["m_max"]), points)
 
     def cone_stage() -> Verdict:
-        base = gy_verdict(model, params["m_max"], tol=cfg.tol)
-        lifted = hilbert_lift_verdict(points, base, tol=cfg.tol)
+        base = gy_verdict(model, params["m_max"], tol=cfg["tol"])
+        lifted = hilbert_lift_verdict(points, base, tol=cfg["tol"])
         return replace(lifted, details={"points": points, **lifted.details})
 
     return cone_stage
 
 
-def _word_action(data: dict) -> SquareIntMatrix:
+def _word_action(cfg: ScenarioConfig) -> SquareIntMatrix:
     """The action of the config's word on its lattice, after the lattice
     checks of every generator."""
-    return induced_matrix(BilinearLattice(**data["lattice"]), data["word"])
+    return induced_matrix(BilinearLattice(**cfg["lattice"]), cfg["word"])
 
 
 def _run_enriques(cfg: ScenarioConfig) -> Callable[[], Verdict]:
-    params, deck = cfg.data["cover"], cfg.data["deck"]
+    params, deck = cfg["cover"], cfg["deck"]
     cover_model = _model_from(params)
     _check_printable(ext_growth_uppers(cover_model, params["m_max"]))
     sc = CoverScenario(SquareIntMatrix(deck["matrix"]), deck["order"],
-                       _word_action(cfg.data))
-    log_rho, exact_zero, details = quotient_verdict(sc, tol=cfg.tol)
+                       _word_action(cfg))
+    log_rho, exact_zero, details = quotient_verdict(sc, tol=cfg["tol"])
 
     def cone_stage() -> Verdict:
         cover = entropy_lower_bound(cover_model, params["m_max"])
         return Verdict.of(
-            cover.certified, log_rho, exact_zero, cfg.tol,
+            cover.certified, log_rho, exact_zero, cfg["tol"],
             slope=cover.empirical_slope, series=cover.series,
             details={**details, "deck_order": sc.order,
                      "cover_d1": cover_model.dim(1)})
@@ -432,23 +428,22 @@ def _run_enriques(cfg: ScenarioConfig) -> Callable[[], Verdict]:
 
 
 def _run_lattice_word(cfg: ScenarioConfig) -> Callable[[], Verdict]:
-    action = _word_action(cfg.data)
-    log_rho, exact_zero = certify_log_rho(action, cfg.tol)
-    return lambda: Verdict.of(None, log_rho, exact_zero, cfg.tol, details={
+    action = _word_action(cfg)
+    log_rho, exact_zero = certify_log_rho(action, cfg["tol"])
+    return lambda: Verdict.of(None, log_rho, exact_zero, cfg["tol"], details={
         "rank": action.n, "spectral_radius": math.exp(log_rho),
     })
 
 
 def _run_surface_twist(cfg: ScenarioConfig) -> Callable[[], Verdict]:
-    data = cfg.data
-    surface, k, l, m_max = _model_from(data), data["k"], data["l"], data["m_max"]
+    surface, k, l, m_max = _model_from(cfg), cfg["k"], cfg["l"], cfg["m_max"]
     uppers = list(spherical_twist_levels(surface, k, l, m_max, cone_uppers))
     _check_printable(sum(upper.highs) for upper in uppers)
     for upper in uppers:  # a weighted cell past the float range fails here too
-        delta_value_interval(upper, data["t"])
+        delta_value_interval(upper, cfg["t"])
     return lambda: Verdict.of(
-        None, None, False, cfg.tol,
-        series=spherical_twist_series(surface, k, l, m_max, data["t"]),
+        None, None, False, cfg["tol"],
+        series=spherical_twist_series(surface, k, l, m_max, cfg["t"]),
         details={"k": k, "l": l})
 
 
@@ -483,9 +478,9 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     start_work = cone_evaluations()
     error = None
     try:
-        if cfg.kind not in _RUNNERS:
-            raise InputError(f"unknown scenario kind {cfg.kind!r}")
-        v = _RUNNERS[cfg.kind](cfg)()
+        if cfg["kind"] not in _RUNNERS:
+            raise InputError(f"unknown scenario kind {cfg['kind']!r}")
+        v = _RUNNERS[cfg["kind"]](cfg)()
     except EngineError as exc:
         v = Verdict(entropy_lower=None, empirical_slope=None, log_rho=None,
                     log_rho_exact_zero=False, gap=None, verdict="error",
@@ -494,7 +489,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     return {
         "report_version": REPORT_VERSION,
         "engine_version": __version__,
-        "scenario": _echo(cfg.data),
+        "scenario": _echo(cfg),
         "verdict": v.verdict,
         "entropy_lower_certified": v.entropy_lower,
         "empirical_slope": v.empirical_slope,
@@ -660,8 +655,8 @@ def main(argv=None) -> int:
 
         cfg = _load_from_args(args)
         if args.command == "validate":
-            _RUNNERS[cfg.kind](cfg)  # the run's check stage, without cone work
-            _write_out(f"config OK: kind={cfg.kind}\n", args.out)
+            _RUNNERS[cfg["kind"]](cfg)  # the run's check stage, without cone work
+            _write_out(f"config OK: kind={cfg['kind']}\n", args.out)
             return 0
         if args.out:  # an unusable path fails before any cone work
             _write_out("", args.out)

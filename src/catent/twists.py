@@ -155,7 +155,7 @@ def eval_cone_profile(
     return cone_bounds(source, target)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so 1.0 or True never hits the key of 1
 def correction_profile(model: HKModel, m: int, k: int, l: int) -> GradedDimInterval:
     """Interval profile of the m-th correction object, tensored down by l."""
     require_int(m, "m", 1)
@@ -180,7 +180,7 @@ def eval_twist_cone_profile(
     return eval_cone_profile(model, correction_profile(model, m - 1, k, 1), l)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def iterate_profile(model: HKModel, m: int, k: int, l: int) -> GradedDimInterval:
     """Interval profile of the m-th functor iterate of the k-th negative
     generator summand, tensored down by l."""

@@ -146,6 +146,8 @@ def certify_log_rho(
     unipotent up to sign, otherwise the refined float value and False.  A
     nilpotent action has no logarithm and is an input error.
     """
+    if problem := real_problem(tol, 0.0):  # before the exact zero, which reads no tol
+        raise InputError(f"tol: {problem}")
     if log_rho_is_exact_zero(m):
         return 0.0, True
     rho = spectral_radius(m, tol)

@@ -29,9 +29,9 @@ def run_preset(name):
 
 def test_minimal_hk_config_valid():
     cfg = load_config({"kind": "hk", "n": 1, "q": 10, "m_max": 8})
-    assert cfg.kind == "hk"
-    assert cfg.tol == 1e-9
-    assert "t" not in cfg.data and "seed" not in cfg.data
+    assert cfg["kind"] == "hk"
+    assert cfg["tol"] == 1e-9
+    assert "t" not in cfg and "seed" not in cfg
 
 
 @pytest.mark.parametrize(
@@ -53,7 +53,7 @@ def test_surface_twist_keeps_t():
     cfg = load_config(
         {"kind": "surface_twist", "q": 10, "k": 1, "l": 1, "m_max": 5, "t": 0.5}
     )
-    assert cfg.data["t"] == 0.5
+    assert cfg["t"] == 0.5
 
 
 def test_missing_field_named_in_violations():
@@ -205,7 +205,7 @@ def test_whitelisted_must_be_a_boolean():
 
 def test_load_config_inline_json_and_parse_diagnostics():
     cfg = load_config('{"kind": "hk", "n": 1, "q": 10, "m_max": 8}')
-    assert cfg.kind == "hk"
+    assert cfg["kind"] == "hk"
     with pytest.raises(InputError) as exc:
         load_config('{"kind": "hk",')
     assert "line" in str(exc.value)
@@ -224,7 +224,7 @@ def test_load_config_collects_schema_errors():
 def test_load_config_from_file(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"kind": "hk", "n": 1, "q": 10, "m_max": 8}))
-    assert load_config(str(path)).kind == "hk"
+    assert load_config(str(path))["kind"] == "hk"
 
 
 @pytest.mark.parametrize("kind", [[], {}])
@@ -393,12 +393,12 @@ def test_report_verdict_self_auditing():
         cfg = load_config(config)
         report = run_scenario(cfg)
         assert report["error"] is None
-        kinds.add(cfg.kind)
+        kinds.add(cfg["kind"])
         assert report["verdict"] == derive_verdict(
             report["entropy_lower_certified"],
             report["log_rho"],
             report["log_rho_exact_zero"],
-            cfg.tol,
+            cfg["tol"],
         )
         if report["entropy_lower_certified"] is None or report["log_rho"] is None:
             assert report["gap"] is None
@@ -691,7 +691,7 @@ def test_load_config_builds_no_engine_type(monkeypatch):
     loaded = [load_config(preset) for preset in list_builtin_models().values()]
     assert calls == []
     for cfg in loaded:
-        cli._RUNNERS[cfg.kind](cfg)
+        cli._RUNNERS[cfg["kind"]](cfg)
     assert len(calls) == 5  # one model per preset, and the enriques lattice
 
 

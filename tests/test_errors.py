@@ -10,9 +10,9 @@ import math
 
 import pytest
 
-from catent.descent import CoverScenario
+from catent.descent import CoverScenario, quotient_verdict
 from catent.errors import InputError
-from catent.graded import GradedDimInterval, cone_bounds
+from catent.graded import GradedDimInterval, cone_bounds, cone_evaluations
 from catent.hilbert import hilbert_lift_verdict, kunneth_power_series
 from catent.lattice import SquareIntMatrix, spectral_radius
 from catent.twists import (
@@ -24,6 +24,7 @@ from catent.twists import (
     eval_twist_cone_profile,
     ext_growth_series,
     ext_growth_uppers,
+    gy_verdict,
     iterate_profile,
     negative_line_bundle_profile,
     spherical_twist_levels,
@@ -75,15 +76,17 @@ GATED = {
 }
 
 
-@pytest.fixture(autouse=True)
-def cold_memos():
-    # A memo hit for an equal key (True == 1) would skip the checked body.
-    clear_caches()
-    yield
-    clear_caches()
-
-
 VALUES = {"float": 1.5, "bool": True, "str": "2", "None": None, "huge": HUGE}
+
+
+@pytest.mark.parametrize("memo", [correction_profile, iterate_profile])
+@pytest.mark.parametrize("equal", [True, 1.0])
+def test_a_warm_memo_still_applies_the_integer_rule(memo, equal):
+    # True and 1.0 equal 1 and hash alike, so an untyped key would hit.
+    memo(K3, 1, 1, 1)
+    for args in ((equal, 1, 1), (1, equal, 1), (1, 1, equal)):
+        with pytest.raises(InputError, match="must be an integer, got"):
+            memo(K3, *args)
 
 
 @pytest.mark.parametrize("entry, value", [
@@ -105,6 +108,10 @@ def test_gated_entry_points_raise_the_integer_rule(entry, value):
 TOL_CHECKED = {
     "spectral_radius": lambda v: spectral_radius(CAT, v),
     "certify_log_rho": lambda v: certify_log_rho(CAT, v),
+    "certify_log_rho.exact_zero": lambda v: certify_log_rho(SWAP, v),
+    "quotient_verdict": lambda v: quotient_verdict(
+        CoverScenario(SWAP, 2, SquareIntMatrix.identity(2)), v),
+    "gy_verdict": lambda v: gy_verdict(K3, 6, v),
     "Verdict.of": lambda v: Verdict.of(1.0, 0.5, False, v),
     "hilbert_lift_verdict": lambda v: hilbert_lift_verdict(2, BASE, v),
 }
@@ -121,6 +128,9 @@ TOL_CHECKED = {
 ])
 @pytest.mark.parametrize("entry", TOL_CHECKED)
 def test_tol_follows_the_number_rule(entry, value, problem):
+    clear_caches()  # a memo hit would hide the cone work of a late check
+    start = cone_evaluations()
     with pytest.raises(InputError) as info:
         TOL_CHECKED[entry](value)
     assert str(info.value) == f"tol: {problem}"
+    assert cone_evaluations() == start  # tol is checked before any cone work

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from catent import words
-from catent.cli import emit_report, list_builtin_models, load_config, run_scenario
+from catent.cli import (ScenarioConfig, emit_report, list_builtin_models, load_config,
+                        run_scenario, validate_config)
 
 GOLDEN = Path(__file__).with_name("golden")
 PRESETS = ("k3-q10", "k3n-hilb", "hk-2n", "enriques-over-hk")
@@ -19,6 +20,28 @@ def test_preset_report_matches_golden_bytes(name):
     cfg = load_config(list_builtin_models()[name])
     expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert emit_report(run_scenario(cfg)) == expected
+
+
+#: One config of each kind that no preset has.
+OTHER_KINDS = {
+    "lattice_word": {"kind": "lattice_word", "lattice": {"gram": [[1, 0], [0, 1]]},
+                     "word": [{"kind": "explicit", "matrix": [[2, 1], [1, 1]]}]},
+    "surface_twist": {"kind": "surface_twist", "q": 10, "k": 1, "l": 2, "m_max": 4,
+                      "t": 0.5},
+}
+
+
+@pytest.mark.parametrize("name", PRESETS + tuple(OTHER_KINDS))
+def test_loaded_config_is_the_normalized_dict(name):
+    raw = OTHER_KINDS.get(name) or list_builtin_models()[name]
+    cfg = load_config(raw)
+    assert isinstance(cfg, dict) and isinstance(cfg, ScenarioConfig)
+    assert cfg == validate_config(raw)[0]
+    assert cfg.kind == cfg["kind"] == raw["kind"]  # the benchmark's warm-up reads .kind
+    report = run_scenario(cfg)
+    assert report["error"] is None and report["scenario"] == cfg
+    if name in PRESETS:
+        assert emit_report(report) == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
 def test_enriques_error_report_keeps_no_partial_results():
