@@ -624,8 +624,15 @@ def _add_common(parser, with_format=True):
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is an ``InputError``, as a malformed config is."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="catent",
         description="Exact certificates for categorical-entropy vs. "
         "spectral-radius gaps on lattice models.",
@@ -640,12 +647,11 @@ def main(argv=None) -> int:
     )
     sub.add_parser("catalog", help="list builtin presets")
 
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return 0
-
     try:
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_help()
+            return 0
         if args.command == "catalog":
             presets = list_builtin_models()
             for name in sorted(presets):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ContractError, InputError, require_int, shown
-from .lattice import DEFAULT_TOL, SquareIntMatrix
+from .lattice import DEFAULT_TOL, SquareIntMatrix, char_poly, poly_exact_quotient
 from .words import certify_log_rho
 
 Vectors = tuple[tuple[int, ...], ...]
@@ -140,9 +140,11 @@ def quotient_verdict(sc: CoverScenario,
     The cover's entropy bound transfers as an identity through the covering,
     so only the spectral radius needs descending.  The cover action and its
     restriction are certified separately: an exactly zero cover certificate
-    must restrict to an exactly zero one, and otherwise only the inequality
-    against the cover value is asserted.  The details give the cover's log
-    rho and the quotient rank.
+    must restrict to an exactly zero one, and the restriction's
+    characteristic polynomial must divide the cover's, as it does for an
+    action on a saturated invariant sublattice (the action is block
+    triangular in an adapted basis), so no quotient root exceeds the cover's.
+    The details give the cover's log rho and the quotient rank.
     """
     cover_log_rho, cover_exact_zero = certify_log_rho(sc.action, tol)
     log_rho, exact_zero = certify_log_rho(sc.restricted, tol)
@@ -151,7 +153,8 @@ def quotient_verdict(sc: CoverScenario,
             "restriction of an action that is unipotent up to sign failed "
             "the exact-zero certificate"
         )
-    if log_rho > cover_log_rho + 10 * tol:
-        raise ContractError("restricted spectral radius exceeds the ambient one")
+    if poly_exact_quotient(char_poly(sc.action), char_poly(sc.restricted)) is None:
+        raise ContractError("restricted characteristic polynomial does not divide "
+                            "the ambient one")
     return log_rho, exact_zero, {"cover_log_rho": cover_log_rho,
                                  "quotient_rank": len(sc.basis)}

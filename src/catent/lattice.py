@@ -6,7 +6,8 @@ point appears only in the final spectral-radius estimate.  The dichotomy
 never be a rounding artifact:
 
   * characteristic polynomials come from an integer Faddeev-LeVerrier
-    recursion with an exact divisibility check at every step,
+    recursion with an exact divisibility check at every step, as tuples of
+    int coefficients in ascending order,
   * unipotence is an exact integer nilpotence test, never ``|lambda - 1| < eps``,
   * the spectral radius is bracketed by the Cauchy bound of the exact
     characteristic polynomial and refined by multiprecision root finding on
@@ -26,7 +27,7 @@ ever decide a case they can prove:
     strictly triangular, so ``is_unipotent`` returns True without a matrix
     product; and if p mod P and p' mod P are coprime in F_P[x] for a prime
     P not dividing the leading coefficient, p is squarefree over Q (Gauss's
-    lemma), so ``squarefree_part`` returns p without the rational Euclid.
+    lemma), so ``squarefree_part`` returns p without the Euclid over Q.
 
 Every case a gate or shortcut cannot decide (trace n but not unit
 triangular; a common factor mod P or P dividing the leading coefficient)
@@ -34,14 +35,15 @@ still reaches the full exact test, so the results are the same as without
 them.
 
 Each type checks its values when it is built, with no coercion: a non-int
-entry or coefficient (``errors.is_int``), a bad symmetry kind or euler_sign
+entry (``errors.is_int``), a bad symmetry kind or euler_sign
 and an asymmetric gram declared symmetric are ``InputError``s.
 """
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -219,96 +221,43 @@ class BilinearLattice:
 
 
 # ---------------------------------------------------------------------------
-# Integer polynomials
+# Integer polynomials: tuples of int coefficients, ascending, with a nonzero
+# leading coefficient; () is the zero polynomial
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Integer polynomial, coefficients ascending; () is the zero polynomial."""
-
-    coeffs: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        cs = list(self.coeffs)
-        if not all(map(is_int, cs)):
-            raise InputError(f"coefficients must be integers, got {shown(self.coeffs)}")
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def derivative(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+Poly = tuple[int, ...]
 
 
-def _frac_divmod(a: list[Fraction], b: list[Fraction]):
-    # Plain Euclidean division over Q, coefficients ascending.
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    r = list(a)
-    while len(r) >= len(b) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
+def _divmod(a, b) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder over Q of a by a nonzero b, coefficients
+    ascending; the remainder has no zero top coefficient."""
+    q = [Fraction(0)] * (len(a) - len(b) + 1)
+    r = [Fraction(c) for c in a]
+    while len(r) >= len(b):
         c = r[-1] / b[-1]
         d = len(r) - len(b)
         q[d] = c
         for i, bc in enumerate(b):
             r[i + d] -= c * bc
         r.pop()
+        while r and r[-1] == 0:
+            r.pop()
     return q, r
 
 
-def poly_divmod_exact(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Exact quotient a / b; raises if the division leaves a remainder."""
-    if b.is_zero():
-        raise InputError("division by the zero polynomial")
-    q, r = _frac_divmod(
-        [Fraction(c) for c in a.coeffs], [Fraction(c) for c in b.coeffs]
-    )
-    if any(r):
-        raise InputError("polynomial division is not exact")
-    if any(c.denominator != 1 for c in q):
-        raise InputError("polynomial quotient is not integral")
-    return IntPolynomial(tuple(int(c) for c in q))
-
-
-def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Primitive integer gcd with positive leading coefficient."""
-    fa = [Fraction(c) for c in a.coeffs]
-    fb = [Fraction(c) for c in b.coeffs]
-    while any(fb):
-        _, r = _frac_divmod(fa, fb)
-        while r and r[-1] == 0:
-            r.pop()
-        fa, fb = fb, r
-    if not any(fa):
-        return IntPolynomial()
-    from math import gcd, lcm
-
-    denom = lcm(*(c.denominator for c in fa)) if fa else 1
-    ints = [int(c * denom) for c in fa]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return IntPolynomial(tuple(ints))
+def poly_exact_quotient(a: Poly, b: Poly) -> Poly | None:
+    """a / b when the nonzero b divides a in Z[x], else None."""
+    q, r = _divmod(a, b)
+    if any(r) or any(c.denominator != 1 for c in q):
+        return None
+    return tuple(map(int, q))
 
 
 #: Prime modulus of the squarefree pre-test: the Mersenne prime 2^61 - 1.
 _SQUAREFREE_PRIME = (1 << 61) - 1
 
 
-def _coprime_mod(a: list[int], b: list[int], prime: int) -> bool:
+def _coprime_mod(a: Poly, b: Poly, prime: int) -> bool:
     """True iff gcd(a, b) = 1 in F_prime[x]; coefficients ascending."""
     a = [c % prime for c in a]
     b = [c % prime for c in b]
@@ -328,19 +277,21 @@ def _coprime_mod(a: list[int], b: list[int], prime: int) -> bool:
     return len(a) == 1
 
 
-def squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    """p divided by gcd(p, p'); same roots, all simple."""
-    if p.degree < 1:
-        return p
-    dp = p.derivative()
-    if p.coeffs[-1] % _SQUAREFREE_PRIME and _coprime_mod(
-        list(p.coeffs), list(dp.coeffs), _SQUAREFREE_PRIME
-    ):
+def squarefree_part(p: Poly) -> Poly:
+    """p divided by gcd(p, p'), the gcd primitive with a positive leading
+    coefficient; same roots, all simple."""
+    dp = tuple(i * c for i, c in enumerate(p))[1:]
+    if len(p) < 2 or (p[-1] % _SQUAREFREE_PRIME
+                      and _coprime_mod(p, dp, _SQUAREFREE_PRIME)):
         return p  # squarefree mod P with the degree kept, hence over Q
-    g = poly_gcd(p, dp)
-    if g.degree < 1:
-        return p
-    return poly_divmod_exact(p, g)
+    a, b = p, dp
+    while b:  # Euclid over Q
+        a, b = b, _divmod(a, b)[1]
+    denom = math.lcm(*(Fraction(c).denominator for c in a))
+    g = [int(c * denom) for c in a]
+    content = math.gcd(*g) if g[-1] > 0 else -math.gcd(*g)
+    g = tuple(c // content for c in g)
+    return p if len(g) < 2 else poly_exact_quotient(p, g)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +299,9 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def char_poly(m: SquareIntMatrix) -> IntPolynomial:
-    """Exact characteristic polynomial det(lambda*I - M).
+def char_poly(m: SquareIntMatrix) -> Poly:
+    """Exact characteristic polynomial det(lambda*I - M), as its ascending
+    int coefficients.
 
     Integer Faddeev-LeVerrier recursion; each division by the step index is
     checked for exactness, which certifies the arithmetic.
@@ -366,7 +318,7 @@ def char_poly(m: SquareIntMatrix) -> IntPolynomial:
         ck = -t // k
         coeffs_desc.append(ck)
         aux = prod + ident.scaled(ck)
-    return IntPolynomial(tuple(reversed(coeffs_desc)))
+    return tuple(reversed(coeffs_desc))
 
 
 def is_unipotent(m: SquareIntMatrix) -> bool:
@@ -394,13 +346,6 @@ def is_unipotent(m: SquareIntMatrix) -> bool:
     return True
 
 
-def _cauchy_bound(p: IntPolynomial) -> mpmath.mpf:
-    # An mpf, not a float: a quotient of huge coefficients overflows a float.
-    if p.degree < 1:
-        return mpmath.mpf(0)
-    return 1 + mpmath.mpf(max(abs(c) for c in p.coeffs[:-1])) / abs(p.coeffs[-1])
-
-
 def spectral_radius(m: SquareIntMatrix, tol: float = DEFAULT_TOL) -> float:
     """Maximum root modulus of char_poly(M), estimated to within tol.
 
@@ -414,14 +359,13 @@ def spectral_radius(m: SquareIntMatrix, tol: float = DEFAULT_TOL) -> float:
     if problem := real_problem(tol, 0.0):
         raise InputError(f"tol: {problem}")
     p = char_poly(m)
-    coeffs = list(p.coeffs)
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-    if len(coeffs) <= 1:
+    p = p[next(i for i, c in enumerate(p) if c):]  # strip x^k; p is monic
+    if len(p) == 1:
         return 0.0  # nilpotent: all eigenvalues zero
-    q = squarefree_part(IntPolynomial(tuple(coeffs)))
-    bound = _cauchy_bound(q)
-    desc = list(reversed(q.coeffs))
+    q = squarefree_part(p)
+    # Cauchy bound, an mpf: a quotient of huge coefficients overflows a float
+    bound = 1 + mpmath.mpf(max(map(abs, q[:-1]))) / abs(q[-1])
+    desc = list(reversed(q))
     last_err = None
     for extraprec in (30, 80, 160, 320):
         try:
@@ -440,5 +384,5 @@ def spectral_radius(m: SquareIntMatrix, tol: float = DEFAULT_TOL) -> float:
             return float(rho)
     raise NumericError(
         f"spectral radius refinement did not reach tol={tol} "
-        f"(degree {q.degree}, last error {last_err})"
+        f"(degree {len(q) - 1}, last error {last_err})"
     )

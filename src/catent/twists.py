@@ -44,7 +44,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CollapseError, InputError, int_problem, is_int, require_int, shown
+from .errors import (CollapseError, InputError, bound_problem, int_problem, is_int,
+                     real_problem, require_int, shown)
 from .graded import (
     GradedDimInterval,
     cone_bounds,
@@ -287,6 +288,8 @@ class BoundSeries:
         if not m_from < m_to <= self.m_max:
             raise InputError(f"invalid slope window [{shown(m_from)}, {shown(m_to)}]")
         ms = list(range(m_from, m_to + 1))
+        if any(self.lowers[m - 1] <= 0 for m in ms):
+            raise InputError("series must have positive lower bounds in the slope window")
         logs = [math.log(self.lowers[m - 1]) for m in ms]
         return statistics.linear_regression(ms, logs).slope
 
@@ -403,8 +406,10 @@ def spherical_twist_series(
     Returns per-step lower/upper bounds on the Ext total against the k-th
     negative and l-th positive generator summands.  No closed form is
     asserted; supports overlap from step three on, so these are honest
-    bounds, not exact values.
+    bounds, not exact values.  The weight t is a number >= 0.
     """
+    if problem := real_problem(t) or bound_problem(t, 0):
+        raise InputError(f"t: {problem}")
     lowers, uppers = zip(*(
         delta_value_interval(profile, t)
         for profile in spherical_twist_levels(model, k, l, m_max, cone_bounds)))

@@ -1,22 +1,27 @@
 """Kronecker and symmetric powers of integer matrices, for the tests that
 check spectral-radius scaling under the Hilbert-scheme lift, and the integer
 polynomial helpers the tests use to check characteristic polynomials.
+Polynomials are tuples of int coefficients, ascending, as ``char_poly``
+returns them.
 
 The engine never forms these matrices: ``hilbert_lift_verdict`` scales the
 base verdict by the number of points.  These helpers let the tests confirm
 that scaling on explicit matrices.  Nor does the engine multiply, test
 divisibility of, or evaluate polynomials at matrices: the tests use those to
 check ``char_poly`` (Cayley-Hamilton, companion matrices) and
-``squarefree_part``.  ``counted_products`` counts the matrix products a
-call makes, for the tests of the paths that should make none.
+``squarefree_part``, the latter against the rational Euclid kept here as its
+oracle.  ``counted_products`` counts the matrix products a call makes, for
+the tests of the paths that should make none.
 """
 
 from contextlib import contextmanager
+from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
+from math import gcd, lcm
 from unittest import mock
 
 from catent.errors import InputError
-from catent.lattice import IntPolynomial, SquareIntMatrix, poly_divmod_exact
+from catent.lattice import SquareIntMatrix
 
 
 def tensor_power_matrix(m: SquareIntMatrix, n: int) -> SquareIntMatrix:
@@ -68,17 +73,88 @@ def symmetric_power_matrix(m: SquareIntMatrix, n: int) -> SquareIntMatrix:
     return SquareIntMatrix(tuple(tuple(r) for r in rows))
 
 
-def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    if a.is_zero() or b.is_zero():
-        return IntPolynomial()
-    out = [0] * (a.degree + b.degree + 1)
-    for i, ca in enumerate(a.coeffs):
-        for j, cb in enumerate(b.coeffs):
+def poly_mul(a, b):
+    """Product of int coefficient tuples, ascending; () is zero."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
             out[i + j] += ca * cb
-    return IntPolynomial(tuple(out))
+    return tuple(out)
 
 
-def poly_divides(b: IntPolynomial, a: IntPolynomial) -> bool:
+def derivative(p):
+    return tuple(i * c for i, c in enumerate(p))[1:]
+
+
+def _frac_divmod(a: list[Fraction], b: list[Fraction]):
+    # Plain Euclidean division over Q, coefficients ascending.
+    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    r = list(a)
+    while len(r) >= len(b) and any(r):
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) < len(b):
+            break
+        c = r[-1] / b[-1]
+        d = len(r) - len(b)
+        q[d] = c
+        for i, bc in enumerate(b):
+            r[i + d] -= c * bc
+        r.pop()
+    return q, r
+
+
+def poly_divmod_exact(a, b):
+    """Exact quotient a / b in Z[x]; raises if there is none."""
+    if not any(b):
+        raise InputError("division by the zero polynomial")
+    q, r = _frac_divmod([Fraction(c) for c in a], [Fraction(c) for c in b])
+    if any(r):
+        raise InputError("polynomial division is not exact")
+    if any(c.denominator != 1 for c in q):
+        raise InputError("polynomial quotient is not integral")
+    q = [int(c) for c in q]
+    while q and q[-1] == 0:
+        q.pop()
+    return tuple(q)
+
+
+def poly_gcd(a, b):
+    """Primitive integer gcd with positive leading coefficient."""
+    fa = [Fraction(c) for c in a]
+    fb = [Fraction(c) for c in b]
+    while any(fb):
+        _, r = _frac_divmod(fa, fb)
+        while r and r[-1] == 0:
+            r.pop()
+        fa, fb = fb, r
+    while fa and fa[-1] == 0:
+        fa.pop()
+    if not fa:
+        return ()
+    denom = lcm(*(c.denominator for c in fa))
+    ints = [int(c * denom) for c in fa]
+    g = 0
+    for c in ints:
+        g = gcd(g, c)
+    ints = [c // g for c in ints]
+    if ints[-1] < 0:
+        ints = [-c for c in ints]
+    return tuple(ints)
+
+
+def euclid_squarefree_part(p):
+    """p / gcd(p, p') by the Euclid above, without a mod-P pre-test: the
+    oracle for ``lattice.squarefree_part``."""
+    if len(p) < 2:
+        return p
+    g = poly_gcd(p, derivative(p))
+    return p if len(g) < 2 else poly_divmod_exact(p, g)
+
+
+def poly_divides(b, a) -> bool:
     """True iff b divides a in Z[x]; for a monic b, the same as over Q."""
     try:
         poly_divmod_exact(a, b)
@@ -87,24 +163,24 @@ def poly_divides(b: IntPolynomial, a: IntPolynomial) -> bool:
     return True
 
 
-def poly_eval_matrix(p: IntPolynomial, m: SquareIntMatrix) -> SquareIntMatrix:
+def poly_eval_matrix(p, m: SquareIntMatrix) -> SquareIntMatrix:
     """Evaluate a polynomial at a matrix argument (Horner, exact)."""
     acc = SquareIntMatrix.identity(m.n).scaled(0)
-    for c in reversed(p.coeffs):
+    for c in reversed(p):
         acc = acc @ m + SquareIntMatrix.identity(m.n).scaled(c)
     return acc
 
 
-def companion_matrix(p: IntPolynomial) -> SquareIntMatrix:
+def companion_matrix(p) -> SquareIntMatrix:
     """Companion matrix of a monic integer polynomial."""
-    if p.degree < 1 or p.coeffs[-1] != 1:
+    if len(p) < 2 or p[-1] != 1:
         raise InputError("companion matrix requires a monic polynomial of degree >= 1")
-    n = p.degree
+    n = len(p) - 1
     rows = [[0] * n for _ in range(n)]
     for i in range(1, n):
         rows[i][i - 1] = 1
     for i in range(n):
-        rows[i][n - 1] = -p.coeffs[i]
+        rows[i][n - 1] = -p[i]
     return SquareIntMatrix(tuple(tuple(r) for r in rows))
 
 

@@ -499,6 +499,32 @@ def test_main_invalid_config_exit_code(capsys):
     assert "error [InputError]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--preset", "k3-q10", "--tol", "abc"],
+     "argument --tol: invalid float value: 'abc'"),
+    (["run", "--preset", "k3-q10", "--m-max", "1.5"],
+     "argument --m-max: invalid int value: '1.5'"),
+    (["run", "--preset", "k3-q10", "--format", "xml"],
+     "argument --format: invalid choice: 'xml'"),
+    (["run", "--preset", "k3-q10", "--bogus"], "unrecognized arguments: --bogus"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+], ids=["tol", "m-max", "format", "unknown-option", "unknown-command"])
+def test_main_malformed_command_line_is_an_input_error(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error [InputError]: {message}")
+    assert captured.err.count("\n") == 1  # one line, no usage text
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["run", "-h"]])
+def test_main_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert "usage: catent" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv, config", [
     ([], {"kind": "surface_twist", "q": 10, "k": 1, "l": 1, "m_max": 5,
           "t": math.nan}),

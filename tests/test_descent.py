@@ -304,6 +304,16 @@ def test_unipotent_cover_forces_unipotent_restriction():
     assert is_unipotent(rank4_cover().restricted)
 
 
+def test_restriction_whose_char_poly_does_not_divide_is_a_contract_error():
+    # (x - 1)^2 does not divide x^2 - 3x + 1, although the shear's log rho,
+    # 0, is below the cover's.
+    sc = CoverScenario(SquareIntMatrix.identity(2), 1, SquareIntMatrix(((2, 1), (1, 1))))
+    object.__setattr__(sc, "restricted", SHEAR)
+    with pytest.raises(ContractError, match="^restricted characteristic polynomial "
+                       "does not divide the ambient one$"):
+        quotient_verdict(sc)
+
+
 def test_exact_zero_cover_with_growing_restriction_is_a_contract_error():
     sc = rank4_cover()
     object.__setattr__(sc, "restricted", SquareIntMatrix(((2, 1), (1, 1))))

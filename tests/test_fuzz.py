@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from catent.cli import emit_report, list_builtin_models, load_config, main, run_scenario
 from catent.errors import InputError, NumericError
-from catent.lattice import BilinearLattice, IntPolynomial
+from catent.lattice import BilinearLattice
 from catent.twists import HKModel
 from lattice_powers import companion_matrix
 
@@ -177,7 +177,7 @@ RANK_30 = {"kind": "lattice_word",
            "lattice": {"gram": [[int(i == j) for j in range(30)] for i in range(30)]},
            "word": [{"kind": "shift"}, {"kind": "explicit", "matrix": [
                list(row) for row in companion_matrix(
-                   IntPolynomial((-1, -1) + (0,) * 28 + (1,))).entries]}]}
+                   (-1, -1) + (0,) * 28 + (1,)).entries]}]}
 
 # The swap has order 2, not a divisor of 3.
 BAD_DECK_ORDER = {**FIXED_FREE_DECK, "deck": {"matrix": [[0, 1], [1, 0]], "order": 3}}

@@ -305,6 +305,15 @@ def test_log_slope_window_validation():
         series.log_slope(3, 1)
 
 
+@pytest.mark.parametrize("lower", [0, -1, 0.0])
+def test_log_slope_needs_positive_lowers_in_its_window(lower):
+    series = BoundSeries((lower, 1, 2), (1, 1, 2))
+    assert series.log_slope(2, 3) == pytest.approx(math.log(2))  # outside the window
+    with pytest.raises(InputError, match="^series must have positive lower bounds "
+                       "in the slope window$"):
+        series.log_slope(1, 2)
+
+
 # -- entropy bound and verdict ----------------------------------------------------
 
 

@@ -7,7 +7,6 @@ import pytest
 from catent.errors import InputError
 from catent.lattice import (
     BilinearLattice,
-    IntPolynomial,
     SquareIntMatrix,
     is_unipotent,
     spectral_radius,
@@ -187,7 +186,7 @@ def test_word_log_rho_p_twist_tensor_exact_zero():
 
 
 def test_word_log_rho_companion():
-    m = companion_matrix(IntPolynomial((1, -3, 1)))
+    m = companion_matrix((1, -3, 1))
     lat = BilinearLattice(((1, 0), (0, 1)), "symmetric")
     log_rho, exact_zero = certify_log_rho(induced_matrix(lat, [explicit(m)]), TOL)
     assert log_rho == pytest.approx(math.log((3 + math.sqrt(5)) / 2), abs=TOL)
