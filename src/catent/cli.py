@@ -11,8 +11,9 @@ the same reason.
 A run is a check stage, every check that needs no cone evaluation, then a
 cone stage.  ``validate`` is the check stage alone; an error report from the
 check stage carries 0 work units.  The schema (``validate_config``) checks
-shapes and caps only: every model, lattice, matrix, word and deck value is
-checked once, by its engine type, in the check stage.
+shapes, caps and the keys of every object, a closed set per kind and level,
+so a key that no run reads is a violation; every model, lattice, matrix,
+word and deck value is checked once, by its engine type, in the check stage.
 
 Subcommands: ``validate``, ``run``, ``catalog``, ``series`` (CSV dump).
 Exit codes: 0 success, 1 input error, 2 numeric error, 3 contract violation.
@@ -31,9 +32,9 @@ from dataclasses import replace
 
 from . import __version__
 from .descent import CoverScenario, quotient_verdict
-from .errors import (EngineError, InputError, NumericError, bound_problem,
-                     int_problem, is_int, real_problem, shown)
-from .graded import cone_evaluations, cone_uppers, delta_value_interval
+from .errors import (EngineError, InputError, NumericError, int_problem, is_int,
+                     real_problem, shown)
+from .graded import cone_evaluations, cone_uppers
 from .hilbert import hilbert_lift_verdict
 from .lattice import DEFAULT_TOL, BilinearLattice, SquareIntMatrix
 from .twists import (
@@ -75,14 +76,6 @@ def _check_int(out, data, key, path, lo, hi):
     return data[key]
 
 
-def _check_number(out, data, key, default, lo=None):
-    v = data.get(key, default)
-    if problem := real_problem(v, lo):
-        out.append(f"{key}: {problem}")
-        return None
-    return float(v)
-
-
 def _check_rows(out, value, path):
     """A copy of the matrix ``value`` for the echo, a list of at most MAX_RANK
     row lists; its entries and shape are the matrix type's to check."""
@@ -94,6 +87,41 @@ def _check_rows(out, value, path):
         out.append(f"{path}: rank {len(value)} exceeds the desk-scale cap {MAX_RANK}")
         return None
     return [list(row) for row in value]
+
+
+# The keys of every config object; any other key is a violation.
+_MODEL_KEYS = ("n", "q", "d_table", "m_max")
+_KIND_KEYS = {  # besides schema_version, kind and tol
+    "hk": _MODEL_KEYS,
+    "hilb": ("points", "base"),
+    "enriques": ("cover", "lattice", "deck", "word"),
+    "lattice_word": ("lattice", "word"),
+    "surface_twist": ("q", "d_table", "m_max", "k", "l"),
+}
+_GENERATOR_KEYS = {  # besides kind
+    "shift": (),
+    "ptwist": (),
+    "tensor": ("matrix", "nilpotent"),  # exactly one of the two
+    "spherical": ("class",),
+    "explicit": ("matrix",),
+}
+_GENERATOR_KINDS = tuple(_GENERATOR_KEYS)
+
+
+def _closed(out, data, path, known):
+    """One violation for each key of the object ``data`` not in ``known``."""
+    out.extend(f"{path}{key if isinstance(key, str) else shown(key)}: unknown field"
+               for key in data if key not in known)
+
+
+def _nested(out, data, key, known, problem):
+    """The object at ``key`` with its keys checked, or None and ``problem``."""
+    value = data.get(key)
+    if not isinstance(value, dict):
+        out.append(f"{key}: {problem}")
+        return None
+    _closed(out, value, f"{key}.", known)
+    return value
 
 
 def _validate_rr(out, data, path):
@@ -110,23 +138,26 @@ def _validate_rr(out, data, path):
     else:
         norm["d_table"] = list(table)
     norm["m_max"] = m_max
-    if "t" in data:
-        out.append(f"{path}t: only surface_twist reads t")
     return norm
 
 
-def _validate_lattice(out, data, path):
-    if not isinstance(data, dict):
-        out.append(f"{path}: must be an object with a gram matrix")
+def _validate_model(out, data, key, what):
+    """The model object ``base`` of hilb or ``cover`` of enriques."""
+    model = _nested(out, data, key, _MODEL_KEYS,
+                    f"required object with the {what} model fields")
+    return None if model is None else _validate_rr(out, model, f"{key}.")
+
+
+def _validate_lattice(out, data):
+    lattice = _nested(out, data, "lattice", ("gram", "symmetry_kind", "euler_sign"),
+                      "must be an object with a gram matrix")
+    if lattice is None:
         return None
     return {
-        "gram": _check_rows(out, data.get("gram"), f"{path}.gram"),
-        "symmetry_kind": data.get("symmetry_kind", "euler_general"),
-        "euler_sign": data.get("euler_sign", -1),
+        "gram": _check_rows(out, lattice.get("gram"), "lattice.gram"),
+        "symmetry_kind": lattice.get("symmetry_kind", "euler_general"),
+        "euler_sign": lattice.get("euler_sign", -1),
     }
-
-
-_GENERATOR_KINDS = ("shift", "ptwist", "tensor", "spherical", "explicit")
 
 
 def _validate_word(out, data, path):
@@ -139,24 +170,23 @@ def _validate_word(out, data, path):
         if not isinstance(gen, dict) or gen.get("kind") not in _GENERATOR_KINDS:
             out.append(f"{gpath}.kind: must be one of {_GENERATOR_KINDS}")
             return None
-        g = {"kind": gen["kind"]}
-        if gen["kind"] in ("tensor", "explicit"):
-            key = "nilpotent" if (gen["kind"] == "tensor" and "nilpotent" in gen) else "matrix"
+        kind = gen["kind"]
+        _closed(out, gen, f"{gpath}.", ("kind",) + _GENERATOR_KEYS[kind])
+        g = {"kind": kind}
+        if kind == "tensor" and ("matrix" in gen) == ("nilpotent" in gen):
+            out.append(f"{gpath}.matrix: supply exactly one of matrix or nilpotent")
+            return None
+        if kind in ("tensor", "explicit"):
+            key = "nilpotent" if (kind == "tensor" and "nilpotent" in gen) else "matrix"
             g[key] = _check_rows(out, gen.get(key), f"{gpath}.{key}")
             if g[key] is None:
                 return None
-        elif gen["kind"] == "spherical":
+        elif kind == "spherical":
             cls = gen.get("class")
             if not isinstance(cls, (list, tuple)):
                 out.append(f"{gpath}.class: must be a list of integers")
                 return None
             g["class"] = list(cls)
-            whitelisted = gen.get("whitelisted", False)
-            if not isinstance(whitelisted, bool):
-                out.append(f"{gpath}.whitelisted: must be true or false")
-                return None
-            if whitelisted:
-                g["whitelisted"] = True
         norm.append(g)
     return norm
 
@@ -165,9 +195,11 @@ def validate_config(data) -> tuple[dict | None, list[str]]:
     """Normalize a raw config; returns (normalized, violations).
 
     The schema checks shapes, required fields, its desk-scale caps and the
-    numbers ``t`` and ``tol``, and collects the violations of every field.
-    The values of a model, a lattice, a matrix, a word or a deck are checked
-    once, by the engine type that holds them, in the run's check stage.
+    number ``tol``, and collects the violations of every field.  Each object
+    of a config is a closed set of keys: any key that no run reads is a
+    violation, ``<path>.<key>: unknown field``.  The values of a model, a
+    lattice, a matrix, a word or a deck are checked once, by the engine type
+    that holds them, in the run's check stage.
     """
     out: list[str] = []
     if not isinstance(data, dict):
@@ -180,6 +212,7 @@ def validate_config(data) -> tuple[dict | None, list[str]]:
     if not isinstance(kind, str) or kind not in _RUNNERS:
         out.append(f"kind: must be one of {tuple(_RUNNERS)}, got {shown(kind)}")
         return None, out
+    _closed(out, data, "", ("schema_version", "kind", "tol") + _KIND_KEYS[kind])
 
     norm: dict = {"schema_version": SCHEMA_VERSION, "kind": kind}
 
@@ -188,48 +221,37 @@ def validate_config(data) -> tuple[dict | None, list[str]]:
     elif kind == "surface_twist":
         k = _check_int(out, data, "k", "", 1, 20)
         l = _check_int(out, data, "l", "", 1, 20)
-        rr = {key: value for key, value in data.items() if key != "t"}
-        sub = _validate_rr(out, {**rr, "n": 1}, "")
+        sub = _validate_rr(out, {**data, "n": 1}, "")  # a surface: n is 1
         sub.pop("n")
         norm.update(sub)
-        norm["t"] = _check_number(out, data, "t", 0.0)
-        if norm["t"] is not None and (problem := bound_problem(norm["t"], 0)):
-            out.append(f"t: {problem}")
         norm["k"], norm["l"] = k, l
         if norm.get("m_max") is not None and norm["m_max"] > 12:
             out.append("m_max: must be <= 12 for surface iteration, "
                        f"got {norm['m_max']}")
     elif kind == "hilb":
         norm["points"] = _check_int(out, data, "points", "", 1, 8)
-        base = data.get("base")
-        if not isinstance(base, dict):
-            out.append("base: required object with the surface model fields")
-        else:
-            norm["base"] = _validate_rr(out, base, "base.")
+        norm["base"] = _validate_model(out, data, "base", "surface")
     elif kind == "enriques":
-        cover = data.get("cover")
-        if not isinstance(cover, dict):
-            out.append("cover: required object with the cover model fields")
-        else:
-            norm["cover"] = _validate_rr(out, cover, "cover.")
-        norm["lattice"] = _validate_lattice(out, data.get("lattice"), "lattice")
-        deck = data.get("deck")
-        if not isinstance(deck, dict):
-            out.append("deck: required object with matrix and order")
-        else:
+        norm["cover"] = _validate_model(out, data, "cover", "cover")
+        norm["lattice"] = _validate_lattice(out, data)
+        deck = _nested(out, data, "deck", ("matrix", "order"),
+                       "required object with matrix and order")
+        if deck is not None:
             norm["deck"] = {
                 "matrix": _check_rows(out, deck.get("matrix"), "deck.matrix"),
                 "order": _check_int(out, deck, "order", "deck.", 1, 64),
             }
         norm["word"] = _validate_word(out, data.get("word"), "word")
     elif kind == "lattice_word":
-        norm["lattice"] = _validate_lattice(out, data.get("lattice"), "lattice")
+        norm["lattice"] = _validate_lattice(out, data)
         norm["word"] = _validate_word(out, data.get("word"), "word")
 
-    norm["tol"] = _check_number(out, data, "tol", DEFAULT_TOL, lo=0.0)
-
+    tol = data.get("tol", DEFAULT_TOL)
+    if problem := real_problem(tol, 0.0):
+        out.append(f"tol: {problem}")
     if out:
         return None, out
+    norm["tol"] = float(tol)
     return norm, []
 
 
@@ -437,14 +459,11 @@ def _run_lattice_word(cfg: ScenarioConfig) -> Callable[[], Verdict]:
 
 def _run_surface_twist(cfg: ScenarioConfig) -> Callable[[], Verdict]:
     surface, k, l, m_max = _model_from(cfg), cfg["k"], cfg["l"], cfg["m_max"]
-    uppers = list(spherical_twist_levels(surface, k, l, m_max, cone_uppers))
-    _check_printable(sum(upper.highs) for upper in uppers)
-    for upper in uppers:  # a weighted cell past the float range fails here too
-        delta_value_interval(upper, cfg["t"])
+    _check_printable(sum(upper.highs) for upper in
+                     spherical_twist_levels(surface, k, l, m_max, cone_uppers))
     return lambda: Verdict.of(
         None, None, False, cfg["tol"],
-        series=spherical_twist_series(surface, k, l, m_max, cfg["t"]),
-        details={"k": k, "l": l})
+        series=spherical_twist_series(surface, k, l, m_max), details={"k": k, "l": l})
 
 
 _RUNNERS = {

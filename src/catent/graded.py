@@ -43,15 +43,17 @@ honest interval.
 Every cone also passes an Euler-characteristic filter: the alternating sum
 of C must be able to equal that of B minus that of A (the rank terms cancel
 in the alternating sum).
+
+``delta_value_interval`` sums a profile's bounds over all degrees, the exact
+int totals that every bound series reads.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import count, islice
 from typing import Mapping
 
-from .errors import ContractError, InputError, NumericError, is_int, require_int, shown
+from .errors import ContractError, InputError, is_int, require_int, shown
 
 # Running count of cone_bounds evaluations; the CLI reports this as the
 # deterministic work measure of a scenario.
@@ -272,25 +274,6 @@ def cone_uppers(a: GradedDimInterval, b: GradedDimInterval) -> GradedDimInterval
     return _profile(start, highs, highs.copy())
 
 
-def delta_value_interval(
-    g: GradedDimInterval, t: float = 0.0
-) -> tuple[float, float]:
-    """Lower/upper weighted totals sum of [lo,hi](k) e^{-kt}; exact at t=0.
-
-    At t != 0 the totals are floats, and a total past the float range raises
-    ``NumericError``.
-    """
-    if t == 0:
-        return sum(g.lows), sum(g.highs)
-    lo_sum = hi_sum = 0.0
-    try:
-        for deg, lo, hi in g.entries:
-            w = math.exp(-deg * t)
-            lo_sum += lo * w
-            hi_sum += hi * w
-        finite = math.isfinite(lo_sum) and math.isfinite(hi_sum)
-    except OverflowError:  # an int bound or a weight beyond the float range
-        finite = False
-    if not finite:
-        raise NumericError(f"weighted total at t={t} is not a finite float")
-    return lo_sum, hi_sum
+def delta_value_interval(g: GradedDimInterval) -> tuple[int, int]:
+    """Lower and upper totals: the sums of [lo, hi](k) over all degrees k."""
+    return sum(g.lows), sum(g.highs)

@@ -24,7 +24,9 @@ every iterate the run path reads (``ext_growth_series`` calls it).  The
 matching checks for the other two families live in the tests
 (``tests/twists_reference.py``).
 
-Entropy: the per-m lower bounds of the summed profiles grow like d_1^m, so
+Entropy: every series bound is the exact int total of a profile over all
+degrees, the Ext total of the categorical entropy at t = 0 (h_cat = h_0).
+The per-m lower bounds of the summed profiles grow like d_1^m, so
 log d_1 is a certified entropy lower bound; the action on any lattice model
 is unipotent, so the log spectral radius is exactly zero and the
 Gromov-Yomdin equality fails with gap at least log d_1.
@@ -44,8 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (CollapseError, InputError, bound_problem, int_problem, is_int,
-                     real_problem, require_int, shown)
+from .errors import CollapseError, InputError, int_problem, is_int, require_int, shown
 from .graded import (
     GradedDimInterval,
     cone_bounds,
@@ -259,9 +260,7 @@ def verify_iterate_contract(
 class BoundSeries:
     """Per-step lower/upper bounds for a generator-pair Ext total.
 
-    Entry i corresponds to step m = i + 1.  Bounds are finite: exact
-    integers, except for a spherical-twist series weighted at t > 0, whose
-    bounds are floats.
+    Entry i corresponds to step m = i + 1.  Bounds are exact integers.
     """
 
     lowers: tuple
@@ -398,20 +397,16 @@ def spherical_twist_levels(model: HKModel, k: int, l: int, m_max: int, cone):
     return levels()
 
 
-def spherical_twist_series(
-    model: HKModel, k: int, l: int, m_max: int, t: float = 0.0
-) -> BoundSeries:
+def spherical_twist_series(model: HKModel, k: int, l: int, m_max: int) -> BoundSeries:
     """Interval bounds for the iterated spherical-twist-and-tensor word.
 
     Returns per-step lower/upper bounds on the Ext total against the k-th
     negative and l-th positive generator summands.  No closed form is
     asserted; supports overlap from step three on, so these are honest
-    bounds, not exact values.  The weight t is a number >= 0.
+    bounds, not exact values.
     """
-    if problem := real_problem(t) or bound_problem(t, 0):
-        raise InputError(f"t: {problem}")
     lowers, uppers = zip(*(
-        delta_value_interval(profile, t)
+        delta_value_interval(profile)
         for profile in spherical_twist_levels(model, k, l, m_max, cone_bounds)))
     return BoundSeries(lowers, uppers)
 

@@ -11,8 +11,8 @@ the level of numerical classes only:
     place of ``"matrix"`` gives M as the exponential of the cup-product
     matrix N, summed in integers,
   * ``{"kind": "spherical", "class": e}`` reflects along the spherical
-    class e; ``"whitelisted": true`` skips the self-pairing check, for
-    lattices that only stand in for the actual numerical lattice,
+    class e, whose self-pairing must be 2 * euler_sign (-2 under the Mukai
+    convention),
   * ``{"kind": "explicit", "matrix": M}`` injects an arbitrary integer action.
 
 ``generator_matrix`` is the one place that reads a generator's kind, and it
@@ -78,18 +78,14 @@ def generator_matrix(lattice: BilinearLattice, gen: dict, i: int) -> SquareIntMa
         if not all(map(is_int, e)):
             raise InputError(
                 f"generator {i} class entries must be integers, got {shown(e)}")
-        if not gen.get("whitelisted", False):
-            sp = lattice.pairing(e, e)
-            want = 2 * lattice.euler_sign
-            if sp != want:
-                raise InputError(
-                    f"generator {i} class has self-pairing {shown(sp)}, "
-                    f"spherical classes need {want} (or whitelist it)"
-                )
+        sp, want = lattice.pairing(e, e), 2 * lattice.euler_sign
+        if sp != want:
+            raise InputError(f"generator {i} class has self-pairing {shown(sp)}, "
+                             f"spherical classes need {want}")
         return twist_class_action(lattice, e)
     if kind not in ("tensor", "explicit"):
         raise InputError(f"unknown generator {shown(gen)}")
-    if "nilpotent" in gen:
+    if kind == "tensor" and "nilpotent" in gen:
         matrix = tensor_matrix_from_nilpotent(SquareIntMatrix(gen["nilpotent"]))
     else:
         matrix = SquareIntMatrix(gen["matrix"])

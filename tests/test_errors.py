@@ -134,22 +134,3 @@ def test_tol_follows_the_number_rule(entry, value, problem):
         TOL_CHECKED[entry](value)
     assert str(info.value) == f"tol: {problem}"
     assert cone_evaluations() == start  # tol is checked before any cone work
-
-
-@pytest.mark.parametrize("value, problem", [
-    ("x", "must be a number, got 'x'"),
-    (True, "must be a number, got True"),
-    (None, "must be a number, got None"),
-    (-1.0, "must be >= 0, got -1.0"),
-    (-1, "must be >= 0, got -1"),
-    (math.nan, "must be finite, got nan"),
-    (math.inf, "must be finite, got inf"),
-    (10**400, "must be finite, got inf"),  # past the float range
-], ids=["str", "bool", "None", "negative-float", "negative-int", "nan", "inf", "huge"])
-def test_t_follows_the_number_rule(value, problem):
-    clear_caches()
-    start = cone_evaluations()
-    with pytest.raises(InputError) as info:
-        spherical_twist_series(K3, 1, 1, 3, value)
-    assert str(info.value) == f"t: {problem}"
-    assert cone_evaluations() == start  # t is checked before any cone work

@@ -8,7 +8,9 @@ traceback.  A rerun must print the same bytes.  ``validate`` must reject
 every valid config that the run rejects, with the same exit code and error
 line.  On lattice and model fields of any JSON-like value, ``validate`` must
 make an input error exactly when the engine type that owns the field
-rejects it.  Through the Python API, a dict config, which may hold an int
+rejects it.  One key that no run reads, added to any object of a valid
+config, is exactly one more schema violation, and both commands exit 1 on
+it.  Through the Python API, a dict config, which may hold an int
 too long for JSON to print or a NaN, must end in a report or a typed engine
 error too, and a report that holds no such int must print and parse back.
 """
@@ -22,7 +24,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from catent.cli import emit_report, list_builtin_models, load_config, main, run_scenario
+from catent.cli import (emit_report, list_builtin_models, load_config, main, run_scenario,
+                        validate_config)
 from catent.errors import InputError, NumericError
 from catent.lattice import BilinearLattice
 from catent.twists import HKModel
@@ -80,7 +83,7 @@ def generators(draw, rank):
         return {"kind": kind, "matrix": draw(matrices(rank))}
     if kind == "spherical":
         vector = draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank))
-        return {"kind": kind, "class": vector, "whitelisted": draw(st.booleans())}
+        return {"kind": kind, "class": vector}
     return {"kind": kind}
 
 
@@ -111,11 +114,10 @@ def enriques(draw):
 configs = st.one_of(
     rr_fields().map(lambda rr: {"kind": "hk", **rr}),
     st.builds(
-        lambda rr, k, l, t: {"kind": "surface_twist", **rr, "k": k, "l": l, "t": t},
+        lambda rr, k, l: {"kind": "surface_twist", **rr, "k": k, "l": l},
         rr_fields(n=st.just(1), m_max=st.integers(3, 6)).map(
             lambda rr: {key: v for key, v in rr.items() if key != "n"}),
         st.integers(1, 4), st.integers(1, 4),
-        st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
     ),
     st.builds(lambda points, base: {"kind": "hilb", "points": points, "base": base},
               st.integers(1, 3), rr_fields(n=st.just(1))),
@@ -139,7 +141,7 @@ def near_valid(draw, config):
     action = draw(st.sampled_from(["keep", "replace", "drop", "add"]))
     config = json.loads(json.dumps(config))
     if action == "add":
-        config[draw(st.sampled_from(["t", "tol", "n", "q", "schema_version"]))] = draw(
+        config[draw(st.sampled_from(["tolerance", "tol", "n", "q", "schema_version"]))] = draw(
             st.one_of(BAD_VALUES, st.floats(0.0, 2.0)))
         return config
     if action == "keep":
@@ -186,16 +188,15 @@ LONG_INT = {"kind": "hk", "n": 3, "q": 10**300, "m_max": 5}
 # A hilb base reads d_1 .. d_9 at n = 1, m_max = 3.
 SHORT_BASE_TABLE = {"kind": "hilb", "points": 2,
                     "base": {"n": 1, "d_table": [7, 22, 47], "m_max": 3}}
-# One cell of the t-weighted total passes the float range, while the upper
-# totals are far below the int digit limit.
-FLOAT_OVERFLOW = {"kind": "surface_twist", "q": 10**300, "k": 1, "l": 1,
-                  "m_max": 3, "t": 0.5}
+# Every cell is an int past the float range, while the totals are far below
+# the int digit limit, so the report prints.
+BIG_SURFACE = {"kind": "surface_twist", "q": 10**300, "k": 1, "l": 1, "m_max": 3}
 
 
 @example(json.dumps(NILPOTENT))
 @example(json.dumps(RANK_30))
 @example(json.dumps({"kind": "hk", "n": 1, "q": 3, "m_max": 5}))
-@example(json.dumps(FLOAT_OVERFLOW))
+@example(json.dumps(BIG_SURFACE))
 @example(json.dumps(LONG_INT))
 @example("[" * 100_000 + "]" * 100_000)
 @example(json.dumps({"kind": []}))
@@ -220,6 +221,7 @@ def test_run_ends_in_a_report_or_a_typed_error(text):
 @example(json.dumps(NILPOTENT))
 @example(json.dumps(FIXED_FREE_DECK))
 @example(json.dumps(BAD_DECK_ORDER))
+@example(json.dumps(BIG_SURFACE))
 @example(json.dumps(LONG_INT))
 @example(json.dumps(SHORT_BASE_TABLE))
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
@@ -287,11 +289,60 @@ def test_python_api_echoes_a_leaf_json_cannot_hold_by_its_repr(config):
     assert report["timing"]["work_units"] == 0
 
 
-def test_validate_rejects_a_weighted_total_past_the_float_range():
-    text = json.dumps(FLOAT_OVERFLOW)
-    code, _, err = run(text)
-    assert code == 2 and err.startswith("error [NumericError]: weighted total")
-    assert run(text, "validate") == (code, "", err)
+# The keys of each config object, as the README's config reference lists
+# them: the top level by kind, the nested objects by name and each
+# generator by its kind.
+TOP_KEYS = ("schema_version", "kind", "tol")
+MODEL_KEYS = ("n", "q", "d_table", "m_max")
+KNOWN_KEYS = {
+    "hk": TOP_KEYS + MODEL_KEYS,
+    "surface_twist": TOP_KEYS + ("q", "d_table", "m_max", "k", "l"),
+    "hilb": TOP_KEYS + ("points", "base"),
+    "enriques": TOP_KEYS + ("cover", "lattice", "deck", "word"),
+    "lattice_word": TOP_KEYS + ("lattice", "word"),
+    "base": MODEL_KEYS,
+    "cover": MODEL_KEYS,
+    "lattice": ("gram", "symmetry_kind", "euler_sign"),
+    "deck": ("matrix", "order"),
+    "shift": ("kind",),
+    "ptwist": ("kind",),
+    "tensor": ("kind", "matrix", "nilpotent"),
+    "spherical": ("kind", "class"),
+    "explicit": ("kind", "matrix"),
+}
+# Keys of other objects, and options that no object has.
+KEY_NAMES = sorted({key for keys in KNOWN_KEYS.values() for key in keys}
+                   | {"t", "tolerance", "whitelisted", "seed"})
+
+
+def _objects(config):
+    """(path prefix, object, its KNOWN_KEYS entry) for every object of a
+    config."""
+    yield "", config, config["kind"]
+    for key in ("base", "cover", "lattice", "deck"):
+        if key in config:
+            yield f"{key}.", config[key], key
+    for i, gen in enumerate(config.get("word", ())):
+        yield f"word[{i}].", gen, gen["kind"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(configs, st.data())
+def test_an_unknown_key_is_one_more_violation(config, data):
+    config = json.loads(json.dumps(config))  # a copy: configs share the preset's objects
+    before = validate_config(config)[1]
+    prefix, holder, level = data.draw(st.sampled_from(list(_objects(config))))
+    key = data.draw(st.sampled_from([k for k in KEY_NAMES if k not in KNOWN_KEYS[level]]))
+    holder[key] = data.draw(st.sampled_from([0.5, 0, True, None, "x", [], {}]))
+    violation = f"{prefix}{key}: unknown field"
+    assert sorted(validate_config(config)[1]) == sorted(before + [violation])
+    text = json.dumps(config)
+    for command in ("validate", "run"):
+        code, out, err = run(text, command)
+        assert (code, out) == (1, "")
+        assert err.startswith("error [InputError]: config validation failed:\n")
+        assert f"\n  - {violation}\n" in err and "Traceback" not in err
 
 
 # JSON-like values: near-miss numbers, bools, strings, lists and objects.

@@ -1,5 +1,4 @@
 import copy
-import math
 import pickle
 import random
 
@@ -119,36 +118,31 @@ def test_convolve_interval_contains_every_exact_convolution(d1, d2, data):
 
 
 def test_self_convolution_matches_series_power():
-    # n-fold self-convolution evaluated at t equals (sum g(k) e^{-kt})^n.
+    # The total of an n-fold self-convolution is the n-th power of the total.
     rng = random.Random(11)
     for _ in range(10):
         g = random_graded(rng, max_dim=4, lo_deg=-3, hi_deg=3)
-        for t in (0.0, 0.3, 1.1):
-            base = sum(v * math.exp(-k * t) for k, v, _ in g.entries)
-            power = g
-            for n in (2, 3):
-                power = convolve_interval(power, g)
-                for got in delta_value_interval(power, t):
-                    assert math.isclose(got, base**n, rel_tol=1e-9, abs_tol=1e-9)
+        base = sum(v for _, v, _ in g.entries)
+        power = g
+        for n in (2, 3):
+            power = convolve_interval(power, g)
+            assert delta_value_interval(power) == (base**n, base**n)
 
 
 def test_delta_multiplicative_under_convolve():
     rng = random.Random(13)
     for _ in range(20):
         g1, g2 = random_graded(rng), random_graded(rng)
-        for t in (0.0, 0.7):
-            lhs = delta_value_interval(convolve_interval(g1, g2), t)
-            lo1, hi1 = delta_value_interval(g1, t)
-            lo2, hi2 = delta_value_interval(g2, t)
-            assert math.isclose(lhs[0], lo1 * lo2, rel_tol=1e-12, abs_tol=1e-12)
-            assert math.isclose(lhs[1], hi1 * hi2, rel_tol=1e-12, abs_tol=1e-12)
+        lo1, hi1 = delta_value_interval(g1)
+        lo2, hi2 = delta_value_interval(g2)
+        assert delta_value_interval(convolve_interval(g1, g2)) == (lo1 * lo2, hi1 * hi2)
 
 
 def test_delta_value_examples():
-    assert delta_value_interval(gd({0: 1}), 1.7) == pytest.approx((1.0, 1.0))
-    assert delta_value_interval(gd({0: 1, 2: 1}), 0.0) == (2, 2)
-    assert delta_value_interval(gd({4: 7}), 0.0) == (7, 7)
-    assert all(isinstance(v, int) for v in delta_value_interval(gd({2: 3}), 0.0))
+    assert delta_value_interval(gd({0: 1})) == (1, 1)
+    assert delta_value_interval(gd({0: 1, 2: 1})) == (2, 2)
+    assert delta_value_interval(gd({4: 7})) == (7, 7)
+    assert all(isinstance(v, int) for v in delta_value_interval(gd({2: 3})))
 
 
 # -- cone bounds ---------------------------------------------------------------
@@ -329,11 +323,8 @@ def test_convolve_interval_matches_exact_case():
 
 def test_delta_value_interval():
     g = gi({0: (1, 2), 2: (3, 5)})
-    lo, hi = delta_value_interval(g, 0.0)
-    assert (lo, hi) == (4, 7)
-    lo, hi = delta_value_interval(gi({0: (1, 1), 1: (2, 4)}), 0.5)
-    assert lo == pytest.approx(1 + 2 * math.exp(-0.5))
-    assert hi == pytest.approx(1 + 4 * math.exp(-0.5))
+    assert delta_value_interval(g) == (4, 7)
+    assert delta_value_interval(gi({0: (1, 1), 1: (2, 4)})) == (3, 5)
 
 
 def test_constructor_rejects_non_integers():

@@ -26,8 +26,7 @@ def test_preset_report_matches_golden_bytes(name):
 OTHER_KINDS = {
     "lattice_word": {"kind": "lattice_word", "lattice": {"gram": [[1, 0], [0, 1]]},
                      "word": [{"kind": "explicit", "matrix": [[2, 1], [1, 1]]}]},
-    "surface_twist": {"kind": "surface_twist", "q": 10, "k": 1, "l": 2, "m_max": 4,
-                      "t": 0.5},
+    "surface_twist": {"kind": "surface_twist", "q": 10, "k": 1, "l": 2, "m_max": 4},
 }
 
 

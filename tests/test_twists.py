@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from catent.errors import CollapseError, InputError, NumericError
+from catent.errors import CollapseError, InputError
 from catent.graded import (
     GradedDimInterval,
     _chi_interval,
@@ -367,34 +367,12 @@ def test_surface_series_frozen_values():
     (HKModel(1, table=FIBONACCI.table[:9]), 3, 2, 4),
 ])
 def test_surface_upper_totals_equal_the_series_uppers(model, k, l, m_max):
-    # The weighted totals of the upper profiles are the series uppers, bit
-    # for bit: exact ints at t = 0, the same float sums at t > 0.
+    # The totals of the upper profiles are the series uppers, exact ints.
     profiles = list(spherical_twist_levels(model, k, l, m_max, cone_uppers))
     assert all(p.is_exact() for p in profiles)
-    for t in (0, 0.5, 3):
-        uppers = spherical_twist_series(model, k, l, m_max, t).uppers
-        totals = tuple(delta_value_interval(p, t)[1] for p in profiles)
-        assert [(type(x), x) for x in totals] == [(type(x), x) for x in uppers]
-
-
-@pytest.mark.parametrize("t", [0.5, 3])
-def test_surface_upper_profiles_overflow_where_the_series_does(t):
-    # q = 10^300 puts cells past the float range; the upper profiles fail
-    # delta_value_interval with the series' own error, and so does the
-    # reference recursion.
-    model = HKModel(1, q=10**300)
-    with pytest.raises(NumericError) as series_error:
-        spherical_twist_series(model, 1, 1, 3, t)
-    with pytest.raises(NumericError) as oracle_error:
-        twists_reference.spherical_twist_series(model, 1, 1, 3, t)
-    assert str(oracle_error.value) == str(series_error.value)
-    with pytest.raises(NumericError) as upper_error:
-        for profile in spherical_twist_levels(model, 1, 1, 3, cone_uppers):
-            delta_value_interval(profile, t)
-    assert str(upper_error.value) == str(series_error.value)
-    profiles = spherical_twist_levels(model, 1, 1, 3, cone_uppers)
-    assert [delta_value_interval(p)[1] for p in profiles] == list(
-        spherical_twist_series(model, 1, 1, 3).uppers)
+    uppers = spherical_twist_series(model, k, l, m_max).uppers
+    totals = tuple(delta_value_interval(p)[1] for p in profiles)
+    assert [(type(x), x) for x in totals] == [(int, x) for x in uppers]
 
 
 def test_surface_series_nondecreasing():
@@ -448,11 +426,10 @@ def test_surface_level_loop_matches_the_dict_recursion(name):
     for k in range(1, 4):
         for l in range(1, 4):
             for m_max in range(1, 13):
-                for t in (0, 0.5, 3):
-                    series = spherical_twist_series(model, k, l, m_max, t)
-                    oracle = twists_reference.spherical_twist_series(model, k, l, m_max, t)
-                    assert typed(series.lowers) == typed(oracle.lowers)
-                    assert typed(series.uppers) == typed(oracle.uppers)
+                series = spherical_twist_series(model, k, l, m_max)
+                oracle = twists_reference.spherical_twist_series(model, k, l, m_max)
+                assert typed(series.lowers) == typed(oracle.lowers)
+                assert typed(series.uppers) == typed(oracle.uppers)
                 uppers = list(spherical_twist_levels(model, k, l, m_max, cone_uppers))
                 assert uppers == twists_reference.spherical_twist_uppers(
                     model, k, l, m_max)

@@ -249,16 +249,20 @@ def test_tensor_class_requires_unipotent():
         (2, 0), (0, 1))
 
 
-def test_spherical_class_validated_with_whitelist_escape():
+def test_explicit_generator_reads_its_matrix_only():
+    # Only a tensor takes a nilpotent: one beside an explicit matrix once
+    # replaced the matrix by the nilpotent's exponential, here the identity.
+    lat = BilinearLattice(((1, 0), (0, 1)), "symmetric")
+    gen = {"kind": "explicit", "matrix": [[2, 1], [1, 1]], "nilpotent": [[0, 0], [0, 0]]}
+    assert generator_matrix(lat, gen, 0).entries == ((2, 1), (1, 1))
+
+
+def test_spherical_class_needs_the_spherical_self_pairing():
     bad = {"kind": "spherical", "class": [0, 1, 0]}  # self-pairing 10, not -2
     with pytest.raises(InputError, match=(
-        r"^generator 1 class has self-pairing 10, spherical classes need -2 "
-        r"\(or whitelist it\)$"
+        r"^generator 1 class has self-pairing 10, spherical classes need -2$"
     )):
         induced_matrix(MUKAI10, [PTWIST, bad])
-    whitelisted = {**bad, "whitelisted": True}
-    assert induced_matrix(MUKAI10, [PTWIST, whitelisted]) == twist_class_action(
-        MUKAI10, (0, 1, 0))
 
 
 def test_word_rejects_wrong_rank_generator():
@@ -276,11 +280,10 @@ def test_word_rejects_wrong_rank_generator():
 def test_spherical_class_entries_must_be_integers(entries):
     # True would pass the self-pairing check as 1, and a str would end in a
     # TypeError inside the pairing.
-    for whitelisted in (False, True):
-        gen = {"kind": "spherical", "class": entries, "whitelisted": whitelisted}
-        with pytest.raises(InputError, match=re.escape(
-                f"generator 1 class entries must be integers, got {entries!r}")):
-            induced_matrix(MUKAI10, [SHIFT, gen])
+    gen = {"kind": "spherical", "class": entries}
+    with pytest.raises(InputError, match=re.escape(
+            f"generator 1 class entries must be integers, got {entries!r}")):
+        induced_matrix(MUKAI10, [SHIFT, gen])
 
 
 def test_unknown_generator_kind_rejected():

@@ -111,9 +111,7 @@ def first_iterate_profile(model: HKModel, k: int, l: int) -> GradedDimInterval:
     return profile
 
 
-def spherical_twist_series(
-    model: HKModel, k: int, l: int, m_max: int, t: float = 0.0
-) -> BoundSeries:
+def spherical_twist_series(model: HKModel, k: int, l: int, m_max: int) -> BoundSeries:
     """The spherical-twist series from a dict of every (m, lv) profile: level
     m at twist level lv is the cone from the level m - 1 profile at 1,
     convolved with {2: d_lv}, to the level m - 1 profile at lv + 1."""
@@ -132,7 +130,7 @@ def spherical_twist_series(
             profiles[(m, lv)] = cone_bounds(mult, profiles[(m - 1, lv + 1)])
     lowers, uppers = [], []
     for m in range(1, m_max + 1):
-        lo, hi = delta_value_interval(profiles[(m, l)], t)
+        lo, hi = delta_value_interval(profiles[(m, l)])
         lowers.append(lo)
         uppers.append(hi)
     return BoundSeries(tuple(lowers), tuple(uppers))
