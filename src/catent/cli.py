@@ -101,7 +101,7 @@ _KIND_KEYS = {  # besides schema_version, kind and tol
 _GENERATOR_KEYS = {  # besides kind
     "shift": (),
     "ptwist": (),
-    "tensor": ("matrix", "nilpotent"),  # exactly one of the two
+    "tensor": ("matrix",),
     "spherical": ("class",),
     "explicit": ("matrix",),
 }
@@ -173,13 +173,9 @@ def _validate_word(out, data, path):
         kind = gen["kind"]
         _closed(out, gen, f"{gpath}.", ("kind",) + _GENERATOR_KEYS[kind])
         g = {"kind": kind}
-        if kind == "tensor" and ("matrix" in gen) == ("nilpotent" in gen):
-            out.append(f"{gpath}.matrix: supply exactly one of matrix or nilpotent")
-            return None
         if kind in ("tensor", "explicit"):
-            key = "nilpotent" if (kind == "tensor" and "nilpotent" in gen) else "matrix"
-            g[key] = _check_rows(out, gen.get(key), f"{gpath}.{key}")
-            if g[key] is None:
+            g["matrix"] = _check_rows(out, gen.get("matrix"), f"{gpath}.matrix")
+            if g["matrix"] is None:
                 return None
         elif kind == "spherical":
             cls = gen.get("class")

@@ -340,15 +340,16 @@ def entropy_lower_bound(model: HKModel, m_max: int) -> EntropyBound:
 def default_action(model: HKModel) -> SquareIntMatrix:
     """Class action of the twist-and-tensor word on a rank-3 stand-in lattice.
 
-    Only unipotence matters for the verdict; the lattice is a Mukai-style
-    stand-in spanned by rank, polarization, and point classes.
+    Only unipotence matters for the verdict; the Mukai-style lattice of rank,
+    polarization and point classes takes q = 2 for a ``d_table`` model.
     """
     q = model.q if model.q is not None else 2  # HKModel rejects odd q
     lattice = BilinearLattice(((0, 0, -1), (0, q, 0), (-1, 0, 0)), "symmetric")
-    nilpotent = ((0, 0, 0), (-1, 0, 0), (0, -q, 0))
+    # Tensoring with the inverse polarization acts by exp(N) = I + N + N^2/2,
+    # where N = ((0, 0, 0), (-1, 0, 0), (0, -q, 0)) is its cup product.
+    tensor = ((1, 0, 0), (-1, 1, 0), (q // 2, -q, 1))
     return induced_matrix(
-        lattice, [{"kind": "ptwist"}, {"kind": "tensor", "nilpotent": nilpotent}]
-    )
+        lattice, [{"kind": "ptwist"}, {"kind": "tensor", "matrix": tensor}])
 
 
 def gy_verdict(model: HKModel, m_max: int, tol: float = DEFAULT_TOL) -> Verdict:

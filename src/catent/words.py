@@ -7,9 +7,7 @@ the level of numerical classes only:
   * ``{"kind": "shift"}`` negates classes,
   * ``{"kind": "ptwist"}`` (a projective-space twist) is the identity,
   * ``{"kind": "tensor", "matrix": M}`` multiplies by the unipotent M, the
-    class action of tensoring with a line bundle; ``"nilpotent": N`` in
-    place of ``"matrix"`` gives M as the exponential of the cup-product
-    matrix N, summed in integers,
+    class action of tensoring with a line bundle,
   * ``{"kind": "spherical", "class": e}`` reflects along the spherical
     class e, whose self-pairing must be 2 * euler_sign (-2 under the Mukai
     convention),
@@ -64,20 +62,20 @@ def twist_class_action(lattice: BilinearLattice, e) -> SquareIntMatrix:
 def generator_matrix(lattice: BilinearLattice, gen: dict, i: int) -> SquareIntMatrix:
     """Class action of generator ``gen``, the i-th of its word, on ``lattice``."""
     rank = lattice.rank
-    kind = gen["kind"]
+    kind = gen.get("kind") if isinstance(gen, dict) else None
     if kind == "shift":
         return SquareIntMatrix.identity(rank).scaled(-1)
     if kind == "ptwist":
         return SquareIntMatrix.identity(rank)
     if kind == "spherical":
-        e = gen["class"]
+        e = gen.get("class")
+        if not isinstance(e, (list, tuple)) or not all(map(is_int, e)):
+            raise InputError(
+                f"generator {i} class must be a list of integers, got {shown(e)}")
         if len(e) != rank:
             raise InputError(
                 f"generator {i} class has length {len(e)}, lattice rank {rank}"
             )
-        if not all(map(is_int, e)):
-            raise InputError(
-                f"generator {i} class entries must be integers, got {shown(e)}")
         sp, want = lattice.pairing(e, e), 2 * lattice.euler_sign
         if sp != want:
             raise InputError(f"generator {i} class has self-pairing {shown(sp)}, "
@@ -85,10 +83,9 @@ def generator_matrix(lattice: BilinearLattice, gen: dict, i: int) -> SquareIntMa
         return twist_class_action(lattice, e)
     if kind not in ("tensor", "explicit"):
         raise InputError(f"unknown generator {shown(gen)}")
-    if kind == "tensor" and "nilpotent" in gen:
-        matrix = tensor_matrix_from_nilpotent(SquareIntMatrix(gen["nilpotent"]))
-    else:
-        matrix = SquareIntMatrix(gen["matrix"])
+    if "matrix" not in gen:
+        raise InputError(f"generator {i} has no matrix")
+    matrix = SquareIntMatrix(gen["matrix"])
     if matrix.n != rank:
         raise InputError(f"generator {i} has dimension {matrix.n}, lattice rank {rank}")
     if kind == "tensor" and not is_unipotent(matrix):
@@ -195,27 +192,3 @@ class Verdict:
         return cls(bound, slope, log_rho, exact_zero, gap,
                    derive_verdict(bound, log_rho, exact_zero, tol), series,
                    details or {})
-
-
-def tensor_matrix_from_nilpotent(n: SquareIntMatrix) -> SquareIntMatrix:
-    """Exponential of a nilpotent cup-product matrix, as an integer matrix.
-
-    The exponential series terminates at N^(size-1); with f = (size-1)!, the
-    integer sum of N^k (f/k!) must divide by f entry by entry.
-    """
-    if not is_unipotent(n + SquareIntMatrix.identity(n.n)):
-        raise InputError("matrix is not nilpotent")
-    f = math.factorial(n.n - 1)
-    acc = SquareIntMatrix.identity(n.n).scaled(f)
-    power = SquareIntMatrix.identity(n.n)
-    for k in range(1, n.n):
-        power = power @ n
-        if power.is_zero():
-            break
-        acc = acc + power.scaled(f // math.factorial(k))
-    if any(x % f for row in acc.entries for x in row):
-        raise InputError(
-            "exponential of this nilpotent matrix is not integral; "
-            "supply the unipotent class action directly"
-        )
-    return SquareIntMatrix(tuple(tuple(x // f for x in row) for row in acc.entries))

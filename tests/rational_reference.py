@@ -1,12 +1,13 @@
-"""Rational reference versions of the descent and tensor-exponential steps.
+"""Rational reference versions of the descent steps and the tensor exponential.
 
 ``kernel_basis`` is the unimodular row reduction of
-``catent.descent.integer_kernel_basis`` without the inverse it now keeps.
+``catent.descent.integer_kernel_basis`` without the inverse it now keeps, and
 ``restrict_to_basis`` solves the restricted action over exact rationals by
-Gauss-Jordan elimination, and ``tensor_matrix_from_nilpotent`` sums the
-exponential series in ``Fraction``s.  They are the versions the run path
-used before it worked in integers only, kept as oracles for the
-differential tests in ``test_descent.py`` and ``test_words.py``.
+Gauss-Jordan elimination: the versions the run path used before it worked in
+integers only, kept as oracles for the differential tests in
+``test_descent.py``.  ``tensor_matrix_from_nilpotent`` sums the exponential
+series of a cup-product matrix in ``Fraction``s; ``test_twists.py`` checks the
+tensor matrix that ``catent.twists.default_action`` writes out against it.
 """
 
 from __future__ import annotations

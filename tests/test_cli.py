@@ -82,22 +82,21 @@ def test_unknown_key_that_is_not_a_str_is_named_by_its_repr():
         None, ["1: unknown field", f"an int of {bits} bits: unknown field"])
 
 
-def test_tensor_takes_exactly_one_of_matrix_or_nilpotent(capsys):
-    # Both keys once ran the nilpotent's exponential, here the identity, and
-    # dropped the shear from the echo.
-    both = {"kind": "lattice_word", "lattice": {"gram": [[1, 0], [0, 1]]},
-            "word": [{"kind": "tensor", "matrix": [[1, 1], [0, 1]],
-                      "nilpotent": [[0, 0], [0, 0]]}]}
-    neither = {**both, "word": [{"kind": "tensor"}]}
-    violation = "word[0].matrix: supply exactly one of matrix or nilpotent"
-    for config in (both, neither):
+def test_tensor_takes_its_matrix_only(capsys):
+    # A nilpotent once stood in for the matrix, as the cup product whose
+    # exponential the engine took; it is an unknown field now.
+    shear = {"kind": "lattice_word", "lattice": {"gram": [[1, 0], [0, 1]]},
+             "word": [{"kind": "tensor", "matrix": [[1, 1], [0, 1]]}]}
+    nilpotent = {**shear, "word": [{**shear["word"][0], "nilpotent": [[0, 1], [0, 0]]}]}
+    cases = [(nilpotent, "word[0].nilpotent: unknown field"),
+             ({**shear, "word": [{"kind": "tensor"}]},
+              "word[0].matrix: must be a list of rows")]
+    for config, violation in cases:
         assert validate_config(config) == (None, [violation])
         for command in ("validate", "run"):
             assert main([command, "--config", json.dumps(config)]) == 1
             assert capsys.readouterr().err.endswith(f"  - {violation}\n")
-    for key in ("matrix", "nilpotent"):
-        one = {**both, "word": [{"kind": "tensor", key: both["word"][0][key]}]}
-        assert load_config(one)["word"] == one["word"]
+    assert load_config(shear)["word"] == shear["word"]
 
 
 def test_missing_field_named_in_violations():
@@ -321,8 +320,7 @@ def test_lattice_word_run():
                         "symmetry_kind": "symmetric"},
             "word": [
                 {"kind": "spherical", "class": [1, 0, 1]},
-                {"kind": "tensor",
-                 "nilpotent": [[0, 0, 0], [-1, 0, 0], [0, -10, 0]]},
+                {"kind": "tensor", "matrix": [[1, 0, 0], [-1, 1, 0], [5, -10, 1]]},
             ],
         }
     )

@@ -76,10 +76,7 @@ def matrices(draw, rank):
 @st.composite
 def generators(draw, rank):
     kind = draw(st.sampled_from(["shift", "ptwist", "tensor", "spherical", "explicit"]))
-    if kind == "tensor":
-        key = draw(st.sampled_from(["matrix", "nilpotent"]))
-        return {"kind": kind, key: draw(matrices(rank))}
-    if kind == "explicit":
+    if kind in ("tensor", "explicit"):
         return {"kind": kind, "matrix": draw(matrices(rank))}
     if kind == "spherical":
         vector = draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank))
@@ -306,13 +303,13 @@ KNOWN_KEYS = {
     "deck": ("matrix", "order"),
     "shift": ("kind",),
     "ptwist": ("kind",),
-    "tensor": ("kind", "matrix", "nilpotent"),
+    "tensor": ("kind", "matrix"),
     "spherical": ("kind", "class"),
     "explicit": ("kind", "matrix"),
 }
 # Keys of other objects, and options that no object has.
 KEY_NAMES = sorted({key for keys in KNOWN_KEYS.values() for key in keys}
-                   | {"t", "tolerance", "whitelisted", "seed"})
+                   | {"t", "tolerance", "whitelisted", "nilpotent", "seed"})
 
 
 def _objects(config):

@@ -25,8 +25,9 @@ from catent.twists import (
     spherical_twist_series,
     verify_iterate_contract,
 )
-from catent.lattice import is_unipotent
+from catent.lattice import SquareIntMatrix, is_unipotent
 from graded_reference import from_dict, support
+from rational_reference import tensor_matrix_from_nilpotent as tensor_exponential
 import twists_reference
 from twists_reference import (
     first_iterate_profile,
@@ -349,6 +350,18 @@ def test_default_word_is_unipotent():
         assert is_unipotent(default_action(model))
     # For q = 10 the word is the identity P-twist times the tensor action.
     assert default_action(K3).entries == ((1, 0, 0), (-1, 1, 0), (5, -10, 1))
+
+
+def test_default_action_is_the_ptwist_times_the_tensor_exponential():
+    # default_action writes the tensor as a matrix; the Fraction sum of the
+    # exponential series of the cup product N checks it.  The ptwist acts as
+    # I, and a d_table model stands in q = 2.
+    models = [HKModel(1, q=q) for q in (*range(2, 201, 2), 2 * 10**9)]
+    for model in models + [HKModel(1, table=(3, 6, 11))]:
+        q = 2 if model.q is None else model.q
+        n = SquareIntMatrix(((0, 0, 0), (-1, 0, 0), (0, -q, 0)))
+        want = SquareIntMatrix.identity(3) @ tensor_exponential(n)
+        assert default_action(model) == want
 
 
 # -- surface spherical twist -------------------------------------------------------

@@ -15,11 +15,9 @@ from catent.words import (
     certify_log_rho,
     generator_matrix,
     induced_matrix,
-    tensor_matrix_from_nilpotent,
     twist_class_action,
 )
 from lattice_powers import companion_matrix, counted_products
-from rational_reference import tensor_matrix_from_nilpotent as rational_exponential
 
 TOL = 1e-9
 
@@ -250,11 +248,26 @@ def test_tensor_class_requires_unipotent():
 
 
 def test_explicit_generator_reads_its_matrix_only():
-    # Only a tensor takes a nilpotent: one beside an explicit matrix once
-    # replaced the matrix by the nilpotent's exponential, here the identity.
+    # A nilpotent beside the matrix once replaced it by the nilpotent's
+    # exponential, here the identity; no generator reads that key now.
     lat = BilinearLattice(((1, 0), (0, 1)), "symmetric")
     gen = {"kind": "explicit", "matrix": [[2, 1], [1, 1]], "nilpotent": [[0, 0], [0, 0]]}
     assert generator_matrix(lat, gen, 0).entries == ((2, 1), (1, 1))
+    shear = {"kind": "tensor", "matrix": [[1, 1], [0, 1]], "nilpotent": [[0, 0], [0, 0]]}
+    assert generator_matrix(lat, shear, 0).entries == ((1, 1), (0, 1))
+
+
+@pytest.mark.parametrize("gen, message", [
+    ({"kind": "tensor"}, "generator 1 has no matrix"),
+    ({"kind": "explicit"}, "generator 1 has no matrix"),
+    ({"kind": "spherical"}, "generator 1 class must be a list of integers, got None"),
+    ({"kind": "spherical", "class": 101},
+     "generator 1 class must be a list of integers, got 101"),
+])
+def test_generator_without_its_value_is_an_input_error(gen, message):
+    # Through the Python API these were a bare KeyError or TypeError.
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        induced_matrix(MUKAI10, [SHIFT, gen])
 
 
 def test_spherical_class_needs_the_spherical_self_pairing():
@@ -282,65 +295,12 @@ def test_spherical_class_entries_must_be_integers(entries):
     # TypeError inside the pairing.
     gen = {"kind": "spherical", "class": entries}
     with pytest.raises(InputError, match=re.escape(
-            f"generator 1 class entries must be integers, got {entries!r}")):
+            f"generator 1 class must be a list of integers, got {entries!r}")):
         induced_matrix(MUKAI10, [SHIFT, gen])
 
 
 def test_unknown_generator_kind_rejected():
-    with pytest.raises(InputError, match="unknown generator"):
-        induced_matrix(MUKAI10, [{"kind": "rotate", "matrix": [[1]]}])
-
-
-def test_tensor_matrix_from_nilpotent():
-    n = SquareIntMatrix(((0, 0, 0), (-1, 0, 0), (0, -10, 0)))
-    assert tensor_matrix_from_nilpotent(n) == TENSOR10
-    with pytest.raises(InputError):
-        tensor_matrix_from_nilpotent(SquareIntMatrix(((1, 0), (0, 1))))
-
-
-def test_tensor_matrix_from_nilpotent_nonintegral():
-    # exp of this nilpotent has a 1/2 entry that does not clear.
-    n = SquareIntMatrix(((0, 1, 0), (0, 0, 1), (0, 0, 0)))
-    with pytest.raises(InputError):
-        tensor_matrix_from_nilpotent(n)
-
-
-def test_tensor_exponential_matches_rational_reference():
-    # Conjugates of strictly lower-triangular matrices are nilpotent, and
-    # their exponentials are integral only sometimes; the plain random
-    # matrices are rarely nilpotent.  The integer sum must equal the
-    # Fraction sum, or fail with the same message.
-    rng = random.Random(1303)
-    agreed = rejected = 0
-    for case in range(1500):
-        n = rng.randint(1, 6)
-        if case % 2:
-            m = SquareIntMatrix(tuple(
-                tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)))
-        else:
-            low = SquareIntMatrix(tuple(
-                tuple(rng.randint(-3, 3) if j < i else 0 for j in range(n))
-                for i in range(n)))
-            c = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            c_inv = [row[:] for row in c]
-            for _ in range(n):
-                if n < 2:
-                    break
-                i, j = rng.sample(range(n), 2)
-                f = rng.choice([-1, 1])
-                for k in range(n):
-                    c[i][k] += f * c[j][k]
-                for k in range(n):
-                    c_inv[k][j] -= f * c_inv[k][i]
-            cm = SquareIntMatrix(tuple(map(tuple, c)))
-            m = cm @ low @ SquareIntMatrix(tuple(map(tuple, c_inv)))
-        try:
-            want = rational_exponential(m)
-        except InputError as exc:
-            with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
-                tensor_matrix_from_nilpotent(m)
-            rejected += 1
-            continue
-        assert tensor_matrix_from_nilpotent(m) == want
-        agreed += 1
-    assert agreed > 300 and rejected > 800
+    # A generator that is not a dict was a bare TypeError.
+    for gen in ({"kind": "rotate", "matrix": [[1]]}, "shift", [[1]]):
+        with pytest.raises(InputError, match="unknown generator"):
+            induced_matrix(MUKAI10, [gen])
