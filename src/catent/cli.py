@@ -15,7 +15,8 @@ shapes, caps and the keys of every object, a closed set per kind and level,
 so a key that no run reads is a violation; every model, lattice, matrix,
 word and deck value is checked once, by its engine type, in the check stage.
 
-Subcommands: ``validate``, ``run``, ``catalog``, ``series`` (CSV dump).
+Subcommands: ``validate``, ``run`` (the JSON report), ``catalog``.  ``run``
+and ``validate`` take their parameters from the config alone.
 Exit codes: 0 success, 1 input error, 2 numeric error, 3 contract violation.
 """
 
@@ -39,6 +40,7 @@ from .hilbert import hilbert_lift_verdict
 from .lattice import DEFAULT_TOL, BilinearLattice, SquareIntMatrix
 from .twists import (
     HKModel,
+    _require_surface,
     clear_caches,
     entropy_lower_bound,
     ext_growth_uppers,
@@ -285,6 +287,11 @@ def _read_config(source):
     try:
         return json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
     except json.JSONDecodeError as exc:
+        head = text.lstrip()[:1]
+        if source is text and head and head not in "{[":
+            # neither an existing path nor a JSON object or list
+            raise InputError(
+                f"cannot read config {source}: No such file or directory") from exc
         raise InputError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
@@ -386,7 +393,7 @@ def _check_printable(uppers, power: int = 1) -> None:
     """Raise ``NumericError`` once a series upper total to the ``power`` has
     more digits than the interpreter's int-to-str limit.  Every report int is
     at most the largest (lowers are at most uppers, d_1 at most the m = 1
-    upper), so no format could print the report."""
+    upper), so the largest decides whether the report can be printed."""
     # Python 3.10 before 3.10.7 has no limit and no getter.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     for hi in uppers:  # consumed in any case: the totals read every d_i
@@ -410,6 +417,7 @@ def _run_hk(cfg: ScenarioConfig) -> Callable[[], Verdict]:
 def _run_hilb(cfg: ScenarioConfig) -> Callable[[], Verdict]:
     params, points = cfg["base"], cfg["points"]
     model = _model_from(params)
+    _require_surface(model, "the Hilbert-scheme lift")
     _check_printable(ext_growth_uppers(model, params["m_max"]), points)
 
     def cone_stage() -> Verdict:
@@ -525,64 +533,14 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def emit_report(report: dict, fmt: str = "json") -> str:
-    """Render a report; JSON output is byte-stable and parses back to
-    ``report``.  An int past the interpreter's digit limit for str() cannot
-    be printed and raises ``NumericError``."""
-    if fmt not in ("json", "table"):
-        raise InputError(f"unknown report format {fmt!r}")
+def emit_report(report: dict) -> str:
+    """Render a report as JSON, byte-stable and parsing back to ``report``.
+    An int past the interpreter's digit limit for str() cannot be printed and
+    raises ``NumericError``."""
     try:
-        if fmt == "json":
-            return json.dumps(report, indent=2, allow_nan=False) + "\n"
-        return _table(report)
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NumericError(f"report cannot be printed: {exc}") from exc
-
-
-def _table(report: dict) -> str:
-    lines = [
-        f"catent report v{REPORT_VERSION} (engine {__version__})",
-        f"scenario kind: {report['scenario'].get('kind')}",
-        f"verdict: {report['verdict']}",
-    ]
-    error = report["error"]
-    if error:
-        lines.append(f"error [{error['type']}]: {error['message']}")
-    if report["entropy_lower_certified"] is not None:
-        lines.append(
-            f"certified entropy lower bound: {report['entropy_lower_certified']:.12g}"
-        )
-    if report["empirical_slope"] is not None:
-        lines.append(f"empirical log-slope: {report['empirical_slope']:.12g}")
-    if report["log_rho"] is not None:
-        rho_text = (
-            "0 (exact, unipotent up to sign)"
-            if report["log_rho_exact_zero"]
-            else f"{report['log_rho']:.12g}"
-        )
-        lines.append(f"log spectral radius: {rho_text}")
-    if report["gap"] is not None:
-        lines.append(f"gap: {report['gap']:.12g}")
-    for key, val in report["details"].items():
-        lines.append(f"{key}: {val}")
-    if report["series"]:
-        lines.append("")
-        lines.append(f"{'m':>4}  {'lower':>24}  {'upper':>24}")
-        for row in report["series"]:
-            lines.append(f"{row['m']:>4}  {row['lower']:>24}  {row['upper']:>24}")
-    lines.append("")
-    lines.append(f"work units: {report['timing']['work_units']}")
-    return "\n".join(lines) + "\n"
-
-
-def emit_series_csv(report: dict) -> str:
-    lines = ["m,lower,upper"]
-    try:
-        for row in report["series"]:
-            lines.append(f"{row['m']},{row['lower']},{row['upper']}")
-    except ValueError as exc:  # an int past the digit limit of str()
-        raise NumericError(f"series cannot be printed: {exc}") from exc
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +549,7 @@ def emit_series_csv(report: dict) -> str:
 
 
 def _load_from_args(args) -> ScenarioConfig:
-    """The raw --config or --preset, with --tol and --m-max set, validated once."""
+    """The --config or --preset config, validated."""
     if args.preset and args.config:
         raise InputError("give either --config or --preset, not both")
     if args.preset:
@@ -600,19 +558,10 @@ def _load_from_args(args) -> ScenarioConfig:
             raise InputError(
                 f"unknown preset {args.preset!r}; available: {sorted(presets)}"
             )
-        raw = presets[args.preset]
-    elif args.config:
-        raw = _read_config(args.config)
-    else:
-        raise InputError("one of --config or --preset is required")
-    if isinstance(raw, dict):
-        if args.tol is not None:
-            raw["tol"] = args.tol
-        if args.m_max is not None:
-            for holder in (raw, raw.get("base"), raw.get("cover")):
-                if isinstance(holder, dict) and "m_max" in holder:
-                    holder["m_max"] = args.m_max
-    return load_config(raw)
+        return load_config(presets[args.preset])
+    if args.config:
+        return load_config(args.config)
+    raise InputError("one of --config or --preset is required")
 
 
 def _write_out(text: str, out_path: str | None):
@@ -626,17 +575,10 @@ def _write_out(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _add_common(parser, with_format=True):
+def _add_common(parser):
     parser.add_argument("--config", help="path to a JSON config, or inline JSON")
     parser.add_argument("--preset", help="name of a builtin preset")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--tol", type=float, help="override tolerance")
-    parser.add_argument("--m-max", dest="m_max", type=int, help="override m_max")
-    if with_format:
-        parser.add_argument(
-            "--format", choices=("json", "table"), default="json",
-            help="report format (default json)",
-        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -654,12 +596,8 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command")
 
-    _add_common(sub.add_parser("run", help="run a scenario and emit a report"))
-    _add_common(sub.add_parser("validate", help="validate a config"), with_format=False)
-    _add_common(
-        sub.add_parser("series", help="dump the per-step bound series as CSV"),
-        with_format=False,
-    )
+    _add_common(sub.add_parser("run", help="run a scenario and emit its JSON report"))
+    _add_common(sub.add_parser("validate", help="validate a config"))
     sub.add_parser("catalog", help="list builtin presets")
 
     try:
@@ -682,10 +620,7 @@ def main(argv=None) -> int:
         if args.out:  # an unusable path fails before any cone work
             _write_out("", args.out)
         report = run_scenario(cfg)
-        if args.command == "series":
-            _write_out(emit_series_csv(report), args.out)
-        else:
-            _write_out(emit_report(report, args.format), args.out)
+        _write_out(emit_report(report), args.out)
         error = report["error"]
         if error is not None:
             sys.stderr.write(f"error [{error['type']}]: {error['message']}\n")

@@ -366,11 +366,10 @@ def gy_verdict(model: HKModel, m_max: int, tol: float = DEFAULT_TOL) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _require_surface(model: HKModel) -> None:
+def _require_surface(model: HKModel, subject: str) -> None:
     if model.n != 1:
         raise InputError(
-            f"spherical twists need a surface model (n = 1), got n = {shown(model.n)}"
-        )
+            f"{subject} needs a surface model (n = 1), got n = {shown(model.n)}")
 
 
 def spherical_twist_levels(model: HKModel, k: int, l: int, m_max: int, cone):
@@ -381,7 +380,7 @@ def spherical_twist_levels(model: HKModel, k: int, l: int, m_max: int, cone):
     ``cone_bounds`` gives interval bounds, ``graded.cone_uppers`` the exact
     upper profiles.  The arguments are checked at the call, and the d_i are
     read in order, so a short table fails at its first missing entry."""
-    _require_surface(model)
+    _require_surface(model, "the spherical twist")
     require_int(k, "k", 1)
     require_int(l, "l", 1)
     require_int(m_max, "m_max", 1)

@@ -266,10 +266,10 @@ def test_criterion_9_batch_determinism():
     first = {}
     for name in sorted(presets):
         cfg = load_config(presets[name])
-        first[name] = emit_report(run_scenario(cfg), "json").encode()
+        first[name] = emit_report(run_scenario(cfg)).encode()
     for name in sorted(presets):
         cfg = load_config(presets[name])
-        again = emit_report(run_scenario(cfg), "json").encode()
+        again = emit_report(run_scenario(cfg)).encode()
         assert again == first[name], f"preset {name} not byte-identical"
         json.loads(again.decode())  # stays parseable
     _passed(9, "running every preset twice with the same config emits "

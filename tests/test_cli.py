@@ -8,7 +8,6 @@ from catent import cli
 from catent.cli import (
     ScenarioConfig,
     emit_report,
-    emit_series_csv,
     list_builtin_models,
     load_config,
     main,
@@ -246,6 +245,19 @@ def test_load_config_inline_json_and_parse_diagnostics():
     assert "line" in str(exc.value)
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_main_names_a_missing_config_path(tmp_path, capsys, command):
+    missing = tmp_path / "missing.json"
+    assert main([command, "--config", str(missing)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error [InputError]: cannot read config {missing}: "
+        "No such file or directory\n")
+    # JSON that fails to parse keeps its line and column
+    assert main([command, "--config", ' {"kind": "hk",']) == 1
+    assert capsys.readouterr().err.startswith(
+        "error [InputError]: config parse error at line 1, column 16")
+
+
 def test_load_config_collects_schema_errors():
     # The message lists every violation of the schema, one a line.
     _, violations = validate_config({"kind": "hk"})
@@ -302,6 +314,22 @@ def test_hilb_run_scales_by_points():
     assert report["entropy_lower_certified"] == pytest.approx(3 * math.log(7))
     assert report["log_rho"] == 0.0 and report["log_rho_exact_zero"]
     assert report["series"][0]["lower"] == 24155**3
+
+
+def test_hilb_base_must_be_a_surface(capsys):
+    # The lift is proved for a surface base only.
+    config = json.dumps({"kind": "hilb", "points": 2,
+                         "base": {"n": 2, "q": 2, "m_max": 4}})
+    line = ("error [InputError]: the Hilbert-scheme lift needs a surface model "
+            "(n = 1), got n = 2\n")
+    assert main(["validate", "--config", config]) == 1
+    assert capsys.readouterr() == ("", line)
+    assert main(["run", "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == line
+    report = json.loads(captured.out)
+    assert report["verdict"] == "error"
+    assert report["timing"]["work_units"] == 0
 
 
 def test_enriques_run_descends_bound():
@@ -392,7 +420,7 @@ def test_run_serializes_engine_errors():
 
 def test_report_json_roundtrip_byte_identical():
     report = run_preset("k3-q10")
-    text = emit_report(report, "json")
+    text = emit_report(report)
     parsed = json.loads(text)
     assert parsed == report
     assert json.dumps(parsed, indent=2, allow_nan=False) + "\n" == text
@@ -455,36 +483,6 @@ def test_nilpotent_action_is_an_input_error(capsys, name):
     assert capsys.readouterr().err == err
 
 
-def test_table_format_contents():
-    report = run_preset("k3-q10")
-    text = emit_report(report, "table")
-    assert "log spectral radius: 0 (exact, unipotent up to sign)\n" in text
-    assert "lower" in text and "upper" in text and " m" in text
-    assert "24155" in text
-
-
-def test_table_names_sign_for_minus_unipotent_word():
-    # shift.tensor on the enriques-over-hk lattice is minus a unipotent
-    # action; the table must not call it unipotent outright.
-    preset = list_builtin_models()["enriques-over-hk"]
-    report = run_scenario(load_config({
-        "kind": "lattice_word",
-        "lattice": preset["lattice"],
-        "word": [{"kind": "shift"}, preset["word"][1]],
-    }))
-    assert report["log_rho_exact_zero"]
-    text = emit_report(report, "table")
-    assert "log spectral radius: 0 (exact, unipotent up to sign)\n" in text
-
-
-def test_series_csv():
-    report = run_preset("k3-q10")
-    csv_text = emit_series_csv(report)
-    lines = csv_text.strip().splitlines()
-    assert lines[0] == "m,lower,upper"
-    assert lines[1] == "1,24155,24155"
-
-
 # -- command line ------------------------------------------------------------------
 
 
@@ -495,29 +493,9 @@ def test_main_run_preset(tmp_path, capsys):
     assert data["verdict"] == "GY violated"
 
 
-def test_main_validate_and_overrides(capsys):
+def test_main_validate_preset(capsys):
     assert main(["validate", "--preset", "k3-q10"]) == 0
     assert "config OK" in capsys.readouterr().out
-    assert main(["run", "--preset", "k3-q10", "--m-max", "4"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["scenario"]["m_max"] == 4
-
-
-def test_main_overrides_apply_before_the_one_validation(capsys, monkeypatch):
-    # --m-max and --tol replace the raw fields, and the config is validated
-    # once, so the value an override replaces is never checked.
-    config = json.dumps({"kind": "hilb", "points": 2, "tol": "loose",
-                         "base": {"n": 1, "q": 10, "m_max": 100}})
-    assert main(["validate", "--config", config]) == 1
-    assert "base.m_max: must be <= 64, got 100" in capsys.readouterr().err
-    seen = []
-    monkeypatch.setattr(cli, "validate_config",
-                        lambda data: seen.append(data) or validate_config(data))
-    argv = ["validate", "--config", config, "--m-max", "4", "--tol", "1e-6"]
-    assert main(argv) == 0
-    assert [(d["base"]["m_max"], d["tol"]) for d in seen] == [(4, 1e-6)]
-    assert main(["validate", "--config", config, "--m-max", "4", "--tol", "-1"]) == 1
-    assert "tol: must be > 0.0, got -1.0" in capsys.readouterr().err
 
 
 def test_main_catalog(capsys):
@@ -534,15 +512,16 @@ def test_main_invalid_config_exit_code(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["run", "--preset", "k3-q10", "--tol", "abc"],
-     "argument --tol: invalid float value: 'abc'"),
-    (["run", "--preset", "k3-q10", "--m-max", "1.5"],
-     "argument --m-max: invalid int value: '1.5'"),
-    (["run", "--preset", "k3-q10", "--format", "xml"],
-     "argument --format: invalid choice: 'xml'"),
+    # a run takes its tol and m_max from the config and prints JSON only
+    (["run", "--preset", "k3-q10", "--tol", "1e-6"],
+     "unrecognized arguments: --tol 1e-6"),
+    (["run", "--preset", "k3-q10", "--m-max", "4"], "unrecognized arguments: --m-max 4"),
+    (["run", "--preset", "k3-q10", "--format", "table"],
+     "unrecognized arguments: --format table"),
+    (["series", "--preset", "k3-q10"], "argument command: invalid choice: 'series'"),
     (["run", "--preset", "k3-q10", "--bogus"], "unrecognized arguments: --bogus"),
     (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
-], ids=["tol", "m-max", "format", "unknown-option", "unknown-command"])
+], ids=["tol", "m-max", "format", "series", "unknown-option", "unknown-command"])
 def test_main_malformed_command_line_is_an_input_error(capsys, argv, message):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -560,14 +539,12 @@ def test_main_help_still_exits_0(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, config", [
-    ([], {"kind": "surface_twist", "q": 10, "k": 1, "l": 1, "m_max": 5,
-          "tol": math.nan}),
-    ([], {"kind": "hk", "n": 1, "q": 10, "m_max": 5, "tol": math.inf}),
-    (["--tol", "inf"], {"kind": "hk", "n": 1, "q": 10, "m_max": 5}),
+    (["run"], {"kind": "surface_twist", "q": 10, "k": 1, "l": 1, "m_max": 5,
+               "tol": math.nan}),
+    (["validate"], {"kind": "hk", "n": 1, "q": 10, "m_max": 5, "tol": math.inf}),
 ])
 def test_main_rejects_non_finite_numbers(capsys, argv, config):
-    code = main(["run", "--config", json.dumps(config)] + argv)
-    assert code == 1
+    assert main(argv + ["--config", json.dumps(config)]) == 1
     assert "must be finite" in capsys.readouterr().err
 
 
@@ -595,30 +572,23 @@ def test_main_deeply_nested_json_is_an_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [["run"], ["run", "--format", "table"], ["series"]])
-def test_main_report_past_the_int_digit_limit_is_a_numeric_error(capsys, argv):
+def test_main_report_past_the_int_digit_limit_is_a_numeric_error(capsys):
     # d_1 of q = 10^300 at n = 3 has about 900 digits, so the series passes
     # the 4,300-digit limit of int-to-str conversion by m = 4.  The check
     # stage finds that from the upper totals, so validate fails as the run
     # does, and the run's error report carries no cone work.
     config = {"kind": "hk", "n": 3, "q": 10**300, "m_max": 5}
-    assert main(argv + ["--config", json.dumps(config)]) == 2
+    assert main(["run", "--config", json.dumps(config)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error [NumericError]: report cannot be printed")
     assert "Traceback" not in captured.err
-    if argv == ["run"]:
-        report = json.loads(captured.out)
-        assert report["verdict"] == "error"
-        assert report["error"]["type"] == "NumericError"
-        assert report["series"] == [] and report["details"] == {}
-        assert report["timing"]["work_units"] == 0
-        assert main(["validate", "--config", json.dumps(config)]) == 2
-        assert capsys.readouterr() == ("", captured.err)
-    elif argv == ["series"]:
-        assert captured.out == "m,lower,upper\n"
-    else:
-        assert "error [NumericError]" in captured.out
-        assert captured.out.endswith("work units: 0\n")
+    report = json.loads(captured.out)
+    assert report["verdict"] == "error"
+    assert report["error"]["type"] == "NumericError"
+    assert report["series"] == [] and report["details"] == {}
+    assert report["timing"]["work_units"] == 0
+    assert main(["validate", "--config", json.dumps(config)]) == 2
+    assert capsys.readouterr() == ("", captured.err)
 
 
 def test_main_engine_error_exit_code(capsys):
@@ -763,22 +733,6 @@ def test_main_contract_violation_exit_code(capsys):
     assert report["error"]["type"] == "ContractError"
     assert main(["validate", "--config", json.dumps(NON_COMMUTING_ENRIQUES)]) == 3
     assert capsys.readouterr() == ("", captured.err)
-
-
-def test_main_error_report_as_table(capsys):
-    argv = ["run", "--format", "table", "--config", json.dumps(NON_COMMUTING_ENRIQUES)]
-    assert main(argv) == 3
-    out = capsys.readouterr().out
-    assert "verdict: error\n" in out
-    assert "error [ContractError]" in out
-    assert out.endswith("work units: 0\n")
-
-
-def test_main_error_report_series_is_the_header_only(capsys):
-    assert main(["series", "--config", json.dumps(NON_COMMUTING_ENRIQUES)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == "m,lower,upper\n"
-    assert captured.err.startswith("error [ContractError]")
 
 
 @pytest.mark.parametrize("case", ["config-dir", "config-latin1", "out-missing-dir",

@@ -115,7 +115,7 @@ def spherical_twist_series(model: HKModel, k: int, l: int, m_max: int) -> BoundS
     """The spherical-twist series from a dict of every (m, lv) profile: level
     m at twist level lv is the cone from the level m - 1 profile at 1,
     convolved with {2: d_lv}, to the level m - 1 profile at lv + 1."""
-    _require_surface(model)
+    _require_surface(model, "the spherical twist")
     if k < 1 or l < 1:
         raise InputError("k and l must be >= 1")
     if m_max < 1:
@@ -139,7 +139,7 @@ def spherical_twist_series(model: HKModel, k: int, l: int, m_max: int) -> BoundS
 def spherical_twist_uppers(model: HKModel, k: int, l: int, m_max: int):
     """The exact upper profiles of ``spherical_twist_series``, m = 1 .. m_max,
     from hi_C(j) = hi_B(j) + hi_A(j + 1) on dicts of ints, with no cone."""
-    _require_surface(model)
+    _require_surface(model, "the spherical twist")
     uppers = {(0, lv): {model.dim_x: model.dim(k + lv)} for lv in range(1, l + m_max + 1)}
     profiles = []
     for m in range(1, m_max + 1):
