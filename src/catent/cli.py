@@ -14,6 +14,8 @@ check stage carries 0 work units.  The schema (``validate_config``) checks
 shapes, caps and the keys of every object, a closed set per kind and level,
 so a key that no run reads is a violation; every model, lattice, matrix,
 word and deck value is checked once, by its engine type, in the check stage.
+A lattice's ``symmetry_kind`` and ``euler_sign`` are the schema's: each may
+only name the one convention, the symmetric Mukai pairing.
 
 Subcommands: ``validate``, ``run`` (the JSON report), ``catalog``.  ``run``
 and ``validate`` take their parameters from the config alone.
@@ -155,11 +157,12 @@ def _validate_lattice(out, data):
                       "must be an object with a gram matrix")
     if lattice is None:
         return None
-    return {
-        "gram": _check_rows(out, lattice.get("gram"), "lattice.gram"),
-        "symmetry_kind": lattice.get("symmetry_kind", "euler_general"),
-        "euler_sign": lattice.get("euler_sign", -1),
-    }
+    kind, sign = lattice.get("symmetry_kind", "symmetric"), lattice.get("euler_sign", -1)
+    if not (isinstance(kind, str) and kind == "symmetric"):
+        out.append(f"lattice.symmetry_kind: must be 'symmetric', got {shown(kind)}")
+    if not (is_int(sign) and sign == -1):
+        out.append(f"lattice.euler_sign: must be -1, got {shown(sign)}")
+    return {"gram": _check_rows(out, lattice.get("gram"), "lattice.gram")}
 
 
 def _validate_word(out, data, path):
@@ -270,10 +273,11 @@ def _finite_float(literal: str) -> float:
 
 
 def _read_config(source):
-    """The raw config in a dict, a file path, or inline JSON."""
+    """The raw config in a dict, a path object or existing path, or inline JSON."""
     if isinstance(source, dict):
         return source
-    if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
+    if isinstance(source, os.PathLike) or (
+            isinstance(source, str) and os.path.exists(source)):
         try:
             with open(source, encoding="utf-8") as fh:
                 text = fh.read()
@@ -352,8 +356,6 @@ _PRESETS = {
                 [-1, 0, 0, 0],
                 [0, 0, 0, -2],
             ],
-            "symmetry_kind": "symmetric",
-            "euler_sign": -1,
         },
         "deck": {
             "matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],
@@ -431,7 +433,7 @@ def _run_hilb(cfg: ScenarioConfig) -> Callable[[], Verdict]:
 def _word_action(cfg: ScenarioConfig) -> SquareIntMatrix:
     """The action of the config's word on its lattice, after the lattice
     checks of every generator."""
-    return induced_matrix(BilinearLattice(**cfg["lattice"]), cfg["word"])
+    return induced_matrix(BilinearLattice(cfg["lattice"]["gram"]), cfg["word"])
 
 
 def _run_enriques(cfg: ScenarioConfig) -> Callable[[], Verdict]:

@@ -35,8 +35,7 @@ still reaches the full exact test, so the results are the same as without
 them.
 
 Each type checks its values when it is built, with no coercion: a non-int
-entry (``errors.is_int``), a bad symmetry kind or euler_sign
-and an asymmetric gram declared symmetric are ``InputError``s.
+entry (``errors.is_int``) and an asymmetric gram are ``InputError``s.
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ from .errors import InputError, NumericError, is_int, real_problem, require_int,
 
 #: Default accuracy target for spectral-radius refinement.
 DEFAULT_TOL = 1e-9
-
-_SYMMETRY_KINDS = ("symmetric", "euler_general")
 
 
 def _as_int_rows(rows):
@@ -169,17 +166,15 @@ class SquareIntMatrix:
 
 @dataclass(frozen=True)
 class BilinearLattice:
-    """Finite-rank integer lattice with a symmetric or Euler-type pairing.
+    """Finite-rank integer lattice with its symmetric Mukai pairing.
 
-    ``euler_sign`` records how the stored pairing relates to the Euler
-    pairing chi of the category being modelled: pairing = euler_sign * chi.
-    The default -1 is the Mukai convention, under which spherical classes
-    have self-pairing -2 and twist actions are reflections there.
+    The pairing is <v, w> = -chi(v, w), the negative of the Euler pairing
+    chi of the category being modelled; Serre duality makes chi symmetric on
+    the K3 and hyperkaehler categories here.  Spherical classes have
+    self-pairing -2, and twist actions are reflections there.
     """
 
     gram: tuple[tuple[int, ...], ...]
-    symmetry_kind: str = "euler_general"
-    euler_sign: int = -1
 
     def __post_init__(self):
         rows = _as_int_rows(self.gram)
@@ -187,21 +182,10 @@ class BilinearLattice:
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise InputError("gram matrix must be square of positive rank")
-        if self.symmetry_kind not in _SYMMETRY_KINDS:
-            raise InputError(
-                f"symmetry_kind must be one of {_SYMMETRY_KINDS}, "
-                f"got {shown(self.symmetry_kind)}"
-            )
-        if self.symmetry_kind == "symmetric":
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rows[i][j] != rows[j][i]:
-                        raise InputError(
-                            f"symmetric lattice has asymmetric gram at ({i},{j})"
-                        )
-        if not (is_int(self.euler_sign) and self.euler_sign in (1, -1)):
-            raise InputError(
-                f"euler_sign must be the integer +1 or -1, got {shown(self.euler_sign)}")
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rows[i][j] != rows[j][i]:
+                    raise InputError(f"symmetric lattice has asymmetric gram at ({i},{j})")
 
     @property
     def rank(self) -> int:

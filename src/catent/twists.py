@@ -344,7 +344,7 @@ def default_action(model: HKModel) -> SquareIntMatrix:
     polarization and point classes takes q = 2 for a ``d_table`` model.
     """
     q = model.q if model.q is not None else 2  # HKModel rejects odd q
-    lattice = BilinearLattice(((0, 0, -1), (0, q, 0), (-1, 0, 0)), "symmetric")
+    lattice = BilinearLattice(((0, 0, -1), (0, q, 0), (-1, 0, 0)))
     # Tensoring with the inverse polarization acts by exp(N) = I + N + N^2/2,
     # where N = ((0, 0, 0), (-1, 0, 0), (0, -q, 0)) is its cup product.
     tensor = ((1, 0, 0), (-1, 1, 0), (q // 2, -q, 1))

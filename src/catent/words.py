@@ -9,8 +9,7 @@ the level of numerical classes only:
   * ``{"kind": "tensor", "matrix": M}`` multiplies by the unipotent M, the
     class action of tensoring with a line bundle,
   * ``{"kind": "spherical", "class": e}`` reflects along the spherical
-    class e, whose self-pairing must be 2 * euler_sign (-2 under the Mukai
-    convention),
+    class e, whose self-pairing must be -2 (the Mukai pairing),
   * ``{"kind": "explicit", "matrix": M}`` injects an arbitrary integer action.
 
 ``generator_matrix`` is the one place that reads a generator's kind, and it
@@ -42,21 +41,16 @@ def twist_class_action(lattice: BilinearLattice, e) -> SquareIntMatrix:
     """Class action of the spherical twist along the int sequence e.
 
     The class formula sends v to v - chi(e, v) e, where chi is the Euler
-    pairing.  The lattice stores pairing = euler_sign * chi, so the matrix is
-    I - euler_sign * e . (e^T G).  Under the Mukai convention (euler_sign -1)
-    this is a reflection exactly at classes of self-pairing -2.
+    pairing.  The lattice stores the Mukai pairing <e, v> = -chi(e, v), so
+    the matrix is I + e . (e^T G), a reflection exactly at classes of
+    self-pairing -2.
     """
     n = lattice.rank
     if len(e) != n:
         raise InputError(f"class has length {len(e)}, lattice rank {n}")
     row = tuple(sum(e[i] * lattice.gram[i][j] for i in range(n)) for j in range(n))
-    s = lattice.euler_sign
-    return SquareIntMatrix(
-        tuple(
-            tuple((1 if i == j else 0) - s * e[i] * row[j] for j in range(n))
-            for i in range(n)
-        )
-    )
+    return SquareIntMatrix(tuple(
+        tuple(int(i == j) + e[i] * row[j] for j in range(n)) for i in range(n)))
 
 
 def generator_matrix(lattice: BilinearLattice, gen: dict, i: int) -> SquareIntMatrix:
@@ -76,10 +70,9 @@ def generator_matrix(lattice: BilinearLattice, gen: dict, i: int) -> SquareIntMa
             raise InputError(
                 f"generator {i} class has length {len(e)}, lattice rank {rank}"
             )
-        sp, want = lattice.pairing(e, e), 2 * lattice.euler_sign
-        if sp != want:
+        if (sp := lattice.pairing(e, e)) != -2:
             raise InputError(f"generator {i} class has self-pairing {shown(sp)}, "
-                             f"spherical classes need {want}")
+                             "spherical classes need -2")
         return twist_class_action(lattice, e)
     if kind not in ("tensor", "explicit"):
         raise InputError(f"unknown generator {shown(gen)}")

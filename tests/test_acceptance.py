@@ -241,15 +241,13 @@ def test_criterion_8_descent_preset_and_counterexample():
     assert report["entropy_lower_certified"] == math.log(6)  # equals the cover bound
 
     preset = list_builtin_models()["enriques-over-hk"]
-    lattice = BilinearLattice(
-        tuple(map(tuple, preset["lattice"]["gram"])), "symmetric"
-    )
+    lattice = BilinearLattice(preset["lattice"]["gram"])
     deck = SquareIntMatrix(tuple(map(tuple, preset["deck"]["matrix"])))
     sc = CoverScenario(deck, 2, induced_matrix(lattice, preset["word"]))
     assert sc.action @ deck == deck @ sc.action
     assert quotient_verdict(sc)[:2] == (0.0, True)
 
-    z2 = BilinearLattice(((1, 0), (0, 1)), "symmetric")
+    z2 = BilinearLattice(((1, 0), (0, 1)))
     with pytest.raises(ContractError, match="does not commute with the deck"):
         CoverScenario(
             SquareIntMatrix(((0, 1), (1, 0))),

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 
 import pytest
 
@@ -60,16 +61,22 @@ UNKNOWN_FIELDS = {
 }
 
 
+def rejected_by_the_schema(capsys, config, violation):
+    """Assert that ``validate`` and ``run`` both exit 1 on ``config`` with
+    the one schema ``violation`` and no report."""
+    assert validate_config(config) == (None, [violation])
+    line = f"error [InputError]: config validation failed:\n  - {violation}\n"
+    for command in ("validate", "run"):
+        assert main([command, "--config", json.dumps(config)]) == 1
+        assert capsys.readouterr() == ("", line)
+
+
 @pytest.mark.parametrize("name", UNKNOWN_FIELDS)
 def test_unknown_key_is_a_violation(capsys, name):
     # Every object of a config is a closed set of keys, so an option that no
     # run reads is an input error, not a silent default.
     config, path = UNKNOWN_FIELDS[name]
-    assert validate_config(config) == (None, [f"{path}: unknown field"])
-    line = f"error [InputError]: config validation failed:\n  - {path}: unknown field\n"
-    for command in ("validate", "run"):
-        assert main([command, "--config", json.dumps(config)]) == 1
-        assert capsys.readouterr() == ("", line)
+    rejected_by_the_schema(capsys, config, f"{path}: unknown field")
 
 
 def test_unknown_key_that_is_not_a_str_is_named_by_its_repr():
@@ -197,17 +204,33 @@ def test_unknown_kind_rejected():
 def test_euler_sign_must_be_an_integer(capsys, sign):
     config = {"kind": "lattice_word", "word": [],
               "lattice": {"gram": [[1]], "euler_sign": sign}}
-    # BilinearLattice owns the rule, and the check stage builds it
-    rejected_by_the_check_stage(
-        capsys, config, f"euler_sign must be the integer +1 or -1, got {sign!r}")
+    rejected_by_the_schema(capsys, config, f"lattice.euler_sign: must be -1, got {sign!r}")
+
+
+# Values of the two lattice keys other than the one convention: other
+# conventions, near misses and malformed values.
+OTHER_CONVENTIONS = [("symmetry_kind", kind) for kind in (
+    "euler_general", "orthogonal", "Symmetric", "", None, 1, ["symmetric"])] + [
+    ("euler_sign", sign) for sign in (1, 2, "1", None)]
+
+
+@pytest.mark.parametrize("key, value", OTHER_CONVENTIONS,
+                         ids=[f"{key}={value!r}" for key, value in OTHER_CONVENTIONS])
+def test_a_lattice_has_one_convention(capsys, key, value):
+    # Every lattice is symmetric with the Mukai sign: the two keys may only
+    # name that convention, and the normalized lattice is its gram alone.
+    lattice = {"gram": [[0, 1], [1, 0]]}
+    config = {"kind": "lattice_word", "lattice": {**lattice, key: value}, "word": []}
+    one = {"symmetry_kind": "'symmetric'", "euler_sign": "-1"}[key]
+    rejected_by_the_schema(capsys, config, f"lattice.{key}: must be {one}, got {value!r}")
+    named = {**lattice, "symmetry_kind": "symmetric", "euler_sign": -1}
+    assert load_config({**config, "lattice": named})["lattice"] == lattice
 
 
 @pytest.mark.parametrize("lattice, message", [
-    ({"gram": [[1]], "symmetry_kind": "orthogonal"},
-     "symmetry_kind must be one of ('symmetric', 'euler_general'), got 'orthogonal'"),
+    ({"gram": [[0, 1], [2, 0]]}, "symmetric lattice has asymmetric gram at (0,1)"),
     ({"gram": [[0, 1], [2, 0]], "symmetry_kind": "symmetric"},
      "symmetric lattice has asymmetric gram at (0,1)"),
-    ({"gram": [[1]], "euler_sign": 2}, "euler_sign must be the integer +1 or -1, got 2"),
 ])
 def test_lattice_rules_come_from_the_lattice(capsys, lattice, message):
     config = {"kind": "lattice_word", "lattice": lattice, "word": []}
@@ -272,6 +295,19 @@ def test_load_config_from_file(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"kind": "hk", "n": 1, "q": 10, "m_max": 8}))
     assert load_config(str(path))["kind"] == "hk"
+
+
+@pytest.mark.parametrize("as_path", [str, pathlib.Path], ids=["str", "path"])
+def test_load_config_names_a_missing_path(tmp_path, monkeypatch, as_path):
+    # A path object is a path, as a str naming a file is: it is read, and a
+    # missing one is named by its text, not by its repr.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"kind": "hk", "n": 1, "q": 10, "m_max": 8}))
+    assert load_config(as_path(path))["kind"] == "hk"
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(InputError) as exc:
+        load_config(as_path("missing.json"))
+    assert str(exc.value) == "cannot read config missing.json: No such file or directory"
 
 
 @pytest.mark.parametrize("kind", [[], {}])
@@ -344,8 +380,7 @@ def test_lattice_word_run():
     cfg = load_config(
         {
             "kind": "lattice_word",
-            "lattice": {"gram": [[0, 0, -1], [0, 10, 0], [-1, 0, 0]],
-                        "symmetry_kind": "symmetric"},
+            "lattice": {"gram": [[0, 0, -1], [0, 10, 0], [-1, 0, 0]]},
             "word": [
                 {"kind": "spherical", "class": [1, 0, 1]},
                 {"kind": "tensor", "matrix": [[1, 0, 0], [-1, 1, 0], [5, -10, 1]]},
@@ -602,7 +637,7 @@ def test_main_engine_error_exit_code(capsys):
     assert capsys.readouterr().err == line
 
 
-MUKAI10 = {"gram": [[0, 0, -1], [0, 10, 0], [-1, 0, 0]], "symmetry_kind": "symmetric"}
+MUKAI10 = {"gram": [[0, 0, -1], [0, 10, 0], [-1, 0, 0]]}
 NON_SPHERICAL_WORDS = {
     "lattice_word": {"kind": "lattice_word", "lattice": MUKAI10},
     "enriques": {"kind": "enriques", "cover": {"n": 1, "q": 10, "m_max": 4},
@@ -716,7 +751,7 @@ def test_main_non_finite_literals_are_parse_errors(capsys, literal):
 NON_COMMUTING_ENRIQUES = {
     "kind": "enriques",
     "cover": {"n": 1, "q": 10, "m_max": 4},
-    "lattice": {"gram": [[1, 0], [0, 1]], "symmetry_kind": "symmetric"},
+    "lattice": {"gram": [[1, 0], [0, 1]]},
     "deck": {"matrix": [[0, 1], [1, 0]], "order": 2},
     "word": [{"kind": "tensor", "matrix": [[1, 1], [0, 1]]}],
 }

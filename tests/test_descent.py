@@ -13,7 +13,7 @@ from rational_reference import kernel_basis, restrict_to_basis
 
 TOL = 1e-9
 
-Z2 = BilinearLattice(((1, 0), (0, 1)), "symmetric")
+Z2 = BilinearLattice(((1, 0), (0, 1)))
 SWAP = SquareIntMatrix(((0, 1), (1, 0)))
 SHEAR = SquareIntMatrix(((1, 1), (0, 1)))
 
@@ -41,8 +41,7 @@ def _random_matrix(rng, n):
 def rank4_cover():
     # Mukai-style rank-3 block plus one anti-invariant direction.
     lattice = BilinearLattice(
-        ((0, 0, -1, 0), (0, 2, 0, 0), (-1, 0, 0, 0), (0, 0, 0, -2)),
-        "symmetric",
+        ((0, 0, -1, 0), (0, 2, 0, 0), (-1, 0, 0, 0), (0, 0, 0, -2))
     )
     deck = SquareIntMatrix(
         ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1))

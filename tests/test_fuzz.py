@@ -7,12 +7,14 @@ with its documented exit code; any other exception fails the test with its
 traceback.  A rerun must print the same bytes.  ``validate`` must reject
 every valid config that the run rejects, with the same exit code and error
 line.  On lattice and model fields of any JSON-like value, ``validate`` must
-make an input error exactly when the engine type that owns the field
-rejects it.  One key that no run reads, added to any object of a valid
-config, is exactly one more schema violation, and both commands exit 1 on
-it.  Through the Python API, a dict config, which may hold an int
-too long for JSON to print or a NaN, must end in a report or a typed engine
-error too, and a report that holds no such int must print and parse back.
+make an input error exactly when the owner of the field rejects it: the
+engine type, or the schema for a lattice's symmetry_kind and euler_sign,
+which may only name the one convention.  One key that no run reads, added
+to any object of a valid config, is exactly one more schema violation, and
+both commands exit 1 on it.  Through the Python API, a dict config, which
+may hold an int too long for JSON to print or a NaN, must end in a report or
+a typed engine error too, and a report that holds no such int must print and
+parse back.
 """
 
 import contextlib
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 
 from catent.cli import (emit_report, list_builtin_models, load_config, main, run_scenario,
                         validate_config)
-from catent.errors import InputError, NumericError
+from catent.errors import InputError, NumericError, is_int
 from catent.lattice import BilinearLattice
 from catent.twists import HKModel
 from lattice_powers import companion_matrix
@@ -84,18 +86,24 @@ def generators(draw, rank):
     return {"kind": kind}
 
 
+def symmetric(gram):
+    """The symmetric gram that agrees with ``gram`` on and below the diagonal."""
+    rank = len(gram)
+    return [[gram[max(i, j)][min(i, j)] for j in range(rank)] for i in range(rank)]
+
+
 @st.composite
 def lattice_words(draw):
     rank = draw(st.one_of(st.integers(1, 6), st.sampled_from([12, 30])))
+    # -I has spherical classes, such as (1, 1, 0, ...), and I has none
     gram = draw(st.one_of(
-        st.just([[int(i == j) for j in range(rank)] for i in range(rank)]),
+        st.sampled_from([1, -1]).map(
+            lambda s: [[s * (i == j) for j in range(rank)] for i in range(rank)]),
         st.lists(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank),
-                 min_size=rank, max_size=rank),
+                 min_size=rank, max_size=rank).map(symmetric),
     ))
     word = draw(st.lists(generators(rank), max_size=2 if rank > 6 else 3))
-    return {"kind": "lattice_word",
-            "lattice": {"gram": gram, "euler_sign": draw(st.sampled_from([1, -1]))},
-            "word": word}
+    return {"kind": "lattice_word", "lattice": {"gram": gram}, "word": word}
 
 
 @st.composite
@@ -168,7 +176,7 @@ NILPOTENT = {"kind": "lattice_word", "lattice": {"gram": [[0, 1], [1, 0]]},
              "word": [{"kind": "explicit", "matrix": [[0, 1], [0, 0]]}]}
 # -I fixes no vector, so there is no quotient lattice to descend to.
 FIXED_FREE_DECK = {"kind": "enriques", "cover": {"n": 1, "q": 10, "m_max": 4},
-                   "lattice": {"gram": [[1, 0], [0, 1]], "symmetry_kind": "symmetric"},
+                   "lattice": {"gram": [[1, 0], [0, 1]]},
                    "deck": {"matrix": [[-1, 0], [0, -1]], "order": 2},
                    "word": [{"kind": "ptwist"}]}
 # x^30 - x - 1 at rank 30: log rho > 0, found by root refinement.
@@ -242,8 +250,8 @@ HUGE_EULER_SIGN = {"kind": "lattice_word",
 # rejected by the engine type that owns its field, and its error report
 # echoes it by its repr.
 NAN_GRAM = {"kind": "lattice_word", "lattice": {"gram": [[math.nan]]}, "word": []}
-INF_SYMMETRY_KIND = {"kind": "lattice_word",
-                     "lattice": {"gram": [[1]], "symmetry_kind": math.inf}, "word": []}
+INF_CLASS_ENTRY = {"kind": "lattice_word", "lattice": {"gram": [[1]]},
+                   "word": [{"kind": "spherical", "class": [math.inf]}]}
 INF_D_TABLE = {"kind": "hk", "n": 1, "d_table": [math.inf], "m_max": 3}
 
 
@@ -251,7 +259,7 @@ INF_D_TABLE = {"kind": "hk", "n": 1, "d_table": [math.inf], "m_max": 3}
 @example(HUGE_ODD_Q)
 @example(HUGE_EULER_SIGN)
 @example(NAN_GRAM)
-@example(INF_SYMMETRY_KIND)
+@example(INF_CLASS_ENTRY)
 @example(INF_D_TABLE)
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -272,13 +280,12 @@ def test_python_api_ends_in_a_report_or_a_typed_error(config):
 
 
 @pytest.mark.parametrize("config", [
-    NAN_GRAM, INF_SYMMETRY_KIND, INF_D_TABLE,
-    {"kind": "lattice_word", "lattice": {"gram": [[1]], "symmetry_kind": {1}}, "word": []},
-    {"kind": "lattice_word", "lattice": {"gram": [[1]], "symmetry_kind": {(1,): 1}},
-     "word": []},
+    NAN_GRAM, INF_CLASS_ENTRY, INF_D_TABLE,
+    {**INF_CLASS_ENTRY, "word": [{"kind": "spherical", "class": [{1}]}]},
+    {**INF_CLASS_ENTRY, "word": [{"kind": "spherical", "class": [{(1,): 1}]}]},
     {"kind": "lattice_word", "lattice": {"gram": [[{(1,): 1}]]}, "word": []},
-], ids=["nan-gram", "inf-symmetry-kind", "inf-d-table", "set-symmetry-kind",
-        "tuple-keyed-symmetry-kind", "tuple-keyed-gram-entry"])
+], ids=["nan-gram", "inf-class-entry", "inf-d-table", "set-class-entry",
+        "tuple-keyed-class-entry", "tuple-keyed-gram-entry"])
 def test_python_api_echoes_a_leaf_json_cannot_hold_by_its_repr(config):
     report = run_scenario(load_config(config))
     assert report["error"]["type"] == "InputError"
@@ -362,13 +369,15 @@ def mostly(draw, good):
 @st.composite
 def lattice_dicts(draw):
     """A gram of rank 1..3, symmetric or not, with int entries or not, and
-    each of symmetry_kind and euler_sign absent, well-formed or not."""
+    each of symmetry_kind and euler_sign absent, at the one convention
+    ("symmetric", -1), at a value of another ("euler_general", 1), or any
+    JSON-like value."""
     rank = draw(st.integers(1, 3))
     entries = st.integers(-2, 2) if draw(st.integers(0, 3)) else json_values
     gram = draw(st.lists(st.lists(entries, min_size=rank, max_size=rank),
                          min_size=rank, max_size=rank))
     if draw(st.booleans()):
-        gram = [[gram[max(i, j)][min(i, j)] for j in range(rank)] for i in range(rank)]
+        gram = symmetric(gram)
     lattice = {"gram": mostly(draw, st.just(gram))}
     for key, good in (("symmetry_kind", ["symmetric", "euler_general"]),
                       ("euler_sign", [1, -1])):
@@ -398,12 +407,19 @@ def model_dicts(draw):
 
 
 def engine_accepts(kind, fields):
-    """Whether the engine type that owns the fields takes them: for a model,
-    within the schema's cap on n and with a table that reaches the deepest
-    d_i an hk run reads."""
+    """Whether the owners of the fields take them: for a lattice, the schema
+    takes symmetry_kind and euler_sign at the one convention only, and
+    BilinearLattice the gram; for a model, the engine type within the
+    schema's cap on n and with a table that reaches the deepest d_i an hk
+    run reads."""
+    if kind == "lattice_word":
+        sign = fields.get("euler_sign", -1)
+        if fields.get("symmetry_kind", "symmetric") != "symmetric" or not (
+                is_int(sign) and sign == -1):
+            return False
     try:
         if kind == "lattice_word":
-            BilinearLattice(**fields)
+            BilinearLattice(fields["gram"])
         else:
             model = HKModel(fields["n"], fields.get("q"), fields.get("d_table"))
             if model.n > 8:  # the schema's desk-scale cap
@@ -417,6 +433,8 @@ def engine_accepts(kind, fields):
 @example(("lattice_word", {"gram": [[2]], "euler_sign": 1.0}))
 @example(("lattice_word", {"gram": [[2]], "euler_sign": True}))
 @example(("lattice_word", {"gram": [[1.9]]}))
+@example(("lattice_word", {"gram": [[0, 1], [2, 0]]}))
+@example(("lattice_word", {"gram": [[2]], "symmetry_kind": "euler_general"}))
 @example(("hk", {"n": 1, "q": 10.0, "m_max": 3}))
 @example(("hk", {"n": 10, "q": 10, "m_max": 3}))
 @example(("hk", {"n": 1, "d_table": [2.9] + list(range(3, 12)), "m_max": 3}))

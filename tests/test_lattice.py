@@ -40,33 +40,31 @@ def random_matrix(rng, n, lo=-5, hi=5):
 
 
 def test_pairing_orthogonal_basis():
-    lat = BilinearLattice(((1, 0), (0, 1)), "symmetric")
+    lat = BilinearLattice(((1, 0), (0, 1)))
     assert lat.pairing((1, 0), (0, 1)) == 0
 
 
 def test_pairing_hyperbolic():
-    lat = BilinearLattice(((0, 1), (1, 0)), "symmetric")
+    lat = BilinearLattice(((0, 1), (1, 0)))
     assert lat.pairing((1, 0), (0, 1)) == 1
 
 
 def test_pairing_mukai_rank3():
     # <v(O), v(O)> = -chi(O, O) on a K3 with H^2 = 10;
     # expanding v^T G w by hand gives -2.
-    lat = BilinearLattice(((0, 0, -1), (0, 10, 0), (-1, 0, 0)), "symmetric")
+    lat = BilinearLattice(((0, 0, -1), (0, 10, 0), (-1, 0, 0)))
     assert lat.pairing((1, 0, 1), (1, 0, 1)) == -2
 
 
 def test_pairing_dimension_mismatch():
-    lat = BilinearLattice(((1, 0), (0, 1)), "symmetric")
+    lat = BilinearLattice(((1, 0), (0, 1)))
     with pytest.raises(InputError):
         lat.pairing((1, 0, 0), (0, 1))
 
 
 def test_symmetric_gram_validated():
-    with pytest.raises(InputError):
-        BilinearLattice(((0, 1), (2, 0)), "symmetric")
-    # asymmetric is fine when declared euler_general
-    BilinearLattice(((0, 1), (2, 0)), "euler_general")
+    with pytest.raises(InputError, match=r"^symmetric lattice has asymmetric gram at \(0,1\)$"):
+        BilinearLattice(((0, 1), (2, 0)))
 
 
 @pytest.mark.parametrize("bad", [1.9, 1.0, True, "1"])
@@ -85,20 +83,6 @@ def test_matrix_entries_are_not_coerced(bad):
 def test_matrix_rows_must_be_sequences(rows):
     with pytest.raises(InputError, match="^matrix must be a sequence of rows"):
         SquareIntMatrix(rows)
-
-
-@pytest.mark.parametrize("sign", [True, 1.0, -1.0, "1", 2, None])
-def test_euler_sign_is_the_integer_plus_or_minus_one(sign):
-    with pytest.raises(InputError) as info:
-        BilinearLattice([[2]], "euler_general", sign)
-    assert str(info.value) == f"euler_sign must be the integer +1 or -1, got {sign!r}"
-    assert BilinearLattice([[2]], "euler_general", 1).euler_sign == 1
-
-
-@pytest.mark.parametrize("kind", ["Symmetric", "", None, 1, ["symmetric"]])
-def test_symmetry_kind_checked(kind):
-    with pytest.raises(InputError, match="^symmetry_kind must be one of"):
-        BilinearLattice([[2]], kind)
 
 
 # -- characteristic polynomial ----------------------------------------------

@@ -23,7 +23,7 @@ TOL = 1e-9
 
 # Rank-3 Mukai-type lattice of a degree-10 polarized K3 restricted to
 # (rank, divisor, point) classes; the structure sheaf class is (1, 0, 1).
-MUKAI10 = BilinearLattice(((0, 0, -1), (0, 10, 0), (-1, 0, 0)), "symmetric")
+MUKAI10 = BilinearLattice(((0, 0, -1), (0, 10, 0), (-1, 0, 0)))
 SPHERICAL = (1, 0, 1)
 # Class action of tensoring with the inverse polarization.
 TENSOR10 = SquareIntMatrix(((1, 0, 0), (-1, 1, 0), (5, -10, 1)))
@@ -76,15 +76,12 @@ def test_twist_zero_class_is_identity():
 
 
 def test_twist_matches_per_basis_formula():
-    # Oracle: expand v - euler_sign * <e, v> e on each basis vector.
+    # Oracle: expand v + <e, v> e on each basis vector.
     m = twist_class_action(MUKAI10, SPHERICAL)
-    s = MUKAI10.euler_sign
     for j in range(3):
         basis = tuple(1 if i == j else 0 for i in range(3))
         pe = MUKAI10.pairing(SPHERICAL, basis)
-        expected = tuple(
-            basis[i] - s * pe * SPHERICAL[i] for i in range(3)
-        )
+        expected = tuple(basis[i] + pe * SPHERICAL[i] for i in range(3))
         assert m.apply(basis) == expected
 
 
@@ -101,7 +98,7 @@ def test_p_twist_is_identity():
 
 
 def test_shift_action():
-    m = generator_matrix(BilinearLattice(((1, 0), (0, 1)), "symmetric"), SHIFT, 0)
+    m = generator_matrix(BilinearLattice(((1, 0), (0, 1))), SHIFT, 0)
     assert m.entries == ((-1, 0), (0, -1))
     assert (m @ m) == SquareIntMatrix.identity(2)
     assert spectral_radius(m, TOL) == 1.0
@@ -185,7 +182,7 @@ def test_word_log_rho_p_twist_tensor_exact_zero():
 
 def test_word_log_rho_companion():
     m = companion_matrix((1, -3, 1))
-    lat = BilinearLattice(((1, 0), (0, 1)), "symmetric")
+    lat = BilinearLattice(((1, 0), (0, 1)))
     log_rho, exact_zero = certify_log_rho(induced_matrix(lat, [explicit(m)]), TOL)
     assert log_rho == pytest.approx(math.log((3 + math.sqrt(5)) / 2), abs=TOL)
     assert not exact_zero
@@ -200,8 +197,7 @@ def test_unipotent_words_have_exact_zero_log_rho():
     # plus-or-minus a unipotent matrix, so log rho must be exactly 0.0.
     rng = random.Random(41)
     lat = BilinearLattice(
-        tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4)),
-        "symmetric",
+        tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
     )
     for _ in range(25):
         gens = []
@@ -238,7 +234,7 @@ def test_conjugation_invariance_of_spectral_radius():
 
 
 def test_tensor_class_requires_unipotent():
-    lat = BilinearLattice(((1, 0), (0, 1)), "symmetric")
+    lat = BilinearLattice(((1, 0), (0, 1)))
     tensor = {"kind": "tensor", "matrix": [[2, 0], [0, 1]]}
     with pytest.raises(InputError, match="^generator 0 tensor matrix must be unipotent$"):
         generator_matrix(lat, tensor, 0)
@@ -250,7 +246,7 @@ def test_tensor_class_requires_unipotent():
 def test_explicit_generator_reads_its_matrix_only():
     # A nilpotent beside the matrix once replaced it by the nilpotent's
     # exponential, here the identity; no generator reads that key now.
-    lat = BilinearLattice(((1, 0), (0, 1)), "symmetric")
+    lat = BilinearLattice(((1, 0), (0, 1)))
     gen = {"kind": "explicit", "matrix": [[2, 1], [1, 1]], "nilpotent": [[0, 0], [0, 0]]}
     assert generator_matrix(lat, gen, 0).entries == ((2, 1), (1, 1))
     shear = {"kind": "tensor", "matrix": [[1, 1], [0, 1]], "nilpotent": [[0, 0], [0, 0]]}
