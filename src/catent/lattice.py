@@ -9,11 +9,14 @@ never be a rounding artifact:
     recursion with an exact divisibility check at every step, as tuples of
     int coefficients in ascending order,
   * unipotence is an exact integer nilpotence test, never ``|lambda - 1| < eps``,
-  * the spectral radius is bracketed by the Cauchy bound of the exact
+  * the spectral radius rho is bracketed by the Cauchy bound of the exact
     characteristic polynomial and refined by multiprecision root finding on
-    its squarefree part.  The refinement stops on mpmath's own error
-    estimate, which is not a proven bound, so the float spectral radius is
-    an estimate; only the exact-zero certificate is proved.
+    its squarefree part, scaled exactly by a power of two so that its roots
+    have moduli around 1, from Bini's Newton-polygon starting points.  The
+    refinement stops when mpmath's own error estimate is below (tol/2)*rho,
+    so tol bounds the error of log rho.  That estimate is not a proven
+    bound, so the float spectral radius is an estimate; only the exact-zero
+    certificate is proved.
 
 Cheap exact tests run in front of the expensive exact ones, and they only
 ever decide a case they can prove:
@@ -330,14 +333,46 @@ def is_unipotent(m: SquareIntMatrix) -> bool:
     return True
 
 
-def spectral_radius(m: SquareIntMatrix, tol: float = DEFAULT_TOL) -> float:
-    """Maximum root modulus of char_poly(M), estimated to within tol.
+def _newton_polygon_starts(coeffs) -> list:
+    """Bini's starting points for the roots of sum c_k x^k, ``coeffs``
+    ascending with c_0 and c_n nonzero (Bini, Numer. Algorithms 13, 1996):
+    each edge i -> j of the upper convex hull of the points (k, log|c_k|),
+    c_k != 0, puts j - i points on the circle of radius
+    (|c_i| / |c_j|)^(1/(j - i)).  Logs and radii are mpf, as a float
+    overflows on the coefficients of a large entry.
+    """
+    n = len(coeffs) - 1
+    hull = []
+    for k, c in enumerate(coeffs):
+        if c:
+            log_c = mpmath.log(abs(c))
+            # pop the last vertex while it is on or below the chord to (k, log_c)
+            while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (log_c - hull[-2][1])
+                                     >= (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])):
+                hull.pop()
+            hull.append((k, log_c))
+    starts = []
+    for (i, log_i), (j, log_j) in zip(hull, hull[1:]):
+        radius = mpmath.exp((log_i - log_j) / (j - i))
+        starts += [radius * mpmath.expj(2 * math.pi * (t / (j - i) + i / n) + 0.7)
+                   for t in range(j - i)]
+    return starts
 
-    Roots are bracketed by the Cauchy bound and refined by multiprecision
-    polynomial root finding on the squarefree part, escalating precision
-    until the solver's own error estimate is below tol.  That estimate is
-    mpmath's, not a proven enclosure, so neither is the result.  This is
-    always the float estimate: deciding that rho is exactly 1 is left to
+
+def spectral_radius(m: SquareIntMatrix, tol: float = DEFAULT_TOL) -> float:
+    """Maximum root modulus rho of char_poly(M), estimated to within tol*rho.
+
+    The squarefree part q of degree n is refined on the exactly scaled
+    q(2^s y) / 2^(s n), s = round((bitlen|q_0| - bitlen|q_n|) / n), whose
+    roots y = x / 2^s have moduli around 1.  Root finding starts from the
+    Newton-polygon points and escalates precision until mpmath's error
+    estimate, scaled back by 2^s, is below (tol/2)*rho, so tol bounds the
+    error of log rho; as a monic q with q_0 != 0 has rho >= 1, that never
+    asks more than an absolute tol/2.  The estimate is mpmath's, not a
+    proven enclosure, so neither is the result.  mpmath stops on an
+    absolute error in y, so roots of very different moduli may not
+    converge; that, a rho past the Cauchy bound and a rho past the float
+    range are NumericErrors.  Deciding that rho is exactly 1 is left to
     ``words.certify_log_rho``, which owns the exact-zero certificate.
     """
     if problem := real_problem(tol, 0.0):
@@ -347,26 +382,37 @@ def spectral_radius(m: SquareIntMatrix, tol: float = DEFAULT_TOL) -> float:
     if len(p) == 1:
         return 0.0  # nilpotent: all eigenvalues zero
     q = squarefree_part(p)
+    n = len(q) - 1
     # Cauchy bound, an mpf: a quotient of huge coefficients overflows a float
     bound = 1 + mpmath.mpf(max(map(abs, q[:-1]))) / abs(q[-1])
-    desc = list(reversed(q))
+    s = round((abs(q[0]).bit_length() - abs(q[-1]).bit_length()) / n)
+    scaled = [mpmath.ldexp(c, s * (k - n)) for k, c in enumerate(q)]  # exact
+    starts = _newton_polygon_starts(scaled)
+    desc = scaled[::-1]
     last_err = None
     for extraprec in (30, 80, 160, 320):
         try:
             roots, err = mpmath.polyroots(
-                desc, maxsteps=200, extraprec=extraprec, error=True
+                desc, maxsteps=200, extraprec=extraprec, error=True,
+                roots_init=starts,
             )
         except mpmath.mp.NoConvergence:
             continue
-        last_err = err
-        if err < tol / 2:
-            rho = max(abs(r) for r in roots)
-            if rho > bound + tol:
+        rho = mpmath.ldexp(max(abs(r) for r in roots), s)
+        last_err = mpmath.ldexp(err, s)
+        if last_err < tol / 2 * rho:
+            if rho > bound * (1 + tol):
                 raise NumericError(
-                    f"root estimate {float(rho)} exceeds Cauchy bound {bound}"
+                    f"root estimate {mpmath.nstr(rho, 17)} exceeds Cauchy "
+                    f"bound {bound}"
                 )
-            return float(rho)
+            if math.isinf(out := float(rho)):
+                raise NumericError(
+                    f"spectral radius {mpmath.nstr(rho, 6)} is past the "
+                    "float range"
+                )
+            return out
     raise NumericError(
         f"spectral radius refinement did not reach tol={tol} "
-        f"(degree {len(q) - 1}, last error {last_err})"
+        f"(degree {n}, last error {last_err})"
     )

@@ -129,8 +129,9 @@ def certify_log_rho(
     """The one certificate for log of the spectral radius of an action.
 
     Returns ``(log_rho, exact_zero)``: ``(0.0, True)`` when the action is
-    unipotent up to sign, otherwise the refined float value and False.  A
-    nilpotent action has no logarithm and is an input error.
+    unipotent up to sign, otherwise the refined float value, estimated to
+    within tol, and False.  A nilpotent action has no logarithm and is an
+    input error.
     """
     if problem := real_problem(tol, 0.0):  # before the exact zero, which reads no tol
         raise InputError(f"tol: {problem}")

@@ -1,0 +1,58 @@
+"""Reference spectral-radius refinement.
+
+``spectral_radius`` is the refinement that ``catent.lattice`` used before
+it scaled the polynomial and started from Newton-polygon points: mpmath's
+default starting points on the unscaled squarefree part, stopping when the
+solver's error estimate is below the absolute ``tol / 2``.  The
+differential test in ``test_lattice.py`` requires the scaled refinement to
+agree with it within ``tol * rho``.
+"""
+
+from __future__ import annotations
+
+import mpmath
+
+from catent.errors import InputError, NumericError, real_problem
+from catent.lattice import DEFAULT_TOL, SquareIntMatrix, char_poly, squarefree_part
+
+
+def spectral_radius(m: SquareIntMatrix, tol: float = DEFAULT_TOL) -> float:
+    """Maximum root modulus of char_poly(M), estimated to within tol.
+
+    Roots are bracketed by the Cauchy bound and refined by multiprecision
+    polynomial root finding on the squarefree part, escalating precision
+    until the solver's own error estimate is below tol.  That estimate is
+    mpmath's, not a proven enclosure, so neither is the result.  This is
+    always the float estimate: deciding that rho is exactly 1 is left to
+    ``words.certify_log_rho``, which owns the exact-zero certificate.
+    """
+    if problem := real_problem(tol, 0.0):
+        raise InputError(f"tol: {problem}")
+    p = char_poly(m)
+    p = p[next(i for i, c in enumerate(p) if c):]  # strip x^k; p is monic
+    if len(p) == 1:
+        return 0.0  # nilpotent: all eigenvalues zero
+    q = squarefree_part(p)
+    # Cauchy bound, an mpf: a quotient of huge coefficients overflows a float
+    bound = 1 + mpmath.mpf(max(map(abs, q[:-1]))) / abs(q[-1])
+    desc = list(reversed(q))
+    last_err = None
+    for extraprec in (30, 80, 160, 320):
+        try:
+            roots, err = mpmath.polyroots(
+                desc, maxsteps=200, extraprec=extraprec, error=True
+            )
+        except mpmath.mp.NoConvergence:
+            continue
+        last_err = err
+        if err < tol / 2:
+            rho = max(abs(r) for r in roots)
+            if rho > bound + tol:
+                raise NumericError(
+                    f"root estimate {float(rho)} exceeds Cauchy bound {bound}"
+                )
+            return float(rho)
+    raise NumericError(
+        f"spectral radius refinement did not reach tol={tol} "
+        f"(degree {len(q) - 1}, last error {last_err})"
+    )

@@ -592,6 +592,27 @@ def test_main_huge_entry_is_a_numeric_error(capsys):
     assert "error [NumericError]" in capsys.readouterr().err
 
 
+def _one_by_one_word(entry):
+    return json.dumps({"kind": "lattice_word", "lattice": {"gram": [[1]]},
+                       "word": [{"kind": "explicit", "matrix": [[entry]]}]})
+
+
+@pytest.mark.parametrize("digits", [161, 300])
+def test_main_large_spectral_radius_is_a_report(capsys, digits):
+    assert main(["run", "--config", _one_by_one_word(10**digits)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["log_rho"] == pytest.approx(digits * math.log(10), abs=1e-9)
+    assert report["log_rho_exact_zero"] is False
+
+
+def test_main_spectral_radius_past_the_float_range_is_a_numeric_error(capsys):
+    assert main(["run", "--config", _one_by_one_word(10**400)]) == 2
+    captured = capsys.readouterr()
+    message = "spectral radius 1.0e+400 is past the float range"
+    assert captured.err == f"error [NumericError]: {message}\n"
+    assert json.loads(captured.out)["error"] == {"type": "NumericError", "message": message}
+
+
 def test_main_integer_past_digit_limit_is_an_input_error(capsys):
     text = '{"kind": "hk", "n": 1, "q": 10, "m_max": 5, "tol": ' + "1" * 5000 + "}"
     assert main(["run", "--config", text]) == 1

@@ -3,11 +3,11 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catent import lattice
-from catent.errors import InputError
+from catent.errors import InputError, NumericError
 from catent.lattice import (
     BilinearLattice,
     SquareIntMatrix,
@@ -26,6 +26,7 @@ from lattice_powers import (
     poly_gcd,
     poly_mul,
 )
+import spectral_reference
 
 TOL = 1e-9
 
@@ -278,6 +279,73 @@ def test_spectral_radius_power_scaling():
 def test_spectral_radius_requires_positive_tol():
     with pytest.raises(InputError):
         spectral_radius(SquareIntMatrix.identity(2), 0.0)
+
+
+# The refinement runs on the scaled polynomial from Newton-polygon starting
+# points and stops on an error relative to rho; the unscaled refinement with
+# mpmath's default starting points and an absolute stop is its oracle.
+
+
+@st.composite
+def non_nilpotent_matrices(draw):
+    n = draw(st.integers(1, 12))
+    bound = draw(st.sampled_from((1, 3, 50)))
+    entry = st.integers(-bound, bound)
+    m = SquareIntMatrix(tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n)))
+    assume(any(char_poly(m)[:-1]))
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(non_nilpotent_matrices())
+def test_spectral_radius_matches_the_unscaled_refinement(m):
+    rho = spectral_radius(m, TOL)
+    assert abs(rho - spectral_reference.spectral_radius(m, TOL)) <= TOL * rho
+
+
+def _moduli(starts):
+    return sorted(float(abs(z)) for z in starts)
+
+
+def test_newton_polygon_starts_skip_an_interior_zero():
+    # x^4 - 2: one hull edge 0 -> 4, four points on |x| = 2^(1/4)
+    starts = lattice._newton_polygon_starts((-2, 0, 0, 0, 1))
+    assert _moduli(starts) == pytest.approx([2 ** 0.25] * 4, rel=1e-12)
+    assert len({complex(z) for z in starts}) == 4
+
+
+def test_newton_polygon_starts_follow_each_hull_edge():
+    # (x - 1)(x - 100): edges 0 -> 1 and 1 -> 2, radii 100/101 and 101
+    starts = lattice._newton_polygon_starts((100, -101, 1))
+    assert _moduli(starts) == pytest.approx([100 / 101, 101], rel=1e-12)
+
+
+def test_newton_polygon_start_of_degree_one():
+    assert _moduli(lattice._newton_polygon_starts((-3, 1))) == pytest.approx([3.0])
+    assert spectral_radius(SquareIntMatrix(((-7,),)), TOL) == 7.0
+
+
+def test_finite_order_word_has_spectral_radius_one():
+    # x^2 + x + 1: the primitive cube roots of unity
+    assert abs(spectral_radius(SquareIntMatrix(((0, -1), (1, -1))), TOL) - 1.0) <= TOL
+
+
+def test_refinement_calls_polyroots_through_the_module_with_its_starts():
+    calls = []
+    polyroots = lattice.mpmath.polyroots
+
+    def spy(coeffs, **kwargs):
+        calls.append((len(coeffs) - 1, len(kwargs["roots_init"])))
+        return polyroots(coeffs, **kwargs)
+
+    with mock.patch.object(lattice.mpmath, "polyroots", spy):
+        spectral_radius(companion_matrix((1, -3, 1)), TOL)
+    assert calls == [(2, 2)]
+
+
+def test_spectral_radius_past_the_float_range_is_a_numeric_error():
+    with pytest.raises(NumericError, match="spectral radius 1.0e\\+400 is past the float range"):
+        spectral_radius(SquareIntMatrix(((10**400,),)), TOL)
 
 
 # -- polynomial helpers -------------------------------------------------------

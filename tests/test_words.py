@@ -188,6 +188,14 @@ def test_word_log_rho_companion():
     assert not exact_zero
 
 
+@pytest.mark.parametrize("digits", [161, 300])
+def test_log_rho_of_a_large_radius_meets_tol(digits):
+    # tol bounds the error of log rho however large rho is
+    log_rho, exact_zero = certify_log_rho(SquareIntMatrix(((10**digits,),)), TOL)
+    assert log_rho == pytest.approx(digits * math.log(10), abs=TOL)
+    assert not exact_zero
+
+
 def test_word_log_rho_empty():
     assert certify_log_rho(induced_matrix(MUKAI10, []), TOL) == (0.0, True)
 
