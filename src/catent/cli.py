@@ -37,7 +37,7 @@ from . import __version__
 from .descent import CoverScenario, quotient_verdict
 from .errors import (EngineError, InputError, NumericError, int_problem, is_int,
                      real_problem, shown)
-from .graded import cone_evaluations, cone_uppers
+from .graded import cone_evaluations
 from .hilbert import hilbert_lift_verdict
 from .lattice import DEFAULT_TOL, BilinearLattice, SquareIntMatrix
 from .twists import (
@@ -47,8 +47,8 @@ from .twists import (
     entropy_lower_bound,
     ext_growth_uppers,
     gy_verdict,
-    spherical_twist_levels,
     spherical_twist_series,
+    spherical_twist_uppers,
 )
 from .words import Verdict, certify_log_rho, induced_matrix
 
@@ -465,8 +465,7 @@ def _run_lattice_word(cfg: ScenarioConfig) -> Callable[[], Verdict]:
 
 def _run_surface_twist(cfg: ScenarioConfig) -> Callable[[], Verdict]:
     surface, k, l, m_max = _model_from(cfg), cfg["k"], cfg["l"], cfg["m_max"]
-    _check_printable(sum(upper.highs) for upper in
-                     spherical_twist_levels(surface, k, l, m_max, cone_uppers))
+    _check_printable(spherical_twist_uppers(surface, k, l, m_max))
     return lambda: Verdict.of(
         None, None, False, cfg["tol"],
         series=spherical_twist_series(surface, k, l, m_max), details={"k": k, "l": l})

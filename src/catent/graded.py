@@ -33,7 +33,8 @@ the sharp degreewise bounds are
     hi_C(j) = hi_B(j) + hi_A(j+1)
     lo_C(j) = max(0, lo_B(j) - hi_A(j)) + max(0, lo_A(j+1) - hi_B(j+1)).
 
-The upper reads only uppers: ``cone_uppers`` is that exact profile alone.
+The upper reads only uppers, so the upper totals of a cone add up with no
+cone evaluation (``twists`` runs its uppers on ints that way).
 
 The bounds are exact precisely on windows where the supports of A and B are
 disjoint enough that every relevant rank is forced to zero; the cohomology of
@@ -263,15 +264,6 @@ def cone_bounds(a: GradedDimInterval, b: GradedDimInterval) -> GradedDimInterval
             f"{chi_c} cannot meet target [{lo_target}, {hi_target}]"
         )
     return result
-
-
-def cone_uppers(a: GradedDimInterval, b: GradedDimInterval) -> GradedDimInterval:
-    """The exact profile hi_B(j) + hi_A(j+1), the uppers of ``cone_bounds(a,
-    b)``, with no cone evaluation counted and no Euler filter."""
-    start = min(b.offset, a.offset - 1)
-    stop = max(b.offset + len(b.highs), a.offset - 1 + len(a.highs))
-    highs = [b.hi(j) + a.hi(j + 1) for j in range(start, stop)]
-    return _profile(start, highs, highs.copy())
 
 
 def delta_value_interval(g: GradedDimInterval) -> tuple[int, int]:

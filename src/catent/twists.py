@@ -32,10 +32,12 @@ is unipotent, so the log spectral radius is exactly zero and the
 Gromov-Yomdin equality fails with gap at least log d_1.
 
 A generic surface spherical-twist iteration (bounds only, no collapse
-contract) is included for degree-two models, as one level loop: the series
-runs it with ``cone_bounds``, the check stage with ``graded.cone_uppers``
-for the exact upper profiles.  ``ext_growth_uppers`` gives the exact upper
-series of the first family.  Neither upper recursion evaluates a cone.
+contract) is included for degree-two models.  Its series runs the level loop
+``_levels`` on profiles, with ``cone_bounds``.  The same loop on ints gives
+the exact upper totals of both families and evaluates no cone:
+``spherical_twist_uppers`` for the surface word, and ``ext_growth_uppers``
+for the iterate family, which factors its corrections by positive
+homogeneity.  The CLI's check stage reads these uppers.
 """
 
 from __future__ import annotations
@@ -362,8 +364,22 @@ def gy_verdict(model: HKModel, m_max: int, tol: float = DEFAULT_TOL) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Generic surface spherical-twist iteration (bounds only)
+# The level loop: the surface spherical twist (bounds only) and exact uppers
 # ---------------------------------------------------------------------------
+
+
+def _levels(level: list, step, d: list, m_max: int):
+    """Yield level m = 1 .. m_max of X(m, lv) = step(X(m - 1, 1), d_lv,
+    X(m - 1, lv + 1)), each one entry shorter, from level 0 in ``level``.
+
+    Both families run X(m, lv) = K(X(m - 1, 1) * d_lv) + X(m - 1, lv + 1), K
+    the evaluation cone for hk and the identity for the surface word.  A
+    cone's upper total is the sum of its terms', a Kuenneth product's is the
+    product, and an evaluation cone doubles it, so the loop on ints gives the
+    exact upper totals and evaluates no cone."""
+    for _ in range(m_max):
+        level = [step(level[0], d[lv], level[lv]) for lv in range(1, len(level))]
+        yield level
 
 
 def _require_surface(model: HKModel, subject: str) -> None:
@@ -372,29 +388,27 @@ def _require_surface(model: HKModel, subject: str) -> None:
             f"{subject} needs a surface model (n = 1), got n = {shown(model.n)}")
 
 
-def spherical_twist_levels(model: HKModel, k: int, l: int, m_max: int, cone):
-    """Yield the profile at twist level l of the m-th spherical-twist-and-
-    tensor iterate, m = 1 .. m_max.  Level 0 at twist level lv is
-    {2: d_{k+lv}}; level m at lv is ``cone(a, b)``, where a convolves level
-    m - 1 at 1 with {2: d_lv} and b is level m - 1 at lv + 1.
-    ``cone_bounds`` gives interval bounds, ``graded.cone_uppers`` the exact
-    upper profiles.  The arguments are checked at the call, and the d_i are
-    read in order, so a short table fails at its first missing entry."""
+def _surface_levels(model: HKModel, k: int, l: int, m_max: int, leaf, step):
+    """Level l of the surface level loop from level 0 = leaf(d_{k+lv}), for
+    m = 1 .. m_max.  The arguments are checked at the call, before the loop
+    reads d_1 .. d_{k+l+m_max} in order."""
     _require_surface(model, "the spherical twist")
     require_int(k, "k", 1)
     require_int(l, "l", 1)
     require_int(m_max, "m_max", 1)
-    d, exact = _dims_in_order(model), GradedDimInterval.exact
+    d = [None, *map(model.dim, range(1, k + l + m_max + 1))]
+    seed = [leaf(d[k + lv]) for lv in range(1, l + m_max + 1)]
+    return (level[l - 1] for level in _levels(seed, step, d, m_max))
 
-    def levels():
-        # level[lv - 1] is the profile at twist level lv
-        level = [exact({2: d(k + lv)}) for lv in range(1, l + m_max + 1)]
-        for m in range(1, m_max + 1):
-            level = [cone(convolve_interval(level[0], exact({2: d(lv)})), level[lv])
-                     for lv in range(1, l + m_max - m + 1)]
-            yield level[l - 1]
 
-    return levels()
+def spherical_twist_levels(model: HKModel, k: int, l: int, m_max: int):
+    """Yield the profile at twist level l of the m-th spherical-twist-and-
+    tensor iterate, m = 1 .. m_max: the level loop on profiles, from level 0
+    = {2: d_{k+lv}} at twist level lv."""
+    exact = GradedDimInterval.exact
+    return _surface_levels(
+        model, k, l, m_max, lambda d_i: exact({2: d_i}),
+        lambda a, d_lv, b: cone_bounds(convolve_interval(a, exact({2: d_lv})), b))
 
 
 def spherical_twist_series(model: HKModel, k: int, l: int, m_max: int) -> BoundSeries:
@@ -405,54 +419,35 @@ def spherical_twist_series(model: HKModel, k: int, l: int, m_max: int) -> BoundS
     asserted; supports overlap from step three on, so these are honest
     bounds, not exact values.
     """
-    lowers, uppers = zip(*(
-        delta_value_interval(profile)
-        for profile in spherical_twist_levels(model, k, l, m_max, cone_bounds)))
+    lowers, uppers = zip(*map(delta_value_interval,
+                              spherical_twist_levels(model, k, l, m_max)))
     return BoundSeries(lowers, uppers)
 
 
-# ---------------------------------------------------------------------------
-# Uppers without cone evaluations
-# ---------------------------------------------------------------------------
-#
-# hi_C(j) = hi_B(j) + hi_A(j+1) reads only uppers, and summed over degrees it
-# gives hi_total(C) = hi_total(A) + hi_total(B); a Kuenneth product multiplies
-# totals.  So the uppers of the iterate family follow a recursion that
-# mirrors its profile recursion and makes no cone evaluation.
-
-
-def _dims_in_order(model: HKModel):
-    """i -> d_i, reading d_1, d_2, ... in order, so that a table too short for
-    the caller fails at its first missing entry."""
-    dims = [None]
-
-    def d(i: int) -> int:
-        while len(dims) <= i:
-            dims.append(model.dim(len(dims)))
-        return dims[i]
-
-    return d
+def spherical_twist_uppers(model: HKModel, k: int, l: int, m_max: int):
+    """The uppers of ``spherical_twist_series``: the level loop on ints."""
+    return _surface_levels(model, k, l, m_max, lambda d_i: d_i,
+                           lambda a, d_lv, b: a * d_lv + b)
 
 
 def ext_growth_uppers(model: HKModel, m_max: int):
-    """An iterator over the uppers of ``ext_growth_series(model, m_max)``,
-    reading every d_i the series reads; m_max is checked at the call."""
+    """The uppers of ``ext_growth_series(model, m_max)``, one per step, after
+    m_max is checked and d_1 .. d_{4n+2+m_max} are read in order.
+
+    By positive homogeneity the correction upper of the base {2n: d_{k+1}} is
+    d_{k+1} C(m, l), with C the unit corrections, those of {2n: 1}.  The
+    iterate uppers fold iterate(m, k, l) = d_{k+1} C(m, l) + iterate(m - 1,
+    k + 1, l) from level 0 = d_{k+l}, for k <= w + m_max - m, l <= w = 2n + 1."""
     require_int(m_max, "m_max", 1)
-    d = _dims_in_order(model)
+    w = model.generator_width
+    d = [None, *map(model.dim, range(1, 2 * w + m_max + 1))]
+    units = _levels([1] + [0] * (w + m_max - 1), lambda a, d_lv, b: 2 * a * d_lv + b,
+                    d, m_max)
 
-    @lru_cache(maxsize=None)
-    def correction(m: int, k: int, l: int) -> int:  # correction_profile
-        if m == 1:  # the eval cone of {2n: d_{k+1}}
-            return 2 * d(k + 1) * d(l)
-        # eval_twist_cone_profile, then the cone with the previous correction
-        return 2 * correction(m - 1, k, 1) * d(l) + correction(m - 1, k, l + 1)
+    def totals(iterates):  # iterates[k - 1][l - 1] is iterate(m, k, l)
+        for c in units:
+            iterates = [[d[k + 1] * c_l + it for c_l, it in zip(c, row)]
+                        for k, row in enumerate(iterates[1:], start=1)]
+            yield sum(map(sum, iterates[:w]))
 
-    @lru_cache(maxsize=None)
-    def iterate(m: int, k: int, l: int) -> int:  # iterate_profile
-        if m == 0:
-            return d(k + l)
-        return correction(m, k, l) + iterate(m - 1, k + 1, l)
-
-    width = range(1, model.generator_width + 1)
-    return (sum(iterate(m, k, l) for k in width for l in width)
-            for m in range(1, m_max + 1))
+    return totals([d[k + 1:k + w + 1] for k in range(1, w + m_max + 1)])

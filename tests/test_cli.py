@@ -163,11 +163,14 @@ def test_odd_q_is_rejected_by_validate(capsys, config, field, q):
     # surface_twist reads d_1 .. d_{k+l+m_max}
     ({"kind": "surface_twist", "d_table": [7, 22, 47], "k": 2, "l": 1,
       "m_max": 4}, "d_table", 7),
+    *(({"kind": "hk", "n": n, "d_table": [7, 22, 47], "m_max": 4}, "d_table", 4 * n + 6)
+      for n in range(2, 5)),
 ])
 def test_short_d_table_is_rejected_by_validate(capsys, config, field, need):
     # The check stage reads d_1, d_2, ... in order up to the deepest d_i the
     # run reads, so a table too short for the run fails validate and the run
-    # alike, at its first missing entry and before any cone work.
+    # alike, at its first missing entry and before any cone work; a table
+    # that reaches that d_i exactly passes both.
     line = "error [InputError]: d-table too short: need d_4, have 3 entries\n"
     assert validate_config(config)[1] == []
     assert main(["validate", "--config", json.dumps(config)]) == 1
@@ -184,10 +187,11 @@ def test_short_d_table_is_rejected_by_validate(capsys, config, field, need):
         for step in parents:
             holder = holder[step]
         holder[key] = [7, 22, 47] + list(range(50, 50 + size - 3))
-        assert main(["validate", "--config", json.dumps(longer)]) == code
         expected = (f"error [InputError]: d-table too short: need d_{need}, "
                     f"have {need - 1} entries\n") if code else ""
-        assert capsys.readouterr().err == expected
+        for command in ("validate", "run"):
+            assert main([command, "--config", json.dumps(longer)]) == code
+            assert capsys.readouterr().err == expected
 
 
 def test_all_violations_collected():

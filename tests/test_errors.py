@@ -12,7 +12,7 @@ import pytest
 
 from catent.descent import CoverScenario, quotient_verdict
 from catent.errors import InputError
-from catent.graded import GradedDimInterval, cone_bounds, cone_evaluations
+from catent.graded import GradedDimInterval, cone_evaluations
 from catent.hilbert import hilbert_lift_verdict, kunneth_power_series
 from catent.lattice import SquareIntMatrix, spectral_radius
 from catent.twists import (
@@ -29,6 +29,7 @@ from catent.twists import (
     negative_line_bundle_profile,
     spherical_twist_levels,
     spherical_twist_series,
+    spherical_twist_uppers,
 )
 from catent.words import Verdict, certify_log_rho
 
@@ -54,12 +55,14 @@ GATED = {
     "ext_growth_series": (lambda v: ext_growth_series(K3, v), "m_max", 1),
     "ext_growth_uppers": (lambda v: ext_growth_uppers(K3, v), "m_max", 1),
     "entropy_lower_bound": (lambda v: entropy_lower_bound(K3, v), "m_max", 3),
-    "spherical_twist_levels.k": (
-        lambda v: spherical_twist_levels(K3, v, 1, 3, cone_bounds), "k", 1),
-    "spherical_twist_levels.l": (
-        lambda v: spherical_twist_levels(K3, 1, v, 3, cone_bounds), "l", 1),
+    "spherical_twist_levels.k": (lambda v: spherical_twist_levels(K3, v, 1, 3), "k", 1),
+    "spherical_twist_levels.l": (lambda v: spherical_twist_levels(K3, 1, v, 3), "l", 1),
     "spherical_twist_levels.m_max": (
-        lambda v: spherical_twist_levels(K3, 1, 1, v, cone_bounds), "m_max", 1),
+        lambda v: spherical_twist_levels(K3, 1, 1, v), "m_max", 1),
+    "spherical_twist_uppers.k": (lambda v: spherical_twist_uppers(K3, v, 1, 3), "k", 1),
+    "spherical_twist_uppers.l": (lambda v: spherical_twist_uppers(K3, 1, v, 3), "l", 1),
+    "spherical_twist_uppers.m_max": (
+        lambda v: spherical_twist_uppers(K3, 1, 1, v), "m_max", 1),
     "spherical_twist_series.k": (lambda v: spherical_twist_series(K3, v, 1, 3), "k", 1),
     "spherical_twist_series.l": (lambda v: spherical_twist_series(K3, 1, v, 3), "l", 1),
     "spherical_twist_series.m_max": (

@@ -7,13 +7,13 @@ from catent.graded import (
     GradedDimInterval,
     _chi_interval,
     cone_bounds,
-    cone_uppers,
     convolve_interval,
     delta_value_interval,
 )
 from catent.twists import (
     BoundSeries,
     HKModel,
+    _levels,
     default_action,
     entropy_lower_bound,
     ext_growth_series,
@@ -23,9 +23,11 @@ from catent.twists import (
     negative_line_bundle_profile,
     spherical_twist_levels,
     spherical_twist_series,
+    spherical_twist_uppers,
     verify_iterate_contract,
 )
-from catent.lattice import SquareIntMatrix, is_unipotent
+from catent.lattice import BilinearLattice, SquareIntMatrix, char_poly, is_unipotent
+from catent.words import induced_matrix
 from graded_reference import from_dict, support
 from rational_reference import tensor_matrix_from_nilpotent as tensor_exponential
 import twists_reference
@@ -299,6 +301,29 @@ def test_upper_totals_read_a_table_in_order():
             tuple(ext_growth_uppers(short, 4))
 
 
+@pytest.mark.parametrize("model", [
+    HKModel(n, q=q) for n in range(1, 5) for q in (2, 10, 16)] + [FIBONACCI])
+def test_upper_totals_match_the_memoized_recursion(model):
+    # The level loop on unit corrections against the memoized recursion on
+    # every (m, k, l).  The uppers at step m do not depend on m_max, so one
+    # oracle run serves every m_max; FIBONACCI reaches m_max 4 at n = 2.
+    depths = [*range(1, 9), 24, 64] if model.table is None else range(1, 5)
+    oracle = twists_reference.ext_growth_uppers(model, max(depths))
+    for m_max in depths:
+        assert list(ext_growth_uppers(model, m_max)) == oracle[:m_max]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_unit_corrections_are_a_convolution(n):
+    # c_m = C(m, 1) = 2 sum_{i<m} c_{m-i} d_i + 2 d_m, so that
+    # sum c_m x^m = 2D(x) / (1 - 2D(x)) with D(x) = sum d_i x^i.
+    d = [None, *map(HKModel(n, q=10).dim, range(1, 41))]
+    unit_step = lambda a, d_lv, b: 2 * a * d_lv + b  # as in ext_growth_uppers
+    c = [None] + [level[0] for level in _levels([1] + [0] * 40, unit_step, d, 40)]
+    for m in range(1, 41):
+        assert c[m] == 2 * sum(c[m - i] * d[i] for i in range(1, m)) + 2 * d[m]
+
+
 def test_log_slope_window_validation():
     series = BoundSeries((2, 4, 8), (2, 4, 8))
     assert series.log_slope(1, 3) == pytest.approx(math.log(2))
@@ -364,6 +389,17 @@ def test_default_action_is_the_ptwist_times_the_tensor_exponential():
         assert default_action(model) == want
 
 
+@pytest.mark.parametrize("q", range(2, 21, 2))
+def test_spherical_and_tensor_word_polynomial(q):
+    # The spherical twist along v(O) = (1, 0, 1), of self-pairing -2, then
+    # the tensor that default_action writes: (x + 1)(x^2 + (q/2 - 2) x + 1).
+    lattice = BilinearLattice(((0, 0, -1), (0, q, 0), (-1, 0, 0)))
+    tensor = default_action(HKModel(1, q=q)).entries  # the ptwist acts as I
+    word = [{"kind": "spherical", "class": [1, 0, 1]},
+            {"kind": "tensor", "matrix": tensor}]
+    assert char_poly(induced_matrix(lattice, word)) == (1, q // 2 - 1, q // 2 - 1, 1)
+
+
 # -- surface spherical twist -------------------------------------------------------
 
 
@@ -380,11 +416,9 @@ def test_surface_series_frozen_values():
     (HKModel(1, table=FIBONACCI.table[:9]), 3, 2, 4),
 ])
 def test_surface_upper_totals_equal_the_series_uppers(model, k, l, m_max):
-    # The totals of the upper profiles are the series uppers, exact ints.
-    profiles = list(spherical_twist_levels(model, k, l, m_max, cone_uppers))
-    assert all(p.is_exact() for p in profiles)
+    # The level loop on ints gives the series uppers, exact ints.
+    totals = spherical_twist_uppers(model, k, l, m_max)
     uppers = spherical_twist_series(model, k, l, m_max).uppers
-    totals = tuple(delta_value_interval(p)[1] for p in profiles)
     assert [(type(x), x) for x in totals] == [(int, x) for x in uppers]
 
 
@@ -394,11 +428,9 @@ def test_surface_series_nondecreasing():
 
 
 def test_surface_trivial_twist_of_zero_object():
-    # The twist of the zero object at any level is the zero profile, in both
-    # algebras of the level loop.
+    # The twist of the zero object at any level is the zero profile.
     zero = GradedDimInterval()
-    for cone in (cone_bounds, cone_uppers):
-        assert cone(convolve_interval(zero, exact({2: 22})), zero) == zero
+    assert cone_bounds(convolve_interval(zero, exact({2: 22})), zero) == zero
 
 
 def test_surface_model_validation():
@@ -409,13 +441,13 @@ def test_surface_model_validation():
     with pytest.raises(InputError):
         spherical_twist_series(HK2, 1, 1, 3)
     # The checks run at the call, before the loop reads a d_i.
-    for cone in (cone_bounds, cone_uppers):
+    for run in (spherical_twist_levels, spherical_twist_uppers):
         with pytest.raises(InputError, match="surface model"):
-            spherical_twist_levels(HK2, 1, 1, 3, cone)
+            run(HK2, 1, 1, 3)
         with pytest.raises(InputError, match=r"^l: must be >= 1, got 0$"):
-            spherical_twist_levels(K3, 1, 0, 3, cone)
+            run(K3, 1, 0, 3)
         with pytest.raises(InputError, match=r"^m_max: must be >= 1, got 0$"):
-            spherical_twist_levels(K3, 1, 1, 0, cone)
+            run(K3, 1, 1, 0)
 
 
 SURFACES = {
@@ -429,8 +461,8 @@ SURFACES = {
 @pytest.mark.parametrize("name", SURFACES)
 def test_surface_level_loop_matches_the_dict_recursion(name):
     # The level loop keeps one level; the reference keeps every (m, lv)
-    # profile in a dict and propagates the uppers by hand.  Series and upper
-    # profiles agree bit for bit, types included.
+    # profile in a dict and propagates the upper profiles by hand.  Series
+    # and upper totals agree bit for bit, types included.
     model = SURFACES[name]
 
     def typed(values):
@@ -443,9 +475,9 @@ def test_surface_level_loop_matches_the_dict_recursion(name):
                 oracle = twists_reference.spherical_twist_series(model, k, l, m_max)
                 assert typed(series.lowers) == typed(oracle.lowers)
                 assert typed(series.uppers) == typed(oracle.uppers)
-                uppers = list(spherical_twist_levels(model, k, l, m_max, cone_uppers))
-                assert uppers == twists_reference.spherical_twist_uppers(
-                    model, k, l, m_max)
+                totals = [delta_value_interval(p)[1] for p in
+                          twists_reference.spherical_twist_uppers(model, k, l, m_max)]
+                assert typed(spherical_twist_uppers(model, k, l, m_max)) == typed(totals)
 
 
 def test_surface_series_names_the_first_missing_d():

@@ -8,12 +8,16 @@ read the cached profiles of ``catent.twists`` and raise its
 ``CollapseError``/``ContractError`` as the run path would.
 
 ``spherical_twist_series`` and ``spherical_twist_uppers`` are the spherical
-recursion written out a second way, as oracles for the level loop
-``catent.twists.spherical_twist_levels``: a dict holds every (m, twist level)
-profile, and the uppers are propagated by hand on dicts of ints.
+recursion written out a second way, as oracles for the surface runs of the
+level loop in ``catent.twists``: a dict holds every (m, twist level)
+profile, and the upper profiles are propagated by hand on dicts of ints.
+``ext_growth_uppers`` is the memoized int recursion of the iterate uppers,
+the oracle for the engine's level loop on unit corrections.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from catent.errors import CollapseError, ContractError, InputError
 from catent.graded import (
@@ -151,3 +155,26 @@ def spherical_twist_uppers(model: HKModel, k: int, l: int, m_max: int):
             uppers[(m, lv)] = cells
         profiles.append(GradedDimInterval.exact(uppers[(m, l)]))
     return profiles
+
+
+def ext_growth_uppers(model: HKModel, m_max: int):
+    """The uppers of ``ext_growth_series(model, m_max)`` from memoized int
+    recursions that mirror the profile recursions."""
+    d = lru_cache(maxsize=None)(model.dim)
+
+    @lru_cache(maxsize=None)
+    def correction(m: int, k: int, l: int) -> int:  # correction_profile
+        if m == 1:  # the eval cone of {2n: d_{k+1}}
+            return 2 * d(k + 1) * d(l)
+        # eval_twist_cone_profile, then the cone with the previous correction
+        return 2 * correction(m - 1, k, 1) * d(l) + correction(m - 1, k, l + 1)
+
+    @lru_cache(maxsize=None)
+    def iterate(m: int, k: int, l: int) -> int:  # iterate_profile
+        if m == 0:
+            return d(k + l)
+        return correction(m, k, l) + iterate(m - 1, k + 1, l)
+
+    width = range(1, model.generator_width + 1)
+    return [sum(iterate(m, k, l) for k in width for l in width)
+            for m in range(1, m_max + 1)]
