@@ -8,9 +8,11 @@ byte-identical output.  The ``timing`` field records deterministic work
 units (cone evaluations from a cold cache) rather than wall-clock time, for
 the same reason.
 
-A run is a check stage, every check that needs no cone evaluation, then a
-cone stage.  ``validate`` is the check stage alone; an error report from the
-check stage carries 0 work units.  The schema (``validate_config``) checks
+A run is a check stage, every check that needs no cone evaluation, each
+log rho certificate included, then a cone stage.  ``validate`` is the check
+stage alone; an error report from the check stage carries 0 work units.  The
+cone stage of ``hk``, ``hilb`` and ``enriques`` is one
+``twists.model_verdict`` call.  The schema (``validate_config``) checks
 shapes, caps and the keys of every object, a closed set per kind and level,
 so a key that no run reads is a violation; every model, lattice, matrix,
 word and deck value is checked once, by its engine type, in the check stage.
@@ -31,7 +33,6 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import replace
 
 from . import __version__
 from .descent import CoverScenario, quotient_verdict
@@ -44,9 +45,9 @@ from .twists import (
     HKModel,
     _require_surface,
     clear_caches,
-    entropy_lower_bound,
+    default_action,
     ext_growth_uppers,
-    gy_verdict,
+    model_verdict,
     spherical_twist_series,
     spherical_twist_uppers,
 )
@@ -398,36 +399,43 @@ def _check_printable(uppers, power: int = 1) -> None:
     upper), so the largest decides whether the report can be printed."""
     # Python 3.10 before 3.10.7 has no limit and no getter.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bound = 10**limit if limit else None
     for hi in uppers:  # consumed in any case: the totals read every d_i
-        if limit and hi**power >= 10**limit:
+        if bound is not None and hi**power >= bound:
             raise NumericError(
                 f"report cannot be printed: a result int has more than {limit} digits"
             )
 
 
+def _checked_model(params: dict, points: int | None = None) -> HKModel:
+    """The model of ``params``, after the check that its series can be
+    printed: to the power ``points`` for a ``hilb`` base, which must also be
+    a surface."""
+    model = _model_from(params)
+    if points is not None:
+        _require_surface(model, "the Hilbert-scheme lift")
+    _check_printable(ext_growth_uppers(model, params["m_max"]), points or 1)
+    return model
+
+
 # Each runner is the check stage of its kind: it makes every check that needs
-# no cone evaluation and returns the cone stage, which gives the ``Verdict``.
+# no cone evaluation, the log rho certificate included, and returns the cone
+# stage, which gives the ``Verdict``.
 
 
 def _run_hk(cfg: ScenarioConfig) -> Callable[[], Verdict]:
-    model, m_max = _model_from(cfg), cfg["m_max"]
-    _check_printable(ext_growth_uppers(model, m_max))
-    return lambda: replace(gy_verdict(model, m_max, tol=cfg["tol"]),
-                           details={"d1": model.dim(1), "n": model.n})
+    model, tol = _checked_model(cfg), cfg["tol"]
+    log_rho, exact_zero = certify_log_rho(default_action(model), tol)
+    return lambda: model_verdict(model, cfg["m_max"], log_rho, exact_zero, tol,
+                                 {"d1": model.dim(1), "n": model.n})
 
 
 def _run_hilb(cfg: ScenarioConfig) -> Callable[[], Verdict]:
-    params, points = cfg["base"], cfg["points"]
-    model = _model_from(params)
-    _require_surface(model, "the Hilbert-scheme lift")
-    _check_printable(ext_growth_uppers(model, params["m_max"]), points)
-
-    def cone_stage() -> Verdict:
-        base = gy_verdict(model, params["m_max"], tol=cfg["tol"])
-        lifted = hilbert_lift_verdict(points, base, tol=cfg["tol"])
-        return replace(lifted, details={"points": points, **lifted.details})
-
-    return cone_stage
+    params, points, tol = cfg["base"], cfg["points"], cfg["tol"]
+    model = _checked_model(params, points)
+    log_rho, exact_zero = certify_log_rho(default_action(model), tol)
+    return lambda: hilbert_lift_verdict(
+        points, model_verdict(model, params["m_max"], log_rho, exact_zero, tol), tol)
 
 
 def _word_action(cfg: ScenarioConfig) -> SquareIntMatrix:
@@ -437,22 +445,14 @@ def _word_action(cfg: ScenarioConfig) -> SquareIntMatrix:
 
 
 def _run_enriques(cfg: ScenarioConfig) -> Callable[[], Verdict]:
-    params, deck = cfg["cover"], cfg["deck"]
-    cover_model = _model_from(params)
-    _check_printable(ext_growth_uppers(cover_model, params["m_max"]))
+    params, deck, tol = cfg["cover"], cfg["deck"], cfg["tol"]
+    model = _checked_model(params)
     sc = CoverScenario(SquareIntMatrix(deck["matrix"]), deck["order"],
                        _word_action(cfg))
-    log_rho, exact_zero, details = quotient_verdict(sc, tol=cfg["tol"])
-
-    def cone_stage() -> Verdict:
-        cover = entropy_lower_bound(cover_model, params["m_max"])
-        return Verdict.of(
-            cover.certified, log_rho, exact_zero, cfg["tol"],
-            slope=cover.empirical_slope, series=cover.series,
-            details={**details, "deck_order": sc.order,
-                     "cover_d1": cover_model.dim(1)})
-
-    return cone_stage
+    log_rho, exact_zero, details = quotient_verdict(sc, tol=tol)
+    return lambda: model_verdict(
+        model, params["m_max"], log_rho, exact_zero, tol,
+        {**details, "deck_order": sc.order, "cover_d1": model.dim(1)})
 
 
 def _run_lattice_word(cfg: ScenarioConfig) -> Callable[[], Verdict]:

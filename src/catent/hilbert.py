@@ -31,7 +31,8 @@ def kunneth_power_series(series: BoundSeries, n: int) -> BoundSeries:
 def hilbert_lift_verdict(n: int, base: Verdict, tol: float = DEFAULT_TOL) -> Verdict:
     """Transfer the base verdict to n points: every quantity scales by exactly
     n, and the lifted values pass through the one verdict gate.  ``details``
-    keeps the base bound and log rho and whether the base gap was strict."""
+    gives n as ``points``, the base bound and log rho, and whether the base
+    gap was strict."""
     require_int(n, "n", 1)
     for name in ("entropy_lower", "empirical_slope", "log_rho", "series"):
         if getattr(base, name) is None:
@@ -44,7 +45,7 @@ def hilbert_lift_verdict(n: int, base: Verdict, tol: float = DEFAULT_TOL) -> Ver
         n * base.entropy_lower, n * base.log_rho, base.log_rho_exact_zero, tol,
         slope=n * base.empirical_slope,
         series=kunneth_power_series(base.series, n),
-        details={"base_entropy_lower": base.entropy_lower,
+        details={"points": n, "base_entropy_lower": base.entropy_lower,
                  "base_log_rho": base.log_rho,
                  "strict_gap": base.verdict == "GY violated"},
     )

@@ -27,9 +27,10 @@ matching checks for the other two families live in the tests
 Entropy: every series bound is the exact int total of a profile over all
 degrees, the Ext total of the categorical entropy at t = 0 (h_cat = h_0).
 The per-m lower bounds of the summed profiles grow like d_1^m, so
-log d_1 is a certified entropy lower bound; the action on any lattice model
-is unipotent, so the log spectral radius is exactly zero and the
-Gromov-Yomdin equality fails with gap at least log d_1.
+log d_1 is a certified entropy lower bound.  ``model_verdict`` gates it, for
+an ``hk`` model, a ``hilb`` base or an ``enriques`` cover, against a log rho
+certified before any cone work.  The default word's action is unipotent, so
+``gy_verdict`` finds the Gromov-Yomdin equality failing by at least log d_1.
 
 A generic surface spherical-twist iteration (bounds only, no collapse
 contract) is included for degree-two models.  Its series runs the level loop
@@ -48,7 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CollapseError, InputError, int_problem, is_int, require_int, shown
+from .errors import (CollapseError, InputError, int_problem, is_int, real_problem,
+                     require_int, shown)
 from .graded import (
     GradedDimInterval,
     cone_bounds,
@@ -313,27 +315,6 @@ def ext_growth_series(model: HKModel, m_max: int) -> BoundSeries:
     return BoundSeries(tuple(lowers), tuple(uppers))
 
 
-@dataclass(frozen=True)
-class EntropyBound:
-    """Certified entropy lower bound together with the empirical series slope."""
-
-    certified: float
-    empirical_slope: float
-    series: BoundSeries
-
-
-def entropy_lower_bound(model: HKModel, m_max: int) -> EntropyBound:
-    """Certified bound log d_1, plus the observed log-slope of the series.
-
-    The certificate does not depend on the slope estimate; the series top
-    terms alone give lower(m) >= d_1^{m+1} for every m.
-    """
-    require_int(m_max, "m_max", 3)  # a meaningful slope window
-    series = ext_growth_series(model, m_max)
-    slope = series.log_slope(max(1, m_max // 2), m_max)
-    return EntropyBound(math.log(model.dim(1)), slope, series)
-
-
 # ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------
@@ -354,13 +335,29 @@ def default_action(model: HKModel) -> SquareIntMatrix:
         lattice, [{"kind": "ptwist"}, {"kind": "tensor", "matrix": tensor}])
 
 
+def model_verdict(model: HKModel, m_max: int, log_rho: float, exact_zero: bool,
+                  tol: float, details: dict | None = None) -> Verdict:
+    """The certified bound log d_1 of ``model`` against a certified log rho.
+
+    ``(log_rho, exact_zero)`` is a ``certify_log_rho`` result, made by the
+    caller before any cone work.  tol and m_max (>= 3, a meaningful slope
+    window) are checked before the series to m_max runs.  The bound does not
+    depend on the series' empirical slope: the top terms alone give
+    lower(m) >= d_1^{m+1} for every m.
+    """
+    require_int(m_max, "m_max", 3)
+    if problem := real_problem(tol, 0.0):
+        raise InputError(f"tol: {problem}")
+    series = ext_growth_series(model, m_max)
+    return Verdict.of(math.log(model.dim(1)), log_rho, exact_zero, tol,
+                      slope=series.log_slope(max(1, m_max // 2), m_max),
+                      series=series, details=details)
+
+
 def gy_verdict(model: HKModel, m_max: int, tol: float = DEFAULT_TOL) -> Verdict:
-    """Certified entropy bound vs. exact log spectral radius of the default
+    """``model_verdict`` against the exact log spectral radius of the default
     twist-and-tensor word."""
-    log_rho, exact_zero = certify_log_rho(default_action(model), tol)
-    bound = entropy_lower_bound(model, m_max)
-    return Verdict.of(bound.certified, log_rho, exact_zero, tol,
-                      slope=bound.empirical_slope, series=bound.series)
+    return model_verdict(model, m_max, *certify_log_rho(default_action(model), tol), tol)
 
 
 # ---------------------------------------------------------------------------

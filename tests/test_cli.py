@@ -17,7 +17,8 @@ from catent.cli import (
 )
 from catent.errors import InputError
 from catent.graded import cone_evaluations
-from catent.words import derive_verdict
+from catent.twists import HKModel, default_action
+from catent.words import certify_log_rho, derive_verdict
 
 
 def run_preset(name):
@@ -47,12 +48,18 @@ UNKNOWN_FIELDS = {
                   "tolerance"),
     "surface_twist.t": ({**SURFACE, "t": 0.0}, "t"),
     "surface_twist.n": ({**SURFACE, "n": 3}, "n"),
+    # found before the q, whose series would be too long to print
+    "surface_twist.t.long_q": ({**SURFACE, "q": 10**300, "m_max": 3, "t": 0.5}, "t"),
     "lattice": ({"kind": "lattice_word", "lattice": {"gram": [[1]], "sign": -1},
                  "word": []}, "lattice.sign"),
     "deck": ({**ENRIQUES, "deck": {**ENRIQUES["deck"], "orders": [2]}}, "deck.orders"),
     "whitelisted": ({"kind": "lattice_word", "lattice": {"gram": [[1]]},
                      "word": [{"kind": "spherical", "class": [3], "whitelisted": True}]},
                     "word[0].whitelisted"),
+    "whitelisted.non_spherical": ({"kind": "lattice_word", "lattice": {
+        "gram": [[0, 0, -1], [0, 10, 0], [-1, 0, 0]]}, "word": [
+            {"kind": "spherical", "class": [0, 1, 0], "whitelisted": True}]},
+        "word[0].whitelisted"),
     "explicit.nilpotent": ({"kind": "lattice_word", "lattice": {"gram": [[1]]},
                             "word": [{"kind": "explicit", "matrix": [[2]],
                                       "nilpotent": [[0]]}]}, "word[0].nilpotent"),
@@ -140,6 +147,7 @@ def test_degenerate_table_cites_invariant(capsys):
      "base.q", 5),
     ({**list_builtin_models()["enriques-over-hk"],
       "cover": {"n": 2, "q": 7, "m_max": 5}}, "cover.q", 7),
+    ({"kind": "hk", "n": 1, "q": 3, "m_max": 4}, "q", 3),
 ])
 def test_odd_q_is_rejected_by_validate(capsys, config, field, q):
     # With q odd, d_1 is an odd integer over 2^n n!, so every run would end
@@ -165,6 +173,8 @@ def test_odd_q_is_rejected_by_validate(capsys, config, field, q):
       "m_max": 4}, "d_table", 7),
     *(({"kind": "hk", "n": n, "d_table": [7, 22, 47], "m_max": 4}, "d_table", 4 * n + 6)
       for n in range(2, 5)),
+    ({"kind": "surface_twist", "d_table": [7, 22, 47], "k": 2, "l": 2,
+      "m_max": 4}, "d_table", 8),
 ])
 def test_short_d_table_is_rejected_by_validate(capsys, config, field, need):
     # The check stage reads d_1, d_2, ... in order up to the deepest d_i the
@@ -245,6 +255,9 @@ def test_lattice_rules_come_from_the_lattice(capsys, lattice, message):
     ({"q": 10.0}, "q: must be an even positive integer, got 10.0"),
     ({"d_table": [2.9, 3]}, "d-table entry d_1 must be an integer, got 2.9"),
     ({"d_table": []}, "d-table must be a nonempty list of integers, got []"),
+    # n = 1 reads d_1 .. d_{6 + m_max}
+    ({"d_table": list(range(2, 11)), "m_max": 4},
+     "d-table too short: need d_10, have 9 entries"),
 ])
 def test_model_rules_come_from_the_model(capsys, fields, message):
     config = {"kind": "hk", "n": 1, "m_max": 3, **fields}
@@ -315,10 +328,10 @@ def test_load_config_names_a_missing_path(tmp_path, monkeypatch, as_path):
 
 
 @pytest.mark.parametrize("kind", [[], {}])
-def test_unhashable_kind_rejected(kind):
+def test_unhashable_kind_rejected(capsys, kind):
     kinds = ("hk", "hilb", "enriques", "lattice_word", "surface_twist")
-    assert validate_config({"kind": kind}) == (
-        None, [f"kind: must be one of {kinds}, got {kind!r}"])
+    rejected_by_the_schema(capsys, {"kind": kind},
+                           f"kind: must be one of {kinds}, got {kind!r}")
 
 
 # -- presets ---------------------------------------------------------------------
@@ -436,6 +449,21 @@ def test_surface_twist_cone_count(capsys, k, l, m_max):
     assert main(["validate", "--config", json.dumps(config)]) == 0
     assert cone_evaluations() == work
     assert capsys.readouterr().out == "config OK: kind=surface_twist\n"
+
+
+def test_validate_certifies_the_hk_and_hilb_words(monkeypatch, capsys):
+    # The check stage makes every log rho certificate, so validate certifies
+    # the default word of hk and of a hilb base, with no cone work.
+    calls = []
+    monkeypatch.setattr(cli, "certify_log_rho", lambda action, tol: calls.append(
+        action) or certify_log_rho(action, tol))
+    for name, kind in (("k3-q10", "hk"), ("k3n-hilb", "hilb")):
+        calls.clear()
+        work = cone_evaluations()
+        assert main(["validate", "--preset", name]) == 0
+        assert cone_evaluations() == work
+        assert calls == [default_action(HKModel(1, q=10))]
+        assert capsys.readouterr() == (f"config OK: kind={kind}\n", "")
 
 
 # Schema-valid, but the tensor class is not unipotent, which takes the
@@ -663,6 +691,68 @@ def test_main_engine_error_exit_code(capsys):
 
 
 MUKAI10 = {"gram": [[0, 0, -1], [0, 10, 0], [-1, 0, 0]]}
+I3 = {"gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+# validate and run give one exit code and one stderr on each config: the
+# message of an InputError, or for exit 0 the fields of the run's report.
+SHARED_EXITS = {
+    "n-not-an-int": ({"kind": "hk", "n": 1.5, "q": 10, "m_max": 4}, 1,
+                     "config validation failed:\n  - n: must be an integer, got 1.5"),
+    "tol-not-a-number": (
+        {"kind": "hk", "n": 1, "q": 10, "m_max": 4, "tol": "x"}, 1,
+        "config validation failed:\n  - tol: must be a number, got 'x'"),
+    "tensor-nilpotent-only": (
+        {"kind": "lattice_word", "lattice": MUKAI10,
+         "word": [{"kind": "tensor", "nilpotent": [[0, 0, 0], [-1, 0, 0], [0, -10, 0]]}]},
+        1, "config validation failed:\n  - word[0].nilpotent: unknown field\n"
+        "  - word[0].matrix: must be a list of rows"),
+    "euler-sign-plus": (
+        {"kind": "lattice_word", "lattice": {"gram": [[1]], "euler_sign": 1}, "word": []},
+        1, "config validation failed:\n  - lattice.euler_sign: must be -1, got 1"),
+    # the schema's rule comes before the gram's symmetry
+    "euler-general-asymmetric": (
+        {"kind": "lattice_word", "word": [],
+         "lattice": {"gram": [[0, 1], [2, 0]], "symmetry_kind": "euler_general"}},
+        1, "config validation failed:\n"
+        "  - lattice.symmetry_kind: must be 'symmetric', got 'euler_general'"),
+    # hk at n = 1 reads d_1 .. d_{6 + m_max}
+    "d-table-exact": (
+        {"kind": "hk", "n": 1, "d_table": list(range(2, 12)), "m_max": 4}, 0, {}),
+    "deck-fixes-no-vector": (
+        {"kind": "enriques", "cover": {"n": 1, "q": 10, "m_max": 4},
+         "lattice": {"gram": [[1, 0], [0, 1]]},
+         "deck": {"matrix": [[-1, 0], [0, -1]], "order": 2}, "word": [{"kind": "ptwist"}]},
+        1, "deck action fixes no lattice vector; not a valid quotient model"),
+    # trace n on a non-unit diagonal: no unit-triangular shortcut, and the
+    # full nilpotence test says no
+    "tensor-diagonal-2-0-1": (
+        {"kind": "lattice_word", "lattice": I3,
+         "word": [{"kind": "tensor", "matrix": [[2, 1, 0], [0, 0, 1], [0, 0, 1]]}]},
+        1, "generator 0 tensor matrix must be unipotent"),
+    # minus a unit lower triangular action
+    "shift-unit-lower": (
+        {"kind": "lattice_word", "lattice": I3, "word": [
+            {"kind": "shift"},
+            {"kind": "tensor", "matrix": [[1, 0, 0], [3, 1, 0], [-4, 9, 1]]}]},
+        0, {"log_rho": 0.0, "log_rho_exact_zero": True}),
+}
+
+
+@pytest.mark.parametrize("name", SHARED_EXITS)
+def test_validate_and_run_share_an_exit(capsys, name):
+    config, code, expected = SHARED_EXITS[name]
+    for command in ("validate", "run"):
+        assert main([command, "--config", json.dumps(config)]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == f"error [InputError]: {expected}\n"
+        elif command == "run":
+            report = json.loads(captured.out)
+            assert report["error"] is None
+            assert {key: report[key] for key in expected} == expected
+        else:
+            assert captured == (f"config OK: kind={config['kind']}\n", "")
+
+
 NON_SPHERICAL_WORDS = {
     "lattice_word": {"kind": "lattice_word", "lattice": MUKAI10},
     "enriques": {"kind": "enriques", "cover": {"n": 1, "q": 10, "m_max": 4},
@@ -796,7 +886,7 @@ def test_main_contract_violation_exit_code(capsys):
 
 
 @pytest.mark.parametrize("case", ["config-dir", "config-latin1", "out-missing-dir",
-                                  "out-dir"])
+                                  "out-dir", "preset-out-missing-dir"])
 def test_main_unusable_paths_are_input_errors(tmp_path, capsys, case):
     hk = json.dumps({"kind": "hk", "n": 1, "q": 10, "m_max": 4})
     latin1 = tmp_path / "latin1.json"
@@ -811,6 +901,8 @@ def test_main_unusable_paths_are_input_errors(tmp_path, capsys, case):
                             f"cannot write {missing}: No such file or directory"),
         "out-dir": (["--config", hk, "--out", str(tmp_path)],
                     f"cannot write {tmp_path}: Is a directory"),
+        "preset-out-missing-dir": (["--preset", "k3-q10", "--out", str(missing)],
+                                   f"cannot write {missing}: No such file or directory"),
     }[case]
     for command in ("validate", "run"):
         assert main([command, *argv]) == 1

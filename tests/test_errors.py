@@ -20,12 +20,12 @@ from catent.twists import (
     HKModel,
     clear_caches,
     correction_profile,
-    entropy_lower_bound,
     eval_twist_cone_profile,
     ext_growth_series,
     ext_growth_uppers,
     gy_verdict,
     iterate_profile,
+    model_verdict,
     negative_line_bundle_profile,
     spherical_twist_levels,
     spherical_twist_series,
@@ -54,7 +54,7 @@ GATED = {
     "iterate_profile.l": (lambda v: iterate_profile(K3, 0, 1, v), "l", 1),
     "ext_growth_series": (lambda v: ext_growth_series(K3, v), "m_max", 1),
     "ext_growth_uppers": (lambda v: ext_growth_uppers(K3, v), "m_max", 1),
-    "entropy_lower_bound": (lambda v: entropy_lower_bound(K3, v), "m_max", 3),
+    "model_verdict": (lambda v: model_verdict(K3, v, 0.0, True, 1e-9), "m_max", 3),
     "spherical_twist_levels.k": (lambda v: spherical_twist_levels(K3, v, 1, 3), "k", 1),
     "spherical_twist_levels.l": (lambda v: spherical_twist_levels(K3, 1, v, 3), "l", 1),
     "spherical_twist_levels.m_max": (
@@ -115,6 +115,7 @@ TOL_CHECKED = {
     "quotient_verdict": lambda v: quotient_verdict(
         CoverScenario(SWAP, 2, SquareIntMatrix.identity(2)), v),
     "gy_verdict": lambda v: gy_verdict(K3, 6, v),
+    "model_verdict": lambda v: model_verdict(K3, 6, 0.0, True, v),
     "Verdict.of": lambda v: Verdict.of(1.0, 0.5, False, v),
     "hilbert_lift_verdict": lambda v: hilbert_lift_verdict(2, BASE, v),
 }

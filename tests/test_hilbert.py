@@ -145,7 +145,9 @@ def test_lift_verdict_scales_gap():
     verdict = hilbert_lift_verdict(3, base)
     assert verdict.entropy_lower == pytest.approx(3 * math.log(7))
     assert verdict.log_rho == 0.0 and verdict.log_rho_exact_zero
-    assert verdict.details["strict_gap"]
+    assert list(verdict.details.items()) == [
+        ("points", 3), ("base_entropy_lower", base.entropy_lower),
+        ("base_log_rho", 0.0), ("strict_gap", True)]
     assert verdict.series.lowers[0] == 24155**3
     assert verdict.empirical_slope == 3 * base.empirical_slope
     assert verdict.gap == verdict.entropy_lower

@@ -15,11 +15,11 @@ from catent.twists import (
     HKModel,
     _levels,
     default_action,
-    entropy_lower_bound,
     ext_growth_series,
     ext_growth_uppers,
     eval_cone_profile,
     gy_verdict,
+    model_verdict,
     negative_line_bundle_profile,
     spherical_twist_levels,
     spherical_twist_series,
@@ -344,15 +344,18 @@ def test_log_slope_needs_positive_lowers_in_its_window(lower):
 
 
 def test_entropy_lower_bound_values():
-    assert entropy_lower_bound(K3, 6).certified == pytest.approx(math.log(7))
-    assert entropy_lower_bound(HK2, 6).certified == pytest.approx(math.log(6))
+    # A certified exact zero, as certify_log_rho gives for the default word.
+    assert model_verdict(K3, 6, 0.0, True, 1e-9).entropy_lower == pytest.approx(
+        math.log(7))
+    assert model_verdict(HK2, 6, 0.0, True, 1e-9).entropy_lower == pytest.approx(
+        math.log(6))
     with pytest.raises(InputError):
-        entropy_lower_bound(K3, 2)
+        model_verdict(K3, 2, 0.0, True, 1e-9)
 
 
 def test_entropy_empirical_slope_converges():
-    bound = entropy_lower_bound(K3, 10)
-    assert bound.empirical_slope >= bound.certified - 0.05
+    verdict = model_verdict(K3, 10, 0.0, True, 1e-9)
+    assert verdict.empirical_slope >= verdict.entropy_lower - 0.05
 
 
 def test_gy_verdict_k3():
