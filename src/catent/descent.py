@@ -144,16 +144,18 @@ def quotient_verdict(sc: CoverScenario,
     characteristic polynomial must divide the cover's, as it does for an
     action on a saturated invariant sublattice (the action is block
     triangular in an adapted basis), so no quotient root exceeds the cover's.
+    Each characteristic polynomial is computed once, for both uses.
     The details give the cover's log rho and the quotient rank.
     """
-    cover_log_rho, cover_exact_zero = certify_log_rho(sc.action, tol)
-    log_rho, exact_zero = certify_log_rho(sc.restricted, tol)
+    cover_poly, poly = char_poly(sc.action), char_poly(sc.restricted)
+    cover_log_rho, cover_exact_zero = certify_log_rho(sc.action, tol, cover_poly)
+    log_rho, exact_zero = certify_log_rho(sc.restricted, tol, poly)
     if cover_exact_zero and not exact_zero:
         raise ContractError(
             "restriction of an action that is unipotent up to sign failed "
             "the exact-zero certificate"
         )
-    if poly_exact_quotient(char_poly(sc.action), char_poly(sc.restricted)) is None:
+    if poly_exact_quotient(cover_poly, poly) is None:
         raise ContractError("restricted characteristic polynomial does not divide "
                             "the ambient one")
     return log_rho, exact_zero, {"cover_log_rho": cover_log_rho,

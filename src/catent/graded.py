@@ -13,13 +13,17 @@ one tuple (``highs is lows``), an inexact one shares the int object of every
 cell with lo == hi, and ``shifted`` shares the tuples of its source.  So
 ``lo(j)``/``hi(j)`` are index lookups, ``==`` and ``hash`` work on
 (offset, lows, highs), and ``entries`` is a derived view of the nonzero
-(degree, lo, hi) triples.
+(degree, lo, hi) triples.  ``scaled(c)`` multiplies every bound by an int
+c >= 0 and keeps the same storage rules: the Kuenneth product with {0: c},
+so a one-cell kernel {s: c} is ``shifted(-s).scaled(c)``, with no
+convolution.
 
 Only the public constructors validate: ``GradedDimInterval(entries)``, which
 ``exact`` calls, requires int degrees and bounds (``errors.is_int``),
 0 <= lo <= hi and no repeated degree, and raises ``InputError`` otherwise.
 Results computed in this module go through ``_profile``, which only trims
-and shares.
+and shares; ``shifted`` and ``scaled`` check only their argument and keep
+the storage rules by construction.
 
 ``cone_bounds`` propagates bounds through an exact triangle A -> B -> C ->
 A[1] using only the long exact sequence of cohomology.  For each degree j the
@@ -145,6 +149,20 @@ class GradedDimInterval:
     def shifted(self, s: int) -> "GradedDimInterval":
         require_int(s, "s")
         return _new(self.offset - s, self.lows, self.highs) if self.lows else self
+
+    def scaled(self, c: int) -> "GradedDimInterval":
+        """c times every bound: the Kuenneth product with {0: c}, c an int >= 0."""
+        require_int(c, "c", 0)
+        if c == 0:
+            return _new(0, (), ())
+        # c > 0 keeps every cell's zeroness, so the ends stay trimmed, and
+        # lo == hi exactly where c lo == c hi, so one product serves both.
+        lows = tuple(c * lo for lo in self.lows)
+        if self.highs is self.lows:
+            return _new(self.offset, lows, lows)
+        return _new(self.offset, lows, tuple(
+            clo if lo == hi else c * hi
+            for clo, lo, hi in zip(lows, self.lows, self.highs)))
 
 
 def _new(offset: int, lows: tuple, highs: tuple) -> GradedDimInterval:

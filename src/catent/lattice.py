@@ -359,8 +359,10 @@ def _newton_polygon_starts(coeffs) -> list:
     return starts
 
 
-def spectral_radius(m: SquareIntMatrix, tol: float = DEFAULT_TOL) -> float:
+def spectral_radius(m: SquareIntMatrix, tol: float = DEFAULT_TOL,
+                    poly: Poly | None = None) -> float:
     """Maximum root modulus rho of char_poly(M), estimated to within tol*rho.
+    A caller that already has char_poly(M) passes it as ``poly``.
 
     The squarefree part q of degree n is refined on the exactly scaled
     q(2^s y) / 2^(s n), s = round((bitlen|q_0| - bitlen|q_n|) / n), whose
@@ -377,7 +379,7 @@ def spectral_radius(m: SquareIntMatrix, tol: float = DEFAULT_TOL) -> float:
     """
     if problem := real_problem(tol, 0.0):
         raise InputError(f"tol: {problem}")
-    p = char_poly(m)
+    p = char_poly(m) if poly is None else poly
     p = p[next(i for i, c in enumerate(p) if c):]  # strip x^k; p is monic
     if len(p) == 1:
         return 0.0  # nilpotent: all eigenvalues zero

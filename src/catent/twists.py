@@ -51,12 +51,7 @@ from functools import lru_cache
 
 from .errors import (CollapseError, InputError, int_problem, is_int, real_problem,
                      require_int, shown)
-from .graded import (
-    GradedDimInterval,
-    cone_bounds,
-    convolve_interval,
-    delta_value_interval,
-)
+from .graded import GradedDimInterval, cone_bounds, delta_value_interval
 from .lattice import DEFAULT_TOL, BilinearLattice, SquareIntMatrix
 from .words import Verdict, certify_log_rho, induced_matrix
 
@@ -133,6 +128,11 @@ class HKModel:
         return self.table[i - 1]
 
 
+# {0: 1}: a one-cell profile {s: d} is _POINT.shifted(-s).scaled(d), from a d
+# the model has already checked.
+_POINT = GradedDimInterval.exact({0: 1})
+
+
 def negative_line_bundle_profile(model: HKModel, j: int) -> GradedDimInterval:
     """Cohomology profile of the inverse j-th polarization power: {2n: d_j}.
 
@@ -140,7 +140,7 @@ def negative_line_bundle_profile(model: HKModel, j: int) -> GradedDimInterval:
     concentrate everything in the top degree.
     """
     require_int(j, "j", 1)
-    return GradedDimInterval.exact({model.dim_x: model.dim(j)})
+    return _POINT.shifted(-model.dim_x).scaled(model.dim(j))
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +155,12 @@ def eval_cone_profile(
 
     Both terms are sums of copies of the same line bundle with multiplicities
     given degreewise by ``mult``; the second copy sits two degrees deeper.
+    The first term is the Kuenneth product of ``mult`` with the one-cell
+    kernel {2n: d_l}, so ``mult`` shifted up by 2n and scaled by d_l.
     """
-    target = convolve_interval(mult, negative_line_bundle_profile(model, l))
-    source = target.shifted(-2)
-    return cone_bounds(source, target)
+    require_int(l, "l", 1)
+    target = mult.shifted(-model.dim_x).scaled(model.dim(l))
+    return cone_bounds(target.shifted(-2), target)
 
 
 @lru_cache(maxsize=None, typed=True)  # so 1.0 or True never hits the key of 1
@@ -217,13 +219,15 @@ def _expected_top(model: HKModel, m: int, k: int, l: int) -> int:
 
 
 def _check_top(profile: GradedDimInterval, top: int, expected: int, label: str):
-    for deg, lo, hi in profile.entries:
-        if deg > top:
-            raise CollapseError(
-                f"{label}: expected exact vanishing above degree {top}, "
-                f"found [{lo}, {hi}] at degree {deg}",
-                degree=deg,
-            )
+    # The stored ends are trimmed, so the last stored degree is the highest
+    # nonzero one; only a failing profile is scanned, for the lowest.
+    if profile.lows and profile.offset + len(profile.lows) - 1 > top:
+        deg, lo, hi = next(cell for cell in profile.entries if cell[0] > top)
+        raise CollapseError(
+            f"{label}: expected exact vanishing above degree {top}, "
+            f"found [{lo}, {hi}] at degree {deg}",
+            degree=deg,
+        )
     lo, hi = profile.lo(top), profile.hi(top)
     if lo != expected or hi != expected:
         raise CollapseError(
@@ -402,10 +406,10 @@ def spherical_twist_levels(model: HKModel, k: int, l: int, m_max: int):
     """Yield the profile at twist level l of the m-th spherical-twist-and-
     tensor iterate, m = 1 .. m_max: the level loop on profiles, from level 0
     = {2: d_{k+lv}} at twist level lv."""
-    exact = GradedDimInterval.exact
+    leaf = _POINT.shifted(-2)
     return _surface_levels(
-        model, k, l, m_max, lambda d_i: exact({2: d_i}),
-        lambda a, d_lv, b: cone_bounds(convolve_interval(a, exact({2: d_lv})), b))
+        model, k, l, m_max, leaf.scaled,
+        lambda a, d_lv, b: cone_bounds(a.shifted(-2).scaled(d_lv), b))
 
 
 def spherical_twist_series(model: HKModel, k: int, l: int, m_max: int) -> BoundSeries:

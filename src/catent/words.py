@@ -28,6 +28,7 @@ from .errors import InputError, is_int, real_problem, shown
 from .lattice import (
     DEFAULT_TOL,
     BilinearLattice,
+    Poly,
     SquareIntMatrix,
     is_unipotent,
     spectral_radius,
@@ -124,20 +125,21 @@ def log_rho_is_exact_zero(m: SquareIntMatrix) -> bool:
 
 
 def certify_log_rho(
-    m: SquareIntMatrix, tol: float = DEFAULT_TOL
+    m: SquareIntMatrix, tol: float = DEFAULT_TOL, poly: Poly | None = None
 ) -> tuple[float, bool]:
     """The one certificate for log of the spectral radius of an action.
 
     Returns ``(log_rho, exact_zero)``: ``(0.0, True)`` when the action is
     unipotent up to sign, otherwise the refined float value, estimated to
     within tol, and False.  A nilpotent action has no logarithm and is an
-    input error.
+    input error.  ``poly``, when given, is char_poly(m), which the caller
+    already has.
     """
     if problem := real_problem(tol, 0.0):  # before the exact zero, which reads no tol
         raise InputError(f"tol: {problem}")
     if log_rho_is_exact_zero(m):
         return 0.0, True
-    rho = spectral_radius(m, tol)
+    rho = spectral_radius(m, tol, poly)
     if rho == 0.0:
         raise InputError("nilpotent action: spectral radius 0 has no logarithm")
     return math.log(rho), False

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 
 import pytest
 
@@ -318,3 +319,24 @@ def test_exact_zero_cover_with_growing_restriction_is_a_contract_error():
     object.__setattr__(sc, "restricted", SquareIntMatrix(((2, 1), (1, 1))))
     with pytest.raises(ContractError, match="failed the exact-zero certificate$"):
         quotient_verdict(sc)
+
+
+def test_quotient_verdict_computes_each_char_poly_once(monkeypatch):
+    # The spectral radius and the divisibility contract share each polynomial:
+    # one for the action, one for its restriction (here the same matrix).
+    original, calls = descent.char_poly, []
+
+    def spy(m):
+        calls.append(m)
+        return original(m)
+
+    for name, module in list(sys.modules.items()):
+        if name == "catent" or name.startswith("catent."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, spy)
+    big = SquareIntMatrix(((2, 1), (1, 1)))
+    log_rho, exact_zero, _ = quotient_verdict(
+        CoverScenario(SquareIntMatrix.identity(2), 1, big))
+    assert not exact_zero and log_rho == pytest.approx(math.log((3 + math.sqrt(5)) / 2))
+    assert calls == [big, big]

@@ -20,6 +20,7 @@ from catent.twists import (
     HKModel,
     clear_caches,
     correction_profile,
+    eval_cone_profile,
     eval_twist_cone_profile,
     ext_growth_series,
     ext_growth_uppers,
@@ -48,6 +49,8 @@ GATED = {
     "correction_profile.m": (lambda v: correction_profile(K3, v, 1, 1), "m", 1),
     "correction_profile.k": (lambda v: correction_profile(K3, 1, v, 1), "k", 1),
     "correction_profile.l": (lambda v: correction_profile(K3, 1, 1, v), "l", 1),
+    "eval_cone_profile": (
+        lambda v: eval_cone_profile(K3, GradedDimInterval.exact({2: 7}), v), "l", 1),
     "eval_twist_cone_profile": (lambda v: eval_twist_cone_profile(K3, v, 1, 1), "m", 2),
     "iterate_profile.m": (lambda v: iterate_profile(K3, v, 1, 1), "m", 0),
     "iterate_profile.k": (lambda v: iterate_profile(K3, 0, v, 1), "k", 1),
@@ -76,6 +79,8 @@ GATED = {
     "SquareIntMatrix.power": (lambda v: SWAP.power(v), "k", 0),
     "GradedDimInterval.shifted": (
         lambda v: GradedDimInterval.exact({0: 1}).shifted(v), "s", None),
+    "GradedDimInterval.scaled": (
+        lambda v: GradedDimInterval.exact({0: 1}).scaled(v), "c", 0),
 }
 
 

@@ -390,7 +390,8 @@ def test_dense_operations_match_sparse_reference_on_big_exact_profiles(a, b, s):
 
 def _every_profile(g1, g2):
     """The inputs and results of every operation on g1 and g2."""
-    return [g1, g2, g1.shifted(3), cone_bounds(g1, g2), cone_bounds(g2, g1),
+    return [g1, g2, g1.shifted(3), g1.scaled(0), g1.scaled(1), g2.scaled(3),
+            g2.scaled(7**40), cone_bounds(g1, g2), cone_bounds(g2, g1),
             convolve_interval(g1, g2)]
 
 
@@ -424,6 +425,22 @@ def test_equal_cells_share_one_int():
     assert g.lows[0] is g.highs[0]
     c = cone_bounds(gd({5: big}), gd({0: big}))
     assert c.is_exact() and c.lows[0] is c.lows[-1] is big
+    s = g.scaled(big)
+    assert not s.is_exact() and s.lows[0] is s.highs[0] == big * big
+
+
+@given(profiles, st.integers(0, 9))
+@settings(max_examples=300)
+def test_scaled_is_the_kuenneth_product_with_one_cell(g, c):
+    # Inexact and empty profiles alike; c = 0 gives the empty profile.
+    got = g.scaled(c)
+    assert got == convolve_interval(g, gd({0: c})) == _scaled(g, c)
+    assert got.entries == tuple((d, c * lo, c * hi) for d, lo, hi in g.entries if c)
+
+
+@given(profiles, st.integers(-5, 5), st.integers(1, 9))
+def test_one_cell_kernel_is_a_shift_and_a_scale(g, s, c):
+    assert convolve_interval(g, gd({s: c})) == g.shifted(-s).scaled(c)
 
 
 @given(profiles, st.integers(-5, 5))

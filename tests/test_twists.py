@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from catent.errors import CollapseError, InputError
+from catent.errors import CollapseError, ContractError, InputError
 from catent.graded import (
     GradedDimInterval,
     _chi_interval,
@@ -13,6 +15,7 @@ from catent.graded import (
 from catent.twists import (
     BoundSeries,
     HKModel,
+    _check_top,
     _levels,
     default_action,
     ext_growth_series,
@@ -231,8 +234,6 @@ def test_contracts_reject_bad_level():
 
 
 def test_collapse_error_names_degree():
-    from catent.twists import _check_top
-
     prof = from_dict({4: (3, 5)})
     with pytest.raises(CollapseError) as exc:
         _check_top(prof, 4, 4, "test profile")
@@ -240,6 +241,57 @@ def test_collapse_error_names_degree():
     with pytest.raises(CollapseError) as exc:
         _check_top(prof, 3, 1, "test profile")
     assert exc.value.degree == 4
+
+
+def test_collapse_error_names_the_lowest_cell_above_top():
+    # An inexact cell above the top, zero cells around it, and a larger
+    # stored cell last: the error names the inexact one, not the last.
+    prof = from_dict({4: (4, 4), 6: (1, 2), 9: (5, 5)})
+    with pytest.raises(CollapseError) as exc:
+        _check_top(prof, 4, 4, "test profile")
+    assert exc.value.degree == 6
+    assert str(exc.value) == ("test profile: expected exact vanishing above "
+                              "degree 4, found [1, 2] at degree 6")
+    _check_top(prof, 9, 5, "test profile")  # nothing above the last cell
+
+
+# Interval profiles whose cells may be [0, 0] inside the range, or empty.
+_cells = st.one_of(
+    st.just((0, 0)),
+    st.tuples(st.integers(0, 4), st.integers(0, 4)).map(lambda p: (p[0], p[0] + p[1])),
+)
+_profiles = st.dictionaries(st.integers(-4, 8), _cells, max_size=6).map(from_dict)
+
+
+def _collapse(check, *args):
+    try:
+        check(*args)
+    except CollapseError as exc:
+        return str(exc), exc.degree
+    return None
+
+
+@given(_profiles, st.integers(-3, 10), st.integers(0, 4))
+@settings(max_examples=300)
+def test_check_top_matches_the_full_scan(profile, top, expected):
+    args = (profile, top, expected, "test profile")
+    assert _collapse(_check_top, *args) == _collapse(
+        twists_reference.check_top_by_scan, *args)
+
+
+def _cone(build, model, mult, l):
+    try:
+        return build(model, mult, l)
+    except ContractError:
+        return ContractError
+
+
+@given(_profiles, st.sampled_from([K3, HK2, HKModel(1, table=(3, 7, 12))]))
+@settings(max_examples=200)
+def test_eval_cone_matches_the_convolution_oracle(mult, model):
+    for l in range(1, model.generator_width + 1):
+        assert _cone(eval_cone_profile, model, mult, l) == _cone(
+            twists_reference.eval_cone_profile, model, mult, l)
 
 
 # -- growth series -------------------------------------------------------------------

@@ -13,6 +13,10 @@ level loop in ``catent.twists``: a dict holds every (m, twist level)
 profile, and the upper profiles are propagated by hand on dicts of ints.
 ``ext_growth_uppers`` is the memoized int recursion of the iterate uppers,
 the oracle for the engine's level loop on unit corrections.
+``eval_cone_profile`` builds the evaluation cone by the general convolution
+with a kernel from the validating constructor, and ``check_top_by_scan``
+decides the collapse by scanning every stored cell: the oracles for the
+engine's shift-and-scale cone and its one-comparison ``_check_top``.
 """
 
 from __future__ import annotations
@@ -37,6 +41,31 @@ from catent.twists import (
     negative_line_bundle_profile,
     verify_iterate_contract,
 )
+
+
+def eval_cone_profile(model: HKModel, mult: GradedDimInterval, l: int
+                      ) -> GradedDimInterval:
+    """The evaluation cone with its first term the Kuenneth product of
+    ``mult`` and the kernel {2n: d_l}, by ``convolve_interval``."""
+    target = convolve_interval(mult, GradedDimInterval.exact({model.dim_x: model.dim(l)}))
+    return cone_bounds(target.shifted(-2), target)
+
+
+def check_top_by_scan(profile: GradedDimInterval, top: int, expected: int, label: str):
+    """``_check_top`` with the vanishing above ``top`` read off every cell."""
+    for deg, lo, hi in profile.entries:
+        if deg > top:
+            raise CollapseError(
+                f"{label}: expected exact vanishing above degree {top}, "
+                f"found [{lo}, {hi}] at degree {deg}",
+                degree=deg,
+            )
+    lo, hi = profile.lo(top), profile.hi(top)
+    if lo != expected or hi != expected:
+        raise CollapseError(
+            f"{label}: top degree {top} expected exactly {expected}, got [{lo}, {hi}]",
+            degree=top,
+        )
 
 
 def trivial_bundle_profile(model: HKModel) -> GradedDimInterval:
