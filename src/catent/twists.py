@@ -29,8 +29,9 @@ degrees, the Ext total of the categorical entropy at t = 0 (h_cat = h_0).
 The per-m lower bounds of the summed profiles grow like d_1^m, so
 log d_1 is a certified entropy lower bound.  ``model_verdict`` gates it, for
 an ``hk`` model, a ``hilb`` base or an ``enriques`` cover, against a log rho
-certified before any cone work.  The default word's action is unipotent, so
-``gy_verdict`` finds the Gromov-Yomdin equality failing by at least log d_1.
+certified before any cone work.  The action of the default word
+(``default_action``) is unipotent, so the Gromov-Yomdin equality fails by
+at least log d_1.
 
 A generic surface spherical-twist iteration (bounds only, no collapse
 contract) is included for degree-two models.  Its series runs the level loop
@@ -52,8 +53,8 @@ from functools import lru_cache
 from .errors import (CollapseError, InputError, int_problem, is_int, real_problem,
                      require_int, shown)
 from .graded import GradedDimInterval, cone_bounds, delta_value_interval
-from .lattice import DEFAULT_TOL, BilinearLattice, SquareIntMatrix
-from .words import Verdict, certify_log_rho, induced_matrix
+from .lattice import BilinearLattice, SquareIntMatrix
+from .words import Verdict, induced_matrix
 
 def _binomial_dim(n: int, q: int, i: int) -> int:
     # chi of the i-th polarization power on a K3^[n]-type model:
@@ -356,12 +357,6 @@ def model_verdict(model: HKModel, m_max: int, log_rho: float, exact_zero: bool,
     return Verdict.of(math.log(model.dim(1)), log_rho, exact_zero, tol,
                       slope=series.log_slope(max(1, m_max // 2), m_max),
                       series=series, details=details)
-
-
-def gy_verdict(model: HKModel, m_max: int, tol: float = DEFAULT_TOL) -> Verdict:
-    """``model_verdict`` against the exact log spectral radius of the default
-    twist-and-tensor word."""
-    return model_verdict(model, m_max, *certify_log_rho(default_action(model), tol), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Reference implementations and oracles for the interval operations.
 
-``convolve_interval``, ``cone_bounds`` and ``_chi_interval`` are the
-entry-scanning versions that ``catent.graded`` used before profiles were
-stored densely.  They keep the sparse algorithms; ``cone_bounds`` counts no
-evaluations and reads ``lo``/``hi`` by the same linear scan of ``entries``
-that the sparse profile used.  The differential test in ``test_graded.py``
-requires the dense functions to agree with them.
+``convolve_interval`` and ``cone_bounds`` are the entry-scanning versions
+that ``catent.graded`` used before profiles were stored densely.  They keep
+the sparse algorithms; ``cone_bounds`` counts no evaluations and reads
+``lo``/``hi`` by the same linear scan of ``entries`` that the sparse profile
+used.  The differential test in ``test_graded.py`` requires the dense
+functions to agree with them.  ``cone_bounds`` also keeps the
+Euler-characteristic filter that the engine no longer runs, with
+``_chi_interval``, the range of a profile's alternating sum: the tests check
+on it the theorem in the ``catent.graded`` docstring, that the filter never
+fails.
 
 ``cone_exact_from_map_rank`` is the independent cone oracle: it computes the
 cone of exact profiles exactly from supplied ranks.  ``from_dict`` builds a

@@ -24,7 +24,6 @@ from catent.twists import (
     eval_twist_cone_profile,
     ext_growth_series,
     ext_growth_uppers,
-    gy_verdict,
     iterate_profile,
     model_verdict,
     negative_line_bundle_profile,
@@ -119,7 +118,6 @@ TOL_CHECKED = {
     "certify_log_rho.exact_zero": lambda v: certify_log_rho(SWAP, v),
     "quotient_verdict": lambda v: quotient_verdict(
         CoverScenario(SWAP, 2, SquareIntMatrix.identity(2)), v),
-    "gy_verdict": lambda v: gy_verdict(K3, 6, v),
     "model_verdict": lambda v: model_verdict(K3, 6, 0.0, True, v),
     "Verdict.of": lambda v: Verdict.of(1.0, 0.5, False, v),
     "hilbert_lift_verdict": lambda v: hilbert_lift_verdict(2, BASE, v),

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graded_reference as ref
-from catent.errors import ContractError, InputError
+from catent.errors import InputError
 from catent.graded import (
     GradedDimInterval,
-    _chi_interval,
     cone_bounds,
     convolve_interval,
     delta_value_interval,
@@ -46,7 +45,7 @@ interval_dicts = st.dictionaries(
 
 def chi(g):
     """Alternating sum of an exact profile."""
-    lo, hi = _chi_interval(g)
+    lo, hi = ref._chi_interval(g)
     assert lo == hi
     return lo
 
@@ -262,16 +261,8 @@ def _scaled(g, c):
 @given(interval_dicts.map(gi), interval_dicts.map(gi), st.integers(1, 9))
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_cone_and_convolution_are_positively_homogeneous(a, b, c):
-    # max(0, c·y - c·x) = c·max(0, y - x), and the Euler filter's ranges and
-    # targets scale by c as well, so it fails on c·A, c·B exactly when it
-    # fails on A, B.
-    try:
-        cone = cone_bounds(a, b)
-    except ContractError:
-        with pytest.raises(ContractError):
-            cone_bounds(_scaled(a, c), _scaled(b, c))
-    else:
-        assert cone_bounds(_scaled(a, c), _scaled(b, c)) == _scaled(cone, c)
+    # max(0, c·y - c·x) = c·max(0, y - x).
+    assert cone_bounds(_scaled(a, c), _scaled(b, c)) == _scaled(cone_bounds(a, b), c)
     assert convolve_interval(_scaled(a, c), b) == _scaled(convolve_interval(a, b), c)
 
 
@@ -364,28 +355,43 @@ exact_profiles = st.dictionaries(
 ).map(gd)
 
 
-def _outcome(fn, *args):
-    try:
-        result = fn(*args)
-    except ContractError:
-        return ContractError
-    return result.entries if isinstance(result, GradedDimInterval) else result
-
-
 @given(profiles, profiles)
 @settings(max_examples=300)
 def test_dense_operations_match_sparse_reference(a, b):
-    assert _outcome(cone_bounds, a, b) == _outcome(ref.cone_bounds, a, b)
-    assert _outcome(convolve_interval, a, b) == _outcome(ref.convolve_interval, a, b)
-    assert _chi_interval(a) == ref._chi_interval(a)
+    assert cone_bounds(a, b).entries == ref.cone_bounds(a, b).entries
+    assert convolve_interval(a, b).entries == ref.convolve_interval(a, b).entries
 
 
 @given(exact_profiles, exact_profiles, st.integers(-3, 3))
 def test_dense_operations_match_sparse_reference_on_big_exact_profiles(a, b, s):
     a = a.shifted(s)
-    assert _outcome(cone_bounds, a, b) == _outcome(ref.cone_bounds, a, b)
-    assert _outcome(convolve_interval, a, b) == _outcome(ref.convolve_interval, a, b)
-    assert _chi_interval(a) == ref._chi_interval(a)
+    assert cone_bounds(a, b).entries == ref.cone_bounds(a, b).entries
+    assert convolve_interval(a, b).entries == ref.convolve_interval(a, b).entries
+
+
+def _corners(g):
+    """The exact profiles at the lows and at the highs of g."""
+    return (gd({d: lo for d, lo, _ in g.entries}), gd({d: hi for d, _, hi in g.entries}))
+
+
+@given(st.one_of(profiles, exact_profiles), st.one_of(profiles, exact_profiles),
+       st.integers(-3, 3))
+@settings(max_examples=300)
+def test_cone_box_holds_a_point_with_the_euler_characteristic_of_b_minus_a(a, b, s):
+    # The theorem in the catent.graded docstring: with every rank 0, a point
+    # of A's box and one of B's give c_j = b_j + a_{j+1} inside the cone's
+    # box, with alternating sum chi(b) - chi(a).  So no Euler-characteristic
+    # filter can fail, and the reference, which keeps one, never raises.
+    a = a.shifted(s)
+    cone = cone_bounds(a, b)
+    ref.cone_bounds(a, b)
+    degrees = set(support(b)) | {d - 1 for d in support(a)} | set(support(cone))
+    for pa in _corners(a):
+        for pb in _corners(b):
+            witness = {j: pb.lo(j) + pa.lo(j + 1) for j in degrees}
+            for j, c_j in witness.items():
+                assert cone.lo(j) <= c_j <= cone.hi(j), (pa, pb, j)
+            assert chi(gd(witness)) == chi(pb) - chi(pa)
 
 
 def _every_profile(g1, g2):

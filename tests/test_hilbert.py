@@ -6,9 +6,9 @@ import pytest
 
 from catent.errors import InputError
 from catent.hilbert import hilbert_lift_verdict, kunneth_power_series
-from catent.lattice import SquareIntMatrix, char_poly, spectral_radius
-from catent.twists import BoundSeries, HKModel, gy_verdict
-from catent.words import Verdict, derive_verdict
+from catent.lattice import DEFAULT_TOL, SquareIntMatrix, char_poly, spectral_radius
+from catent.twists import BoundSeries, HKModel, default_action, model_verdict
+from catent.words import Verdict, certify_log_rho, derive_verdict
 from lattice_powers import poly_divides, symmetric_power_matrix, tensor_power_matrix
 
 TOL = 1e-9
@@ -118,7 +118,9 @@ def test_symmetric_power_unipotent_preserved():
 
 
 def make_base(m_max=5):
-    return gy_verdict(HKModel(1, q=10), m_max)
+    model = HKModel(1, q=10)
+    return model_verdict(
+        model, m_max, *certify_log_rho(default_action(model), DEFAULT_TOL), DEFAULT_TOL)
 
 
 def test_scenario_validation():

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catent.errors import CollapseError, ContractError, InputError
+from catent.errors import CollapseError, InputError
 from catent.graded import (
     GradedDimInterval,
-    _chi_interval,
     cone_bounds,
     convolve_interval,
     delta_value_interval,
@@ -21,7 +20,6 @@ from catent.twists import (
     ext_growth_series,
     ext_growth_uppers,
     eval_cone_profile,
-    gy_verdict,
     model_verdict,
     negative_line_bundle_profile,
     spherical_twist_levels,
@@ -29,9 +27,10 @@ from catent.twists import (
     spherical_twist_uppers,
     verify_iterate_contract,
 )
-from catent.lattice import BilinearLattice, SquareIntMatrix, char_poly, is_unipotent
-from catent.words import induced_matrix
-from graded_reference import from_dict, support
+from catent.lattice import (DEFAULT_TOL, BilinearLattice, SquareIntMatrix, char_poly,
+                            is_unipotent)
+from catent.words import certify_log_rho, induced_matrix
+from graded_reference import _chi_interval, from_dict, support
 from rational_reference import tensor_matrix_from_nilpotent as tensor_exponential
 import twists_reference
 from twists_reference import (
@@ -279,19 +278,12 @@ def test_check_top_matches_the_full_scan(profile, top, expected):
         twists_reference.check_top_by_scan, *args)
 
 
-def _cone(build, model, mult, l):
-    try:
-        return build(model, mult, l)
-    except ContractError:
-        return ContractError
-
-
 @given(_profiles, st.sampled_from([K3, HK2, HKModel(1, table=(3, 7, 12))]))
 @settings(max_examples=200)
 def test_eval_cone_matches_the_convolution_oracle(mult, model):
     for l in range(1, model.generator_width + 1):
-        assert _cone(eval_cone_profile, model, mult, l) == _cone(
-            twists_reference.eval_cone_profile, model, mult, l)
+        assert eval_cone_profile(model, mult, l) == twists_reference.eval_cone_profile(
+            model, mult, l)
 
 
 # -- growth series -------------------------------------------------------------------
@@ -410,8 +402,13 @@ def test_entropy_empirical_slope_converges():
     assert verdict.empirical_slope >= verdict.entropy_lower - 0.05
 
 
+def _default_word_verdict(model, m_max):
+    return model_verdict(
+        model, m_max, *certify_log_rho(default_action(model), DEFAULT_TOL), DEFAULT_TOL)
+
+
 def test_gy_verdict_k3():
-    verdict = gy_verdict(K3, 6)
+    verdict = _default_word_verdict(K3, 6)
     assert verdict.verdict == "GY violated"
     assert verdict.log_rho == 0.0 and verdict.log_rho_exact_zero
     assert verdict.gap >= math.log(7) - 1e-12
@@ -420,7 +417,7 @@ def test_gy_verdict_k3():
 
 def test_gy_verdict_generic_model():
     table = tuple(i * i + 3 for i in range(1, 15))
-    verdict = gy_verdict(HKModel(2, table=table), 4)
+    verdict = _default_word_verdict(HKModel(2, table=table), 4)
     assert verdict.verdict == "GY violated"
     assert verdict.gap >= math.log(4) - 1e-12
 
