@@ -5,9 +5,11 @@ point appears only in the final spectral-radius estimate.  The dichotomy
 "spectral radius 1 vs. > 1" drives every certificate downstream, so it must
 never be a rounding artifact:
 
-  * characteristic polynomials come from an integer Faddeev-LeVerrier
-    recursion with an exact divisibility check at every step, as tuples of
-    int coefficients in ascending order,
+  * characteristic polynomials come from Hessenberg reduction modulo
+    Mersenne primes whose product exceeds twice a proven bound on every
+    coefficient, combined by the Chinese remainder theorem, so they are
+    exact by that bound; they are tuples of int coefficients in ascending
+    order,
   * unipotence is an exact integer nilpotence test, never ``|lambda - 1| < eps``,
   * the spectral radius rho is bracketed by the Cauchy bound of the exact
     characteristic polynomial and refined by multiprecision root finding on
@@ -240,8 +242,10 @@ def poly_exact_quotient(a: Poly, b: Poly) -> Poly | None:
     return tuple(map(int, q))
 
 
-#: Prime modulus of the squarefree pre-test: the Mersenne prime 2^61 - 1.
-_SQUAREFREE_PRIME = (1 << 61) - 1
+#: Exponents e of the Mersenne primes 2^e - 1, in increasing order: the
+#: moduli of ``char_poly``; the first is the prime of the squarefree pre-test.
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
+                       4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243)
 
 
 def _coprime_mod(a: Poly, b: Poly, prime: int) -> bool:
@@ -268,8 +272,8 @@ def squarefree_part(p: Poly) -> Poly:
     """p divided by gcd(p, p'), the gcd primitive with a positive leading
     coefficient; same roots, all simple."""
     dp = tuple(i * c for i, c in enumerate(p))[1:]
-    if len(p) < 2 or (p[-1] % _SQUAREFREE_PRIME
-                      and _coprime_mod(p, dp, _SQUAREFREE_PRIME)):
+    prime = (1 << _MERSENNE_EXPONENTS[0]) - 1
+    if len(p) < 2 or (p[-1] % prime and _coprime_mod(p, dp, prime)):
         return p  # squarefree mod P with the degree kept, hence over Q
     a, b = p, dp
     while b:  # Euclid over Q
@@ -286,26 +290,90 @@ def squarefree_part(p: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 
+def _char_poly_mod(rows, prime: int) -> list[int]:
+    """det(lambda*I - M) over F_prime, ascending coefficients in [0, prime).
+
+    M is reduced to upper Hessenberg form H by similarity transforms: for
+    each column j, a row swap (and the matching column swap) brings a
+    nonzero pivot to row j + 1, and the rows below subtract multiples of it
+    (and column j + 1 gains the inverse multiples of theirs).  The leading
+    minors' polynomials of H then follow the Hessenberg recurrence
+    p_(k+1) = (x - h_kk) p_k - sum_(i<k) h_ik h_(i+1,i) ... h_(k,k-1) p_i
+    (Cohen, A Course in Computational Algebraic Number Theory, 1993, 2.2).
+    """
+    n = len(rows)
+    h = [[a % prime for a in row] for row in rows]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue  # column j is already zero below the subdiagonal
+        if piv != j + 1:
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for row in h:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        pivot_row = h[j + 1][j:]
+        inv = pow(pivot_row[0], -1, prime)
+        us = []
+        for row in h[j + 2:]:
+            u = row[j] * inv % prime
+            if u:
+                row[j:] = [(a - u * b) % prime for a, b in zip(row[j:], pivot_row)]
+            us.append(u)
+        if any(us):
+            for row in h:
+                row[j + 1] = (row[j + 1] + sum(map(operator.mul, us, row[j + 2:]))) % prime
+    polys = [[1]]
+    for k in range(n):
+        p, diag = polys[k], h[k][k]
+        new = [0, *p]
+        new[:-1] = [a - diag * c for a, c in zip(new, p)]
+        t = 1
+        for i in range(k - 1, -1, -1):
+            t = t * h[i + 1][i] % prime
+            if not t:
+                break
+            if a := h[i][k] * t % prime:
+                new[:i + 1] = [b - a * c for b, c in zip(new, polys[i])]
+        polys.append([c % prime for c in new])
+    return polys[n]
+
+
 def char_poly(m: SquareIntMatrix) -> Poly:
     """Exact characteristic polynomial det(lambda*I - M), as its ascending
     int coefficients.
 
-    Integer Faddeev-LeVerrier recursion; each division by the step index is
-    checked for exactness, which certifies the arithmetic.
+    Every eigenvalue has modulus at most R, the largest absolute row sum,
+    so the coefficient of lambda^(n-k), plus or minus the k-th elementary
+    symmetric function of the eigenvalues, has modulus at most
+    B = max_k C(n, k) R^k.  The polynomial is computed modulo Mersenne
+    primes 2^e - 1, e from ``_MERSENNE_EXPONENTS`` in increasing order,
+    until their product Q exceeds 2B, each in O(n^3) operations by
+    Hessenberg reduction (``_char_poly_mod``); the residues are combined
+    by the Chinese remainder theorem and lifted to the symmetric range
+    (-Q/2, Q/2), which holds every integer of modulus at most B.  The
+    result is exact by that bound, with no float and no probable prime.
+    A bound past the product of all the moduli is a NumericError.
     """
     n = m.n
-    ident = SquareIntMatrix.identity(n)
-    coeffs_desc = [1]
-    aux = ident
-    for k in range(1, n + 1):
-        prod = m @ aux
-        t = prod.trace()
-        if t % k != 0:
-            raise NumericError(f"Faddeev-LeVerrier integrality failed at step {k}")
-        ck = -t // k
-        coeffs_desc.append(ck)
-        aux = prod + ident.scaled(ck)
-    return tuple(reversed(coeffs_desc))
+    r = max(sum(map(abs, row)) for row in m.entries)
+    bound = max(math.comb(n, k) * r**k for k in range(n + 1))
+    primes, modulus = [], 1
+    for e in _MERSENNE_EXPONENTS:
+        if modulus > 2 * bound:
+            break
+        primes.append((1 << e) - 1)
+        modulus *= primes[-1]
+    if modulus <= 2 * bound:
+        raise NumericError(
+            f"characteristic polynomial coefficient bound of {bound.bit_length()} "
+            f"bits is past the product of the moduli ({modulus.bit_length()} bits)")
+    coeffs, modulus = [0] * (n + 1), 1
+    for prime in primes:
+        inv = pow(modulus, -1, prime)
+        coeffs = [c + modulus * ((x - c) * inv % prime)
+                  for c, x in zip(coeffs, _char_poly_mod(m.entries, prime))]
+        modulus *= prime
+    return tuple(c - modulus if 2 * c > modulus else c for c in coeffs)
 
 
 def is_unipotent(m: SquareIntMatrix) -> bool:

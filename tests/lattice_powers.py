@@ -1,6 +1,7 @@
 """Kronecker and symmetric powers of integer matrices, for the tests that
-check spectral-radius scaling under the Hilbert-scheme lift, and the integer
-polynomial helpers the tests use to check characteristic polynomials.
+check spectral-radius scaling under the Hilbert-scheme lift, the integer
+polynomial helpers the tests use to check characteristic polynomials, and
+the Faddeev-LeVerrier recursion that is ``char_poly``'s oracle.
 Polynomials are tuples of int coefficients, ascending, as ``char_poly``
 returns them.
 
@@ -20,7 +21,7 @@ from itertools import combinations_with_replacement, permutations
 from math import gcd, lcm
 from unittest import mock
 
-from catent.errors import InputError
+from catent.errors import InputError, NumericError
 from catent.lattice import SquareIntMatrix
 
 
@@ -182,6 +183,25 @@ def companion_matrix(p) -> SquareIntMatrix:
     for i in range(n):
         rows[i][n - 1] = -p[i]
     return SquareIntMatrix(tuple(tuple(r) for r in rows))
+
+
+def faddeev_leverrier(m: SquareIntMatrix) -> tuple[int, ...]:
+    """det(lambda*I - M), ascending, by the integer Faddeev-LeVerrier
+    recursion in n matrix products, each division by the step index checked
+    for exactness: the oracle for ``lattice.char_poly``."""
+    n = m.n
+    ident = SquareIntMatrix.identity(n)
+    coeffs_desc = [1]
+    aux = ident
+    for k in range(1, n + 1):
+        prod = m @ aux
+        t = prod.trace()
+        if t % k != 0:
+            raise NumericError(f"Faddeev-LeVerrier integrality failed at step {k}")
+        ck = -t // k
+        coeffs_desc.append(ck)
+        aux = prod + ident.scaled(ck)
+    return tuple(reversed(coeffs_desc))
 
 
 @contextmanager

@@ -3,10 +3,12 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from catent import lattice
+from catent.cli import load_config
+from catent.descent import CoverScenario
 from catent.errors import InputError, NumericError
 from catent.lattice import (
     BilinearLattice,
@@ -17,15 +19,18 @@ from catent.lattice import (
     spectral_radius,
     squarefree_part,
 )
+from catent.words import induced_matrix
 from lattice_powers import (
     companion_matrix,
     counted_products,
     derivative,
     euclid_squarefree_part,
+    faddeev_leverrier,
     poly_eval_matrix,
     poly_gcd,
     poly_mul,
 )
+import report_digest
 import spectral_reference
 
 TOL = 1e-9
@@ -113,6 +118,123 @@ def test_cayley_hamilton_random(n):
         assert poly_eval_matrix(char_poly(m), m).is_zero()
 
 
+# char_poly reduces M to Hessenberg form modulo Mersenne primes until their
+# product exceeds 2B, B = max_k C(n, k) R^k, and lifts the residues by CRT
+# to the symmetric range; Faddeev-LeVerrier over Z is its oracle.
+
+
+@st.composite
+def char_poly_matrices(draw):
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("small", "large", "singular", "nilpotent", "scalar")))
+    bound = 10**40 if kind == "large" else 5
+    entry = st.integers(-bound, bound)
+    if kind == "scalar":
+        c = draw(entry)
+        return [[c if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if kind == "singular":  # the last row a combination of the others
+        coeffs = [draw(st.integers(-3, 3)) for _ in range(n - 1)]
+        rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
+    if kind == "nilpotent":  # strictly upper triangular, conjugated
+        strict = [[x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        rows = _conjugated(draw, strict, st.integers(-3, 3))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(char_poly_matrices())
+@example([[10**161]])
+def test_char_poly_matches_faddeev_leverrier(rows):
+    m = SquareIntMatrix(tuple(map(tuple, rows)))
+    assert char_poly(m) == faddeev_leverrier(m)
+
+
+def _reference_word_actions():
+    for config in report_digest.reference_configs():
+        cfg = load_config(config)
+        if cfg["kind"] == "enriques":
+            action = induced_matrix(BilinearLattice(cfg["lattice"]["gram"]), cfg["word"])
+            sc = CoverScenario(SquareIntMatrix(cfg["deck"]["matrix"]),
+                               cfg["deck"]["order"], action)
+            yield from (action, sc.restricted)
+        elif cfg["kind"] == "lattice_word":
+            yield induced_matrix(BilinearLattice(cfg["lattice"]["gram"]), cfg["word"])
+
+
+def test_char_poly_matches_faddeev_leverrier_on_the_reference_words():
+    # every lattice-rank word of seeds 1 and 5, every enriques action of the
+    # presets and of preset-mix, and each restriction to the fixed sublattice
+    actions = list(_reference_word_actions())
+    assert sum(m.n >= 10 for m in actions) == 200  # 10 batches of 10, two seeds
+    assert sum(m.n == 4 for m in actions) >= 2  # enriques-over-hk, action and restriction
+    for m in actions:
+        assert char_poly(m) == faddeev_leverrier(m)
+
+
+def _binomial_power(n, c):
+    """(x - c)^n, ascending."""
+    return tuple(math.comb(n, k) * (-c) ** (n - k) for k in range(n + 1))
+
+
+@pytest.mark.parametrize("r", [1, 2**61, 10**30])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_char_poly_of_plus_or_minus_r_times_identity_meets_the_bound(n, r):
+    # |c_k| = C(n, k) R^k is the bound B itself at its largest k
+    for c in (r, -r):
+        m = SquareIntMatrix.identity(n).scaled(c)
+        assert char_poly(m) == faddeev_leverrier(m) == _binomial_power(n, c)
+
+
+def _moduli_count(m):
+    calls = []
+    original = lattice._char_poly_mod
+
+    def counting(rows, prime):
+        calls.append(prime)
+        return original(rows, prime)
+
+    with mock.patch.object(lattice, "_char_poly_mod", counting):
+        poly = char_poly(m)
+    return poly, calls
+
+
+def test_char_poly_takes_moduli_until_their_product_exceeds_twice_the_bound():
+    p1 = (1 << 61) - 1
+    # [[c]] has B = |c|: 2B < P1 for |c| = (P1 - 1) / 2, one modulus, and the
+    # lift of -c lands on the edge of the symmetric range; |c| = (P1 + 1) / 2
+    # has 2B > P1 and needs a second modulus.
+    for c, moduli in ((2**60 - 1, 1), (2**60, 2), (p1, 2)):
+        for sign in (1, -1):
+            poly, calls = _moduli_count(SquareIntMatrix(((sign * c,),)))
+            assert poly == (-sign * c, 1)
+            assert calls == [(1 << e) - 1 for e in lattice._MERSENNE_EXPONENTS[:moduli]]
+
+
+def test_char_poly_of_the_zero_matrix_takes_one_modulus():
+    # R = 0, so B = 1
+    for n in (1, 5, 12):
+        poly, calls = _moduli_count(SquareIntMatrix.identity(n).scaled(0))
+        assert poly == (0,) * n + (1,)
+        assert calls == [(1 << 61) - 1]
+
+
+def test_char_poly_combines_three_or_more_moduli():
+    rng = random.Random(35)
+    m = random_matrix(rng, 6, -10**12, 10**12)
+    poly, calls = _moduli_count(m)
+    assert len(calls) >= 3
+    assert poly == faddeev_leverrier(m)
+
+
+def test_bound_past_the_moduli_is_a_numeric_error():
+    m = SquareIntMatrix(((2**60, 1), (1, 0)))
+    with mock.patch.object(lattice, "_MERSENNE_EXPONENTS", (61,)):
+        with pytest.raises(NumericError, match="past the product of the moduli"):
+            char_poly(m)
+        assert char_poly(SquareIntMatrix(((2, 1), (1, 0)))) == (-1, -2, 1)
+
+
 # -- unipotence ---------------------------------------------------------------
 
 
@@ -172,6 +294,21 @@ def _unipotent_reference(rows):
     return all(x == 0 for row in acc for x in row)
 
 
+def _conjugated(draw, rows, entry):
+    """P M P^-1 for a drawn unimodular P, made by elementary row operations."""
+    n = len(rows)
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    p_inv = [row[:] for row in p]
+    if n > 1:
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(entry)
+            for k in range(n):  # row_i += c row_j on P, col_j -= c col_i on P^-1
+                p[i][k] += c * p[j][k]
+                p_inv[k][j] -= c * p_inv[k][i]
+    return _plain_matmul(_plain_matmul(p, rows), p_inv)
+
+
 @st.composite
 def unipotence_candidates(draw):
     n = draw(st.integers(1, 6))
@@ -208,16 +345,7 @@ def unipotence_candidates(draw):
     sign = draw(st.sampled_from((1, -1)))
     u = [[sign * (1 if i == j else (draw(entry) if j > i else 0)) for j in range(n)]
          for i in range(n)]
-    p = [[int(i == j) for j in range(n)] for i in range(n)]
-    p_inv = [row[:] for row in p]
-    if n > 1:
-        for _ in range(draw(st.integers(0, 4))):
-            i, j = draw(st.permutations(range(n)))[:2]
-            c = draw(entry)
-            for k in range(n):  # row_i += c row_j on P, col_j -= c col_i on P^-1
-                p[i][k] += c * p[j][k]
-                p_inv[k][j] -= c * p_inv[k][i]
-    return _plain_matmul(_plain_matmul(p, u), p_inv)
+    return _conjugated(draw, u, entry)
 
 
 @settings(max_examples=300, deadline=None)
@@ -389,17 +517,19 @@ def _trimmed(coeffs):
         min_size=1, max_size=4,
     ),
     scale=st.integers(1, 4),
-    prime=st.sampled_from((3, 5, 7, lattice._SQUAREFREE_PRIME)),
+    exponent=st.sampled_from((2, 3, 5, lattice._MERSENNE_EXPONENTS[0])),
     lead_divisible=st.booleans(),
 )
-def test_squarefree_part_matches_euclid(factors, scale, prime, lead_divisible):
-    # Small primes reach every branch: the leading coefficient divisible by
-    # P, and a common factor mod P of a polynomial squarefree over Q.
+def test_squarefree_part_matches_euclid(factors, scale, exponent, lead_divisible):
+    # Small primes 2^e - 1 reach every branch: the leading coefficient
+    # divisible by P, and a common factor mod P of a polynomial squarefree
+    # over Q.
+    prime = (1 << exponent) - 1
     p = (scale * prime if lead_divisible else scale,)
     for coeffs, multiplicity in factors:
         for _ in range(multiplicity):
             p = poly_mul(p, _trimmed(coeffs))
-    with mock.patch.object(lattice, "_SQUAREFREE_PRIME", prime):
+    with mock.patch.object(lattice, "_MERSENNE_EXPONENTS", (exponent,)):
         assert squarefree_part(p) == euclid_squarefree_part(p)
 
 
