@@ -424,18 +424,18 @@ def _checked_model(params: dict, points: int | None = None) -> HKModel:
 
 
 def _run_hk(cfg: ScenarioConfig) -> Callable[[], Verdict]:
-    model, tol = _checked_model(cfg), cfg["tol"]
-    log_rho, exact_zero = certify_log_rho(default_action(model), tol)
-    return lambda: model_verdict(model, cfg["m_max"], log_rho, exact_zero, tol,
+    model = _checked_model(cfg)
+    log_rho = certify_log_rho(default_action(model), cfg["tol"])
+    return lambda: model_verdict(model, cfg["m_max"], log_rho,
                                  {"d1": model.dim(1), "n": model.n})
 
 
 def _run_hilb(cfg: ScenarioConfig) -> Callable[[], Verdict]:
-    params, points, tol = cfg["base"], cfg["points"], cfg["tol"]
+    params, points = cfg["base"], cfg["points"]
     model = _checked_model(params, points)
-    log_rho, exact_zero = certify_log_rho(default_action(model), tol)
+    log_rho = certify_log_rho(default_action(model), cfg["tol"])
     return lambda: hilbert_lift_verdict(
-        points, model_verdict(model, params["m_max"], log_rho, exact_zero, tol), tol)
+        points, model_verdict(model, params["m_max"], log_rho))
 
 
 def _word_action(cfg: ScenarioConfig) -> SquareIntMatrix:
@@ -445,30 +445,29 @@ def _word_action(cfg: ScenarioConfig) -> SquareIntMatrix:
 
 
 def _run_enriques(cfg: ScenarioConfig) -> Callable[[], Verdict]:
-    params, deck, tol = cfg["cover"], cfg["deck"], cfg["tol"]
+    params, deck = cfg["cover"], cfg["deck"]
     model = _checked_model(params)
     sc = CoverScenario(SquareIntMatrix(deck["matrix"]), deck["order"],
                        _word_action(cfg))
-    log_rho, exact_zero, details = quotient_verdict(sc, tol=tol)
+    log_rho, details = quotient_verdict(sc, cfg["tol"])
     return lambda: model_verdict(
-        model, params["m_max"], log_rho, exact_zero, tol,
+        model, params["m_max"], log_rho,
         {**details, "deck_order": sc.order, "cover_d1": model.dim(1)})
 
 
 def _run_lattice_word(cfg: ScenarioConfig) -> Callable[[], Verdict]:
     action = _word_action(cfg)
-    log_rho, exact_zero = certify_log_rho(action, cfg["tol"])
-    return lambda: Verdict.of(None, log_rho, exact_zero, cfg["tol"], details={
-        "rank": action.n, "spectral_radius": math.exp(log_rho),
+    log_rho = certify_log_rho(action, cfg["tol"])
+    return lambda: Verdict.of(None, log_rho, details={
+        "rank": action.n, "spectral_radius": math.exp(log_rho.value),
     })
 
 
 def _run_surface_twist(cfg: ScenarioConfig) -> Callable[[], Verdict]:
     surface, k, l, m_max = _model_from(cfg), cfg["k"], cfg["l"], cfg["m_max"]
     _check_printable(spherical_twist_uppers(surface, k, l, m_max))
-    return lambda: Verdict.of(
-        None, None, False, cfg["tol"],
-        series=spherical_twist_series(surface, k, l, m_max), details={"k": k, "l": l})
+    return lambda: Verdict.of(None, None, series=spherical_twist_series(
+        surface, k, l, m_max), details={"k": k, "l": l})
 
 
 _RUNNERS = {
@@ -507,8 +506,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         v = _RUNNERS[cfg["kind"]](cfg)()
     except EngineError as exc:
         v = Verdict(entropy_lower=None, empirical_slope=None, log_rho=None,
-                    log_rho_exact_zero=False, gap=None, verdict="error",
-                    series=None, details={})
+                    gap=None, verdict="error", series=None, details={})
         error = {"type": type(exc).__name__, "message": str(exc)}
     return {
         "report_version": REPORT_VERSION,
@@ -517,8 +515,8 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         "verdict": v.verdict,
         "entropy_lower_certified": v.entropy_lower,
         "empirical_slope": v.empirical_slope,
-        "log_rho": v.log_rho,
-        "log_rho_exact_zero": v.log_rho_exact_zero,
+        "log_rho": None if v.log_rho is None else v.log_rho.value,
+        "log_rho_exact_zero": v.log_rho is not None and v.log_rho.exact_zero,
         "gap": v.gap,
         "series": [] if v.series is None else [
             {"m": m, "lower": lo, "upper": hi} for m, lo, hi in v.series.rows()

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .errors import ContractError, InputError, require_int, shown
 from .lattice import DEFAULT_TOL, SquareIntMatrix, char_poly, poly_exact_quotient
-from .words import certify_log_rho
+from .words import LogRho, certify_log_rho
 
 Vectors = tuple[tuple[int, ...], ...]
 
@@ -134,8 +134,8 @@ class CoverScenario:
 
 
 def quotient_verdict(sc: CoverScenario,
-                     tol: float = DEFAULT_TOL) -> tuple[float, bool, dict]:
-    """The quotient's ``(log_rho, exact_zero)`` certificate and its details.
+                     tol: float = DEFAULT_TOL) -> tuple[LogRho, dict]:
+    """The quotient's log rho certificate and its details.
 
     The cover's entropy bound transfers as an identity through the covering,
     so only the spectral radius needs descending.  The cover action and its
@@ -148,9 +148,9 @@ def quotient_verdict(sc: CoverScenario,
     The details give the cover's log rho and the quotient rank.
     """
     cover_poly, poly = char_poly(sc.action), char_poly(sc.restricted)
-    cover_log_rho, cover_exact_zero = certify_log_rho(sc.action, tol, cover_poly)
-    log_rho, exact_zero = certify_log_rho(sc.restricted, tol, poly)
-    if cover_exact_zero and not exact_zero:
+    cover = certify_log_rho(sc.action, tol, cover_poly)
+    log_rho = certify_log_rho(sc.restricted, tol, poly)
+    if cover.exact_zero and not log_rho.exact_zero:
         raise ContractError(
             "restriction of an action that is unipotent up to sign failed "
             "the exact-zero certificate"
@@ -158,5 +158,4 @@ def quotient_verdict(sc: CoverScenario,
     if poly_exact_quotient(cover_poly, poly) is None:
         raise ContractError("restricted characteristic polynomial does not divide "
                             "the ambient one")
-    return log_rho, exact_zero, {"cover_log_rho": cover_log_rho,
-                                 "quotient_rank": len(sc.basis)}
+    return log_rho, {"cover_log_rho": cover.value, "quotient_rank": len(sc.basis)}

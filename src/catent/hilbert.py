@@ -12,8 +12,9 @@ a new one, gap and gate included, and never forms the power matrices.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .errors import InputError, require_int
-from .lattice import DEFAULT_TOL
 from .twists import BoundSeries
 from .words import Verdict
 
@@ -28,9 +29,10 @@ def kunneth_power_series(series: BoundSeries, n: int) -> BoundSeries:
     )
 
 
-def hilbert_lift_verdict(n: int, base: Verdict, tol: float = DEFAULT_TOL) -> Verdict:
+def hilbert_lift_verdict(n: int, base: Verdict) -> Verdict:
     """Transfer the base verdict to n points: every quantity scales by exactly
-    n, and the lifted values pass through the one verdict gate.  ``details``
+    n, and the lifted values pass through the one verdict gate.  The lifted
+    log rho keeps the base's exact-zero flag and tol.  ``details``
     gives n as ``points``, the base bound and log rho, and whether the base
     gap was strict."""
     require_int(n, "n", 1)
@@ -42,10 +44,10 @@ def hilbert_lift_verdict(n: int, base: Verdict, tol: float = DEFAULT_TOL) -> Ver
     if base.entropy_lower < 0:
         raise InputError("base entropy bound must be nonnegative")
     return Verdict.of(
-        n * base.entropy_lower, n * base.log_rho, base.log_rho_exact_zero, tol,
+        n * base.entropy_lower, replace(base.log_rho, value=n * base.log_rho.value),
         slope=n * base.empirical_slope,
         series=kunneth_power_series(base.series, n),
         details={"points": n, "base_entropy_lower": base.entropy_lower,
-                 "base_log_rho": base.log_rho,
+                 "base_log_rho": base.log_rho.value,
                  "strict_gap": base.verdict == "GY violated"},
     )

@@ -443,7 +443,7 @@ def spectral_radius(m: SquareIntMatrix, tol: float = DEFAULT_TOL,
     absolute error in y, so roots of very different moduli may not
     converge; that, a rho past the Cauchy bound and a rho past the float
     range are NumericErrors.  Deciding that rho is exactly 1 is left to
-    ``words.certify_log_rho``, which owns the exact-zero certificate.
+    ``words.certify_log_rho``, whose ``LogRho`` carries the exact-zero flag.
     """
     if problem := real_problem(tol, 0.0):
         raise InputError(f"tol: {problem}")

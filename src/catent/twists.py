@@ -50,11 +50,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (CollapseError, InputError, int_problem, is_int, real_problem,
-                     require_int, shown)
+from .errors import (CollapseError, InputError, int_problem, is_int, require_int,
+                     shown)
 from .graded import GradedDimInterval, cone_bounds, delta_value_interval
 from .lattice import BilinearLattice, SquareIntMatrix
-from .words import Verdict, induced_matrix
+from .words import LogRho, Verdict, induced_matrix
 
 def _binomial_dim(n: int, q: int, i: int) -> int:
     # chi of the i-th polarization power on a K3^[n]-type model:
@@ -340,21 +340,19 @@ def default_action(model: HKModel) -> SquareIntMatrix:
         lattice, [{"kind": "ptwist"}, {"kind": "tensor", "matrix": tensor}])
 
 
-def model_verdict(model: HKModel, m_max: int, log_rho: float, exact_zero: bool,
-                  tol: float, details: dict | None = None) -> Verdict:
+def model_verdict(model: HKModel, m_max: int, log_rho: LogRho,
+                  details: dict | None = None) -> Verdict:
     """The certified bound log d_1 of ``model`` against a certified log rho.
 
-    ``(log_rho, exact_zero)`` is a ``certify_log_rho`` result, made by the
-    caller before any cone work.  tol and m_max (>= 3, a meaningful slope
-    window) are checked before the series to m_max runs.  The bound does not
-    depend on the series' empirical slope: the top terms alone give
-    lower(m) >= d_1^{m+1} for every m.
+    ``log_rho`` is a ``certify_log_rho`` result, made by the caller before
+    any cone work.  m_max (>= 3, a meaningful slope window) is checked
+    before the series to m_max runs.  The bound does not depend on the
+    series' empirical slope: the top terms alone give lower(m) >= d_1^{m+1}
+    for every m.
     """
     require_int(m_max, "m_max", 3)
-    if problem := real_problem(tol, 0.0):
-        raise InputError(f"tol: {problem}")
     series = ext_growth_series(model, m_max)
-    return Verdict.of(math.log(model.dim(1)), log_rho, exact_zero, tol,
+    return Verdict.of(math.log(model.dim(1)), log_rho,
                       slope=series.log_slope(max(1, m_max // 2), m_max),
                       series=series, details=details)
 

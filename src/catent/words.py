@@ -124,38 +124,45 @@ def log_rho_is_exact_zero(m: SquareIntMatrix) -> bool:
     return is_unipotent(m @ m)
 
 
+@dataclass(frozen=True)
+class LogRho:
+    """A certified log of the spectral radius of an action.
+
+    ``value`` is exactly 0.0 when ``exact_zero``, and otherwise a float
+    refined to within ``tol``, the accuracy the gate reads.
+    """
+
+    value: float
+    exact_zero: bool
+    tol: float
+
+
 def certify_log_rho(
     m: SquareIntMatrix, tol: float = DEFAULT_TOL, poly: Poly | None = None
-) -> tuple[float, bool]:
+) -> LogRho:
     """The one certificate for log of the spectral radius of an action.
 
-    Returns ``(log_rho, exact_zero)``: ``(0.0, True)`` when the action is
-    unipotent up to sign, otherwise the refined float value, estimated to
-    within tol, and False.  A nilpotent action has no logarithm and is an
-    input error.  ``poly``, when given, is char_poly(m), which the caller
-    already has.
+    An exact 0.0 when the action is unipotent up to sign, otherwise the
+    refined float value, estimated to within tol.  A nilpotent action has no
+    logarithm and is an input error.  ``poly``, when given, is char_poly(m),
+    which the caller already has.
     """
     if problem := real_problem(tol, 0.0):  # before the exact zero, which reads no tol
         raise InputError(f"tol: {problem}")
     if log_rho_is_exact_zero(m):
-        return 0.0, True
+        return LogRho(0.0, True, tol)
     rho = spectral_radius(m, tol, poly)
     if rho == 0.0:
         raise InputError("nilpotent action: spectral radius 0 has no logarithm")
-    return math.log(rho), False
+    return LogRho(math.log(rho), False, tol)
 
 
-def derive_verdict(
-    bound: float | None,
-    log_rho: float | None,
-    exact_zero: bool,
-    tol: float,
-) -> str:
+def derive_verdict(bound: float | None, log_rho: LogRho | None) -> str:
     """The one verdict gate: a violation needs a positive certified bound and
     either an exactly-zero log rho or a margin of ten tolerances."""
     if bound is None or log_rho is None or bound <= 0:
         return "no violation certified"
-    if exact_zero or bound > log_rho + 10 * tol:
+    if log_rho.exact_zero or bound > log_rho.value + 10 * log_rho.tol:
         return "GY violated"
     return "no violation certified"
 
@@ -170,21 +177,17 @@ class Verdict:
 
     entropy_lower: float | None
     empirical_slope: float | None
-    log_rho: float | None
-    log_rho_exact_zero: bool
+    log_rho: LogRho | None
     gap: float | None
     verdict: str
     series: BoundSeries | None
     details: dict
 
     @classmethod
-    def of(cls, bound: float | None, log_rho: float | None, exact_zero: bool,
-           tol: float, slope: float | None = None,
-           series: BoundSeries | None = None, details: dict | None = None) -> Verdict:
+    def of(cls, bound: float | None, log_rho: LogRho | None,
+           slope: float | None = None, series: BoundSeries | None = None,
+           details: dict | None = None) -> Verdict:
         """The gap, when both sides exist, and the verdict of the one gate."""
-        if problem := real_problem(tol, 0.0):
-            raise InputError(f"tol: {problem}")
-        gap = None if bound is None or log_rho is None else bound - log_rho
-        return cls(bound, slope, log_rho, exact_zero, gap,
-                   derive_verdict(bound, log_rho, exact_zero, tol), series,
-                   details or {})
+        gap = None if bound is None or log_rho is None else bound - log_rho.value
+        return cls(bound, slope, log_rho, gap, derive_verdict(bound, log_rho),
+                   series, details or {})

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from catent import cli
+from catent import cli, words
 from catent.cli import (
     ScenarioConfig,
     emit_report,
@@ -18,7 +18,7 @@ from catent.cli import (
 from catent.errors import InputError
 from catent.graded import cone_evaluations
 from catent.twists import HKModel, default_action
-from catent.words import certify_log_rho, derive_verdict
+from catent.words import LogRho, certify_log_rho, derive_verdict
 
 
 def run_preset(name):
@@ -429,6 +429,38 @@ def test_word_gets_one_certificate_under_both_kinds():
     assert enriques["details"]["cover_log_rho"] == 0.0
 
 
+# The cover bound log 3 against the log rho 1.0576 of a companion word: the
+# gap, 0.04104, clears ten tolerances at tol 1e-9 but not at tol 1e-2.
+CLOSE_CALL = {
+    "kind": "enriques", "cover": {"n": 1, "q": 2, "m_max": 4},
+    "lattice": {"gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    "deck": {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "order": 1},
+    "word": [{"kind": "explicit", "matrix": [[0, 0, -1], [1, 0, 0], [0, 1, 3]]}],
+}
+
+
+@pytest.mark.parametrize("tol, verdict", [
+    (1e-9, "GY violated"), (1e-2, "no violation certified")])
+def test_the_config_tol_decides_a_close_call(tol, verdict):
+    report = run_scenario(load_config({**CLOSE_CALL, "tol": tol}))
+    assert report["error"] is None and report["log_rho_exact_zero"] is False
+    assert report["gap"] == pytest.approx(0.04104, abs=1e-5)
+    assert report["verdict"] == verdict
+
+
+def test_every_gate_reads_the_config_tol(monkeypatch):
+    gate, tols = words.derive_verdict, []
+    monkeypatch.setattr(words, "derive_verdict", lambda bound, log_rho: tols.append(
+        log_rho.tol) or gate(bound, log_rho))
+    presets = list_builtin_models()
+    for config in (presets["k3-q10"], presets["k3n-hilb"], CLOSE_CALL,
+                   {"kind": "lattice_word", "lattice": CLOSE_CALL["lattice"],
+                    "word": CLOSE_CALL["word"]}):
+        tols.clear()
+        assert run_scenario(load_config({**config, "tol": 1e-3}))["error"] is None
+        assert tols and set(tols) == {1e-3}
+
+
 def test_surface_twist_run():
     cfg = load_config(
         {"kind": "surface_twist", "q": 10, "k": 1, "l": 1, "m_max": 5}
@@ -523,12 +555,10 @@ def test_report_verdict_self_auditing():
         report = run_scenario(cfg)
         assert report["error"] is None
         kinds.add(cfg["kind"])
+        log_rho = None if report["log_rho"] is None else LogRho(
+            report["log_rho"], report["log_rho_exact_zero"], cfg["tol"])
         assert report["verdict"] == derive_verdict(
-            report["entropy_lower_certified"],
-            report["log_rho"],
-            report["log_rho_exact_zero"],
-            cfg["tol"],
-        )
+            report["entropy_lower_certified"], log_rho)
         if report["entropy_lower_certified"] is None or report["log_rho"] is None:
             assert report["gap"] is None
         else:

@@ -9,7 +9,7 @@ from catent import descent
 from catent.descent import CoverScenario, integer_kernel_basis, quotient_verdict
 from catent.errors import ContractError, InputError
 from catent.lattice import BilinearLattice, SquareIntMatrix, is_unipotent, spectral_radius
-from catent.words import Verdict, induced_matrix
+from catent.words import LogRho, Verdict, induced_matrix
 from rational_reference import kernel_basis, restrict_to_basis
 
 TOL = 1e-9
@@ -276,27 +276,27 @@ def test_restriction_never_exceeds_ambient_radius():
 
 
 def test_quotient_verdict_hyperkahler_cover():
-    log_rho, exact_zero, details = quotient_verdict(rank4_cover())
-    assert (log_rho, exact_zero) == (0.0, True)
+    log_rho, details = quotient_verdict(rank4_cover())
+    assert log_rho == LogRho(0.0, True, TOL)
     assert details == {"cover_log_rho": 0.0, "quotient_rank": 3}
-    verdict = Verdict.of(math.log(6), log_rho, exact_zero, TOL)
+    verdict = Verdict.of(math.log(6), log_rho)
     assert verdict.verdict == "GY violated"
 
 
 def test_quotient_verdict_no_bound_no_claim():
     # A zero cover bound certifies nothing, whatever the quotient certificate.
     sc = CoverScenario(SWAP, 2, SquareIntMatrix.identity(2))
-    log_rho, exact_zero, _ = quotient_verdict(sc)
-    assert exact_zero
-    assert Verdict.of(0.0, log_rho, exact_zero, TOL).verdict == "no violation certified"
+    log_rho, _ = quotient_verdict(sc)
+    assert log_rho.exact_zero
+    assert Verdict.of(0.0, log_rho).verdict == "no violation certified"
 
 
 def test_quotient_verdict_non_unipotent_inequality():
     big = SquareIntMatrix(((2, 1), (1, 1)))
     sc = CoverScenario(SquareIntMatrix.identity(2), 1, big)
-    log_rho, exact_zero, details = quotient_verdict(sc)
-    assert not exact_zero
-    assert log_rho <= details["cover_log_rho"] + 1e-8
+    log_rho, details = quotient_verdict(sc)
+    assert not log_rho.exact_zero
+    assert log_rho.value <= details["cover_log_rho"] + 1e-8
     assert details["quotient_rank"] == 2
 
 
@@ -336,7 +336,7 @@ def test_quotient_verdict_computes_each_char_poly_once(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, spy)
     big = SquareIntMatrix(((2, 1), (1, 1)))
-    log_rho, exact_zero, _ = quotient_verdict(
-        CoverScenario(SquareIntMatrix.identity(2), 1, big))
-    assert not exact_zero and log_rho == pytest.approx(math.log((3 + math.sqrt(5)) / 2))
+    log_rho, _ = quotient_verdict(CoverScenario(SquareIntMatrix.identity(2), 1, big))
+    assert not log_rho.exact_zero
+    assert log_rho.value == pytest.approx(math.log((3 + math.sqrt(5)) / 2))
     assert calls == [big, big]

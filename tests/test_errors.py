@@ -31,11 +31,12 @@ from catent.twists import (
     spherical_twist_series,
     spherical_twist_uppers,
 )
-from catent.words import Verdict, certify_log_rho
+from catent.words import LogRho, Verdict, certify_log_rho
 
 K3 = HKModel(1, q=10)
 SERIES = BoundSeries((7, 49, 343, 2401), (7, 49, 343, 2401))
-BASE = Verdict.of(math.log(7), 0.0, True, 1e-9, slope=math.log(7), series=SERIES)
+EXACT_ZERO = LogRho(0.0, True, 1e-9)
+BASE = Verdict.of(math.log(7), EXACT_ZERO, slope=math.log(7), series=SERIES)
 SWAP = SquareIntMatrix(((0, 1), (1, 0)))
 CAT = SquareIntMatrix(((2, 1), (1, 1)))  # rho > 1, so log rho is refined
 HUGE = -10**5000  # below every bound, and too long for str()
@@ -56,7 +57,7 @@ GATED = {
     "iterate_profile.l": (lambda v: iterate_profile(K3, 0, 1, v), "l", 1),
     "ext_growth_series": (lambda v: ext_growth_series(K3, v), "m_max", 1),
     "ext_growth_uppers": (lambda v: ext_growth_uppers(K3, v), "m_max", 1),
-    "model_verdict": (lambda v: model_verdict(K3, v, 0.0, True, 1e-9), "m_max", 3),
+    "model_verdict": (lambda v: model_verdict(K3, v, EXACT_ZERO), "m_max", 3),
     "spherical_twist_levels.k": (lambda v: spherical_twist_levels(K3, v, 1, 3), "k", 1),
     "spherical_twist_levels.l": (lambda v: spherical_twist_levels(K3, 1, v, 3), "l", 1),
     "spherical_twist_levels.m_max": (
@@ -118,9 +119,6 @@ TOL_CHECKED = {
     "certify_log_rho.exact_zero": lambda v: certify_log_rho(SWAP, v),
     "quotient_verdict": lambda v: quotient_verdict(
         CoverScenario(SWAP, 2, SquareIntMatrix.identity(2)), v),
-    "model_verdict": lambda v: model_verdict(K3, 6, 0.0, True, v),
-    "Verdict.of": lambda v: Verdict.of(1.0, 0.5, False, v),
-    "hilbert_lift_verdict": lambda v: hilbert_lift_verdict(2, BASE, v),
 }
 
 

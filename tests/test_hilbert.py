@@ -8,7 +8,7 @@ from catent.errors import InputError
 from catent.hilbert import hilbert_lift_verdict, kunneth_power_series
 from catent.lattice import DEFAULT_TOL, SquareIntMatrix, char_poly, spectral_radius
 from catent.twists import BoundSeries, HKModel, default_action, model_verdict
-from catent.words import Verdict, certify_log_rho, derive_verdict
+from catent.words import LogRho, Verdict, certify_log_rho, derive_verdict
 from lattice_powers import poly_divides, symmetric_power_matrix, tensor_power_matrix
 
 TOL = 1e-9
@@ -119,8 +119,7 @@ def test_symmetric_power_unipotent_preserved():
 
 def make_base(m_max=5):
     model = HKModel(1, q=10)
-    return model_verdict(
-        model, m_max, *certify_log_rho(default_action(model), DEFAULT_TOL), DEFAULT_TOL)
+    return model_verdict(model, m_max, certify_log_rho(default_action(model), DEFAULT_TOL))
 
 
 def test_scenario_validation():
@@ -146,7 +145,7 @@ def test_lift_verdict_scales_gap():
     base = make_base()
     verdict = hilbert_lift_verdict(3, base)
     assert verdict.entropy_lower == pytest.approx(3 * math.log(7))
-    assert verdict.log_rho == 0.0 and verdict.log_rho_exact_zero
+    assert verdict.log_rho == LogRho(0.0, True, DEFAULT_TOL)
     assert list(verdict.details.items()) == [
         ("points", 3), ("base_entropy_lower", base.entropy_lower),
         ("base_log_rho", 0.0), ("strict_gap", True)]
@@ -167,18 +166,18 @@ def test_lift_verdict_equality_case_claims_no_gap():
     # Base with entropy bound equal to log rho: no strict gap is claimed.
     series = BoundSeries((2, 4, 8), (2, 4, 8))
     log2 = math.log(2)
+    log_rho = LogRho(log2, False, TOL)
     base = Verdict(
-        log_rho=log2,
-        log_rho_exact_zero=False,
+        log_rho=log_rho,
         entropy_lower=log2,
         empirical_slope=series.log_slope(1, 3),
         gap=0.0,
-        verdict=derive_verdict(log2, log2, False, TOL),
+        verdict=derive_verdict(log2, log_rho),
         series=series,
         details={},
     )
     verdict = hilbert_lift_verdict(2, base)
     assert not verdict.details["strict_gap"]
-    assert verdict.log_rho == pytest.approx(2 * math.log(2))
-    assert not verdict.log_rho_exact_zero
+    # Only the value scales: the base's exact-zero flag and tol carry over.
+    assert verdict.log_rho == LogRho(2 * math.log(2), False, TOL)
     assert verdict.verdict == "no violation certified"

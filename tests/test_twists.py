@@ -29,7 +29,7 @@ from catent.twists import (
 )
 from catent.lattice import (DEFAULT_TOL, BilinearLattice, SquareIntMatrix, char_poly,
                             is_unipotent)
-from catent.words import certify_log_rho, induced_matrix
+from catent.words import LogRho, certify_log_rho, induced_matrix
 from graded_reference import _chi_interval, from_dict, support
 from rational_reference import tensor_matrix_from_nilpotent as tensor_exponential
 import twists_reference
@@ -44,6 +44,7 @@ exact = GradedDimInterval.exact
 
 K3 = HKModel(1, q=10)  # d_i = 5 i^2 + 2: the degree-10 polarized K3 model
 HK2 = HKModel(2, q=2)  # d_i = binom(i^2 + 3, 2)
+EXACT_ZERO = LogRho(0.0, True, DEFAULT_TOL)  # as certify_log_rho gives the default word
 
 
 # -- model validation ----------------------------------------------------------
@@ -388,29 +389,25 @@ def test_log_slope_needs_positive_lowers_in_its_window(lower):
 
 
 def test_entropy_lower_bound_values():
-    # A certified exact zero, as certify_log_rho gives for the default word.
-    assert model_verdict(K3, 6, 0.0, True, 1e-9).entropy_lower == pytest.approx(
-        math.log(7))
-    assert model_verdict(HK2, 6, 0.0, True, 1e-9).entropy_lower == pytest.approx(
-        math.log(6))
+    assert model_verdict(K3, 6, EXACT_ZERO).entropy_lower == pytest.approx(math.log(7))
+    assert model_verdict(HK2, 6, EXACT_ZERO).entropy_lower == pytest.approx(math.log(6))
     with pytest.raises(InputError):
-        model_verdict(K3, 2, 0.0, True, 1e-9)
+        model_verdict(K3, 2, EXACT_ZERO)
 
 
 def test_entropy_empirical_slope_converges():
-    verdict = model_verdict(K3, 10, 0.0, True, 1e-9)
+    verdict = model_verdict(K3, 10, EXACT_ZERO)
     assert verdict.empirical_slope >= verdict.entropy_lower - 0.05
 
 
 def _default_word_verdict(model, m_max):
-    return model_verdict(
-        model, m_max, *certify_log_rho(default_action(model), DEFAULT_TOL), DEFAULT_TOL)
+    return model_verdict(model, m_max, certify_log_rho(default_action(model), DEFAULT_TOL))
 
 
 def test_gy_verdict_k3():
     verdict = _default_word_verdict(K3, 6)
     assert verdict.verdict == "GY violated"
-    assert verdict.log_rho == 0.0 and verdict.log_rho_exact_zero
+    assert verdict.log_rho == EXACT_ZERO
     assert verdict.gap >= math.log(7) - 1e-12
     assert verdict.entropy_lower == pytest.approx(math.log(7))
 

@@ -12,6 +12,7 @@ from catent.lattice import (
     spectral_radius,
 )
 from catent.words import (
+    LogRho,
     certify_log_rho,
     generator_matrix,
     induced_matrix,
@@ -176,28 +177,28 @@ def test_word_concatenation_is_matrix_product():
 
 def test_word_log_rho_p_twist_tensor_exact_zero():
     m = induced_matrix(MUKAI10, [PTWIST, TENSOR])
-    assert certify_log_rho(m, TOL) == (0.0, True)
+    assert certify_log_rho(m, TOL) == LogRho(0.0, True, TOL)
     assert is_unipotent(m)
 
 
 def test_word_log_rho_companion():
     m = companion_matrix((1, -3, 1))
     lat = BilinearLattice(((1, 0), (0, 1)))
-    log_rho, exact_zero = certify_log_rho(induced_matrix(lat, [explicit(m)]), TOL)
-    assert log_rho == pytest.approx(math.log((3 + math.sqrt(5)) / 2), abs=TOL)
-    assert not exact_zero
+    log_rho = certify_log_rho(induced_matrix(lat, [explicit(m)]), TOL)
+    assert log_rho.value == pytest.approx(math.log((3 + math.sqrt(5)) / 2), abs=TOL)
+    assert not log_rho.exact_zero and log_rho.tol == TOL
 
 
 @pytest.mark.parametrize("digits", [161, 300])
 def test_log_rho_of_a_large_radius_meets_tol(digits):
     # tol bounds the error of log rho however large rho is
-    log_rho, exact_zero = certify_log_rho(SquareIntMatrix(((10**digits,),)), TOL)
-    assert log_rho == pytest.approx(digits * math.log(10), abs=TOL)
-    assert not exact_zero
+    log_rho = certify_log_rho(SquareIntMatrix(((10**digits,),)), TOL)
+    assert log_rho.value == pytest.approx(digits * math.log(10), abs=TOL)
+    assert not log_rho.exact_zero
 
 
 def test_word_log_rho_empty():
-    assert certify_log_rho(induced_matrix(MUKAI10, []), TOL) == (0.0, True)
+    assert certify_log_rho(induced_matrix(MUKAI10, []), TOL) == LogRho(0.0, True, TOL)
 
 
 def test_unipotent_words_have_exact_zero_log_rho():
@@ -221,7 +222,7 @@ def test_unipotent_words_have_exact_zero_log_rho():
             else:
                 gens.append({"kind": kind})
         m = induced_matrix(lat, gens)
-        assert certify_log_rho(m, TOL) == (0.0, True)
+        assert certify_log_rho(m, TOL) == LogRho(0.0, True, TOL)
         assert is_unipotent(m) or is_unipotent(m @ m)
 
 
