@@ -36,11 +36,10 @@ from collections.abc import Callable
 
 from . import __version__
 from .descent import CoverScenario, quotient_verdict
-from .errors import (EngineError, InputError, NumericError, int_problem, is_int,
-                     real_problem, shown)
+from .errors import EngineError, InputError, NumericError, int_problem, is_int, shown
 from .graded import cone_evaluations
 from .hilbert import hilbert_lift_verdict
-from .lattice import DEFAULT_TOL, BilinearLattice, SquareIntMatrix
+from .lattice import BilinearLattice, SquareIntMatrix
 from .twists import (
     HKModel,
     _require_surface,
@@ -54,7 +53,7 @@ from .twists import (
 from .words import Verdict, certify_log_rho, induced_matrix
 
 SCHEMA_VERSION = 1
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 MAX_RANK = 30
 MAX_M = 64
 
@@ -96,7 +95,7 @@ def _check_rows(out, value, path):
 
 # The keys of every config object; any other key is a violation.
 _MODEL_KEYS = ("n", "q", "d_table", "m_max")
-_KIND_KEYS = {  # besides schema_version, kind and tol
+_KIND_KEYS = {  # besides schema_version and kind
     "hk": _MODEL_KEYS,
     "hilb": ("points", "base"),
     "enriques": ("cover", "lattice", "deck", "word"),
@@ -196,10 +195,10 @@ def _validate_word(out, data, path):
 def validate_config(data) -> tuple[dict | None, list[str]]:
     """Normalize a raw config; returns (normalized, violations).
 
-    The schema checks shapes, required fields, its desk-scale caps and the
-    number ``tol``, and collects the violations of every field.  Each object
-    of a config is a closed set of keys: any key that no run reads is a
-    violation, ``<path>.<key>: unknown field``.  The values of a model, a
+    The schema checks shapes, required fields and its desk-scale caps, and
+    collects the violations of every field.  Each object of a config is a
+    closed set of keys: any key that no run reads is a violation,
+    ``<path>.<key>: unknown field``.  The values of a model, a
     lattice, a matrix, a word or a deck are checked once, by the engine type
     that holds them, in the run's check stage.
     """
@@ -214,7 +213,7 @@ def validate_config(data) -> tuple[dict | None, list[str]]:
     if not isinstance(kind, str) or kind not in _RUNNERS:
         out.append(f"kind: must be one of {tuple(_RUNNERS)}, got {shown(kind)}")
         return None, out
-    _closed(out, data, "", ("schema_version", "kind", "tol") + _KIND_KEYS[kind])
+    _closed(out, data, "", ("schema_version", "kind") + _KIND_KEYS[kind])
 
     norm: dict = {"schema_version": SCHEMA_VERSION, "kind": kind}
 
@@ -248,13 +247,7 @@ def validate_config(data) -> tuple[dict | None, list[str]]:
         norm["lattice"] = _validate_lattice(out, data)
         norm["word"] = _validate_word(out, data.get("word"), "word")
 
-    tol = data.get("tol", DEFAULT_TOL)
-    if problem := real_problem(tol, 0.0):
-        out.append(f"tol: {problem}")
-    if out:
-        return None, out
-    norm["tol"] = float(tol)
-    return norm, []
+    return (None, out) if out else (norm, [])
 
 
 class ScenarioConfig(dict):
@@ -425,7 +418,7 @@ def _checked_model(params: dict, points: int | None = None) -> HKModel:
 
 def _run_hk(cfg: ScenarioConfig) -> Callable[[], Verdict]:
     model = _checked_model(cfg)
-    log_rho = certify_log_rho(default_action(model), cfg["tol"])
+    log_rho = certify_log_rho(default_action(model))
     return lambda: model_verdict(model, cfg["m_max"], log_rho,
                                  {"d1": model.dim(1), "n": model.n})
 
@@ -433,7 +426,7 @@ def _run_hk(cfg: ScenarioConfig) -> Callable[[], Verdict]:
 def _run_hilb(cfg: ScenarioConfig) -> Callable[[], Verdict]:
     params, points = cfg["base"], cfg["points"]
     model = _checked_model(params, points)
-    log_rho = certify_log_rho(default_action(model), cfg["tol"])
+    log_rho = certify_log_rho(default_action(model))
     return lambda: hilbert_lift_verdict(
         points, model_verdict(model, params["m_max"], log_rho))
 
@@ -449,7 +442,7 @@ def _run_enriques(cfg: ScenarioConfig) -> Callable[[], Verdict]:
     model = _checked_model(params)
     sc = CoverScenario(SquareIntMatrix(deck["matrix"]), deck["order"],
                        _word_action(cfg))
-    log_rho, details = quotient_verdict(sc, cfg["tol"])
+    log_rho, details = quotient_verdict(sc)
     return lambda: model_verdict(
         model, params["m_max"], log_rho,
         {**details, "deck_order": sc.order, "cover_d1": model.dim(1)})
@@ -457,7 +450,7 @@ def _run_enriques(cfg: ScenarioConfig) -> Callable[[], Verdict]:
 
 def _run_lattice_word(cfg: ScenarioConfig) -> Callable[[], Verdict]:
     action = _word_action(cfg)
-    log_rho = certify_log_rho(action, cfg["tol"])
+    log_rho = certify_log_rho(action)
     return lambda: Verdict.of(None, log_rho, details={
         "rank": action.n, "spectral_radius": math.exp(log_rho.value),
     })
@@ -505,8 +498,8 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
             raise InputError(f"unknown scenario kind {cfg['kind']!r}")
         v = _RUNNERS[cfg["kind"]](cfg)()
     except EngineError as exc:
-        v = Verdict(entropy_lower=None, empirical_slope=None, log_rho=None,
-                    gap=None, verdict="error", series=None, details={})
+        v = Verdict(base=None, entropy_lower=None, empirical_slope=None,
+                    log_rho=None, gap=None, verdict="error", series=None, details={})
         error = {"type": type(exc).__name__, "message": str(exc)}
     return {
         "report_version": REPORT_VERSION,

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ContractError, InputError, require_int, shown
-from .lattice import DEFAULT_TOL, SquareIntMatrix, char_poly, poly_exact_quotient
+from .lattice import SquareIntMatrix, char_poly, poly_exact_quotient
 from .words import LogRho, certify_log_rho
 
 Vectors = tuple[tuple[int, ...], ...]
@@ -133,8 +133,7 @@ class CoverScenario:
                            _restrict_to_basis(self.action, basis, left))
 
 
-def quotient_verdict(sc: CoverScenario,
-                     tol: float = DEFAULT_TOL) -> tuple[LogRho, dict]:
+def quotient_verdict(sc: CoverScenario) -> tuple[LogRho, dict]:
     """The quotient's log rho certificate and its details.
 
     The cover's entropy bound transfers as an identity through the covering,
@@ -148,8 +147,8 @@ def quotient_verdict(sc: CoverScenario,
     The details give the cover's log rho and the quotient rank.
     """
     cover_poly, poly = char_poly(sc.action), char_poly(sc.restricted)
-    cover = certify_log_rho(sc.action, tol, cover_poly)
-    log_rho = certify_log_rho(sc.restricted, tol, poly)
+    cover = certify_log_rho(sc.action, cover_poly)
+    log_rho = certify_log_rho(sc.restricted, poly)
     if cover.exact_zero and not log_rho.exact_zero:
         raise ContractError(
             "restriction of an action that is unipotent up to sign failed "

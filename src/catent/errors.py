@@ -1,14 +1,11 @@
-"""Error taxonomy shared by all engine modules, and the two value rules.
+"""Error taxonomy shared by all engine modules, and the integer rule.
 
 The CLI maps these onto process exit codes: input errors exit 1, numeric
 errors exit 2, contract violations exit 3.
 
-The integer rule (``int_problem``, raised by ``require_int``) and the number
-rule (``real_problem``) are worded here once, for the config schema and the
-engine's entry points alike.
+The integer rule (``int_problem``, raised by ``require_int``) is worded here
+once, for the config schema and the engine's entry points alike.
 """
-
-import math
 
 
 def is_int(x) -> bool:
@@ -32,8 +29,11 @@ def shown(value) -> str:
         return f"a {type(value).__name__} holding an int too long to print"
 
 
-def bound_problem(value, lo=None, hi=None) -> str | None:
-    """Why ``value`` lies outside [lo, hi], or None; a None end is open."""
+def int_problem(value, lo=None, hi=None) -> str | None:
+    """Why ``value`` breaks the integer rule, an int in [lo, hi], or None; a
+    None end is open."""
+    if not is_int(value):
+        return f"must be an integer, got {shown(value)}"
     if lo is not None and value < lo:
         return f"must be >= {lo}, got {shown(value)}"
     if hi is not None and value > hi:
@@ -41,34 +41,11 @@ def bound_problem(value, lo=None, hi=None) -> str | None:
     return None
 
 
-def int_problem(value, lo=None, hi=None) -> str | None:
-    """Why ``value`` breaks the integer rule, an int in [lo, hi], or None."""
-    if not is_int(value):
-        return f"must be an integer, got {shown(value)}"
-    return bound_problem(value, lo, hi)
-
-
 def require_int(value, name: str, lo=None):
     """``value`` if it is an int >= lo, else an ``InputError`` naming it."""
     if is_int(value) and (lo is None or value >= lo):
         return value
     raise InputError(f"{name}: {int_problem(value, lo)}")
-
-
-def real_problem(value, lo=None) -> str | None:
-    """Why ``value`` breaks the number rule, a finite non-bool int or float
-    > lo (an int past the float range is infinite), or None."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return f"must be a number, got {shown(value)}"
-    try:
-        f = float(value)
-    except OverflowError:
-        f = math.inf
-    if not math.isfinite(f):
-        return f"must be finite, got {f}"
-    if lo is not None and not f > lo:
-        return f"must be > {lo}, got {shown(value)}"
-    return None
 
 
 class EngineError(Exception):

@@ -7,7 +7,8 @@ restricted to the symmetric-tensor subspace, whose spectral radius is the
 n-th power of the base one.  Both transfers scale the entropy bound and the
 log spectral radius by exactly n, so a strict gap on the surface forces one
 on every Hilbert scheme over it; the lift scales the base ``Verdict`` into
-a new one, gap and gate included, and never forms the power matrices.
+a new one, gap included, and never forms the power matrices.  The gate
+compares the base's d_1 with rho, since d_1^n > rho^n iff d_1 > rho.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ def kunneth_power_series(series: BoundSeries, n: int) -> BoundSeries:
 
 
 def hilbert_lift_verdict(n: int, base: Verdict) -> Verdict:
-    """Transfer the base verdict to n points: every quantity scales by exactly
-    n, and the lifted values pass through the one verdict gate.  The lifted
-    log rho keeps the base's exact-zero flag and tol.  ``details``
-    gives n as ``points``, the base bound and log rho, and whether the base
-    gap was strict."""
+    """Transfer the base verdict to n points: the bound, the log rho value
+    and the slope scale by exactly n, and the one verdict gate reads the
+    base's d_1 and characteristic polynomial.  ``details`` gives n as
+    ``points``, the base bound and log rho, and whether the base gap was
+    strict."""
     require_int(n, "n", 1)
     for name in ("entropy_lower", "empirical_slope", "log_rho", "series"):
         if getattr(base, name) is None:
@@ -44,9 +45,9 @@ def hilbert_lift_verdict(n: int, base: Verdict) -> Verdict:
     if base.entropy_lower < 0:
         raise InputError("base entropy bound must be nonnegative")
     return Verdict.of(
-        n * base.entropy_lower, replace(base.log_rho, value=n * base.log_rho.value),
+        base.base, replace(base.log_rho, value=n * base.log_rho.value),
         slope=n * base.empirical_slope,
-        series=kunneth_power_series(base.series, n),
+        series=kunneth_power_series(base.series, n), points=n,
         details={"points": n, "base_entropy_lower": base.entropy_lower,
                  "base_log_rho": base.log_rho.value,
                  "strict_gap": base.verdict == "GY violated"},

@@ -15,10 +15,11 @@ never be a rounding artifact:
     characteristic polynomial and refined by multiprecision root finding on
     its squarefree part, scaled exactly by a power of two so that its roots
     have moduli around 1, from Bini's Newton-polygon starting points.  The
-    refinement stops when mpmath's own error estimate is below (tol/2)*rho,
-    so tol bounds the error of log rho.  That estimate is not a proven
-    bound, so the float spectral radius is an estimate; only the exact-zero
-    certificate is proved.
+    refinement stops when mpmath's own error estimate is below
+    (ACCURACY/2)*rho.  That estimate is not a proven bound, so the float
+    spectral radius is an estimate, which no verdict reads,
+  * the verdict gate compares rho with an int exactly: ``roots_inside`` is
+    the Schur-Cohn recursion on integer coefficients.
 
 Cheap exact tests run in front of the expensive exact ones, and they only
 ever decide a case they can prove:
@@ -52,10 +53,10 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import InputError, NumericError, is_int, real_problem, require_int, shown
+from .errors import InputError, NumericError, is_int, require_int, shown
 
-#: Default accuracy target for spectral-radius refinement.
-DEFAULT_TOL = 1e-9
+#: Relative accuracy of the spectral-radius estimate and its Cauchy check.
+ACCURACY = 1e-9
 
 
 def _as_int_rows(rows):
@@ -376,6 +377,28 @@ def char_poly(m: SquareIntMatrix) -> Poly:
     return tuple(c - modulus if 2 * c > modulus else c for c in coeffs)
 
 
+def roots_inside(p: Poly, r: int) -> bool:
+    """True when every root of the int polynomial p (nonzero leading
+    coefficient) has modulus below the positive int r.
+
+    Schur-Cohn (Henrici, Applied and Computational Complex Analysis I, 1974,
+    6.8) on the int coefficients a_k r^k of p(r z): if |a_0| >= |a_n|, some
+    root has modulus >= 1.  Otherwise, by Rouche, a_n p - a_0 p* (p* is p
+    reversed) has as many roots inside the unit circle as p, one of them 0,
+    so the test recurses on it over z, divided by its content.  A root on
+    the circle stays one at every step, until the step of degree 1 fails.
+    """
+    require_int(r, "r", 1)
+    a = [c * r**k for k, c in enumerate(p)]
+    while len(a) > 1:
+        if abs(a[0]) >= abs(a[-1]):
+            return False
+        a = [a[-1] * x - a[0] * y for x, y in zip(a[1:], a[-2::-1])]
+        content = math.gcd(*a)
+        a = [c // content for c in a]
+    return True
+
+
 def is_unipotent(m: SquareIntMatrix) -> bool:
     """Exact test: (M - I)^k = 0 for a power k >= n, n the dimension.
 
@@ -427,26 +450,25 @@ def _newton_polygon_starts(coeffs) -> list:
     return starts
 
 
-def spectral_radius(m: SquareIntMatrix, tol: float = DEFAULT_TOL,
-                    poly: Poly | None = None) -> float:
-    """Maximum root modulus rho of char_poly(M), estimated to within tol*rho.
-    A caller that already has char_poly(M) passes it as ``poly``.
+def spectral_radius(m: SquareIntMatrix, poly: Poly | None = None) -> float:
+    """Maximum root modulus rho of char_poly(M), estimated to within
+    ACCURACY*rho.  A caller that already has char_poly(M) passes it as
+    ``poly``.
 
     The squarefree part q of degree n is refined on the exactly scaled
     q(2^s y) / 2^(s n), s = round((bitlen|q_0| - bitlen|q_n|) / n), whose
     roots y = x / 2^s have moduli around 1.  Root finding starts from the
     Newton-polygon points and escalates precision until mpmath's error
-    estimate, scaled back by 2^s, is below (tol/2)*rho, so tol bounds the
-    error of log rho; as a monic q with q_0 != 0 has rho >= 1, that never
-    asks more than an absolute tol/2.  The estimate is mpmath's, not a
-    proven enclosure, so neither is the result.  mpmath stops on an
-    absolute error in y, so roots of very different moduli may not
-    converge; that, a rho past the Cauchy bound and a rho past the float
+    estimate, scaled back by 2^s, is below (ACCURACY/2)*rho, so ACCURACY
+    bounds the error of log rho; as a monic q with q_0 != 0 has rho >= 1,
+    that never asks more than an absolute ACCURACY/2.  The estimate is
+    mpmath's, not a proven enclosure, so neither is the result.  mpmath
+    stops on an absolute error in y, so roots of very different moduli may
+    not converge; that, a rho past the Cauchy bound and a rho past the float
     range are NumericErrors.  Deciding that rho is exactly 1 is left to
-    ``words.certify_log_rho``, whose ``LogRho`` carries the exact-zero flag.
+    ``words.certify_log_rho``, and comparing it with an int to
+    ``roots_inside``.
     """
-    if problem := real_problem(tol, 0.0):
-        raise InputError(f"tol: {problem}")
     p = char_poly(m) if poly is None else poly
     p = p[next(i for i, c in enumerate(p) if c):]  # strip x^k; p is monic
     if len(p) == 1:
@@ -470,8 +492,8 @@ def spectral_radius(m: SquareIntMatrix, tol: float = DEFAULT_TOL,
             continue
         rho = mpmath.ldexp(max(abs(r) for r in roots), s)
         last_err = mpmath.ldexp(err, s)
-        if last_err < tol / 2 * rho:
-            if rho > bound * (1 + tol):
+        if last_err < ACCURACY / 2 * rho:
+            if rho > bound * (1 + ACCURACY):
                 raise NumericError(
                     f"root estimate {mpmath.nstr(rho, 17)} exceeds Cauchy "
                     f"bound {bound}"
@@ -483,6 +505,6 @@ def spectral_radius(m: SquareIntMatrix, tol: float = DEFAULT_TOL,
                 )
             return out
     raise NumericError(
-        f"spectral radius refinement did not reach tol={tol} "
+        f"spectral radius refinement did not reach accuracy {ACCURACY} "
         f"(degree {n}, last error {last_err})"
     )

@@ -352,7 +352,7 @@ def model_verdict(model: HKModel, m_max: int, log_rho: LogRho,
     """
     require_int(m_max, "m_max", 3)
     series = ext_growth_series(model, m_max)
-    return Verdict.of(math.log(model.dim(1)), log_rho,
+    return Verdict.of(model.dim(1), log_rho,
                       slope=series.log_slope(max(1, m_max // 2), m_max),
                       series=series, details=details)
 

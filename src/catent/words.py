@@ -24,13 +24,14 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import InputError, is_int, real_problem, shown
+from .errors import InputError, is_int, shown
 from .lattice import (
-    DEFAULT_TOL,
     BilinearLattice,
     Poly,
     SquareIntMatrix,
+    char_poly,
     is_unipotent,
+    roots_inside,
     spectral_radius,
 )
 
@@ -128,41 +129,43 @@ def log_rho_is_exact_zero(m: SquareIntMatrix) -> bool:
 class LogRho:
     """A certified log of the spectral radius of an action.
 
-    ``value`` is exactly 0.0 when ``exact_zero``, and otherwise a float
-    refined to within ``tol``, the accuracy the gate reads.
+    ``poly`` is the characteristic polynomial that ``value``, a refined
+    float estimate, came from, and the gate reads it; it is None for an
+    exact zero, whose ``value`` is exactly 0.0.
     """
 
     value: float
-    exact_zero: bool
-    tol: float
+    poly: Poly | None
+
+    @property
+    def exact_zero(self) -> bool:
+        return self.poly is None
 
 
-def certify_log_rho(
-    m: SquareIntMatrix, tol: float = DEFAULT_TOL, poly: Poly | None = None
-) -> LogRho:
+def certify_log_rho(m: SquareIntMatrix, poly: Poly | None = None) -> LogRho:
     """The one certificate for log of the spectral radius of an action.
 
     An exact 0.0 when the action is unipotent up to sign, otherwise the
-    refined float value, estimated to within tol.  A nilpotent action has no
-    logarithm and is an input error.  ``poly``, when given, is char_poly(m),
-    which the caller already has.
+    refined float value with the characteristic polynomial it came from.
+    A nilpotent action has no logarithm and is an input error.  ``poly``,
+    when given, is char_poly(m), which the caller already has.
     """
-    if problem := real_problem(tol, 0.0):  # before the exact zero, which reads no tol
-        raise InputError(f"tol: {problem}")
     if log_rho_is_exact_zero(m):
-        return LogRho(0.0, True, tol)
-    rho = spectral_radius(m, tol, poly)
+        return LogRho(0.0, None)
+    poly = char_poly(m) if poly is None else poly
+    rho = spectral_radius(m, poly)
     if rho == 0.0:
         raise InputError("nilpotent action: spectral radius 0 has no logarithm")
-    return LogRho(math.log(rho), False, tol)
+    return LogRho(math.log(rho), poly)
 
 
-def derive_verdict(bound: float | None, log_rho: LogRho | None) -> str:
-    """The one verdict gate: a violation needs a positive certified bound and
-    either an exactly-zero log rho or a margin of ten tolerances."""
-    if bound is None or log_rho is None or bound <= 0:
+def derive_verdict(base: int | None, log_rho: LogRho | None) -> str:
+    """The one verdict gate, exact: a violation is log base > log rho, base
+    the int whose log is the certified bound.  An exact zero is one iff
+    base > 1, any other log rho iff ``roots_inside(poly, base)``."""
+    if base is None or log_rho is None or base <= 1:
         return "no violation certified"
-    if log_rho.exact_zero or bound > log_rho.value + 10 * log_rho.tol:
+    if log_rho.exact_zero or roots_inside(log_rho.poly, base):
         return "GY violated"
     return "no violation certified"
 
@@ -171,10 +174,12 @@ def derive_verdict(bound: float | None, log_rho: LogRho | None) -> str:
 class Verdict:
     """One certified comparison of an entropy lower bound with log rho.
 
+    ``base`` is the int whose log, per point, is the bound ``entropy_lower``.
     ``details`` holds what the certifying function found, in report order.
     ``Verdict.of`` is the only place the gap and the verdict are computed.
     """
 
+    base: int | None
     entropy_lower: float | None
     empirical_slope: float | None
     log_rho: LogRho | None
@@ -184,10 +189,12 @@ class Verdict:
     details: dict
 
     @classmethod
-    def of(cls, bound: float | None, log_rho: LogRho | None,
+    def of(cls, base: int | None, log_rho: LogRho | None,
            slope: float | None = None, series: BoundSeries | None = None,
-           details: dict | None = None) -> Verdict:
-        """The gap, when both sides exist, and the verdict of the one gate."""
+           details: dict | None = None, points: int = 1) -> Verdict:
+        """The bound ``points`` log base, the gap, when both sides exist, and
+        the verdict of the one gate on base, the int d_1 of a model."""
+        bound = None if base is None else points * math.log(base)
         gap = None if bound is None or log_rho is None else bound - log_rho.value
-        return cls(bound, slope, log_rho, gap, derive_verdict(bound, log_rho),
+        return cls(base, bound, slope, log_rho, gap, derive_verdict(base, log_rho),
                    series, details or {})

@@ -17,6 +17,7 @@ from catent.cli import (
 )
 from catent.errors import InputError
 from catent.graded import cone_evaluations
+from catent.lattice import SquareIntMatrix, char_poly
 from catent.twists import HKModel, default_action
 from catent.words import LogRho, certify_log_rho, derive_verdict
 
@@ -31,8 +32,7 @@ def run_preset(name):
 def test_minimal_hk_config_valid():
     cfg = load_config({"kind": "hk", "n": 1, "q": 10, "m_max": 8})
     assert cfg["kind"] == "hk"
-    assert cfg["tol"] == 1e-9
-    assert "t" not in cfg and "seed" not in cfg
+    assert "tol" not in cfg and "t" not in cfg and "seed" not in cfg
 
 
 ENRIQUES = list_builtin_models()["enriques-over-hk"]
@@ -429,36 +429,48 @@ def test_word_gets_one_certificate_under_both_kinds():
     assert enriques["details"]["cover_log_rho"] == 0.0
 
 
-# The cover bound log 3 against the log rho 1.0576 of a companion word: the
-# gap, 0.04104, clears ten tolerances at tol 1e-9 but not at tol 1e-2.
+# The companion word of x^3 - 3x^2 + 1, with rho = 2.879..., descended
+# through the trivial deck: the exact gate certifies it below a cover with
+# d_1 = 3 (gap 0.04104) and not below a d_table cover with d_1 = 2.
+WORD = [[0, 0, -1], [1, 0, 0], [0, 1, 3]]
 CLOSE_CALL = {
     "kind": "enriques", "cover": {"n": 1, "q": 2, "m_max": 4},
     "lattice": {"gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
     "deck": {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "order": 1},
-    "word": [{"kind": "explicit", "matrix": [[0, 0, -1], [1, 0, 0], [0, 1, 3]]}],
+    "word": [{"kind": "explicit", "matrix": WORD}],
 }
+D1_IS_2 = {"n": 1, "d_table": list(range(2, 12)), "m_max": 4}
 
 
-@pytest.mark.parametrize("tol, verdict", [
-    (1e-9, "GY violated"), (1e-2, "no violation certified")])
-def test_the_config_tol_decides_a_close_call(tol, verdict):
-    report = run_scenario(load_config({**CLOSE_CALL, "tol": tol}))
+@pytest.mark.parametrize("cover, d1, verdict", [
+    (CLOSE_CALL["cover"], 3, "GY violated"), (D1_IS_2, 2, "no violation certified")],
+    ids=["d1-3", "d1-2"])
+def test_the_exact_gate_decides_a_close_call(cover, d1, verdict):
+    report = run_scenario(load_config({**CLOSE_CALL, "cover": cover}))
     assert report["error"] is None and report["log_rho_exact_zero"] is False
-    assert report["gap"] == pytest.approx(0.04104, abs=1e-5)
+    assert report["details"]["cover_d1"] == d1
+    assert math.exp(report["log_rho"]) == pytest.approx(2.879, abs=1e-3)
+    assert report["gap"] == pytest.approx(math.log(d1) - math.log(2.87939), abs=1e-5)
     assert report["verdict"] == verdict
 
 
-def test_every_gate_reads_the_config_tol(monkeypatch):
-    gate, tols = words.derive_verdict, []
-    monkeypatch.setattr(words, "derive_verdict", lambda bound, log_rho: tols.append(
-        log_rho.tol) or gate(bound, log_rho))
-    presets = list_builtin_models()
-    for config in (presets["k3-q10"], presets["k3n-hilb"], CLOSE_CALL,
-                   {"kind": "lattice_word", "lattice": CLOSE_CALL["lattice"],
-                    "word": CLOSE_CALL["word"]}):
-        tols.clear()
-        assert run_scenario(load_config({**config, "tol": 1e-3}))["error"] is None
-        assert tols and set(tols) == {1e-3}
+def test_every_gate_reads_its_int_base(monkeypatch):
+    # hk, and a hilb base and its lift, gate d_1 (d_1^n > rho^n iff
+    # d_1 > rho); enriques gates the cover's d_1 against the quotient's
+    # polynomial; lattice_word has no bound.  Only a refined log rho has a
+    # polynomial.
+    gate, calls = words.derive_verdict, []
+    monkeypatch.setattr(words, "derive_verdict", lambda base, log_rho: calls.append(
+        (base, log_rho.poly)) or gate(base, log_rho))
+    presets, poly = list_builtin_models(), char_poly(SquareIntMatrix(WORD))
+    for config, want in (
+            (presets["k3-q10"], (7, None)), (presets["k3n-hilb"], (7, None)),
+            (CLOSE_CALL, (3, poly)),
+            ({"kind": "lattice_word", "lattice": CLOSE_CALL["lattice"],
+              "word": CLOSE_CALL["word"]}, (None, poly))):
+        calls.clear()
+        assert run_scenario(load_config(config))["error"] is None
+        assert calls and set(calls) == {want}
 
 
 def test_surface_twist_run():
@@ -487,8 +499,8 @@ def test_validate_certifies_the_hk_and_hilb_words(monkeypatch, capsys):
     # The check stage makes every log rho certificate, so validate certifies
     # the default word of hk and of a hilb base, with no cone work.
     calls = []
-    monkeypatch.setattr(cli, "certify_log_rho", lambda action, tol: calls.append(
-        action) or certify_log_rho(action, tol))
+    monkeypatch.setattr(cli, "certify_log_rho", lambda action: calls.append(
+        action) or certify_log_rho(action))
     for name, kind in (("k3-q10", "hk"), ("k3n-hilb", "hilb")):
         calls.clear()
         work = cone_evaluations()
@@ -555,10 +567,17 @@ def test_report_verdict_self_auditing():
         report = run_scenario(cfg)
         assert report["error"] is None
         kinds.add(cfg["kind"])
-        log_rho = None if report["log_rho"] is None else LogRho(
-            report["log_rho"], report["log_rho_exact_zero"], cfg["tol"])
-        assert report["verdict"] == derive_verdict(
-            report["entropy_lower_certified"], log_rho)
+        # the int base whose log, per point, is the bound, and the one
+        # refined word's polynomial
+        bound, points = report["entropy_lower_certified"], cfg.get("points", 1)
+        base = None if bound is None else round(math.exp(bound / points))
+        assert base is None or points * math.log(base) == bound
+        if report["log_rho"] is None or report["log_rho_exact_zero"]:
+            log_rho = None if report["log_rho"] is None else LogRho(0.0, None)
+        else:
+            log_rho = LogRho(report["log_rho"],
+                             char_poly(SquareIntMatrix(cfg["word"][0]["matrix"])))
+        assert report["verdict"] == derive_verdict(base, log_rho)
         if report["entropy_lower_certified"] is None or report["log_rho"] is None:
             assert report["gap"] is None
         else:
@@ -609,7 +628,7 @@ def test_main_invalid_config_exit_code(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    # a run takes its tol and m_max from the config and prints JSON only
+    # a run takes its m_max from the config, has no tol, and prints JSON only
     (["run", "--preset", "k3-q10", "--tol", "1e-6"],
      "unrecognized arguments: --tol 1e-6"),
     (["run", "--preset", "k3-q10", "--m-max", "4"], "unrecognized arguments: --m-max 4"),
@@ -636,9 +655,8 @@ def test_main_help_still_exits_0(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, config", [
-    (["run"], {"kind": "surface_twist", "q": 10, "k": 1, "l": 1, "m_max": 5,
-               "tol": math.nan}),
-    (["validate"], {"kind": "hk", "n": 1, "q": 10, "m_max": 5, "tol": math.inf}),
+    (["run"], {"kind": "surface_twist", "q": math.nan, "k": 1, "l": 1, "m_max": 5}),
+    (["validate"], {"kind": "hk", "n": 1, "q": math.inf, "m_max": 5}),
 ])
 def test_main_rejects_non_finite_numbers(capsys, argv, config):
     assert main(argv + ["--config", json.dumps(config)]) == 1
@@ -676,7 +694,7 @@ def test_main_spectral_radius_past_the_float_range_is_a_numeric_error(capsys):
 
 
 def test_main_integer_past_digit_limit_is_an_input_error(capsys):
-    text = '{"kind": "hk", "n": 1, "q": 10, "m_max": 5, "tol": ' + "1" * 5000 + "}"
+    text = '{"kind": "hk", "n": 1, "m_max": 5, "q": ' + "1" * 5000 + "}"
     assert main(["run", "--config", text]) == 1
     assert "error [InputError]" in capsys.readouterr().err
 
@@ -727,9 +745,13 @@ I3 = {"gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 SHARED_EXITS = {
     "n-not-an-int": ({"kind": "hk", "n": 1.5, "q": 10, "m_max": 4}, 1,
                      "config validation failed:\n  - n: must be an integer, got 1.5"),
+    # tol is no field: the gate is exact
     "tol-not-a-number": (
         {"kind": "hk", "n": 1, "q": 10, "m_max": 4, "tol": "x"}, 1,
-        "config validation failed:\n  - tol: must be a number, got 'x'"),
+        "config validation failed:\n  - tol: unknown field"),
+    "tol-a-number": (
+        {"kind": "hk", "n": 1, "q": 10, "m_max": 4, "tol": 1e-6}, 1,
+        "config validation failed:\n  - tol: unknown field"),
     "tensor-nilpotent-only": (
         {"kind": "lattice_word", "lattice": MUKAI10,
          "word": [{"kind": "tensor", "nilpotent": [[0, 0, 0], [-1, 0, 0], [0, -10, 0]]}]},

@@ -12,8 +12,6 @@ from catent.lattice import BilinearLattice, SquareIntMatrix, is_unipotent, spect
 from catent.words import LogRho, Verdict, induced_matrix
 from rational_reference import kernel_basis, restrict_to_basis
 
-TOL = 1e-9
-
 Z2 = BilinearLattice(((1, 0), (0, 1)))
 SWAP = SquareIntMatrix(((0, 1), (1, 0)))
 SHEAR = SquareIntMatrix(((1, 1), (0, 1)))
@@ -216,8 +214,8 @@ def test_checks_run_in_order():
 def test_trivial_deck_restricts_to_original():
     sc = CoverScenario(SquareIntMatrix.identity(2), 1, SHEAR)
     assert len(sc.basis) == 2
-    assert spectral_radius(sc.restricted, TOL) == pytest.approx(
-        spectral_radius(SHEAR, TOL), abs=1e-8
+    assert spectral_radius(sc.restricted) == pytest.approx(
+        spectral_radius(SHEAR), abs=1e-8
     )
 
 
@@ -268,7 +266,7 @@ def test_restriction_never_exceeds_ambient_radius():
         except InputError:
             continue
         found += 1
-        assert spectral_radius(sc.restricted, TOL) <= spectral_radius(action, TOL) + 1e-8
+        assert spectral_radius(sc.restricted) <= spectral_radius(action) + 1e-8
     assert found > 50
 
 
@@ -277,18 +275,20 @@ def test_restriction_never_exceeds_ambient_radius():
 
 def test_quotient_verdict_hyperkahler_cover():
     log_rho, details = quotient_verdict(rank4_cover())
-    assert log_rho == LogRho(0.0, True, TOL)
+    assert log_rho == LogRho(0.0, None)
     assert details == {"cover_log_rho": 0.0, "quotient_rank": 3}
-    verdict = Verdict.of(math.log(6), log_rho)
+    verdict = Verdict.of(6, log_rho)
+    assert verdict.entropy_lower == math.log(6)
     assert verdict.verdict == "GY violated"
 
 
 def test_quotient_verdict_no_bound_no_claim():
-    # A zero cover bound certifies nothing, whatever the quotient certificate.
+    # A zero cover bound, log 1, certifies nothing, whatever the quotient
+    # certificate.
     sc = CoverScenario(SWAP, 2, SquareIntMatrix.identity(2))
     log_rho, _ = quotient_verdict(sc)
     assert log_rho.exact_zero
-    assert Verdict.of(0.0, log_rho).verdict == "no violation certified"
+    assert Verdict.of(1, log_rho).verdict == "no violation certified"
 
 
 def test_quotient_verdict_non_unipotent_inequality():

@@ -1,5 +1,5 @@
-"""The two value rules of ``catent.errors`` at every engine entry point that
-raises them.
+"""The integer rule of ``catent.errors`` at every engine entry point that
+raises it.
 
 The CLI's schema bounds every such value first, so only Python callers reach
 these checks; they get an ``InputError`` in the schema's words, never a
@@ -10,15 +10,14 @@ import math
 
 import pytest
 
-from catent.descent import CoverScenario, quotient_verdict
+from catent.descent import CoverScenario
 from catent.errors import InputError
-from catent.graded import GradedDimInterval, cone_evaluations
+from catent.graded import GradedDimInterval
 from catent.hilbert import hilbert_lift_verdict, kunneth_power_series
-from catent.lattice import SquareIntMatrix, spectral_radius
+from catent.lattice import SquareIntMatrix, roots_inside
 from catent.twists import (
     BoundSeries,
     HKModel,
-    clear_caches,
     correction_profile,
     eval_cone_profile,
     eval_twist_cone_profile,
@@ -31,14 +30,13 @@ from catent.twists import (
     spherical_twist_series,
     spherical_twist_uppers,
 )
-from catent.words import LogRho, Verdict, certify_log_rho
+from catent.words import LogRho, Verdict
 
 K3 = HKModel(1, q=10)
 SERIES = BoundSeries((7, 49, 343, 2401), (7, 49, 343, 2401))
-EXACT_ZERO = LogRho(0.0, True, 1e-9)
-BASE = Verdict.of(math.log(7), EXACT_ZERO, slope=math.log(7), series=SERIES)
+EXACT_ZERO = LogRho(0.0, None)
+BASE = Verdict.of(7, EXACT_ZERO, slope=math.log(7), series=SERIES)
 SWAP = SquareIntMatrix(((0, 1), (1, 0)))
-CAT = SquareIntMatrix(((2, 1), (1, 1)))  # rho > 1, so log rho is refined
 HUGE = -10**5000  # below every bound, and too long for str()
 
 #: (entry point taking the value, argument name, lower bound or None)
@@ -77,6 +75,7 @@ GATED = {
     "CoverScenario.order": (
         lambda v: CoverScenario(SWAP, v, SquareIntMatrix.identity(2)), "order", 1),
     "SquareIntMatrix.power": (lambda v: SWAP.power(v), "k", 0),
+    "roots_inside": (lambda v: roots_inside((-2, 1), v), "r", 1),
     "GradedDimInterval.shifted": (
         lambda v: GradedDimInterval.exact({0: 1}).shifted(v), "s", None),
     "GradedDimInterval.scaled": (
@@ -111,31 +110,3 @@ def test_gated_entry_points_raise_the_integer_rule(entry, value):
     else:
         expected = f"{name}: must be an integer, got {value!r}"
     assert str(info.value) == expected
-
-
-TOL_CHECKED = {
-    "spectral_radius": lambda v: spectral_radius(CAT, v),
-    "certify_log_rho": lambda v: certify_log_rho(CAT, v),
-    "certify_log_rho.exact_zero": lambda v: certify_log_rho(SWAP, v),
-    "quotient_verdict": lambda v: quotient_verdict(
-        CoverScenario(SWAP, 2, SquareIntMatrix.identity(2)), v),
-}
-
-
-@pytest.mark.parametrize("value, problem", [
-    ("x", "must be a number, got 'x'"),
-    (True, "must be a number, got True"),
-    (None, "must be a number, got None"),
-    (0, "must be > 0.0, got 0"),
-    (-1.0, "must be > 0.0, got -1.0"),
-    (math.nan, "must be finite, got nan"),
-    (10**400, "must be finite, got inf"),  # past the float range
-])
-@pytest.mark.parametrize("entry", TOL_CHECKED)
-def test_tol_follows_the_number_rule(entry, value, problem):
-    clear_caches()  # a memo hit would hide the cone work of a late check
-    start = cone_evaluations()
-    with pytest.raises(InputError) as info:
-        TOL_CHECKED[entry](value)
-    assert str(info.value) == f"tol: {problem}"
-    assert cone_evaluations() == start  # tol is checked before any cone work

@@ -196,6 +196,8 @@ SHORT_BASE_TABLE = {"kind": "hilb", "points": 2,
 # Every cell is an int past the float range, while the totals are far below
 # the int digit limit, so the report prints.
 BIG_SURFACE = {"kind": "surface_twist", "q": 10**300, "k": 1, "l": 1, "m_max": 3}
+# tol is no config field: the gate compares rho with an int exactly.
+WITH_TOL = {"kind": "hk", "n": 1, "q": 10, "m_max": 4, "tol": 1e-6}
 
 
 @example(json.dumps(NILPOTENT))
@@ -229,6 +231,7 @@ def test_run_ends_in_a_report_or_a_typed_error(text):
 @example(json.dumps(BIG_SURFACE))
 @example(json.dumps(LONG_INT))
 @example(json.dumps(SHORT_BASE_TABLE))
+@example(json.dumps(WITH_TOL))
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(configs.map(json.dumps))
@@ -296,7 +299,7 @@ def test_python_api_echoes_a_leaf_json_cannot_hold_by_its_repr(config):
 # The keys of each config object, as the README's config reference lists
 # them: the top level by kind, the nested objects by name and each
 # generator by its kind.
-TOP_KEYS = ("schema_version", "kind", "tol")
+TOP_KEYS = ("schema_version", "kind")
 MODEL_KEYS = ("n", "q", "d_table", "m_max")
 KNOWN_KEYS = {
     "hk": TOP_KEYS + MODEL_KEYS,
@@ -316,7 +319,7 @@ KNOWN_KEYS = {
 }
 # Keys of other objects, and options that no object has.
 KEY_NAMES = sorted({key for keys in KNOWN_KEYS.values() for key in keys}
-                   | {"t", "tolerance", "whitelisted", "nilpotent", "seed"})
+                   | {"t", "tol", "tolerance", "whitelisted", "nilpotent", "seed"})
 
 
 def _objects(config):

@@ -6,12 +6,10 @@ import pytest
 
 from catent.errors import InputError
 from catent.hilbert import hilbert_lift_verdict, kunneth_power_series
-from catent.lattice import DEFAULT_TOL, SquareIntMatrix, char_poly, spectral_radius
+from catent.lattice import SquareIntMatrix, char_poly, spectral_radius
 from catent.twists import BoundSeries, HKModel, default_action, model_verdict
 from catent.words import LogRho, Verdict, certify_log_rho, derive_verdict
 from lattice_powers import poly_divides, symmetric_power_matrix, tensor_power_matrix
-
-TOL = 1e-9
 
 
 def random_matrix(rng, n, lo=-3, hi=3):
@@ -66,9 +64,9 @@ def test_tensor_power_spectral_radius_scales():
     rng = random.Random(5)
     for _ in range(10):
         m = random_matrix(rng, rng.randint(2, 3))
-        rho = spectral_radius(m, TOL)
+        rho = spectral_radius(m)
         for n in (2, 3):
-            got = spectral_radius(tensor_power_matrix(m, n), TOL)
+            got = spectral_radius(tensor_power_matrix(m, n))
             assert abs(got - rho**n) <= 1e-6 * max(1.0, rho**n)
 
 
@@ -89,9 +87,9 @@ def test_symmetric_power_spectral_radius_scales():
     rng = random.Random(7)
     for _ in range(12):
         m = random_matrix(rng, rng.randint(2, 4))
-        rho = spectral_radius(m, TOL)
+        rho = spectral_radius(m)
         for n in (2, 3):
-            got = spectral_radius(symmetric_power_matrix(m, n), TOL)
+            got = spectral_radius(symmetric_power_matrix(m, n))
             assert abs(got - rho**n) <= 1e-6 * max(1.0, rho**n)
 
 
@@ -119,7 +117,7 @@ def test_symmetric_power_unipotent_preserved():
 
 def make_base(m_max=5):
     model = HKModel(1, q=10)
-    return model_verdict(model, m_max, certify_log_rho(default_action(model), DEFAULT_TOL))
+    return model_verdict(model, m_max, certify_log_rho(default_action(model)))
 
 
 def test_scenario_validation():
@@ -145,7 +143,7 @@ def test_lift_verdict_scales_gap():
     base = make_base()
     verdict = hilbert_lift_verdict(3, base)
     assert verdict.entropy_lower == pytest.approx(3 * math.log(7))
-    assert verdict.log_rho == LogRho(0.0, True, DEFAULT_TOL)
+    assert verdict.log_rho == LogRho(0.0, None)
     assert list(verdict.details.items()) == [
         ("points", 3), ("base_entropy_lower", base.entropy_lower),
         ("base_log_rho", 0.0), ("strict_gap", True)]
@@ -166,18 +164,19 @@ def test_lift_verdict_equality_case_claims_no_gap():
     # Base with entropy bound equal to log rho: no strict gap is claimed.
     series = BoundSeries((2, 4, 8), (2, 4, 8))
     log2 = math.log(2)
-    log_rho = LogRho(log2, False, TOL)
+    log_rho = LogRho(log2, char_poly(SquareIntMatrix(((2,),))))
     base = Verdict(
+        base=2,
         log_rho=log_rho,
         entropy_lower=log2,
         empirical_slope=series.log_slope(1, 3),
         gap=0.0,
-        verdict=derive_verdict(log2, log_rho),
+        verdict=derive_verdict(2, log_rho),
         series=series,
         details={},
     )
     verdict = hilbert_lift_verdict(2, base)
     assert not verdict.details["strict_gap"]
-    # Only the value scales: the base's exact-zero flag and tol carry over.
-    assert verdict.log_rho == LogRho(2 * math.log(2), False, TOL)
+    # Only the value scales: the base's polynomial carries over to the gate.
+    assert verdict.log_rho == LogRho(2 * math.log(2), (-2, 1))
     assert verdict.verdict == "no violation certified"

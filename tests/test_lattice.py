@@ -16,6 +16,7 @@ from catent.lattice import (
     char_poly,
     is_unipotent,
     poly_exact_quotient,
+    roots_inside,
     spectral_radius,
     squarefree_part,
 )
@@ -366,7 +367,7 @@ def test_unipotent_spectral_radius_is_one():
                 rows[i][j] = rng.randint(-4, 4)
         m = SquareIntMatrix(tuple(tuple(r) for r in rows))
         assert is_unipotent(m)
-        assert abs(spectral_radius(m, TOL) - 1.0) <= TOL
+        assert abs(spectral_radius(m) - 1.0) <= TOL
 
 
 # -- spectral radius ----------------------------------------------------------
@@ -390,7 +391,7 @@ def test_spectral_radius_mean_eigenvalue_bound():
     for _ in range(40):
         n = rng.randint(1, 6)
         m = random_matrix(rng, n)
-        assert spectral_radius(m, TOL) >= abs(m.trace()) / n - TOL
+        assert spectral_radius(m) >= abs(m.trace()) / n - TOL
 
 
 def test_spectral_radius_power_scaling():
@@ -398,15 +399,10 @@ def test_spectral_radius_power_scaling():
     for _ in range(15):
         n = rng.randint(2, 4)
         m = random_matrix(rng, n, -3, 3)
-        rho = spectral_radius(m, TOL)
+        rho = spectral_radius(m)
         for k in range(2, 5):
             slack = k * TOL * max(1.0, rho) ** (k - 1) + TOL
-            assert abs(spectral_radius(m.power(k), TOL) - rho**k) <= slack
-
-
-def test_spectral_radius_requires_positive_tol():
-    with pytest.raises(InputError):
-        spectral_radius(SquareIntMatrix.identity(2), 0.0)
+            assert abs(spectral_radius(m.power(k)) - rho**k) <= slack
 
 
 # The refinement runs on the scaled polynomial from Newton-polygon starting
@@ -427,8 +423,50 @@ def non_nilpotent_matrices(draw):
 @settings(max_examples=100, deadline=None)
 @given(non_nilpotent_matrices())
 def test_spectral_radius_matches_the_unscaled_refinement(m):
-    rho = spectral_radius(m, TOL)
+    rho = spectral_radius(m)
     assert abs(rho - spectral_reference.spectral_radius(m, TOL)) <= TOL * rho
+
+
+@pytest.mark.parametrize("tol", ["x", True, None, 0, -1.0, math.nan, math.inf])
+def test_the_reference_refinement_checks_its_tol(tol):
+    with pytest.raises(ValueError, match="tol must be a positive finite number"):
+        spectral_reference.spectral_radius(SquareIntMatrix.identity(2), tol)
+
+
+# -- exact comparison of rho with an int ---------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(non_nilpotent_matrices())
+def test_roots_inside_matches_the_reference_refinement(m):
+    # At r = floor(rho) and floor(rho) + 1, whenever the float can tell.
+    p, rho = char_poly(m), spectral_reference.spectral_radius(m)
+    for r in (math.floor(rho), math.floor(rho) + 1):
+        if r >= 1 and abs(rho - r) > 1e-6:
+            assert roots_inside(p, r) == (rho < r)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("r", [1, 2, 10**30])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_roots_inside_plus_or_minus_r_times_identity(n, r, sign):
+    # every root is sign * r, on the circle of radius r
+    p = char_poly(SquareIntMatrix.identity(n).scaled(sign * r))
+    assert not roots_inside(p, r)
+    assert roots_inside(p, r + 1)
+
+
+@pytest.mark.parametrize("p, inside_from", [
+    ((4, 0, 1), 3),  # +-2i: complex roots on the circle of radius 2
+    ((1, 1, 1), 2),  # primitive cube roots of unity
+    ((0, 0, 1), 1),  # x^2: every root is 0
+    ((6, -5, 1), 4),  # roots 2 and 3
+    ((-10**40, 1), 10**40 + 1),
+])
+def test_roots_inside_is_exact_at_the_boundary(p, inside_from):
+    assert roots_inside(p, inside_from)
+    if inside_from > 1:
+        assert not roots_inside(p, inside_from - 1)
 
 
 def _moduli(starts):
@@ -450,12 +488,12 @@ def test_newton_polygon_starts_follow_each_hull_edge():
 
 def test_newton_polygon_start_of_degree_one():
     assert _moduli(lattice._newton_polygon_starts((-3, 1))) == pytest.approx([3.0])
-    assert spectral_radius(SquareIntMatrix(((-7,),)), TOL) == 7.0
+    assert spectral_radius(SquareIntMatrix(((-7,),))) == 7.0
 
 
 def test_finite_order_word_has_spectral_radius_one():
     # x^2 + x + 1: the primitive cube roots of unity
-    assert abs(spectral_radius(SquareIntMatrix(((0, -1), (1, -1))), TOL) - 1.0) <= TOL
+    assert abs(spectral_radius(SquareIntMatrix(((0, -1), (1, -1)))) - 1.0) <= TOL
 
 
 def test_refinement_calls_polyroots_through_the_module_with_its_starts():
@@ -467,13 +505,13 @@ def test_refinement_calls_polyroots_through_the_module_with_its_starts():
         return polyroots(coeffs, **kwargs)
 
     with mock.patch.object(lattice.mpmath, "polyroots", spy):
-        spectral_radius(companion_matrix((1, -3, 1)), TOL)
+        spectral_radius(companion_matrix((1, -3, 1)))
     assert calls == [(2, 2)]
 
 
 def test_spectral_radius_past_the_float_range_is_a_numeric_error():
     with pytest.raises(NumericError, match="spectral radius 1.0e\\+400 is past the float range"):
-        spectral_radius(SquareIntMatrix(((10**400,),)), TOL)
+        spectral_radius(SquareIntMatrix(((10**400,),)))
 
 
 # -- polynomial helpers -------------------------------------------------------

@@ -27,8 +27,7 @@ from catent.twists import (
     spherical_twist_uppers,
     verify_iterate_contract,
 )
-from catent.lattice import (DEFAULT_TOL, BilinearLattice, SquareIntMatrix, char_poly,
-                            is_unipotent)
+from catent.lattice import BilinearLattice, SquareIntMatrix, char_poly, is_unipotent
 from catent.words import LogRho, certify_log_rho, induced_matrix
 from graded_reference import _chi_interval, from_dict, support
 from rational_reference import tensor_matrix_from_nilpotent as tensor_exponential
@@ -44,7 +43,7 @@ exact = GradedDimInterval.exact
 
 K3 = HKModel(1, q=10)  # d_i = 5 i^2 + 2: the degree-10 polarized K3 model
 HK2 = HKModel(2, q=2)  # d_i = binom(i^2 + 3, 2)
-EXACT_ZERO = LogRho(0.0, True, DEFAULT_TOL)  # as certify_log_rho gives the default word
+EXACT_ZERO = LogRho(0.0, None)  # as certify_log_rho gives the default word
 
 
 # -- model validation ----------------------------------------------------------
@@ -401,7 +400,7 @@ def test_entropy_empirical_slope_converges():
 
 
 def _default_word_verdict(model, m_max):
-    return model_verdict(model, m_max, certify_log_rho(default_action(model), DEFAULT_TOL))
+    return model_verdict(model, m_max, certify_log_rho(default_action(model)))
 
 
 def test_gy_verdict_k3():

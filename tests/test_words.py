@@ -14,6 +14,7 @@ from catent.lattice import (
 from catent.words import (
     LogRho,
     certify_log_rho,
+    derive_verdict,
     generator_matrix,
     induced_matrix,
     twist_class_action,
@@ -95,14 +96,14 @@ def test_p_twist_is_identity():
     m = generator_matrix(MUKAI10, PTWIST, 0)
     assert m == SquareIntMatrix.identity(3)
     assert (m @ m) == m
-    assert spectral_radius(m, TOL) == 1.0
+    assert spectral_radius(m) == 1.0
 
 
 def test_shift_action():
     m = generator_matrix(BilinearLattice(((1, 0), (0, 1))), SHIFT, 0)
     assert m.entries == ((-1, 0), (0, -1))
     assert (m @ m) == SquareIntMatrix.identity(2)
-    assert spectral_radius(m, TOL) == 1.0
+    assert spectral_radius(m) == 1.0
 
 
 # -- words ---------------------------------------------------------------------
@@ -177,28 +178,65 @@ def test_word_concatenation_is_matrix_product():
 
 def test_word_log_rho_p_twist_tensor_exact_zero():
     m = induced_matrix(MUKAI10, [PTWIST, TENSOR])
-    assert certify_log_rho(m, TOL) == LogRho(0.0, True, TOL)
+    assert certify_log_rho(m) == LogRho(0.0, None)
     assert is_unipotent(m)
 
 
 def test_word_log_rho_companion():
     m = companion_matrix((1, -3, 1))
     lat = BilinearLattice(((1, 0), (0, 1)))
-    log_rho = certify_log_rho(induced_matrix(lat, [explicit(m)]), TOL)
+    log_rho = certify_log_rho(induced_matrix(lat, [explicit(m)]))
     assert log_rho.value == pytest.approx(math.log((3 + math.sqrt(5)) / 2), abs=TOL)
-    assert not log_rho.exact_zero and log_rho.tol == TOL
+    assert not log_rho.exact_zero and log_rho.poly == (1, -3, 1)
 
 
 @pytest.mark.parametrize("digits", [161, 300])
 def test_log_rho_of_a_large_radius_meets_tol(digits):
-    # tol bounds the error of log rho however large rho is
-    log_rho = certify_log_rho(SquareIntMatrix(((10**digits,),)), TOL)
+    # the refinement's accuracy bounds the error of log rho however large
+    # rho is
+    log_rho = certify_log_rho(SquareIntMatrix(((10**digits,),)))
     assert log_rho.value == pytest.approx(digits * math.log(10), abs=TOL)
-    assert not log_rho.exact_zero
+    assert log_rho.poly == (-10**digits, 1)
+
+
+# -- the gate -------------------------------------------------------------------
+
+
+def test_the_gate_on_an_exact_zero_needs_a_base_above_one():
+    exact_zero = LogRho(0.0, None)
+    assert derive_verdict(2, exact_zero) == "GY violated"
+    for base in (1, None):
+        assert derive_verdict(base, exact_zero) == "no violation certified"
+    assert derive_verdict(2, None) == "no violation certified"
+
+
+# The surface word at q = 2*10^9: rho = 999999997.999999998999..., against
+# d_1 = 10^9 + 2.  The float gap is about 4.0e-9, and rho is 1e-9 below the
+# int 999999998, closer than the float spacing there (1.2e-7): the int
+# comparison decides both exactly.
+CLOSE_CALL_POLY = (1, 999999999, 999999999, 1)
+
+
+def test_the_gate_decides_the_close_call_exactly():
+    log_rho = certify_log_rho(companion_matrix(CLOSE_CALL_POLY))
+    assert log_rho.poly == CLOSE_CALL_POLY
+    assert math.log(10**9 + 2) - log_rho.value == pytest.approx(4.0e-9, rel=0.01)
+    assert derive_verdict(10**9 + 2, log_rho) == "GY violated"
+    assert derive_verdict(999999998, log_rho) == "GY violated"
+    assert derive_verdict(999999997, log_rho) == "no violation certified"
+
+
+def test_the_gate_reads_the_polynomial_not_the_value():
+    # The value does not enter the gate: rho = 2, and rho = 2.618... of
+    # x^2 - 3x + 1, are each below base 3 and not below base 2.
+    assert derive_verdict(2, LogRho(0.0, (-2, 1))) == "no violation certified"
+    assert derive_verdict(3, LogRho(99.0, (-2, 1))) == "GY violated"
+    assert derive_verdict(2, LogRho(0.0, (1, -3, 1))) == "no violation certified"
+    assert derive_verdict(3, LogRho(0.0, (1, -3, 1))) == "GY violated"
 
 
 def test_word_log_rho_empty():
-    assert certify_log_rho(induced_matrix(MUKAI10, []), TOL) == LogRho(0.0, True, TOL)
+    assert certify_log_rho(induced_matrix(MUKAI10, [])) == LogRho(0.0, None)
 
 
 def test_unipotent_words_have_exact_zero_log_rho():
@@ -222,7 +260,7 @@ def test_unipotent_words_have_exact_zero_log_rho():
             else:
                 gens.append({"kind": kind})
         m = induced_matrix(lat, gens)
-        assert certify_log_rho(m, TOL) == LogRho(0.0, True, TOL)
+        assert certify_log_rho(m) == LogRho(0.0, None)
         assert is_unipotent(m) or is_unipotent(m @ m)
 
 
@@ -235,7 +273,7 @@ def test_conjugation_invariance_of_spectral_radius():
         assert (c @ c_inv) == SquareIntMatrix.identity(n)
         conj = c @ m @ c_inv
         assert abs(
-            spectral_radius(conj, TOL) - spectral_radius(m, TOL)
+            spectral_radius(conj) - spectral_radius(m)
         ) <= 1e-8
 
 
