@@ -39,7 +39,7 @@ from .descent import CoverScenario, quotient_verdict
 from .errors import EngineError, InputError, NumericError, int_problem, is_int, shown
 from .graded import cone_evaluations
 from .hilbert import hilbert_lift_verdict
-from .lattice import BilinearLattice, SquareIntMatrix
+from .lattice import BilinearLattice, SquareIntMatrix, char_poly
 from .twists import (
     HKModel,
     _require_surface,
@@ -418,7 +418,7 @@ def _checked_model(params: dict, points: int | None = None) -> HKModel:
 
 def _run_hk(cfg: ScenarioConfig) -> Callable[[], Verdict]:
     model = _checked_model(cfg)
-    log_rho = certify_log_rho(default_action(model))
+    log_rho = certify_log_rho(char_poly(default_action(model)))
     return lambda: model_verdict(model, cfg["m_max"], log_rho,
                                  {"d1": model.dim(1), "n": model.n})
 
@@ -426,7 +426,7 @@ def _run_hk(cfg: ScenarioConfig) -> Callable[[], Verdict]:
 def _run_hilb(cfg: ScenarioConfig) -> Callable[[], Verdict]:
     params, points = cfg["base"], cfg["points"]
     model = _checked_model(params, points)
-    log_rho = certify_log_rho(default_action(model))
+    log_rho = certify_log_rho(char_poly(default_action(model)))
     return lambda: hilbert_lift_verdict(
         points, model_verdict(model, params["m_max"], log_rho))
 
@@ -450,7 +450,7 @@ def _run_enriques(cfg: ScenarioConfig) -> Callable[[], Verdict]:
 
 def _run_lattice_word(cfg: ScenarioConfig) -> Callable[[], Verdict]:
     action = _word_action(cfg)
-    log_rho = certify_log_rho(action)
+    log_rho = certify_log_rho(char_poly(action))
     return lambda: Verdict.of(None, log_rho, details={
         "rank": action.n, "spectral_radius": math.exp(log_rho.value),
     })

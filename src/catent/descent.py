@@ -9,8 +9,9 @@ lattice embeds as the deck-fixed sublattice, which must be nonzero, and the
 action restricts to it.  Then
 
   * the quotient inherits the cover's certified entropy lower bound, and
-  * the quotient log spectral radius is squeezed to exactly zero whenever
-    the cover action is unipotent up to sign (restriction preserves it).
+  * the restriction's characteristic polynomial divides the cover's, so
+    the quotient log spectral radius is exactly zero whenever the cover's
+    is (``quotient_verdict``).
 
 ``quotient_verdict`` certifies the quotient log spectral radius; the
 caller gates it against the cover's bound.  All sublattice
@@ -137,24 +138,20 @@ def quotient_verdict(sc: CoverScenario) -> tuple[LogRho, dict]:
     """The quotient's log rho certificate and its details.
 
     The cover's entropy bound transfers as an identity through the covering,
-    so only the spectral radius needs descending.  The cover action and its
-    restriction are certified separately: an exactly zero cover certificate
-    must restrict to an exactly zero one, and the restriction's
+    so only the spectral radius needs descending.  The restriction's
     characteristic polynomial must divide the cover's, as it does for an
     action on a saturated invariant sublattice (the action is block
     triangular in an adapted basis), so no quotient root exceeds the cover's.
-    Each characteristic polynomial is computed once, for both uses.
+    Each polynomial is then certified on its own.  An exactly zero cover
+    certificate needs no check that it restricts to an exactly zero one: a
+    monic int divisor of (x - 1)^a (x + 1)^b is (x - 1)^c (x + 1)^d, as Z[x]
+    factors uniquely, so the quotient certificate is an exact zero too.
     The details give the cover's log rho and the quotient rank.
     """
     cover_poly, poly = char_poly(sc.action), char_poly(sc.restricted)
-    cover = certify_log_rho(sc.action, cover_poly)
-    log_rho = certify_log_rho(sc.restricted, poly)
-    if cover.exact_zero and not log_rho.exact_zero:
-        raise ContractError(
-            "restriction of an action that is unipotent up to sign failed "
-            "the exact-zero certificate"
-        )
     if poly_exact_quotient(cover_poly, poly) is None:
         raise ContractError("restricted characteristic polynomial does not divide "
                             "the ambient one")
-    return log_rho, {"cover_log_rho": cover.value, "quotient_rank": len(sc.basis)}
+    cover = certify_log_rho(cover_poly)
+    return certify_log_rho(poly), {"cover_log_rho": cover.value,
+                                   "quotient_rank": len(sc.basis)}

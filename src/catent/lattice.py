@@ -26,8 +26,7 @@ ever decide a case they can prove:
 
   * necessary-condition gates answer "no" early: a unipotent M has
     trace(M) = n, so ``is_unipotent`` returns False on any other trace
-    without a matrix product (``words.log_rho_is_exact_zero`` gates M^2 the
-    same way, reading trace(M^2) as sum m_ij m_ji),
+    without a matrix product,
   * sufficient-condition shortcuts answer "yes" early: a triangular M
     (upper or lower) with a unit diagonal is unipotent, because M - I is
     strictly triangular, so ``is_unipotent`` returns True without a matrix
@@ -46,6 +45,7 @@ entry (``errors.is_int``) and an asymmetric gram are ``InputError``s.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -343,21 +343,26 @@ def char_poly(m: SquareIntMatrix) -> Poly:
     """Exact characteristic polynomial det(lambda*I - M), as its ascending
     int coefficients.
 
-    Every eigenvalue has modulus at most R, the largest absolute row sum,
-    so the coefficient of lambda^(n-k), plus or minus the k-th elementary
-    symmetric function of the eigenvalues, has modulus at most
-    B = max_k C(n, k) R^k.  The polynomial is computed modulo Mersenne
-    primes 2^e - 1, e from ``_MERSENNE_EXPONENTS`` in increasing order,
-    until their product Q exceeds 2B, each in O(n^3) operations by
-    Hessenberg reduction (``_char_poly_mod``); the residues are combined
-    by the Chinese remainder theorem and lifted to the symmetric range
-    (-Q/2, Q/2), which holds every integer of modulus at most B.  The
-    result is exact by that bound, with no float and no probable prime.
-    A bound past the product of all the moduli is a NumericError.
+    The coefficient of lambda^(n-k) is plus or minus the sum of the C(n, k)
+    principal k-by-k minors, each at most the product of its rows' Euclidean
+    norms in modulus (Hadamard), so it has modulus at most
+    B = max_k C(n, k) P_k, P_k the product of the k largest ceil(|row|_2).
+    As ceil(|row|_2) <= |row|_1, B is at most the row-sum bound
+    max_k C(n, k) R^k, and equal to it on +-R*I.  The polynomial is computed
+    modulo Mersenne primes 2^e - 1, e from ``_MERSENNE_EXPONENTS`` in
+    increasing order, until their product Q exceeds 2B, each in O(n^3)
+    operations by Hessenberg reduction (``_char_poly_mod``); the residues
+    are combined by the Chinese remainder theorem and lifted to the
+    symmetric range (-Q/2, Q/2), which holds every integer of modulus at
+    most B.  The result is exact by that bound, with no float and no
+    probable prime.  A bound past the product of all the moduli is a
+    NumericError.
     """
     n = m.n
-    r = max(sum(map(abs, row)) for row in m.entries)
-    bound = max(math.comb(n, k) * r**k for k in range(n + 1))
+    squares = (sum(a * a for a in row) for row in m.entries)
+    norms = sorted((math.isqrt(s - 1) + 1 if s else 0 for s in squares), reverse=True)
+    products = itertools.accumulate(norms, operator.mul, initial=1)
+    bound = max(math.comb(n, k) * p for k, p in enumerate(products))
     primes, modulus = [], 1
     for e in _MERSENNE_EXPONENTS:
         if modulus > 2 * bound:
@@ -450,10 +455,9 @@ def _newton_polygon_starts(coeffs) -> list:
     return starts
 
 
-def spectral_radius(m: SquareIntMatrix, poly: Poly | None = None) -> float:
-    """Maximum root modulus rho of char_poly(M), estimated to within
-    ACCURACY*rho.  A caller that already has char_poly(M) passes it as
-    ``poly``.
+def spectral_radius(poly: Poly) -> float:
+    """Maximum root modulus rho of the characteristic polynomial ``poly``,
+    estimated to within ACCURACY*rho.
 
     The squarefree part q of degree n is refined on the exactly scaled
     q(2^s y) / 2^(s n), s = round((bitlen|q_0| - bitlen|q_n|) / n), whose
@@ -469,8 +473,7 @@ def spectral_radius(m: SquareIntMatrix, poly: Poly | None = None) -> float:
     ``words.certify_log_rho``, and comparing it with an int to
     ``roots_inside``.
     """
-    p = char_poly(m) if poly is None else poly
-    p = p[next(i for i, c in enumerate(p) if c):]  # strip x^k; p is monic
+    p = poly[next(i for i, c in enumerate(poly) if c):]  # strip x^k; p is monic
     if len(p) == 1:
         return 0.0  # nilpotent: all eigenvalues zero
     q = squarefree_part(p)

@@ -15,11 +15,14 @@ the level of numerical classes only:
 ``generator_matrix`` is the one place that reads a generator's kind, and it
 makes every check of a generator's values, for ``catent validate`` as for
 the run.  Words compose right-to-left, matching functor composition: the first
-generator in the list is applied last.
+generator in the list is applied last.  ``certify_log_rho`` reads only the
+characteristic polynomial of a word's action, so the word gets the same
+``log rho`` certificate whichever scenario kind reaches it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -29,7 +32,6 @@ from .lattice import (
     BilinearLattice,
     Poly,
     SquareIntMatrix,
-    char_poly,
     is_unipotent,
     roots_inside,
     spectral_radius,
@@ -109,20 +111,18 @@ def induced_matrix(lattice: BilinearLattice, word) -> SquareIntMatrix:
     return result if scale == 1 else result.scaled(scale)
 
 
-def log_rho_is_exact_zero(m: SquareIntMatrix) -> bool:
-    """True when log of the spectral radius is certifiably zero.
-
-    Covers unipotent actions and their compositions with shifts: if M or M^2
-    is unipotent, every eigenvalue has modulus one.  trace(M^2) is read as
-    sum m_ij m_ji first, so M^2 is only formed when its trace is n.
-    """
-    if is_unipotent(m):
-        return True
-    rows = m.entries
-    trace_sq = sum(a * b for r, c in zip(rows, zip(*rows)) for a, b in zip(r, c))
-    if trace_sq != m.n:
-        return False
-    return is_unipotent(m @ m)
+def log_rho_is_exact_zero(poly: Poly) -> bool:
+    """True iff poly = (x - 1)^a (x + 1)^b, by exact int synthetic division
+    by x - 1, then by x + 1.  By Cayley-Hamilton this is the matrix test "M
+    or M^2 is unipotent", as M^2 is unipotent iff every eigenvalue is +-1."""
+    p = list(poly)
+    for root in (1, -1):
+        while len(p) > 1:  # Horner: the quotient's coefficients, then p(root)
+            q = list(itertools.accumulate(reversed(p), lambda a, c: a * root + c))
+            if q.pop():
+                break
+            p = q[::-1]
+    return p == [1]
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,9 @@ class LogRho:
 
     ``poly`` is the characteristic polynomial that ``value``, a refined
     float estimate, came from, and the gate reads it; it is None for an
-    exact zero, whose ``value`` is exactly 0.0.
+    exact zero, whose ``value`` is exactly 0.0.  After a ``hilb`` lift,
+    ``value`` is the base's scaled by the number of points and ``poly`` is
+    still the base's.
     """
 
     value: float
@@ -142,18 +144,14 @@ class LogRho:
         return self.poly is None
 
 
-def certify_log_rho(m: SquareIntMatrix, poly: Poly | None = None) -> LogRho:
-    """The one certificate for log of the spectral radius of an action.
-
-    An exact 0.0 when the action is unipotent up to sign, otherwise the
-    refined float value with the characteristic polynomial it came from.
-    A nilpotent action has no logarithm and is an input error.  ``poly``,
-    when given, is char_poly(m), which the caller already has.
-    """
-    if log_rho_is_exact_zero(m):
+def certify_log_rho(poly: Poly) -> LogRho:
+    """The one certificate for log of the spectral radius of an action, from
+    its characteristic polynomial ``poly`` alone: an exact 0.0 when every
+    root is 1 or -1, otherwise the refined float value with ``poly``.  A
+    nilpotent action has no logarithm and is an input error."""
+    if log_rho_is_exact_zero(poly):
         return LogRho(0.0, None)
-    poly = char_poly(m) if poly is None else poly
-    rho = spectral_radius(m, poly)
+    rho = spectral_radius(poly)
     if rho == 0.0:
         raise InputError("nilpotent action: spectral radius 0 has no logarithm")
     return LogRho(math.log(rho), poly)

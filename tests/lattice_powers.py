@@ -11,8 +11,11 @@ that scaling on explicit matrices.  Nor does the engine multiply, test
 divisibility of, or evaluate polynomials at matrices: the tests use those to
 check ``char_poly`` (Cayley-Hamilton, companion matrices) and
 ``squarefree_part``, the latter against the rational Euclid kept here as its
-oracle.  ``counted_products`` counts the matrix products a call makes, for
-the tests of the paths that should make none.
+oracle.  ``unipotent_up_to_sign`` is the matrix test of an exact-zero
+``log rho``, the oracle for ``words.log_rho_is_exact_zero``, which reads
+only the characteristic polynomial.  ``counted_products`` counts the
+matrix products a call makes, for the tests of the paths that should make
+none.
 """
 
 from contextlib import contextmanager
@@ -22,7 +25,7 @@ from math import gcd, lcm
 from unittest import mock
 
 from catent.errors import InputError, NumericError
-from catent.lattice import SquareIntMatrix
+from catent.lattice import SquareIntMatrix, is_unipotent
 
 
 def tensor_power_matrix(m: SquareIntMatrix, n: int) -> SquareIntMatrix:
@@ -183,6 +186,16 @@ def companion_matrix(p) -> SquareIntMatrix:
     for i in range(n):
         rows[i][n - 1] = -p[i]
     return SquareIntMatrix(tuple(tuple(r) for r in rows))
+
+
+def unipotent_up_to_sign(m: SquareIntMatrix) -> bool:
+    """True iff M or M^2 is unipotent, so that every eigenvalue is 1 or -1;
+    trace(M^2), read as sum m_ij m_ji, must be n before M^2 is formed."""
+    if is_unipotent(m):
+        return True
+    rows = m.entries
+    trace_sq = sum(a * b for r, c in zip(rows, zip(*rows)) for a, b in zip(r, c))
+    return trace_sq == m.n and is_unipotent(m @ m)
 
 
 def faddeev_leverrier(m: SquareIntMatrix) -> tuple[int, ...]:

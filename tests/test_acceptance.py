@@ -147,8 +147,8 @@ def test_criterion_5_power_scaling():
         n = case % 3 + 1
         rank = rng.randint(2, 4)
         m = random_matrix(rng, rank)
-        rho = spectral_radius(m)
-        sym_rho = spectral_radius(symmetric_power_matrix(m, n))
+        rho = spectral_radius(char_poly(m))
+        sym_rho = spectral_radius(char_poly(symmetric_power_matrix(m, n)))
         assert abs(sym_rho - rho**n) <= 1e-6 * max(1.0, rho**n)
     for n in (2, 3):
         exact = tuple(5 * 3**m for m in range(1, 9))
@@ -221,14 +221,14 @@ def test_criterion_7_exact_linear_algebra_checks():
         cm_inv = SquareIntMatrix(tuple(map(tuple, c_inv)))
         assert cm @ cm_inv == SquareIntMatrix.identity(n)
         assert abs(
-            spectral_radius(cm @ m @ cm_inv) - spectral_radius(m)
+            spectral_radius(char_poly(cm @ m @ cm_inv)) - spectral_radius(char_poly(m))
         ) <= 1e-8
     for _ in range(20):
         m = random_matrix(rng, rng.randint(2, 4))
-        rho = spectral_radius(m)
+        rho = spectral_radius(char_poly(m))
         for k in range(1, 5):
             slack = k * TOL * max(1.0, rho) ** (k - 1) + TOL
-            assert abs(spectral_radius(m.power(k)) - rho**k) <= slack
+            assert abs(spectral_radius(char_poly(m.power(k))) - rho**k) <= slack
     elapsed = time.perf_counter() - start
     _passed(7, "Cayley-Hamilton, unimodular conjugation invariance "
                "(100 cases, 1e-8), and power scaling of the radius", elapsed)

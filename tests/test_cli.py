@@ -429,6 +429,28 @@ def test_word_gets_one_certificate_under_both_kinds():
     assert enriques["details"]["cover_log_rho"] == 0.0
 
 
+def test_a_word_with_one_huge_entry_gets_one_certificate_under_both_kinds():
+    # shift.tensor on rank 20, the tensor unit upper triangular with one
+    # entry 10^4000: both kinds read the polynomial (x + 1)^20, whose
+    # Hadamard bound is within the moduli, and certify log rho = 0 exactly.
+    n = 20
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    tensor = [row[:] for row in identity]
+    tensor[0][n - 1] = 10**4000
+    word = [{"kind": "shift"}, {"kind": "tensor", "matrix": tensor}]
+    lattice = {"gram": identity}
+    enriques = run_scenario(load_config({
+        "kind": "enriques", "cover": {"n": 1, "q": 10, "m_max": 4}, "lattice": lattice,
+        "deck": {"matrix": identity, "order": 1}, "word": word}))
+    lattice_word = run_scenario(load_config(
+        {"kind": "lattice_word", "lattice": lattice, "word": word}))
+    for report in (enriques, lattice_word):
+        assert report["error"] is None
+        assert report["log_rho_exact_zero"] is True
+        assert report["log_rho"] == 0.0
+    assert enriques["details"]["cover_log_rho"] == 0.0
+
+
 # The companion word of x^3 - 3x^2 + 1, with rho = 2.879..., descended
 # through the trivial deck: the exact gate certifies it below a cover with
 # d_1 = 3 (gap 0.04104) and not below a d_table cover with d_1 = 2.
@@ -499,14 +521,14 @@ def test_validate_certifies_the_hk_and_hilb_words(monkeypatch, capsys):
     # The check stage makes every log rho certificate, so validate certifies
     # the default word of hk and of a hilb base, with no cone work.
     calls = []
-    monkeypatch.setattr(cli, "certify_log_rho", lambda action: calls.append(
-        action) or certify_log_rho(action))
+    monkeypatch.setattr(cli, "certify_log_rho", lambda poly: calls.append(
+        poly) or certify_log_rho(poly))
     for name, kind in (("k3-q10", "hk"), ("k3n-hilb", "hilb")):
         calls.clear()
         work = cone_evaluations()
         assert main(["validate", "--preset", name]) == 0
         assert cone_evaluations() == work
-        assert calls == [default_action(HKModel(1, q=10))]
+        assert calls == [char_poly(default_action(HKModel(1, q=10)))]
         assert capsys.readouterr() == (f"config OK: kind={kind}\n", "")
 
 

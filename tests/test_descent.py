@@ -8,8 +8,15 @@ import pytest
 from catent import descent
 from catent.descent import CoverScenario, integer_kernel_basis, quotient_verdict
 from catent.errors import ContractError, InputError
-from catent.lattice import BilinearLattice, SquareIntMatrix, is_unipotent, spectral_radius
-from catent.words import LogRho, Verdict, induced_matrix
+from catent.lattice import (
+    BilinearLattice,
+    SquareIntMatrix,
+    char_poly,
+    is_unipotent,
+    spectral_radius,
+)
+from catent.words import LogRho, Verdict, certify_log_rho, induced_matrix
+from lattice_powers import counted_products
 from rational_reference import kernel_basis, restrict_to_basis
 
 Z2 = BilinearLattice(((1, 0), (0, 1)))
@@ -214,8 +221,8 @@ def test_checks_run_in_order():
 def test_trivial_deck_restricts_to_original():
     sc = CoverScenario(SquareIntMatrix.identity(2), 1, SHEAR)
     assert len(sc.basis) == 2
-    assert spectral_radius(sc.restricted) == pytest.approx(
-        spectral_radius(SHEAR), abs=1e-8
+    assert spectral_radius(char_poly(sc.restricted)) == pytest.approx(
+        spectral_radius(char_poly(SHEAR)), abs=1e-8
     )
 
 
@@ -266,7 +273,8 @@ def test_restriction_never_exceeds_ambient_radius():
         except InputError:
             continue
         found += 1
-        assert spectral_radius(sc.restricted) <= spectral_radius(action) + 1e-8
+        rho = spectral_radius(char_poly(action))
+        assert spectral_radius(char_poly(sc.restricted)) <= rho + 1e-8
     assert found > 50
 
 
@@ -300,6 +308,18 @@ def test_quotient_verdict_non_unipotent_inequality():
     assert details["quotient_rank"] == 2
 
 
+def test_quotient_certificate_reads_the_restriction_not_the_cover():
+    # diag(2, 3) under the deck diag(1, -1) restricts to [[2]] on the fixed
+    # e_1: log rho is log 2 for the quotient, log 3 for the cover.
+    sc = CoverScenario(SquareIntMatrix(((1, 0), (0, -1))), 2,
+                       SquareIntMatrix(((2, 0), (0, 3))))
+    log_rho, details = quotient_verdict(sc)
+    assert log_rho.poly == (-2, 1)
+    assert log_rho.value == pytest.approx(math.log(2), abs=1e-9)
+    assert details == {"cover_log_rho": pytest.approx(math.log(3), abs=1e-9),
+                       "quotient_rank": 1}
+
+
 def test_unipotent_cover_forces_unipotent_restriction():
     assert is_unipotent(rank4_cover().restricted)
 
@@ -315,10 +335,25 @@ def test_restriction_whose_char_poly_does_not_divide_is_a_contract_error():
 
 
 def test_exact_zero_cover_with_growing_restriction_is_a_contract_error():
+    # x^2 - 3x + 1 does not divide the cover's (x - 1)^4: the divisibility
+    # contract is what rules out a growing restriction of an exact zero.
     sc = rank4_cover()
     object.__setattr__(sc, "restricted", SquareIntMatrix(((2, 1), (1, 1))))
-    with pytest.raises(ContractError, match="failed the exact-zero certificate$"):
+    with pytest.raises(ContractError, match="^restricted characteristic polynomial "
+                       "does not divide the ambient one$"):
         quotient_verdict(sc)
+
+
+def test_the_log_rho_certificate_forms_no_matrix_product():
+    # certify_log_rho reads a polynomial, and quotient_verdict the two it
+    # computes: an exact zero and a refined log rho alike need no M @ M.
+    covers = (rank4_cover(), CoverScenario(
+        SquareIntMatrix.identity(2), 1, SquareIntMatrix(((2, 1), (1, 1)))))
+    polys = [char_poly(sc.restricted) for sc in covers]
+    with counted_products() as products:
+        for sc, poly in zip(covers, polys):
+            assert quotient_verdict(sc)[0] == certify_log_rho(poly)
+    assert not products
 
 
 def test_quotient_verdict_computes_each_char_poly_once(monkeypatch):

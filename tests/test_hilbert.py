@@ -64,9 +64,9 @@ def test_tensor_power_spectral_radius_scales():
     rng = random.Random(5)
     for _ in range(10):
         m = random_matrix(rng, rng.randint(2, 3))
-        rho = spectral_radius(m)
+        rho = spectral_radius(char_poly(m))
         for n in (2, 3):
-            got = spectral_radius(tensor_power_matrix(m, n))
+            got = spectral_radius(char_poly(tensor_power_matrix(m, n)))
             assert abs(got - rho**n) <= 1e-6 * max(1.0, rho**n)
 
 
@@ -87,9 +87,9 @@ def test_symmetric_power_spectral_radius_scales():
     rng = random.Random(7)
     for _ in range(12):
         m = random_matrix(rng, rng.randint(2, 4))
-        rho = spectral_radius(m)
+        rho = spectral_radius(char_poly(m))
         for n in (2, 3):
-            got = spectral_radius(symmetric_power_matrix(m, n))
+            got = spectral_radius(char_poly(symmetric_power_matrix(m, n)))
             assert abs(got - rho**n) <= 1e-6 * max(1.0, rho**n)
 
 
@@ -117,7 +117,7 @@ def test_symmetric_power_unipotent_preserved():
 
 def make_base(m_max=5):
     model = HKModel(1, q=10)
-    return model_verdict(model, m_max, certify_log_rho(default_action(model)))
+    return model_verdict(model, m_max, certify_log_rho(char_poly(default_action(model))))
 
 
 def test_scenario_validation():

@@ -20,7 +20,7 @@ from catent.lattice import (
     spectral_radius,
     squarefree_part,
 )
-from catent.words import induced_matrix
+from catent.words import induced_matrix, log_rho_is_exact_zero
 from lattice_powers import (
     companion_matrix,
     counted_products,
@@ -30,6 +30,7 @@ from lattice_powers import (
     poly_eval_matrix,
     poly_gcd,
     poly_mul,
+    unipotent_up_to_sign,
 )
 import report_digest
 import spectral_reference
@@ -120,20 +121,25 @@ def test_cayley_hamilton_random(n):
 
 
 # char_poly reduces M to Hessenberg form modulo Mersenne primes until their
-# product exceeds 2B, B = max_k C(n, k) R^k, and lifts the residues by CRT
-# to the symmetric range; Faddeev-LeVerrier over Z is its oracle.
+# product exceeds 2B, B = max_k C(n, k) P_k with P_k the product of the k
+# largest ceil(|row|_2) (Hadamard), and lifts the residues by CRT to the
+# symmetric range; Faddeev-LeVerrier over Z is its oracle.
 
 
 @st.composite
 def char_poly_matrices(draw):
     n = draw(st.integers(1, 12))
-    kind = draw(st.sampled_from(("small", "large", "singular", "nilpotent", "scalar")))
+    kind = draw(st.sampled_from(
+        ("small", "large", "large_row", "singular", "nilpotent", "scalar")))
     bound = 10**40 if kind == "large" else 5
     entry = st.integers(-bound, bound)
     if kind == "scalar":
         c = draw(entry)
         return [[c if i == j else 0 for j in range(n)] for i in range(n)]
     rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if kind == "large_row":  # where the Hadamard bound is far below R^k
+        rows[draw(st.integers(0, n - 1))] = [draw(st.integers(-10**40, 10**40))
+                                             for _ in range(n)]
     if kind == "singular":  # the last row a combination of the others
         coeffs = [draw(st.integers(-3, 3)) for _ in range(n - 1)]
         rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
@@ -213,7 +219,7 @@ def test_char_poly_takes_moduli_until_their_product_exceeds_twice_the_bound():
 
 
 def test_char_poly_of_the_zero_matrix_takes_one_modulus():
-    # R = 0, so B = 1
+    # every row norm is 0, so B = 1
     for n in (1, 5, 12):
         poly, calls = _moduli_count(SquareIntMatrix.identity(n).scaled(0))
         assert poly == (0,) * n + (1,)
@@ -226,6 +232,31 @@ def test_char_poly_combines_three_or_more_moduli():
     poly, calls = _moduli_count(m)
     assert len(calls) >= 3
     assert poly == faddeev_leverrier(m)
+
+
+def _minus_unit_upper_with_corner(n, e):
+    """-U, U unit upper triangular with e in its top right corner: its
+    polynomial is (x + 1)^n and its row norms ceil to e + 1 and n - 1 ones."""
+    rows = [[-int(i == j) for j in range(n)] for i in range(n)]
+    rows[0][n - 1] = -e
+    return SquareIntMatrix(rows)
+
+
+# With one row norm e + 1 and the others 1, B = C(20, 10) (e + 1).  At the
+# largest e with 2B below the product of the first ten moduli, those ten
+# suffice; one more and 2B passes it, so the eleventh is taken.  A bound
+# without the binomial, from the k smallest norms or from floored norms
+# takes ten at both.
+_TEN_MODULI = math.prod((1 << e) - 1 for e in lattice._MERSENNE_EXPONENTS[:10])
+_EDGE = _TEN_MODULI // (2 * math.comb(20, 10)) - 1
+
+
+@pytest.mark.parametrize("e, moduli", [(_EDGE, 10), (_EDGE + 1, 11)],
+                         ids=["below-the-edge", "at-the-edge"])
+def test_one_huge_entry_takes_the_moduli_of_its_hadamard_bound(e, moduli):
+    poly, calls = _moduli_count(_minus_unit_upper_with_corner(20, e))
+    assert poly == _binomial_power(20, -1)
+    assert calls == [(1 << x) - 1 for x in lattice._MERSENNE_EXPONENTS[:moduli]]
 
 
 def test_bound_past_the_moduli_is_a_numeric_error():
@@ -356,6 +387,69 @@ def test_is_unipotent_matches_plain_reference(rows):
     assert is_unipotent(m) == _unipotent_reference(rows)
 
 
+# -- the exact-zero certificate ------------------------------------------------
+# log_rho_is_exact_zero reads only char_poly(M); the matrix test "M or M^2 is
+# unipotent" is its oracle.
+
+FINITE_ORDER_BLOCKS = (
+    ((0, 1), (-1, 0)),  # order 4, roots +-i
+    companion_matrix((1, 1, 1)).entries,  # order 3
+    companion_matrix((1, -1, 1)).entries,  # order 6
+)
+
+
+@st.composite
+def exact_zero_candidates(draw):
+    n = draw(st.integers(1, 7))
+    entry = st.integers(-3, 3)
+    kind = draw(st.sampled_from(("plus_minus_one", "random", "finite_order")))
+    if kind == "random":
+        return [[draw(entry) for _ in range(n)] for _ in range(n)]
+    # triangular with a diagonal of 1s and -1s, then a finite-order block
+    # whose roots are not +-1 on its diagonal, and conjugated
+    rows = [[draw(st.sampled_from((1, -1))) if i == j else (draw(entry) if j > i else 0)
+             for j in range(n)] for i in range(n)]
+    if kind == "finite_order":
+        block = draw(st.sampled_from(FINITE_ORDER_BLOCKS))
+        rows = [row + [draw(entry) for _ in range(2)] for row in rows]
+        rows += [[0] * n + list(r) for r in block]
+    return _conjugated(draw, rows, entry)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_zero_candidates())
+def test_log_rho_is_exact_zero_matches_the_matrix_oracle(rows):
+    m = SquareIntMatrix(tuple(map(tuple, rows)))
+    assert log_rho_is_exact_zero(char_poly(m)) == unipotent_up_to_sign(m)
+
+
+def test_finite_order_roots_other_than_plus_minus_one_are_not_an_exact_zero():
+    # Kronecker would certify rho = 1 here too; neither side does.
+    for block in FINITE_ORDER_BLOCKS:
+        m = SquareIntMatrix(block)
+        assert not log_rho_is_exact_zero(char_poly(m))
+        assert not unipotent_up_to_sign(m)
+
+
+# monic factors: products of x - 1 and x + 1 first, then ones with another root
+PLUS_MINUS_ONE_FACTORS = ((1,), (-1, 1), (1, 1), (-1, 0, 1))
+OTHER_FACTORS = ((0, 1), (1, 0, 1), (1, 1, 1), (1, -1, 1), (-2, 1), (-1, -1, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8), st.integers(0, 8),
+       st.sampled_from(PLUS_MINUS_ONE_FACTORS + OTHER_FACTORS))
+def test_every_monic_divisor_of_a_plus_minus_one_power_passes(a, b, c, d, factor):
+    # the proof behind quotient_verdict's one contract: a monic divisor of
+    # (x - 1)^a (x + 1)^b is (x - 1)^c (x + 1)^d, an exact zero again
+    power = poly_mul(_binomial_power(a, 1), _binomial_power(b, -1))
+    candidate = poly_mul(poly_mul(_binomial_power(c, 1), _binomial_power(d, -1)), factor)
+    assert log_rho_is_exact_zero(power)
+    assert log_rho_is_exact_zero(candidate) == (factor in PLUS_MINUS_ONE_FACTORS)
+    if poly_exact_quotient(power, candidate) is not None:
+        assert log_rho_is_exact_zero(candidate)
+
+
 def test_unipotent_spectral_radius_is_one():
     rng = random.Random(7)
     for _ in range(10):
@@ -367,23 +461,23 @@ def test_unipotent_spectral_radius_is_one():
                 rows[i][j] = rng.randint(-4, 4)
         m = SquareIntMatrix(tuple(tuple(r) for r in rows))
         assert is_unipotent(m)
-        assert abs(spectral_radius(m) - 1.0) <= TOL
+        assert abs(spectral_radius(char_poly(m)) - 1.0) <= TOL
 
 
 # -- spectral radius ----------------------------------------------------------
 
 
 def test_spectral_radius_identity():
-    assert spectral_radius(SquareIntMatrix.identity(4)) == 1.0
+    assert spectral_radius(char_poly(SquareIntMatrix.identity(4))) == 1.0
 
 
 def test_spectral_radius_companion_quadratic():
     m = companion_matrix((1, -3, 1))
-    assert abs(spectral_radius(m) - (3 + math.sqrt(5)) / 2) <= TOL
+    assert abs(spectral_radius(char_poly(m)) - (3 + math.sqrt(5)) / 2) <= TOL
 
 
 def test_spectral_radius_nilpotent():
-    assert spectral_radius(SquareIntMatrix(((0, 1), (0, 0)))) == 0.0
+    assert spectral_radius(char_poly(SquareIntMatrix(((0, 1), (0, 0))))) == 0.0
 
 
 def test_spectral_radius_mean_eigenvalue_bound():
@@ -391,7 +485,7 @@ def test_spectral_radius_mean_eigenvalue_bound():
     for _ in range(40):
         n = rng.randint(1, 6)
         m = random_matrix(rng, n)
-        assert spectral_radius(m) >= abs(m.trace()) / n - TOL
+        assert spectral_radius(char_poly(m)) >= abs(m.trace()) / n - TOL
 
 
 def test_spectral_radius_power_scaling():
@@ -399,10 +493,10 @@ def test_spectral_radius_power_scaling():
     for _ in range(15):
         n = rng.randint(2, 4)
         m = random_matrix(rng, n, -3, 3)
-        rho = spectral_radius(m)
+        rho = spectral_radius(char_poly(m))
         for k in range(2, 5):
             slack = k * TOL * max(1.0, rho) ** (k - 1) + TOL
-            assert abs(spectral_radius(m.power(k)) - rho**k) <= slack
+            assert abs(spectral_radius(char_poly(m.power(k))) - rho**k) <= slack
 
 
 # The refinement runs on the scaled polynomial from Newton-polygon starting
@@ -423,7 +517,7 @@ def non_nilpotent_matrices(draw):
 @settings(max_examples=100, deadline=None)
 @given(non_nilpotent_matrices())
 def test_spectral_radius_matches_the_unscaled_refinement(m):
-    rho = spectral_radius(m)
+    rho = spectral_radius(char_poly(m))
     assert abs(rho - spectral_reference.spectral_radius(m, TOL)) <= TOL * rho
 
 
@@ -488,12 +582,12 @@ def test_newton_polygon_starts_follow_each_hull_edge():
 
 def test_newton_polygon_start_of_degree_one():
     assert _moduli(lattice._newton_polygon_starts((-3, 1))) == pytest.approx([3.0])
-    assert spectral_radius(SquareIntMatrix(((-7,),))) == 7.0
+    assert spectral_radius(char_poly(SquareIntMatrix(((-7,),)))) == 7.0
 
 
 def test_finite_order_word_has_spectral_radius_one():
     # x^2 + x + 1: the primitive cube roots of unity
-    assert abs(spectral_radius(SquareIntMatrix(((0, -1), (1, -1)))) - 1.0) <= TOL
+    assert abs(spectral_radius(char_poly(SquareIntMatrix(((0, -1), (1, -1))))) - 1.0) <= TOL
 
 
 def test_refinement_calls_polyroots_through_the_module_with_its_starts():
@@ -505,13 +599,13 @@ def test_refinement_calls_polyroots_through_the_module_with_its_starts():
         return polyroots(coeffs, **kwargs)
 
     with mock.patch.object(lattice.mpmath, "polyroots", spy):
-        spectral_radius(companion_matrix((1, -3, 1)))
+        spectral_radius(char_poly(companion_matrix((1, -3, 1))))
     assert calls == [(2, 2)]
 
 
 def test_spectral_radius_past_the_float_range_is_a_numeric_error():
     with pytest.raises(NumericError, match="spectral radius 1.0e\\+400 is past the float range"):
-        spectral_radius(SquareIntMatrix(((10**400,),)))
+        spectral_radius(char_poly(SquareIntMatrix(((10**400,),))))
 
 
 # -- polynomial helpers -------------------------------------------------------

@@ -400,7 +400,7 @@ def test_entropy_empirical_slope_converges():
 
 
 def _default_word_verdict(model, m_max):
-    return model_verdict(model, m_max, certify_log_rho(default_action(model)))
+    return model_verdict(model, m_max, certify_log_rho(char_poly(default_action(model))))
 
 
 def test_gy_verdict_k3():
