@@ -142,10 +142,12 @@ def quotient_verdict(sc: CoverScenario) -> tuple[LogRho, dict]:
     characteristic polynomial must divide the cover's, as it does for an
     action on a saturated invariant sublattice (the action is block
     triangular in an adapted basis), so no quotient root exceeds the cover's.
-    Each polynomial is then certified on its own.  An exactly zero cover
-    certificate needs no check that it restricts to an exactly zero one: a
-    monic int divisor of (x - 1)^a (x + 1)^b is (x - 1)^c (x + 1)^d, as Z[x]
-    factors uniquely, so the quotient certificate is an exact zero too.
+    Each distinct polynomial is then certified once: when the two are equal,
+    as under an identity deck, the cover's certificate is the quotient's.
+    An exactly zero cover certificate needs no check that it restricts to an
+    exactly zero one: a monic int divisor of (x - 1)^a (x + 1)^b is
+    (x - 1)^c (x + 1)^d, as Z[x] factors uniquely, so the quotient
+    certificate is an exact zero too.
     The details give the cover's log rho and the quotient rank.
     """
     cover_poly, poly = char_poly(sc.action), char_poly(sc.restricted)
@@ -153,5 +155,5 @@ def quotient_verdict(sc: CoverScenario) -> tuple[LogRho, dict]:
         raise ContractError("restricted characteristic polynomial does not divide "
                             "the ambient one")
     cover = certify_log_rho(cover_poly)
-    return certify_log_rho(poly), {"cover_log_rho": cover.value,
-                                   "quotient_rank": len(sc.basis)}
+    quotient = cover if poly == cover_poly else certify_log_rho(poly)
+    return quotient, {"cover_log_rho": cover.value, "quotient_rank": len(sc.basis)}

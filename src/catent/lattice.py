@@ -12,12 +12,13 @@ never be a rounding artifact:
     order,
   * unipotence is an exact integer nilpotence test, never ``|lambda - 1| < eps``,
   * the spectral radius rho is bracketed by the Cauchy bound of the exact
-    characteristic polynomial and refined by multiprecision root finding on
-    its squarefree part, scaled exactly by a power of two so that its roots
-    have moduli around 1, from Bini's Newton-polygon starting points.  The
-    refinement stops when mpmath's own error estimate is below
-    (ACCURACY/2)*rho.  That estimate is not a proven bound, so the float
-    spectral radius is an estimate, which no verdict reads,
+    characteristic polynomial and refined by a multiprecision Aberth-Ehrlich
+    iteration on its squarefree part, scaled exactly by a power of two so
+    that its roots have moduli around 1, from Bini's Newton-polygon starting
+    points.  The refinement stops when its error estimate, the largest last
+    Aberth correction, is below (ACCURACY/2)*rho.  That estimate is not a
+    proven bound, so the float spectral radius is an estimate, which no
+    verdict reads,
   * the verdict gate compares rho with an int exactly: ``roots_inside`` is
     the Schur-Cohn recursion on integer coefficients.
 
@@ -455,21 +456,63 @@ def _newton_polygon_starts(coeffs) -> list:
     return starts
 
 
+def _aberth(desc, starts, extraprec: int):
+    """Roots of the polynomial with mpf coefficients ``desc`` (descending)
+    from the approximations ``starts``, and the largest last correction.
+
+    Aberth-Ehrlich (Aberth, Math. Comp. 27, 1973) in Gauss-Seidel order:
+    z_i -= N / (1 - N sum_(j != i) 1/(z_i - z_j)), N = f(z_i)/f'(z_i), at
+    ``extraprec`` bits above the working precision.  A root is frozen once
+    its correction is below the working eps, and the iteration stops when
+    every root is frozen; the roots are then rounded to the working
+    precision, with an imaginary part below eps dropped.  The error
+    estimate is the largest last correction, at least 2^(1 - prec).  More
+    than 200 sweeps, or a zero divisor (two approximations meet, or
+    f'(z_i) = 0), is mpmath's NoConvergence.
+    """
+    prec, eps = mpmath.mp.prec, +mpmath.mp.eps
+    with mpmath.mp.extraprec(extraprec):
+        roots = [mpmath.mpc(z) for z in starts]
+        err = [mpmath.mpf(1)] * len(roots)
+        moving = list(range(len(roots)))
+        for _ in range(200):
+            for i in moving:
+                z = roots[i]
+                try:
+                    f, df = mpmath.polyval(desc, z, derivative=True)
+                    newton = f / df
+                    pull = sum(1 / (z - r) for j, r in enumerate(roots) if j != i)
+                    w = newton / (1 - newton * pull)
+                except ZeroDivisionError:
+                    raise mpmath.mp.NoConvergence("zero divisor in the Aberth step") from None
+                roots[i] = z - w
+                err[i] = abs(w)
+            moving = [i for i in moving if err[i] >= eps]
+            if not moving:
+                break
+        else:
+            raise mpmath.mp.NoConvergence("no convergence in 200 Aberth sweeps")
+        roots = [z.real if abs(z.imag) < eps else z for z in roots]
+    return [+z for z in roots], max(+max(err), mpmath.ldexp(1, 1 - prec))
+
+
 def spectral_radius(poly: Poly) -> float:
     """Maximum root modulus rho of the characteristic polynomial ``poly``,
     estimated to within ACCURACY*rho.
 
     The squarefree part q of degree n is refined on the exactly scaled
     q(2^s y) / 2^(s n), s = round((bitlen|q_0| - bitlen|q_n|) / n), whose
-    roots y = x / 2^s have moduli around 1.  Root finding starts from the
-    Newton-polygon points and escalates precision until mpmath's error
-    estimate, scaled back by 2^s, is below (ACCURACY/2)*rho, so ACCURACY
-    bounds the error of log rho; as a monic q with q_0 != 0 has rho >= 1,
-    that never asks more than an absolute ACCURACY/2.  The estimate is
-    mpmath's, not a proven enclosure, so neither is the result.  mpmath
-    stops on an absolute error in y, so roots of very different moduli may
-    not converge; that, a rho past the Cauchy bound and a rho past the float
-    range are NumericErrors.  Deciding that rho is exactly 1 is left to
+    roots y = x / 2^s have moduli around 1.  The Aberth iteration
+    (``_aberth``) starts from the Newton-polygon points, and the extra
+    precision climbs the ladder 30, 80, 160, 320 bits until its error
+    estimate, the largest last correction scaled back by 2^s, is below
+    (ACCURACY/2)*rho, so ACCURACY bounds the error of log rho; as a monic q
+    with q_0 != 0 has rho >= 1, that never asks more than an absolute
+    ACCURACY/2.  The estimate is the iteration's, not a proven enclosure, so
+    neither is the result.  The iteration stops on an absolute correction
+    in y, so roots of very different moduli may not converge; that, a rho
+    past the Cauchy bound and a rho past the float range are NumericErrors.
+    Deciding that rho is exactly 1 is left to
     ``words.certify_log_rho``, and comparing it with an int to
     ``roots_inside``.
     """
@@ -487,10 +530,7 @@ def spectral_radius(poly: Poly) -> float:
     last_err = None
     for extraprec in (30, 80, 160, 320):
         try:
-            roots, err = mpmath.polyroots(
-                desc, maxsteps=200, extraprec=extraprec, error=True,
-                roots_init=starts,
-            )
+            roots, err = _aberth(desc, starts, extraprec)
         except mpmath.mp.NoConvergence:
             continue
         rho = mpmath.ldexp(max(abs(r) for r in roots), s)

@@ -1,14 +1,15 @@
-"""Reference spectral-radius refinement.
+"""Reference spectral-radius refinement, an independent oracle.
 
-``spectral_radius`` is the refinement that ``catent.lattice`` used before
-it scaled the polynomial and started from Newton-polygon points: mpmath's
-default starting points on the unscaled squarefree part, stopping when the
-solver's error estimate is below the absolute ``tol / 2``.  The
-differential tests in ``test_lattice.py`` require the scaled refinement to
-agree with it within ``tol * rho``, and ``lattice.roots_inside`` to agree
-with it at every int radius that rho is not within 1e-6 of.  Its accuracy
-and its check of ``tol`` are its own, not the engine's.
-"""
+``spectral_radius`` refines by another method than ``catent.lattice``:
+mpmath's Durand-Kerner iteration (``mpmath.polyroots``) from its default
+starting points on the unscaled squarefree part, stopping when the
+solver's error estimate is below the absolute ``tol / 2``, where the
+engine runs its own Aberth-Ehrlich iteration from Newton-polygon points on
+an exactly scaled polynomial with a stop relative to rho.  The
+differential tests in ``test_lattice.py`` require the engine to agree with
+it within ``tol * rho``, and ``lattice.roots_inside`` to agree with it at
+every int radius that rho is not within 1e-6 of.  Its accuracy and its
+check of ``tol`` are its own, not the engine's."""
 
 from __future__ import annotations
 

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from catent import descent
+from catent import descent, words
+from catent.cli import load_config, run_scenario
 from catent.descent import CoverScenario, integer_kernel_basis, quotient_verdict
 from catent.errors import ContractError, InputError
 from catent.lattice import (
@@ -354,6 +355,27 @@ def test_the_log_rho_certificate_forms_no_matrix_product():
         for sc, poly in zip(covers, polys):
             assert quotient_verdict(sc)[0] == certify_log_rho(poly)
     assert not products
+
+
+def test_identity_deck_refines_its_one_polynomial_once(monkeypatch):
+    # Under the identity deck the restriction has the cover's polynomial, so
+    # the quotient certificate is the cover's, from one refinement.
+    calls, original = [], words.spectral_radius
+
+    def spy(poly):
+        calls.append(poly)
+        return original(poly)
+
+    monkeypatch.setattr(words, "spectral_radius", spy)
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    report = run_scenario(load_config({
+        "kind": "enriques", "cover": {"n": 1, "q": 2, "m_max": 4},
+        "lattice": {"gram": identity}, "deck": {"matrix": identity, "order": 1},
+        "word": [{"kind": "explicit", "matrix": [[2, 1, 0], [1, 1, 0], [0, 0, 1]]}]}))
+    assert report["error"] is None and report["log_rho_exact_zero"] is False
+    assert calls == [(-1, 4, -4, 1)]  # (x - 1)(x^2 - 3x + 1)
+    assert report["log_rho"] == report["details"]["cover_log_rho"] == math.log(
+        original(calls[0]))
 
 
 def test_quotient_verdict_computes_each_char_poly_once(monkeypatch):

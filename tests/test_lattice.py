@@ -2,6 +2,7 @@ import math
 import random
 from unittest import mock
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -499,9 +500,10 @@ def test_spectral_radius_power_scaling():
             assert abs(spectral_radius(char_poly(m.power(k))) - rho**k) <= slack
 
 
-# The refinement runs on the scaled polynomial from Newton-polygon starting
-# points and stops on an error relative to rho; the unscaled refinement with
-# mpmath's default starting points and an absolute stop is its oracle.
+# The refinement runs Aberth-Ehrlich on the scaled polynomial from
+# Newton-polygon starting points and stops on an error relative to rho; the
+# oracle is another method, mpmath's Durand-Kerner on the unscaled
+# polynomial from its default starting points with an absolute stop.
 
 
 @st.composite
@@ -590,17 +592,88 @@ def test_finite_order_word_has_spectral_radius_one():
     assert abs(spectral_radius(char_poly(SquareIntMatrix(((0, -1), (1, -1))))) - 1.0) <= TOL
 
 
-def test_refinement_calls_polyroots_through_the_module_with_its_starts():
-    calls = []
-    polyroots = lattice.mpmath.polyroots
+def _refinement_rungs(poly):
+    """spectral_radius(poly), or its NumericError, and how the Aberth run at
+    each extraprec ended."""
+    rungs, aberth = [], lattice._aberth
 
-    def spy(coeffs, **kwargs):
-        calls.append((len(coeffs) - 1, len(kwargs["roots_init"])))
-        return polyroots(coeffs, **kwargs)
+    def spy(desc, starts, extraprec):
+        try:
+            result = aberth(desc, starts, extraprec)
+        except mpmath.mp.NoConvergence as exc:
+            rungs.append((extraprec, str(exc)))
+            raise
+        rungs.append((extraprec, "converged"))
+        return result
 
-    with mock.patch.object(lattice.mpmath, "polyroots", spy):
+    with mock.patch.object(lattice, "_aberth", spy):
+        try:
+            return spectral_radius(poly), rungs
+        except NumericError as exc:
+            return exc, rungs
+
+
+def test_refinement_runs_aberth_from_the_newton_polygon_starts():
+    starts, calls = [], []
+    newton_polygon_starts, aberth = lattice._newton_polygon_starts, lattice._aberth
+
+    def starts_spy(coeffs):
+        starts.append(newton_polygon_starts(coeffs))
+        return starts[-1]
+
+    def aberth_spy(desc, points, extraprec):
+        calls.append((len(desc) - 1, points, extraprec))
+        return aberth(desc, points, extraprec)
+
+    def polyroots(*args, **kwargs):
+        raise AssertionError("the refinement called mpmath.polyroots")
+
+    with mock.patch.object(lattice, "_newton_polygon_starts", starts_spy), \
+            mock.patch.object(lattice, "_aberth", aberth_spy), \
+            mock.patch.object(lattice.mpmath, "polyroots", polyroots):
         spectral_radius(char_poly(companion_matrix((1, -3, 1))))
-    assert calls == [(2, 2)]
+    assert len(starts) == 1 and len(starts[0]) == 2
+    assert calls == [(2, starts[0], 30)] and calls[0][1] is starts[0]
+
+
+def mignotte(n, k):
+    """Mignotte's x^n - 2 (10^k x - 1)^2, ascending: two of its roots are
+    very close together, near 10^-k."""
+    return (-2, 4 * 10**k, -2 * 10**(2 * k)) + (0,) * (n - 3) + (1,)
+
+
+CAPPED = "no convergence in 200 Aberth sweeps"
+
+
+@pytest.mark.parametrize("n, k, capped, last, rho", [
+    (12, 80, [30], 80, 1.0717734625362932e+16),
+    (6, 60, [30, 80], 160, 1.189207115002721e+30),
+])
+def test_refinement_climbs_the_precision_ladder(n, k, capped, last, rho):
+    # each rung below the last stops at the sweep cap
+    result, rungs = _refinement_rungs(mignotte(n, k))
+    assert result == rho
+    assert rungs == [(e, CAPPED) for e in capped] + [(last, "converged")]
+
+
+def test_refinement_past_the_precision_ladder_is_a_numeric_error():
+    result, rungs = _refinement_rungs(mignotte(4, 200))
+    assert isinstance(result, NumericError)
+    assert str(result).startswith("spectral radius refinement did not reach accuracy")
+    assert rungs == [(e, CAPPED) for e in (30, 80, 160, 320)]
+
+
+@pytest.mark.parametrize("poly, starts", [
+    ((1, -3, 1), (1, 1)),  # two approximations meet
+    ((-2, 0, 1), (0, 1)),  # f'(0) = 0
+])
+def test_aberth_zero_divisor_is_no_convergence(poly, starts):
+    starts = list(map(mpmath.mpc, starts))
+    with pytest.raises(mpmath.mp.NoConvergence, match="zero divisor"):
+        lattice._aberth([mpmath.mpf(c) for c in reversed(poly)], starts, 30)
+    with mock.patch.object(lattice, "_newton_polygon_starts", lambda coeffs: starts), \
+            pytest.raises(NumericError, match="did not reach accuracy"):
+        spectral_radius(poly)
 
 
 def test_spectral_radius_past_the_float_range_is_a_numeric_error():
