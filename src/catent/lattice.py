@@ -10,35 +10,30 @@ never be a rounding artifact:
     coefficient, combined by the Chinese remainder theorem, so they are
     exact by that bound; they are tuples of int coefficients in ascending
     order,
-  * unipotence is an exact integer nilpotence test, never ``|lambda - 1| < eps``,
+  * unipotence is an exact integer test, never ``|lambda - 1| < eps``: by
+    Cayley-Hamilton, M is unipotent iff its characteristic polynomial is
+    (x - 1)^n, which ``without_root`` checks by exact int division,
   * the spectral radius rho is bracketed by the Cauchy bound of the exact
     characteristic polynomial and refined by a multiprecision Aberth-Ehrlich
-    iteration on its squarefree part, scaled exactly by a power of two so
-    that its roots have moduli around 1, from Bini's Newton-polygon starting
-    points.  The refinement stops when its error estimate, the largest last
-    Aberth correction, is below (ACCURACY/2)*rho.  That estimate is not a
-    proven bound, so the float spectral radius is an estimate, which no
-    verdict reads,
+    iteration on its squarefree part, scaled by a power of two so that its
+    roots have moduli around 1 (the scaled coefficients are rounded to the
+    53-bit working precision), from Bini's Newton-polygon starting points.
+    The refinement stops when its error estimate, the largest last Aberth
+    correction, is below (ACCURACY/2)*rho.  That estimate is not a proven
+    bound, so the float spectral radius is an estimate, which no verdict
+    reads,
   * the verdict gate compares rho with an int exactly: ``roots_inside`` is
     the Schur-Cohn recursion on integer coefficients.
 
 Cheap exact tests run in front of the expensive exact ones, and they only
-ever decide a case they can prove:
-
-  * necessary-condition gates answer "no" early: a unipotent M has
-    trace(M) = n, so ``is_unipotent`` returns False on any other trace
-    without a matrix product,
-  * sufficient-condition shortcuts answer "yes" early: a triangular M
-    (upper or lower) with a unit diagonal is unipotent, because M - I is
-    strictly triangular, so ``is_unipotent`` returns True without a matrix
-    product; and if p mod P and p' mod P are coprime in F_P[x] for a prime
-    P not dividing the leading coefficient, p is squarefree over Q (Gauss's
-    lemma), so ``squarefree_part`` returns p without the Euclid over Q.
-
-Every case a gate or shortcut cannot decide (trace n but not unit
-triangular; a common factor mod P or P dividing the leading coefficient)
-still reaches the full exact test, so the results are the same as without
-them.
+ever answer "yes" to a case they can prove: a triangular M (upper or
+lower) with a unit diagonal is unipotent, because M - I is strictly
+triangular, so ``is_unipotent`` returns True without a characteristic
+polynomial; and if p mod P and p' mod P are coprime in F_P[x] for a prime
+P not dividing the leading coefficient, p is squarefree over Q (Gauss's
+lemma), so ``squarefree_part`` returns p without the remainder sequence.
+Every other case still reaches the full exact test, so the results are the
+same as without them.
 
 Each type checks its values when it is built, with no coercion: a non-int
 entry (``errors.is_int``) and an asymmetric gram are ``InputError``s.
@@ -50,7 +45,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 
@@ -161,14 +155,8 @@ class SquareIntMatrix:
                 return None
         return c
 
-    def trace(self) -> int:
-        return sum(self.entries[i][i] for i in range(self.n))
-
     def transpose(self) -> "SquareIntMatrix":
         return SquareIntMatrix(tuple(zip(*self.entries)))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for row in self.entries for a in row)
 
 
 @dataclass(frozen=True)
@@ -219,33 +207,37 @@ class BilinearLattice:
 Poly = tuple[int, ...]
 
 
-def _divmod(a, b) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder over Q of a by a nonzero b, coefficients
-    ascending; the remainder has no zero top coefficient."""
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    r = [Fraction(c) for c in a]
-    while len(r) >= len(b):
-        c = r[-1] / b[-1]
-        d = len(r) - len(b)
-        q[d] = c
+def poly_exact_quotient(a: Poly, b: Poly) -> Poly | None:
+    """a / b when the nonzero b divides a in Z[x], else None: int long
+    division, stopped at the first leading coefficient b_m does not divide."""
+    r, m, q = list(a), len(b) - 1, []
+    for d in range(len(a) - 1 - m, -1, -1):
+        c, rest = divmod(r[d + m], b[-1])
+        if rest:
+            return None
+        q.append(c)
         for i, bc in enumerate(b):
             r[i + d] -= c * bc
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    return q, r
+    return None if any(r[:m]) else tuple(reversed(q))
 
 
-def poly_exact_quotient(a: Poly, b: Poly) -> Poly | None:
-    """a / b when the nonzero b divides a in Z[x], else None."""
-    q, r = _divmod(a, b)
-    if any(r) or any(c.denominator != 1 for c in q):
-        return None
-    return tuple(map(int, q))
+def without_root(p: Poly, root: int) -> Poly:
+    """p divided by x - root as often as that divides it in Z[x]."""
+    while len(p) > 1 and (q := poly_exact_quotient(p, (-root, 1))) is not None:
+        p = q
+    return p
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """The nonzero int coefficients a divided by their content, signed so
+    that the leading coefficient is positive."""
+    content = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
+    return [c // content for c in a]
 
 
 #: Exponents e of the Mersenne primes 2^e - 1, in increasing order: the
-#: moduli of ``char_poly``; the first is the prime of the squarefree pre-test.
+#: moduli of ``char_poly``; the first is the prime of ``squarefree_part``'s
+#: pre-test, which decides a squarefree p without the remainder sequence.
 _MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
                        4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243)
 
@@ -272,18 +264,27 @@ def _coprime_mod(a: Poly, b: Poly, prime: int) -> bool:
 
 def squarefree_part(p: Poly) -> Poly:
     """p divided by gcd(p, p'), the gcd primitive with a positive leading
-    coefficient; same roots, all simple."""
+    coefficient; same roots, all simple.
+
+    The gcd is the last nonzero term of the primitive remainder sequence
+    (Brown, J. ACM 18, 1971): each term is a pseudo-remainder of the two
+    before it, a times a power of b_m reduced mod b, divided by its
+    content, so every step stays in ints.
+    """
     dp = tuple(i * c for i, c in enumerate(p))[1:]
     prime = (1 << _MERSENNE_EXPONENTS[0]) - 1
     if len(p) < 2 or (p[-1] % prime and _coprime_mod(p, dp, prime)):
         return p  # squarefree mod P with the degree kept, hence over Q
     a, b = p, dp
-    while b:  # Euclid over Q
-        a, b = b, _divmod(a, b)[1]
-    denom = math.lcm(*(Fraction(c).denominator for c in a))
-    g = [int(c * denom) for c in a]
-    content = math.gcd(*g) if g[-1] > 0 else -math.gcd(*g)
-    g = tuple(c // content for c in g)
+    while b:
+        r = list(a)
+        while len(r) >= len(b):  # r = b_m r - r_top x^d b, r_top now 0
+            c, d = r[-1], len(r) - len(b)
+            r = [b[-1] * x - (c * b[i - d] if i >= d else 0) for i, x in enumerate(r)]
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, _primitive(r) if r else r
+    g = _primitive(a)
     return p if len(g) < 2 else poly_exact_quotient(p, g)
 
 
@@ -399,35 +400,25 @@ def roots_inside(p: Poly, r: int) -> bool:
     while len(a) > 1:
         if abs(a[0]) >= abs(a[-1]):
             return False
-        a = [a[-1] * x - a[0] * y for x, y in zip(a[1:], a[-2::-1])]
-        content = math.gcd(*a)
-        a = [c // content for c in a]
+        a = _primitive([a[-1] * x - a[0] * y for x, y in zip(a[1:], a[-2::-1])])
     return True
 
 
 def is_unipotent(m: SquareIntMatrix) -> bool:
-    """Exact test: (M - I)^k = 0 for a power k >= n, n the dimension.
+    """Exact test: every eigenvalue of M is 1.
 
-    A unipotent M has trace n, so any other trace is a "no" without a
-    matrix product.  A triangular M, upper or lower, with a unit diagonal is
-    a "yes" without one, as M - I is strictly triangular.  Every other
-    matrix of trace n goes through the nilpotence test, which squares
-    N = M - I: N is nilpotent iff N^n = 0 iff N^(2^j) = 0 once 2^j >= n.
+    A triangular M, upper or lower, with a unit diagonal is a "yes" at
+    once, as M - I is strictly triangular.  Any other M is unipotent iff
+    its characteristic polynomial is (x - 1)^n, which ``without_root``
+    decides by exact int division (Cayley-Hamilton: then (M - I)^n = 0).
     """
-    if m.trace() != m.n:
-        return False
     rows = m.entries
     if all(row[i] == 1 for i, row in enumerate(rows)) and (
         not any(any(row[:i]) for i, row in enumerate(rows))
         or not any(any(row[i + 1:]) for i, row in enumerate(rows))
     ):
         return True
-    power, k = m - SquareIntMatrix.identity(m.n), 1  # power = (M - I)^k
-    while not power.is_zero():
-        if k >= m.n:
-            return False
-        power, k = power @ power, 2 * k
-    return True
+    return without_root(char_poly(m), 1) == (1,)
 
 
 def _newton_polygon_starts(coeffs) -> list:
@@ -500,11 +491,13 @@ def spectral_radius(poly: Poly) -> float:
     """Maximum root modulus rho of the characteristic polynomial ``poly``,
     estimated to within ACCURACY*rho.
 
-    The squarefree part q of degree n is refined on the exactly scaled
+    The squarefree part q of degree n is refined on the scaled
     q(2^s y) / 2^(s n), s = round((bitlen|q_0| - bitlen|q_n|) / n), whose
-    roots y = x / 2^s have moduli around 1.  The Aberth iteration
-    (``_aberth``) starts from the Newton-polygon points, and the extra
-    precision climbs the ladder 30, 80, 160, 320 bits until its error
+    roots y = x / 2^s have moduli around 1; its coefficients are mpf at the
+    53-bit working precision, so one past 2^53 is rounded, and ACCURACY
+    holds for that rounded polynomial.  The Aberth iteration (``_aberth``)
+    starts from the Newton-polygon points, and the extra precision climbs
+    the ladder 30, 80, 160, 320 bits until its error
     estimate, the largest last correction scaled back by 2^s, is below
     (ACCURACY/2)*rho, so ACCURACY bounds the error of log rho; as a monic q
     with q_0 != 0 has rho >= 1, that never asks more than an absolute
@@ -516,7 +509,7 @@ def spectral_radius(poly: Poly) -> float:
     ``words.certify_log_rho``, and comparing it with an int to
     ``roots_inside``.
     """
-    p = poly[next(i for i, c in enumerate(poly) if c):]  # strip x^k; p is monic
+    p = without_root(poly, 0)  # p is monic
     if len(p) == 1:
         return 0.0  # nilpotent: all eigenvalues zero
     q = squarefree_part(p)
@@ -524,7 +517,8 @@ def spectral_radius(poly: Poly) -> float:
     # Cauchy bound, an mpf: a quotient of huge coefficients overflows a float
     bound = 1 + mpmath.mpf(max(map(abs, q[:-1]))) / abs(q[-1])
     s = round((abs(q[0]).bit_length() - abs(q[-1]).bit_length()) / n)
-    scaled = [mpmath.ldexp(c, s * (k - n)) for k, c in enumerate(q)]  # exact
+    # rounded to 53 bits: mpmath.ldexp(2**60 + 1, -3) * 8 != 2**60 + 1
+    scaled = [mpmath.ldexp(c, s * (k - n)) for k, c in enumerate(q)]
     starts = _newton_polygon_starts(scaled)
     desc = scaled[::-1]
     last_err = None

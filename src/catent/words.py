@@ -22,7 +22,6 @@ characteristic polynomial of a word's action, so the word gets the same
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -35,6 +34,7 @@ from .lattice import (
     is_unipotent,
     roots_inside,
     spectral_radius,
+    without_root,
 )
 
 if TYPE_CHECKING:
@@ -112,17 +112,11 @@ def induced_matrix(lattice: BilinearLattice, word) -> SquareIntMatrix:
 
 
 def log_rho_is_exact_zero(poly: Poly) -> bool:
-    """True iff poly = (x - 1)^a (x + 1)^b, by exact int synthetic division
-    by x - 1, then by x + 1.  By Cayley-Hamilton this is the matrix test "M
-    or M^2 is unipotent", as M^2 is unipotent iff every eigenvalue is +-1."""
-    p = list(poly)
-    for root in (1, -1):
-        while len(p) > 1:  # Horner: the quotient's coefficients, then p(root)
-            q = list(itertools.accumulate(reversed(p), lambda a, c: a * root + c))
-            if q.pop():
-                break
-            p = q[::-1]
-    return p == [1]
+    """True iff poly = (x - 1)^a (x + 1)^b: ``lattice.without_root`` divides
+    out x - 1, then x + 1, by exact int division.  By Cayley-Hamilton this
+    is the matrix test "M or M^2 is unipotent", as M^2 is unipotent iff
+    every eigenvalue is +-1."""
+    return without_root(without_root(poly, 1), -1) == (1,)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,13 @@ that scaling on explicit matrices.  Nor does the engine multiply, test
 divisibility of, or evaluate polynomials at matrices: the tests use those to
 check ``char_poly`` (Cayley-Hamilton, companion matrices) and
 ``squarefree_part``, the latter against the rational Euclid kept here as its
-oracle.  ``unipotent_up_to_sign`` is the matrix test of an exact-zero
-``log rho``, the oracle for ``words.log_rho_is_exact_zero``, which reads
-only the characteristic polynomial.  ``counted_products`` counts the
-matrix products a call makes, for the tests of the paths that should make
-none.
+oracle.  ``unipotent_reference`` is the plain nilpotence test of M - I on
+lists, the oracle for ``lattice.is_unipotent``.  ``unipotent_up_to_sign``,
+built on it, is the matrix test of an exact-zero ``log rho``, the oracle
+for ``words.log_rho_is_exact_zero``.  Both engine functions read only the
+characteristic polynomial, through ``lattice.without_root``, so neither
+oracle calls the engine.  ``counted_products`` counts the matrix products
+a call makes, for the tests of the paths that should make none.
 """
 
 from contextlib import contextmanager
@@ -25,7 +27,7 @@ from math import gcd, lcm
 from unittest import mock
 
 from catent.errors import InputError, NumericError
-from catent.lattice import SquareIntMatrix, is_unipotent
+from catent.lattice import SquareIntMatrix
 
 
 def tensor_power_matrix(m: SquareIntMatrix, n: int) -> SquareIntMatrix:
@@ -188,14 +190,25 @@ def companion_matrix(p) -> SquareIntMatrix:
     return SquareIntMatrix(tuple(tuple(r) for r in rows))
 
 
+def plain_matmul(a, b):
+    """Product of two square matrices given as lists of rows."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def unipotent_reference(rows) -> bool:
+    """(M - I)^n == 0 by n - 1 plain products, M given as rows."""
+    n = len(rows)
+    nil = [[rows[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    acc = nil
+    for _ in range(n - 1):
+        acc = plain_matmul(acc, nil)
+    return all(x == 0 for row in acc for x in row)
+
+
 def unipotent_up_to_sign(m: SquareIntMatrix) -> bool:
-    """True iff M or M^2 is unipotent, so that every eigenvalue is 1 or -1;
-    trace(M^2), read as sum m_ij m_ji, must be n before M^2 is formed."""
-    if is_unipotent(m):
-        return True
+    """True iff M or M^2 is unipotent, so that every eigenvalue is 1 or -1."""
     rows = m.entries
-    trace_sq = sum(a * b for r, c in zip(rows, zip(*rows)) for a, b in zip(r, c))
-    return trace_sq == m.n and is_unipotent(m @ m)
+    return unipotent_reference(rows) or unipotent_reference(plain_matmul(rows, rows))
 
 
 def faddeev_leverrier(m: SquareIntMatrix) -> tuple[int, ...]:
@@ -208,7 +221,7 @@ def faddeev_leverrier(m: SquareIntMatrix) -> tuple[int, ...]:
     aux = ident
     for k in range(1, n + 1):
         prod = m @ aux
-        t = prod.trace()
+        t = sum(prod.entries[i][i] for i in range(n))
         if t % k != 0:
             raise NumericError(f"Faddeev-LeVerrier integrality failed at step {k}")
         ck = -t // k

@@ -15,7 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from catent.errors import ContractError, InputError
-from catent.lattice import SquareIntMatrix, is_unipotent
+from catent.lattice import SquareIntMatrix
+from lattice_powers import unipotent_reference
 
 
 def kernel_basis(m: SquareIntMatrix) -> tuple[tuple[int, ...], ...]:
@@ -96,7 +97,7 @@ def tensor_matrix_from_nilpotent(n: SquareIntMatrix) -> SquareIntMatrix:
     The exponential series terminates; each term is computed exactly over
     Fractions and the result must clear to integers.
     """
-    if not is_unipotent(n + SquareIntMatrix.identity(n.n)):
+    if not unipotent_reference((n + SquareIntMatrix.identity(n.n)).entries):
         raise InputError("matrix is not nilpotent")
     size = n.n
     acc = [[Fraction(1 if i == j else 0) for j in range(size)] for i in range(size)]
@@ -104,7 +105,7 @@ def tensor_matrix_from_nilpotent(n: SquareIntMatrix) -> SquareIntMatrix:
     factorial = 1
     for k in range(1, size):
         power = power @ n
-        if power.is_zero():
+        if not any(map(any, power.entries)):
             break
         factorial *= k
         for i in range(size):

@@ -204,7 +204,7 @@ def test_criterion_7_exact_linear_algebra_checks():
     for n in range(1, 9):
         for _ in range(3):
             m = random_matrix(rng, n, -5, 5)
-            assert poly_eval_matrix(char_poly(m), m).is_zero()
+            assert not any(map(any, poly_eval_matrix(char_poly(m), m).entries))
     for _ in range(100):
         n = rng.randint(2, 4)
         m = random_matrix(rng, n)

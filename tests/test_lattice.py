@@ -28,9 +28,12 @@ from lattice_powers import (
     derivative,
     euclid_squarefree_part,
     faddeev_leverrier,
+    plain_matmul,
+    poly_divmod_exact,
     poly_eval_matrix,
     poly_gcd,
     poly_mul,
+    unipotent_reference,
     unipotent_up_to_sign,
 )
 import report_digest
@@ -118,7 +121,7 @@ def test_cayley_hamilton_random(n):
     rng = random.Random(1000 + n)
     for _ in range(5):
         m = random_matrix(rng, n)
-        assert poly_eval_matrix(char_poly(m), m).is_zero()
+        assert not any(map(any, poly_eval_matrix(char_poly(m), m).entries))
 
 
 # char_poly reduces M to Hessenberg form modulo Mersenne primes until their
@@ -277,29 +280,19 @@ def test_is_unipotent_basic():
     assert not is_unipotent(SquareIntMatrix(((2, 0), (0, 1))))
 
 
-def test_trace_n_matrix_still_gets_the_nilpotence_test():
+def test_is_unipotent_forms_no_matrix_product():
     with counted_products() as products:
-        # trace 2 = n, but eigenvalues 2 and 0: only the full test can say no
+        # trace 2 = n, but eigenvalues 2 and 0
         assert not is_unipotent(SquareIntMatrix(((2, 0), (0, 0))))
-        assert products
-        products.clear()
-        # trace 3 != n: the gate says no without a matrix product
         assert not is_unipotent(SquareIntMatrix(((2, 0), (0, 1))))
-        assert not products
-
-
-def test_unit_triangular_is_unipotent_without_a_product():
-    with counted_products() as products:
+        # unit triangular, upper and lower
         assert is_unipotent(SquareIntMatrix(((1, 5, -2), (0, 1, 7), (0, 0, 1))))
         assert is_unipotent(SquareIntMatrix(((1, 0, 0), (3, 1, 0), (-4, 9, 1))))
-        assert not products
         # a unit diagonal with entries on both sides is not triangular
         assert not is_unipotent(SquareIntMatrix(((1, 1), (1, 1))))
-        assert products
-
-
-def _plain_matmul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+        # unipotent but not triangular: char_poly (x - 1)^2
+        assert is_unipotent(SquareIntMatrix(((2, 1), (-1, 0))))
+    assert not products
 
 
 @st.composite
@@ -314,17 +307,7 @@ def matrix_pairs(draw):
 @given(matrix_pairs())
 def test_matmul_matches_plain_triple_loop(pair):
     a, b = (SquareIntMatrix(tuple(map(tuple, rows))) for rows in pair)
-    assert (a @ b).entries == tuple(map(tuple, _plain_matmul(*pair)))
-
-
-def _unipotent_reference(rows):
-    """(M - I)^n == 0 by n - 1 plain products."""
-    n = len(rows)
-    nil = [[rows[i][j] - (i == j) for j in range(n)] for i in range(n)]
-    acc = nil
-    for _ in range(n - 1):
-        acc = _plain_matmul(acc, nil)
-    return all(x == 0 for row in acc for x in row)
+    assert (a @ b).entries == tuple(map(tuple, plain_matmul(*pair)))
 
 
 def _conjugated(draw, rows, entry):
@@ -339,7 +322,7 @@ def _conjugated(draw, rows, entry):
             for k in range(n):  # row_i += c row_j on P, col_j -= c col_i on P^-1
                 p[i][k] += c * p[j][k]
                 p_inv[k][j] -= c * p_inv[k][i]
-    return _plain_matmul(_plain_matmul(p, rows), p_inv)
+    return plain_matmul(plain_matmul(p, rows), p_inv)
 
 
 @st.composite
@@ -385,7 +368,7 @@ def unipotence_candidates(draw):
 @given(unipotence_candidates())
 def test_is_unipotent_matches_plain_reference(rows):
     m = SquareIntMatrix(tuple(map(tuple, rows)))
-    assert is_unipotent(m) == _unipotent_reference(rows)
+    assert is_unipotent(m) == unipotent_reference(rows)
 
 
 # -- the exact-zero certificate ------------------------------------------------
@@ -486,7 +469,8 @@ def test_spectral_radius_mean_eigenvalue_bound():
     for _ in range(40):
         n = rng.randint(1, 6)
         m = random_matrix(rng, n)
-        assert spectral_radius(char_poly(m)) >= abs(m.trace()) / n - TOL
+        trace = sum(m.entries[i][i] for i in range(n))
+        assert spectral_radius(char_poly(m)) >= abs(trace) / n - TOL
 
 
 def test_spectral_radius_power_scaling():
@@ -700,11 +684,50 @@ def test_poly_mul_divmod_roundtrip():
     assert poly_exact_quotient((1, 2), (0, 2)) is None  # a non-integral quotient
 
 
+@st.composite
+def division_cases(draw):
+    """(a, divisor): a = b q with the divisor b, a = b q + r with deg r <
+    deg b, or a = b q with the divisor k b, k > 1, whose quotient q / k is
+    not integral unless k divides q's content.  Leading coefficients are
+    any nonzero ints, and coefficients reach 200 bits."""
+    bound = draw(st.sampled_from((3, 2**200)))
+    coeff = st.integers(-bound, bound)
+    lead = coeff.filter(bool)
+    b = tuple(draw(st.lists(coeff, max_size=4))) + (draw(lead),)
+    q = tuple(draw(st.lists(coeff, max_size=4))) + (draw(lead),)
+    kind = draw(st.sampled_from(("exact", "remainder", "not_integral")))
+    if kind == "not_integral":
+        k = draw(st.integers(2, 6))
+        return poly_mul(b, q), tuple(k * c for c in b)
+    a = poly_mul(b, q)
+    if kind == "remainder":
+        r = draw(st.lists(coeff, min_size=len(b) - 1, max_size=len(b) - 1))
+        a = tuple(c + (r[i] if i < len(r) else 0) for i, c in enumerate(a))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_cases())
+@example(((3,), (1, 1)))  # a nonzero a of lower degree than b
+def test_poly_exact_quotient_matches_the_fraction_oracle(case):
+    a, b = case
+    try:
+        expected = poly_divmod_exact(a, b)
+    except InputError:
+        expected = None
+    assert poly_exact_quotient(a, b) == expected
+
+
 def test_poly_gcd_and_squarefree():
     # (x-1)^2 (x+2) has squarefree part (x-1)(x+2)
     sq = poly_mul(poly_mul((-1, 1), (-1, 1)), (2, 1))
     assert squarefree_part(sq) == poly_mul((-1, 1), (2, 1))
     assert poly_gcd(sq, derivative(sq)) == (-1, 1)
+    # (x^2 - 10^30 x + 1)^2 (x - 3): not squarefree mod P either, so the
+    # remainder sequence runs on 100-bit coefficients
+    factor = (1, -10**30, 1)
+    p = poly_mul(poly_mul(factor, factor), (-3, 1))
+    assert squarefree_part(p) == euclid_squarefree_part(p) == poly_mul(factor, (-3, 1))
 
 
 def _trimmed(coeffs):
