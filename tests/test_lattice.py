@@ -280,18 +280,24 @@ def test_is_unipotent_basic():
     assert not is_unipotent(SquareIntMatrix(((2, 0), (0, 1))))
 
 
-def test_is_unipotent_forms_no_matrix_product():
+# The nilpotence test of M - I reads char_poly (Cayley-Hamilton): it is
+# (x - 1)^n iff (M - I)^n = 0, and no matrix product is formed.
+def test_trace_n_matrix_still_gets_the_nilpotence_test():
     with counted_products() as products:
-        # trace 2 = n, but eigenvalues 2 and 0
+        # trace 2 = n, but eigenvalues 2 and 0: only the full test can say no
         assert not is_unipotent(SquareIntMatrix(((2, 0), (0, 0))))
         assert not is_unipotent(SquareIntMatrix(((2, 0), (0, 1))))
-        # unit triangular, upper and lower
+        # unipotent but not triangular: char_poly (x - 1)^2
+        assert is_unipotent(SquareIntMatrix(((2, 1), (-1, 0))))
+    assert not products
+
+
+def test_unit_triangular_is_unipotent_without_a_product():
+    with counted_products() as products:
         assert is_unipotent(SquareIntMatrix(((1, 5, -2), (0, 1, 7), (0, 0, 1))))
         assert is_unipotent(SquareIntMatrix(((1, 0, 0), (3, 1, 0), (-4, 9, 1))))
         # a unit diagonal with entries on both sides is not triangular
         assert not is_unipotent(SquareIntMatrix(((1, 1), (1, 1))))
-        # unipotent but not triangular: char_poly (x - 1)^2
-        assert is_unipotent(SquareIntMatrix(((2, 1), (-1, 0))))
     assert not products
 
 
